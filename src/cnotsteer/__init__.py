@@ -4,9 +4,10 @@ phase qubits in the rotating-wave approximation.
 The package computes closed-form gate times and propagators for the
 two-step (entangle / pi-pulse / entangle) sequence, numerically calibrates
 the single-step (drive plus coupling) sequence, tracks local equivalence
-classes through Makhlin invariants and Weyl-chamber coordinates, fits the
-local rotations that turn an entangler into the canonical CNOT, and
-evaluates the intrinsic gate fidelity.  A CLI (``cnotsteer``) regenerates
+classes through Makhlin invariants and Weyl-chamber coordinates, computes
+in closed form (KAK decomposition; Kraus & Cirac 2001, Zhang et al. 2003)
+the local rotations that take an entangler closest to the canonical CNOT,
+and evaluates the intrinsic gate fidelity.  A CLI (``cnotsteer``) regenerates
 the reference tables, gates, and steering trajectories as CSV/JSON.
 """
 

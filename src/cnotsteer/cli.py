@@ -9,7 +9,7 @@ as CSV/JSON files, and run the verification suite:
     cnotsteer trajectory  --delta 1.0 --samples 2048 --out traj.csv
     cnotsteer verify
 
-Output is deterministic for a fixed ``--seed``: repeated runs produce
+Output is deterministic: repeated runs with the same flags produce
 byte-identical files.  CSV values are printed with six fixed decimals and
 always carry a header row; cells that have no value (for example the
 single-step columns beyond their detuning bound) are left empty.
@@ -137,7 +137,7 @@ def _gate_payload(args: argparse.Namespace) -> dict:
         segment = single_step_u(t_for_recipe, p)
         entangler = segment
 
-    fit = fit_local_rotations(entangler, CNOT, seed=args.seed)
+    fit = fit_local_rotations(entangler, CNOT)
     gate = fit.rotations.realize(entangler)
     recipe = GateRecipe(
         kind=args.mode, params=p, t=t_for_recipe, rotations=fit.rotations
@@ -154,13 +154,12 @@ def _gate_payload(args: argparse.Namespace) -> dict:
         "weyl_point": {"c1": weyl.c1, "c2": weyl.c2, "c3": weyl.c3},
         "frobenius_distance_to_cnot": fit.distance,
         "fidelity": fit.fidelity,
-        "seed": args.seed,
     }
     return payload
 
 
 def cmd_gate(args: argparse.Namespace) -> int:
-    """Calibrate, fit rotations, and dump the full gate description as JSON."""
+    """Calibrate, dress with local rotations, and dump the gate description as JSON."""
     payload = _gate_payload(args)
     _write(_out_path(args.out), json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
@@ -207,18 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=42,
-                       help="seed for randomized search/restarts")
-
     p1 = sub.add_parser("table1", help="ideal-CNOT gate parameters vs detuning (CSV)")
     p1.add_argument("--out", default="table1.csv")
-    add_common(p1)
     p1.set_defaults(func=cmd_table1)
 
     p2 = sub.add_parser("table2", help="closest-class single-step parameters (CSV)")
     p2.add_argument("--out", default="table2.csv")
-    add_common(p2)
     p2.set_defaults(func=cmd_table2)
 
     pg = sub.add_parser("gate", help="calibrated gate, rotations and fidelity (JSON)")
@@ -226,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--delta", type=float, required=True, help="detuning in units of g")
     pg.add_argument("--frame", type=int, choices=[1, 2], default=1)
     pg.add_argument("--out", default="gate.json")
-    add_common(pg)
     pg.set_defaults(func=cmd_gate)
 
     pt = sub.add_parser("trajectory", help="Weyl-chamber steering trajectory (CSV)")
@@ -234,11 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--samples", type=int, default=2048)
     pt.add_argument("--out", default="trajectory.csv")
     pt.add_argument("--with-resonant-trace", action="store_true")
-    add_common(pt)
     pt.set_defaults(func=cmd_trajectory)
 
     pv = sub.add_parser("verify", help="run the invariant/property suite")
-    add_common(pv)
+    pv.add_argument("--seed", type=int, default=42,
+                    help="seed of the suite's random samples")
     pv.set_defaults(func=cmd_verify)
 
     return parser

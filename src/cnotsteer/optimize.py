@@ -55,8 +55,8 @@ class CalibrationResult:
 
     ``t_units`` is the gate time as a multiple of the sequence's canonical
     unit (pi/2g for one-step, pi/4g for two-step).  ``fidelity`` is filled
-    in only by callers that also fit local rotations.  A failed row (for
-    example a two-step request beyond the detuning bound) carries the
+    in only by callers that also dress with local rotations.  A failed row
+    (for example a two-step request beyond the detuning bound) carries the
     message in ``error`` and NaN numeric fields.
     """
 

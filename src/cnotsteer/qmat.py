@@ -33,8 +33,14 @@ class ContractViolationError(ValueError):
 
 
 def kron2(a2: np.ndarray, b1: np.ndarray) -> Operator4:
-    """Tensor product with ``a2`` acting on qubit 2 and ``b1`` on qubit 1."""
-    return np.kron(np.asarray(a2, dtype=complex), np.asarray(b1, dtype=complex))
+    """Tensor product with ``a2`` acting on qubit 2 and ``b1`` on qubit 1.
+
+    Equal entry for entry to ``np.kron`` of two 2x2 matrices (the same
+    products), without its general-shape overhead.
+    """
+    a2 = np.asarray(a2, dtype=complex)
+    b1 = np.asarray(b1, dtype=complex)
+    return (a2[:, None, :, None] * b1[None, :, None, :]).reshape(4, 4)
 
 
 def frob_dist(a: np.ndarray, b: np.ndarray) -> float:

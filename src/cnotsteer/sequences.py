@@ -15,18 +15,22 @@ Local rotations are parameterized per qubit as z-y-z Euler triples on each
 side of the entangler plus one global phase (13 parameters total), which
 spans all of SU(2) x SU(2) x U(1).  The analytic rotation forms used at
 resonance (and their z-offset generalizations at finite detuning) are
-provided as constructors; arbitrary dressings are found numerically by
-``fit_local_rotations``.
+provided as constructors.  The dressing that takes an arbitrary entangler
+closest to a target is computed in closed form by ``fit_local_rotations``,
+from the KAK (Cartan) decomposition read off the magic basis (Kraus & Cirac,
+PRA 63, 062309 (2001); Zhang, Vala, Sastry & Whaley, PRA 67, 042313 (2003)).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .equivclass import MAGIC_BASIS, to_magic
 from .model import SystemParams, X1, h_rwa_frame1
 from .propagate import entangling_u_frame1, entangling_u_frame2
 from .qmat import (
@@ -40,7 +44,6 @@ from .qmat import (
     kron2,
     require_unitary,
 )
-from .simplex import NMOptions, nelder_mead
 
 
 class DetuningOutOfRangeError(ValueError):
@@ -354,82 +357,120 @@ def fidelity(u: Operator4, target: Operator4) -> float:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a local-rotation fit."""
+    """Outcome of the local dressing of an entangler."""
 
     rotations: LocalRotationSpec
     distance: float  # Frobenius distance of the dressed gate to the target
     fidelity: float | None  # None when the intrinsic fidelity is undefined
-    restarts_used: int
-    history: tuple[float, ...]  # best-so-far distance after each restart
 
 
-_FIT_BOUNDS = tuple((-2.0 * math.pi, 2.0 * math.pi) for _ in range(13))
-# Dressed-gate distance below which further restarts cannot matter:
-# 1 - F < 1e-8 already.
-_FIT_EARLY_STOP = 1e-4
+# Mixing constants c for eigh(Re m + c Im m).  Each pair of distinct
+# eigenvalues e^{ia}, e^{ib} of m rules out only c = tan((a + b) / 2), so at
+# most six of these eight can fail; none is the tangent of a multiple of
+# pi/8, where the named gates put their eigenphases.
+_KAK_MIX = (
+    0.6180339887498949,
+    -2.718281828459045,
+    0.3183098861837907,
+    -0.7390851332151607,
+    4.66920160910299,
+    -1.2020569031595942,
+    0.915965594177219,
+    -2.6854520010653062,
+)
+_KAK_TOL = 1e-10
+# The Weyl-group images of a magic-basis spectrum: every permutation of the
+# four entries, times every sign pattern with an even number of flips.
+_KAK_PERMS = np.array(list(itertools.permutations(range(4))))
+_KAK_SIGNS = np.array([s for s in itertools.product((1, -1), repeat=4) if math.prod(s) == 1])
 
 
-def fit_local_rotations(
-    u_ent: Operator4,
-    target: Operator4,
-    seed: int = 42,
-    n_restarts: int = 32,
-    warm_starts: Sequence[LocalRotationSpec] | None = None,
-    max_iterations: int = 4000,
-) -> FitResult:
-    """Fit pre/post rotations (and a phase) taking ``u_ent`` to ``target``.
+def _kak(u: Operator4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Magic-basis KAK factors of ``u`` normalized to SU(4).
 
-    Minimizes the Frobenius distance of the dressed gate over the
-    13-parameter rotation spec with bounded Nelder-Mead, using the resonant
-    analytic rotations as warm starts followed by ``n_restarts`` seeded
-    random restarts; each restart is polished with a small-edge rerun.  The
-    best distance is monotone over restarts, and the search stops early once
-    the dressed gate is within 1e-4 of the target (1 - F < 1e-8).
+    Returns ``(o1, d, o2)`` with ``o1, o2`` real SO(4) matrices and ``d`` a
+    unit-modulus vector with product 1, such that the magic-basis form of
+    ``u / det(u)^(1/4)`` is ``o1 @ diag(d) @ o2``.  ``o2`` diagonalizes the
+    symmetric unitary ``m = U_B^T U_B``: its real and imaginary parts commute,
+    so a real combination of them shares their eigenvectors, and the first
+    mixing constant that diagonalizes ``m`` is kept (degenerate spectra, as
+    for I, CNOT, SWAP and the c3 = 0 face, need no randomness).
+    """
+    ub = to_magic(u / np.linalg.det(u) ** 0.25)
+    m = ub.T @ ub
+    best = None
+    for c in _KAK_MIX:
+        v = np.linalg.eigh(m.real + c * m.imag)[1]
+        mv = v.T @ m @ v
+        off = float(np.linalg.norm(mv - np.diag(np.diag(mv))))
+        if best is None or off < best[0]:
+            best = (off, v, np.diag(mv))
+        if off < _KAK_TOL:
+            break
+    _, v, spectrum = best
+    if np.linalg.det(v) < 0.0:
+        v[:, 0] = -v[:, 0]
+    d = np.sqrt(spectrum)
+    o1 = ub @ v / d
+    # det(o1) = 1 / prod(d) = +-1; one square-root sign fixes it.
+    if np.linalg.det(o1).real < 0.0:
+        d[0], o1[:, 0] = -d[0], -o1[:, 0]
+    return o1.real, d, v.T
 
-    Returns the best spec together with the achieved distance and, when the
+
+def _local_factors(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split the magic-basis SO(4) matrix ``q`` into SU(2) factors (qubit 2, qubit 1).
+
+    In the computational basis ``k = a (x) b`` up to a sign, so the
+    rearrangement ``M[(i,k),(j,l)] = a[i,k] b[j,l]`` has rank one and is read
+    off its largest entry.
+    """
+    k = MAGIC_BASIS @ q @ MAGIC_BASIS.conj().T
+    m = k.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    r, c = np.unravel_index(np.argmax(np.abs(m)), m.shape)
+    a, b = m[:, c].reshape(2, 2), (m[r, :] / m[r, c]).reshape(2, 2)
+    return a / np.sqrt(np.linalg.det(a)), b / np.sqrt(np.linalg.det(b))
+
+
+def fit_local_rotations(u_ent: Operator4, target: Operator4) -> FitResult:
+    """Closest local dressing of ``u_ent`` to ``target``, in closed form.
+
+    Both gates are written in KAK form ``K1 A K2`` through the magic basis
+    (Kraus & Cirac, PRA 63, 062309 (2001); Zhang, Vala, Sastry & Whaley,
+    PRA 67, 042313 (2003)), with ``A`` diagonal there.  Of the Weyl-group
+    images of the entangler's ``A`` (24 permutations times 8 even sign
+    patterns of its spectrum), the one with the largest trace overlap with
+    the target's ``A``, that is the one closest to it after a global phase,
+    fixes the pre and post rotations; the global phase then makes that
+    overlap real.  The result is deterministic, and the distance and
+    fidelity are those of ``rotations.realize(u_ent)``.
+
+    Returns the spec together with the achieved distance and, when the
     radicand is nonnegative, the intrinsic fidelity.
     """
     u_ent = require_unitary(u_ent, what="entangler")
     target = require_unitary(target, what="target")
+    o1e, de, o2e = _kak(u_ent)
+    o1t, dt, o2t = _kak(target)
 
-    def objective(v: np.ndarray) -> float:
-        spec = LocalRotationSpec.from_vector(v)
-        return frob_dist(spec.realize(u_ent), target)
+    aligned = _KAK_SIGNS[:, None, :] * de[_KAK_PERMS][None, :, :]
+    # Distance of each image to dt after its best phase.  Summing the squared
+    # residuals directly, rather than taking 8 - 2 |overlap|, keeps images
+    # apart that are closer than ~1e-8, where the subtraction cancels.
+    best_phase = np.exp(-1j * np.angle(aligned @ dt.conj()))
+    residual = np.sum(np.abs(best_phase[..., None] * aligned - dt) ** 2, axis=-1)
+    i_sign, i_perm = np.unravel_index(np.argmin(residual), residual.shape)
+    perm = np.eye(4)[_KAK_PERMS[i_perm]]
+    # Both sides stay in SO(4): the det(perm) sign on one axis cancels
+    # between them, and the sign pattern is even.
+    fix = np.diag([1.0, 1.0, 1.0, np.linalg.det(perm)])
+    post2, post1 = _local_factors(o1t @ np.diag(_KAK_SIGNS[i_sign]) @ fix @ perm @ o1e.T)
+    pre2, pre1 = _local_factors(o2e.T @ perm.T @ fix @ o2t)
 
-    if warm_starts is None:
-        warm_starts = (two_step_rotations_frame1(), single_step_rotations())
-    rng = np.random.default_rng(seed)
-    starts = [w.as_vector() for w in warm_starts]
-    starts += [rng.uniform(-math.pi, math.pi, size=13) for _ in range(n_restarts)]
-
-    best_x: np.ndarray | None = None
-    best_f = math.inf
-    history: list[float] = []
-    used = 0
-    for x0 in starts:
-        used += 1
-        res = nelder_mead(
-            objective, x0, NMOptions(bounds=_FIT_BOUNDS, max_iterations=max_iterations)
-        )
-        polished = nelder_mead(
-            objective,
-            res.x,
-            NMOptions(bounds=_FIT_BOUNDS, max_iterations=max_iterations // 2, initial_edge=0.002),
-        )
-        if polished.fun < best_f:
-            best_x, best_f = polished.x, polished.fun
-        history.append(best_f)
-        if best_f < _FIT_EARLY_STOP:
-            break
-
-    assert best_x is not None
-    spec = LocalRotationSpec.from_vector(best_x)
-    radicand = 1.0 - best_f**2
+    spec = LocalRotationSpec.from_factors(post2, post1, pre2, pre1, phase=0.0)
+    overlap_phase = float(np.angle(np.trace(target.conj().T @ spec.realize(u_ent))))
+    spec = replace(spec, phase=-overlap_phase)
+    distance = frob_dist(spec.realize(u_ent), target)
+    radicand = 1.0 - distance**2
     fid = math.sqrt(radicand) if radicand >= 0.0 else None
-    return FitResult(
-        rotations=spec,
-        distance=best_f,
-        fidelity=fid,
-        restarts_used=used,
-        history=tuple(history),
-    )
+    return FitResult(rotations=spec, distance=distance, fidelity=fid)

@@ -121,7 +121,7 @@ def test_criterion_06_exact_cnot_assembly(single_step_table):
     p0s = SystemParams.from_ratios(delta_over_g=0.0, omega1_over_g=math.sqrt(15.0))
     d_one = frob_dist(single_step_rotations().realize(single_step_u(HALF_PI, p0s)), CNOT)
 
-    # delta = g: numeric rotation fitting, both sequences
+    # delta = g: closed-form rotation dressing, both sequences
     p1 = SystemParams.from_ratios(delta_over_g=1.0)
     fit_two = fit_local_rotations(two_step_entangler(p1), CNOT)
     cal = single_step_table[1.0]

@@ -221,13 +221,6 @@ def test_fit_recovers_exact_cnot_at_resonance():
     assert frob_dist(result.rotations.realize(two_step_entangler(p)), CNOT) < 1e-4
 
 
-def test_fit_history_is_monotone():
-    p = SystemParams.from_ratios(delta_over_g=1.0)
-    result = fit_local_rotations(two_step_entangler(p), CNOT, n_restarts=4)
-    hist = result.history
-    assert all(hist[i + 1] <= hist[i] + 1e-15 for i in range(len(hist) - 1))
-
-
 def test_gate_recipe_validation_and_json():
     p = SystemParams.from_ratios(delta_over_g=0.5, omega1_over_g=3.8583)
     recipe = GateRecipe(

@@ -35,7 +35,7 @@ from .equivclass import (
     weyl_trajectory,
 )
 from .model import SystemParams
-from .optimize import calibrate_single_step, calibrate_two_step
+from .optimize import _fmt, calibrate_single_step, calibrate_two_step
 from .sequences import (
     CNOT,
     DetuningOutOfRangeError,
@@ -83,12 +83,6 @@ class _IOFailure(RuntimeError):
     pass
 
 
-def _fmt(value: float | None) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    return f"{value:.6f}"
-
-
 def cmd_table1(args: argparse.Namespace) -> int:
     """Gate parameters for an ideal CNOT over the detuning grid 0.0-2.0.
 
@@ -113,7 +107,6 @@ def cmd_table2(args: argparse.Namespace) -> int:
     lines = ["delta_over_g,T1,omega1_over_g,G1,G2"]
     for delta in _TABLE2_GRID:
         cal = calibrate_single_step(delta)
-        assert cal.invariants is not None
         lines.append(
             f"{delta:.2f},{_fmt(cal.t_units)},{_fmt(cal.omega1_over_g)},"
             f"{_fmt(cal.invariants.g1.real)},{_fmt(cal.invariants.g2)}"

@@ -19,7 +19,7 @@ sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,18 +100,7 @@ def calibrate_single_step(delta_over_g: float, opts: NMOptions | None = None) ->
     iterations = res.iterations
     converged = res.converged
     for edge in _POLISH_EDGES:
-        res = nelder_mead(
-            objective,
-            res.x,
-            NMOptions(
-                bounds=opts.bounds,
-                x_tolerance=opts.x_tolerance,
-                f_tolerance=opts.f_tolerance,
-                max_iterations=opts.max_iterations,
-                initial_edge=edge,
-                seed=opts.seed,
-            ),
-        )
+        res = nelder_mead(objective, res.x, replace(opts, initial_edge=edge))
         iterations += res.iterations
         converged = converged and res.converged
 

@@ -28,7 +28,6 @@ class NMOptions:
         f_tolerance: stop when the spread of vertex values falls below this.
         max_iterations: iteration cap; hitting it clears the converged flag.
         initial_edge: initial simplex edge length as a fraction of box width.
-        seed: recorded for drivers that draw randomized restarts.
     """
 
     bounds: Sequence[tuple[float, float]] = ()
@@ -36,7 +35,6 @@ class NMOptions:
     f_tolerance: float = 1e-14
     max_iterations: int = 5000
     initial_edge: float = 0.05
-    seed: int = 42
 
     def __post_init__(self) -> None:
         if not self.bounds:

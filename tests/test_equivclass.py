@@ -16,13 +16,16 @@ from cnotsteer.equivclass import (
     weyl_trajectory,
 )
 from cnotsteer.model import SystemParams
-from cnotsteer.qmat import ContractViolationError, frob_dist, kron2
+from cnotsteer.qmat import ContractViolationError, frob_dist, kron2, unitarity_defect
 from cnotsteer.sequences import CNOT, PI_PULSE_X1, euler_u2, single_step_u, two_step_time
 from cnotsteer.propagate import entangling_u_frame1, entangling_u_frame2
 
 from conftest import random_unitary
+from weyl_oracle import search_weyl_coordinates
 
 HALF_PI = math.pi / 2.0
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
 
 
 def _sandwich(t, p, frame=1):
@@ -58,6 +61,20 @@ def test_invariants_of_identity():
 def test_invariants_reject_non_unitary():
     with pytest.raises(ContractViolationError):
         makhlin_invariants(np.ones((4, 4), dtype=complex))
+
+
+def test_invariants_of_gates_unitary_only_to_the_input_tolerance(rng):
+    # A defect below the accepted tol moves G2 off the real axis by up to
+    # about twice the defect; the invariants must still come back real.
+    for _ in range(24):
+        u = random_unitary(rng)
+        e = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        v = u + 1.5e-9 * e / np.linalg.norm(e)
+        assert 5e-10 < unitarity_defect(v) < 5e-9
+        w, _, vh = np.linalg.svd(v)
+        a, b = makhlin_invariants(v), makhlin_invariants(w @ vh)
+        assert isinstance(a.g2, float)
+        assert abs(a.g1 - b.g1) < 1e-8 and abs(a.g2 - b.g2) < 1e-8
 
 
 def test_two_step_sandwich_reaches_cnot_class_at_delta_one():
@@ -122,6 +139,19 @@ def test_weyl_coordinates_of_named_gates():
     assert abs(c.c1 - HALF_PI) < 1e-12 and abs(c.c2) < 1e-12 and abs(c.c3) < 1e-12
     c = weyl_coordinates(np.eye(4, dtype=complex))
     assert np.max(np.abs(c.as_array())) < 1e-12
+    # det = -1 for CNOT, SWAP and CZ; the reference search must agree on all.
+    named = [
+        (np.eye(4, dtype=complex), (0.0, 0.0, 0.0)),
+        (CNOT, (HALF_PI, 0.0, 0.0)),
+        (np.diag([1, 1, 1, -1]).astype(complex), (HALF_PI, 0.0, 0.0)),
+        (SWAP, (HALF_PI, HALF_PI, HALF_PI)),
+        (ISWAP, (HALF_PI, HALF_PI, 0.0)),
+        (-1j * SWAP @ CNOT, (HALF_PI, HALF_PI, 0.0)),
+    ]
+    for gate, expected in named:
+        got = weyl_coordinates(gate).as_array()
+        assert np.max(np.abs(got - expected)) < 1e-12
+        assert np.max(np.abs(got - search_weyl_coordinates(gate).as_array())) < 1e-12
 
 
 def test_weyl_reject_non_unitary():

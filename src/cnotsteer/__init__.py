@@ -24,7 +24,7 @@ from .equivclass import (
     weyl_coordinates,
     weyl_trajectory,
 )
-from .model import GeneratorName, SystemParams, generator, h_rwa_frame1, h_rwa_frame2
+from .model import SystemParams, h_rwa_frame1, h_rwa_frame2
 from .optimize import (
     CalibrationResult,
     calibrate_single_step,
@@ -32,7 +32,14 @@ from .optimize import (
     results_to_csv,
     sweep,
 )
-from .propagate import UVPair, entangling_u_frame1, entangling_u_frame2, evolve_stepwise, uv_coefficients
+from .propagate import (
+    UVPair,
+    entangling_u,
+    entangling_u_frame1,
+    entangling_u_frame2,
+    evolve_stepwise,
+    uv_coefficients,
+)
 from .qmat import ContractViolationError, expm_skew, frob_dist, kron2
 from .sequences import (
     CNOT,
@@ -42,8 +49,6 @@ from .sequences import (
     GateRecipe,
     LocalRotationSpec,
     UnsupportedCouplingError,
-    assemble_two_step,
-    canonical_cnot,
     fidelity,
     fit_local_rotations,
     single_step_rotations,
@@ -65,7 +70,6 @@ __all__ = [
     "FidelityUndefinedError",
     "FitResult",
     "GateRecipe",
-    "GeneratorName",
     "InvariantPair",
     "LocalRotationSpec",
     "NMOptions",
@@ -75,12 +79,11 @@ __all__ = [
     "UVPair",
     "UnsupportedCouplingError",
     "WeylPoint",
-    "assemble_two_step",
     "calibrate_single_step",
     "calibrate_two_step",
     "canonical_class_gate",
-    "canonical_cnot",
     "cnot_distance",
+    "entangling_u",
     "entangling_u_frame1",
     "entangling_u_frame2",
     "evolve_stepwise",
@@ -88,7 +91,6 @@ __all__ = [
     "fidelity",
     "fit_local_rotations",
     "frob_dist",
-    "generator",
     "h_rwa_frame1",
     "h_rwa_frame2",
     "invariants_from_weyl",

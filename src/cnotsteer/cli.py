@@ -10,9 +10,10 @@ as CSV/JSON files, and run the verification suite:
     cnotsteer verify
 
 Output is deterministic: repeated runs with the same flags produce
-byte-identical files.  CSV values are printed with six fixed decimals and
-always carry a header row; cells that have no value (for example the
-single-step columns beyond their detuning bound) are left empty.
+byte-identical files.  CSV values are printed with six fixed decimals,
+except the tables' ``delta_over_g`` column, which has two, and always carry
+a header row; cells that have no value (for example the single-step columns
+beyond their detuning bound) are left empty.
 
 Exit codes: 0 success, 2 domain error (for example detuning out of range),
 3 I/O error, 4 verification failure.
@@ -29,26 +30,25 @@ from pathlib import Path
 
 from .equivclass import (
     cnot_distance,
+    csv_text,
     makhlin_invariants,
     trajectory_to_csv,
     weyl_coordinates,
     weyl_trajectory,
 )
 from .model import SystemParams
-from .optimize import _fmt, calibrate_single_step, calibrate_two_step
+from .optimize import calibrate_single_step, calibrate_two_step
+from .propagate import entangling_u
+from .qmat import ContractViolationError
 from .sequences import (
     CNOT,
-    DetuningOutOfRangeError,
-    FidelityUndefinedError,
+    PI_PULSE_X1,
     GateRecipe,
-    UnsupportedCouplingError,
     fit_local_rotations,
     matrix_to_json,
     single_step_u,
-    two_step_entangler,
     two_step_time,
 )
-from .propagate import entangling_u_frame1, entangling_u_frame2
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -90,28 +90,26 @@ def cmd_table1(args: argparse.Namespace) -> int:
     omega1/g) only where the single-step sequence reaches the CNOT class
     exactly (|delta| <= g), blank elsewhere.
     """
-    lines = ["delta_over_g,T2,T1,omega1_over_g"]
+    rows = []
     for delta in _TABLE_GRID:
         t2 = calibrate_two_step(delta).t_units
         if delta <= 1.0 + 1e-12:
             cal = calibrate_single_step(delta)
-            lines.append(f"{delta:.2f},{_fmt(t2)},{_fmt(cal.t_units)},{_fmt(cal.omega1_over_g)}")
+            rows.append([f"{delta:.2f}", t2, cal.t_units, cal.omega1_over_g])
         else:
-            lines.append(f"{delta:.2f},{_fmt(t2)},,")
-    _write(_out_path(args.out), "\n".join(lines) + "\n")
+            rows.append([f"{delta:.2f}", t2, None, None])
+    _write(_out_path(args.out), csv_text(["delta_over_g", "T2", "T1", "omega1_over_g"], rows))
     return EXIT_OK
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
     """Closest-to-CNOT single-step parameters for detunings 1.0-2.0."""
-    lines = ["delta_over_g,T1,omega1_over_g,G1,G2"]
+    rows = []
     for delta in _TABLE2_GRID:
         cal = calibrate_single_step(delta)
-        lines.append(
-            f"{delta:.2f},{_fmt(cal.t_units)},{_fmt(cal.omega1_over_g)},"
-            f"{_fmt(cal.invariants.g1.real)},{_fmt(cal.invariants.g2)}"
-        )
-    _write(_out_path(args.out), "\n".join(lines) + "\n")
+        inv = cal.invariants
+        rows.append([f"{delta:.2f}", cal.t_units, cal.omega1_over_g, inv.g1.real, inv.g2])
+    _write(_out_path(args.out), csv_text(["delta_over_g", "T1", "omega1_over_g", "G1", "G2"], rows))
     return EXIT_OK
 
 
@@ -120,21 +118,18 @@ def _gate_payload(args: argparse.Namespace) -> dict:
     if args.mode == "two-step":
         p = SystemParams.from_ratios(delta_over_g=delta)
         t = two_step_time(p)
-        segment = entangling_u_frame1(t, p) if args.frame == 1 else entangling_u_frame2(t, p)
-        entangler = two_step_entangler(p, frame=args.frame)
-        t_for_recipe = t
+        segment = entangling_u(t, p, args.frame)
+        entangler = segment @ PI_PULSE_X1 @ segment
     else:
         cal = calibrate_single_step(delta)
         p = SystemParams.from_ratios(delta_over_g=delta, omega1_over_g=cal.omega1_over_g)
-        t_for_recipe = cal.t_units * math.pi / 2.0
-        segment = single_step_u(t_for_recipe, p)
+        t = cal.t_units * math.pi / 2.0
+        segment = single_step_u(t, p)
         entangler = segment
 
     fit = fit_local_rotations(entangler, CNOT)
     gate = fit.rotations.realize(entangler)
-    recipe = GateRecipe(
-        kind=args.mode, params=p, t=t_for_recipe, rotations=fit.rotations
-    )
+    recipe = GateRecipe(kind=args.mode, params=p, t=t, rotations=fit.rotations)
     inv = makhlin_invariants(entangler)
     weyl = weyl_coordinates(entangler)
     payload = {
@@ -233,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DetuningOutOfRangeError, UnsupportedCouplingError, FidelityUndefinedError, ValueError) as exc:
+    except ContractViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except _IOFailure as exc:

@@ -34,11 +34,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .model import SystemParams, XX, YY, ZZ, h_rwa_frame1
-from .qmat import ContractViolationError, Operator4, SIGMA_Y, expm_skew, kron2, require_unitary
+from .qmat import (
+    UNITARITY_TOL,
+    ContractViolationError,
+    Operator4,
+    SIGMA_Y,
+    expm_skew,
+    kron2,
+    require_unitary,
+)
 
 #: Magic-basis column vectors (Bell states with fixed phases), indexed by
 #: computational basis rows |00>, |01>, |10>, |11>.
@@ -64,9 +73,6 @@ class InvariantPair:
 
     g1: complex
     g2: float
-
-    def as_tuple(self) -> tuple[complex, float]:
-        return (self.g1, self.g2)
 
 
 @dataclass(frozen=True)
@@ -103,7 +109,7 @@ def to_magic(u: np.ndarray) -> np.ndarray:
     return MAGIC_BASIS.conj().T @ u @ MAGIC_BASIS
 
 
-def makhlin_invariants(u: Operator4, tol: float = 1e-8) -> InvariantPair:
+def makhlin_invariants(u: Operator4) -> InvariantPair:
     """Makhlin invariants (G1, G2) of a two-qubit unitary.
 
     Forms ``m = U_B^T U_B`` in the magic basis and evaluates
@@ -115,20 +121,20 @@ def makhlin_invariants(u: Operator4, tol: float = 1e-8) -> InvariantPair:
     rotations and under global phases.  G2 is real for unitary input; a
     unitarity defect e moves it off the real axis by at most
     sqrt(3) * e * max(1, |G2|) to first order, inside the
-    2 * tol * max(1, |G2|) accepted here.
+    2 * UNITARITY_TOL * max(1, |G2|) accepted here.
 
     Raises:
-        ContractViolationError: ``u`` is not unitary within ``tol``, or
-            G2 is further from real than that defect allows.
+        ContractViolationError: ``u`` is not unitary within ``UNITARITY_TOL``,
+            or G2 is further from real than that defect allows.
     """
-    u = require_unitary(u, tol=tol, what="gate")
+    u = require_unitary(u, what="gate")
     det = np.linalg.det(u)
     ub = to_magic(u)
     m = ub.T @ ub
     tr = np.trace(m)
     g1 = tr**2 / (16.0 * det)
     g2 = (tr**2 - np.trace(m @ m)) / (4.0 * det)
-    if not abs(g2.imag) <= 2.0 * tol * max(1.0, abs(g2)):
+    if not abs(g2.imag) <= 2.0 * UNITARITY_TOL * max(1.0, abs(g2)):
         raise ContractViolationError(f"G2 is not real: {g2!r}")
     return InvariantPair(g1=complex(g1), g2=float(g2.real))
 
@@ -198,7 +204,7 @@ def _raw_coordinates(u: np.ndarray) -> np.ndarray:
     return c * math.pi
 
 
-def weyl_coordinates(u: Operator4, tol: float = 1e-8) -> WeylPoint:
+def weyl_coordinates(u: Operator4) -> WeylPoint:
     """Canonical Weyl-chamber coordinates of the class of ``u``.
 
     Folds the spectral representative into the reduced chamber with the
@@ -211,9 +217,9 @@ def weyl_coordinates(u: Operator4, tol: float = 1e-8) -> WeylPoint:
     exactly whatever the rounding of the spectrum.
 
     Raises:
-        ContractViolationError: ``u`` is not unitary within ``tol``.
+        ContractViolationError: ``u`` is not unitary within ``UNITARITY_TOL``.
     """
-    u = require_unitary(u, tol=tol, what="gate")
+    u = require_unitary(u, what="gate")
     c = np.mod(_raw_coordinates(u), math.pi)
     c = np.sort(np.minimum(c, math.pi - c))[::-1]
     c[np.abs(c - _HALF_PI) <= _WEYL_TOL] = _HALF_PI
@@ -232,7 +238,7 @@ def weyl_trajectory(
     render the curves smoothly.
     """
     if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+        raise ContractViolationError(f"n_samples must be >= 2, got {n_samples}")
     gen = h_rwa_frame1(p)
     out: list[TrajectorySample] = []
     for t in np.linspace(0.0, t_max, n_samples):
@@ -241,15 +247,26 @@ def weyl_trajectory(
     return out
 
 
+def _csv_cell(value: object) -> str:
+    if isinstance(value, str):
+        return value
+    if value is None or value != value:  # NaN
+        return ""
+    return f"{value:.6f}"
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """CSV text with a header row; the package's one CSV writer.
+
+    Floats get six fixed decimals, None and NaN an empty cell, and strings
+    are written as given.
+    """
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def trajectory_to_csv(samples: list[TrajectorySample]) -> str:
     """Render a trajectory as CSV with t in units of pi/2 and c in units of pi/2."""
-    lines = ["t,c1,c2,c3"]
-    for s in samples:
-        vals = (
-            s.t / _HALF_PI,
-            s.point.c1 / _HALF_PI,
-            s.point.c2 / _HALF_PI,
-            s.point.c3 / _HALF_PI,
-        )
-        lines.append(",".join(f"{v:.6f}" for v in vals))
-    return "\n".join(lines) + "\n"
+    rows = ((s.t, s.point.c1, s.point.c2, s.point.c3) for s in samples)
+    return csv_text(["t", "c1", "c2", "c3"], ([v / _HALF_PI for v in row] for row in rows))

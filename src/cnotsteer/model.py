@@ -22,18 +22,17 @@ units of ``1/g``.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, Generator4, kron2
+from .qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, ContractViolationError, Generator4, kron2
 
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Physical rates of the coupled pair, all in frequency units of ``g``.
+    """Physical rates of the coupled pair, all finite and in frequency units of ``g``.
 
     Attributes:
         g: transverse (XX+YY) coupling strength; sets the scale, must be > 0.
@@ -48,12 +47,15 @@ class SystemParams:
     omega1: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.g > 0:
-            raise ValueError(f"coupling g must be positive, got {self.g}")
-        if self.g_tilde < 0:
-            raise ValueError(f"ZZ coupling g_tilde must be >= 0, got {self.g_tilde}")
-        if self.omega1 < 0:
-            raise ValueError(f"Rabi amplitude omega1 must be >= 0, got {self.omega1}")
+        # Each comparison is false for NaN, so these also reject NaN rates.
+        if not 0.0 < self.g < math.inf:
+            raise ContractViolationError(f"coupling g must be finite and > 0, got {self.g}")
+        if not 0.0 <= self.g_tilde < math.inf:
+            raise ContractViolationError(f"g_tilde must be finite and >= 0, got {self.g_tilde}")
+        if not math.isfinite(self.delta):
+            raise ContractViolationError(f"detuning delta must be finite, got {self.delta}")
+        if not 0.0 <= self.omega1 < math.inf:
+            raise ContractViolationError(f"drive omega1 must be finite and >= 0, got {self.omega1}")
 
     @classmethod
     def from_ratios(
@@ -78,62 +80,24 @@ class SystemParams:
         return self.g_tilde / self.g
 
 
-class GeneratorName(enum.Enum):
-    """Names of the scaled Pauli-product generators."""
-
-    X1 = "X1"
-    Y1 = "Y1"
-    Z1 = "Z1"
-    X2 = "X2"
-    Y2 = "Y2"
-    Z2 = "Z2"
-    XX = "XX"
-    YY = "YY"
-    ZZ = "ZZ"
-    XY = "XY"
-    YX = "YX"
+def _scaled_product(a2: np.ndarray, b1: np.ndarray) -> Generator4:
+    """Read-only (i/2) a2 (x) b1, with ``a2`` on qubit 2 and ``b1`` on qubit 1."""
+    m = 0.5j * kron2(a2, b1)
+    m.setflags(write=False)
+    return m
 
 
-def _build_basis() -> dict[GeneratorName, np.ndarray]:
-    half_i = 0.5j
-    return {
-        GeneratorName.X1: half_i * kron2(ID2, SIGMA_X),
-        GeneratorName.Y1: half_i * kron2(ID2, SIGMA_Y),
-        GeneratorName.Z1: half_i * kron2(ID2, SIGMA_Z),
-        GeneratorName.X2: half_i * kron2(SIGMA_X, ID2),
-        GeneratorName.Y2: half_i * kron2(SIGMA_Y, ID2),
-        GeneratorName.Z2: half_i * kron2(SIGMA_Z, ID2),
-        GeneratorName.XX: half_i * kron2(SIGMA_X, SIGMA_X),
-        GeneratorName.YY: half_i * kron2(SIGMA_Y, SIGMA_Y),
-        GeneratorName.ZZ: half_i * kron2(SIGMA_Z, SIGMA_Z),
-        GeneratorName.XY: half_i * kron2(SIGMA_X, SIGMA_Y),
-        GeneratorName.YX: half_i * kron2(SIGMA_Y, SIGMA_X),
-    }
-
-
-_BASIS = _build_basis()
-for _m in _BASIS.values():
-    _m.setflags(write=False)
-
-# Convenience handles used throughout the package.
-X1 = _BASIS[GeneratorName.X1]
-Y1 = _BASIS[GeneratorName.Y1]
-Z1 = _BASIS[GeneratorName.Z1]
-X2 = _BASIS[GeneratorName.X2]
-Y2 = _BASIS[GeneratorName.Y2]
-Z2 = _BASIS[GeneratorName.Z2]
-XX = _BASIS[GeneratorName.XX]
-YY = _BASIS[GeneratorName.YY]
-ZZ = _BASIS[GeneratorName.ZZ]
-XY = _BASIS[GeneratorName.XY]
-YX = _BASIS[GeneratorName.YX]
-
-
-def generator(name: GeneratorName | str) -> Generator4:
-    """Return the (i/2)-scaled Pauli product for ``name`` (a fresh copy)."""
-    if isinstance(name, str):
-        name = GeneratorName(name)
-    return _BASIS[name].copy()
+X1 = _scaled_product(ID2, SIGMA_X)
+Y1 = _scaled_product(ID2, SIGMA_Y)
+Z1 = _scaled_product(ID2, SIGMA_Z)
+X2 = _scaled_product(SIGMA_X, ID2)
+Y2 = _scaled_product(SIGMA_Y, ID2)
+Z2 = _scaled_product(SIGMA_Z, ID2)
+XX = _scaled_product(SIGMA_X, SIGMA_X)
+YY = _scaled_product(SIGMA_Y, SIGMA_Y)
+ZZ = _scaled_product(SIGMA_Z, SIGMA_Z)
+XY = _scaled_product(SIGMA_X, SIGMA_Y)
+YX = _scaled_product(SIGMA_Y, SIGMA_X)
 
 
 def h_rwa_frame1(p: SystemParams) -> Generator4:

@@ -23,15 +23,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equivclass import InvariantPair, cnot_distance, makhlin_invariants
+from .equivclass import InvariantPair, cnot_distance, csv_text, makhlin_invariants
 from .model import SystemParams
-from .sequences import DetuningOutOfRangeError, single_step_u, two_step_entangler, two_step_time
-from .simplex import NMOptions, NMResult, nelder_mead
+from .qmat import ContractViolationError
+from .sequences import single_step_u, two_step_entangler, two_step_time
+from .simplex import NMOptions, nelder_mead
 
 __all__ = [
-    "NMOptions",
-    "NMResult",
-    "nelder_mead",
     "CalibrationResult",
     "calibrate_single_step",
     "calibrate_two_step",
@@ -45,6 +43,8 @@ __all__ = [
 SINGLE_STEP_BOUNDS = ((0.5, 8.0), (0.5, 2.5))
 SINGLE_STEP_START = (math.sqrt(15.0), 1.0)
 
+#: Search controls of the first pass; the polish passes shrink its edge.
+_SEARCH = NMOptions(bounds=SINGLE_STEP_BOUNDS)
 #: Initial-simplex edges for the polish passes that resolve flat basins.
 _POLISH_EDGES = (0.002, 0.0001)
 
@@ -81,7 +81,7 @@ def _single_step_objective(delta_over_g: float):
     return objective
 
 
-def calibrate_single_step(delta_over_g: float, opts: NMOptions | None = None) -> CalibrationResult:
+def calibrate_single_step(delta_over_g: float) -> CalibrationResult:
     """Calibrate (omega1, t1) of the single-step sequence at the given detuning.
 
     Searches the lowest-branch box with bounded Nelder-Mead from the
@@ -92,15 +92,13 @@ def calibrate_single_step(delta_over_g: float, opts: NMOptions | None = None) ->
     The sign of the detuning is irrelevant to the class data and to the
     calibrated parameters.
     """
-    if opts is None:
-        opts = NMOptions(bounds=SINGLE_STEP_BOUNDS)
     objective = _single_step_objective(delta_over_g)
 
-    res = nelder_mead(objective, np.array(SINGLE_STEP_START), opts)
+    res = nelder_mead(objective, np.array(SINGLE_STEP_START), _SEARCH)
     iterations = res.iterations
     converged = res.converged
     for edge in _POLISH_EDGES:
-        res = nelder_mead(objective, res.x, replace(opts, initial_edge=edge))
+        res = nelder_mead(objective, res.x, replace(_SEARCH, initial_edge=edge))
         iterations += res.iterations
         converged = converged and res.converged
 
@@ -151,7 +149,7 @@ def sweep(delta_values: list[float], mode: str) -> list[CalibrationResult]:
                 out.append(calibrate_single_step(delta))
             else:
                 out.append(calibrate_two_step(delta))
-        except DetuningOutOfRangeError as exc:
+        except ContractViolationError as exc:
             out.append(
                 CalibrationResult(
                     delta_over_g=delta,
@@ -168,29 +166,21 @@ def sweep(delta_values: list[float], mode: str) -> list[CalibrationResult]:
     return out
 
 
-def _fmt(value: float | None) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    return f"{value:.6f}"
-
-
 def results_to_csv(results: list[CalibrationResult]) -> str:
     """Serialize calibration rows; failed rows have blank numeric fields."""
-    lines = ["delta_over_g,T,omega1_over_g,G1_re,G1_im,G2,d2,fidelity,converged"]
+    header = "delta_over_g,T,omega1_over_g,G1_re,G1_im,G2,d2,fidelity,converged".split(",")
+    rows = []
     for r in results:
-        g1_re = r.invariants.g1.real if r.invariants else math.nan
-        g1_im = r.invariants.g1.imag if r.invariants else math.nan
-        g2 = r.invariants.g2 if r.invariants else math.nan
-        fields = [
-            _fmt(r.delta_over_g),
-            _fmt(r.t_units),
-            _fmt(r.omega1_over_g),
-            _fmt(g1_re),
-            _fmt(g1_im),
-            _fmt(g2),
-            _fmt(r.distance),
-            _fmt(r.fidelity),
+        inv = r.invariants
+        rows.append([
+            r.delta_over_g,
+            r.t_units,
+            r.omega1_over_g,
+            inv.g1.real if inv else None,
+            inv.g1.imag if inv else None,
+            inv.g2 if inv else None,
+            r.distance,
+            r.fidelity,
             str(r.converged).lower(),
-        ]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+        ])
+    return csv_text(header, rows)

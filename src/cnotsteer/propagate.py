@@ -101,6 +101,15 @@ def entangling_u_frame2(t: float, p: SystemParams) -> Operator4:
     return _zz_phase(t, p)[:, None] * m
 
 
+def entangling_u(t: float, p: SystemParams, frame: int) -> Operator4:
+    """Entangling propagator for duration ``t`` in frame 1 or frame 2."""
+    if frame == 1:
+        return entangling_u_frame1(t, p)
+    if frame == 2:
+        return entangling_u_frame2(t, p)
+    raise ValueError(f"frame must be 1 or 2, got {frame}")
+
+
 def evolve_stepwise(p: SystemParams, t: float, steps: int = 4096) -> Operator4:
     """Integrate the frame-2 evolution as a midpoint-rule product formula.
 

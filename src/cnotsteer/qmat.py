@@ -24,12 +24,19 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
-#: Default tolerance for algebraic identities (unitarity, skewness).
-ALG_TOL = 1e-12
+#: Largest ||U^dag U - I||_F accepted as unitary by ``require_unitary``.
+UNITARITY_TOL = 1e-8
+#: Largest ||G + G^dag||_F accepted as skew-Hermitian by ``expm_skew``.
+SKEWNESS_TOL = 1e-10
 
 
 class ContractViolationError(ValueError):
-    """An input matrix does not satisfy the operation's stated contract."""
+    """An input does not satisfy the operation's stated contract.
+
+    The package's one class of deliberate rejections: detunings beyond a
+    sequence's bound, unsupported couplings, non-finite rates, non-unitary
+    gates.  The CLI reports it as a domain error.
+    """
 
 
 def kron2(a2: np.ndarray, b1: np.ndarray) -> Operator4:
@@ -54,12 +61,18 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
 
 
-def require_unitary(u: np.ndarray, tol: float = 1e-8, what: str = "operator") -> Operator4:
+def require_unitary(u: np.ndarray, what: str = "operator") -> Operator4:
+    """``u`` as a complex array, if it is unitary within ``UNITARITY_TOL``.
+
+    Raises:
+        ContractViolationError: the unitarity defect exceeds ``UNITARITY_TOL``
+            or is NaN.
+    """
     u = np.asarray(u, dtype=complex)
     defect = unitarity_defect(u)
-    if defect > tol:
+    if not defect <= UNITARITY_TOL:
         raise ContractViolationError(
-            f"{what} is not unitary: ||U^dag U - I||_F = {defect:.3e} > {tol:.1e}"
+            f"{what} is not unitary: ||U^dag U - I||_F = {defect:.3e} > {UNITARITY_TOL:.1e}"
         )
     return u
 
@@ -70,7 +83,7 @@ def skewness_defect(g: np.ndarray) -> float:
     return float(np.linalg.norm(g + g.conj().T))
 
 
-def expm_skew(g: Generator4, tol: float = 1e-10) -> Operator4:
+def expm_skew(g: Generator4) -> Operator4:
     """Exponential of a skew-Hermitian generator.
 
     Diagonalizes the Hermitian matrix ``iG`` and exponentiates the
@@ -78,11 +91,12 @@ def expm_skew(g: Generator4, tol: float = 1e-10) -> Operator4:
     generator norm.
 
     Raises:
-        ContractViolationError: ``g`` is not skew-Hermitian within ``tol``.
+        ContractViolationError: ``g`` is not skew-Hermitian within
+            ``SKEWNESS_TOL``, or has a NaN entry.
     """
     g = np.asarray(g, dtype=complex)
     defect = skewness_defect(g)
-    if defect > tol:
+    if not defect <= SKEWNESS_TOL:
         raise ContractViolationError(
             f"generator is not skew-Hermitian: ||G + G^dag||_F = {defect:.3e}"
         )

@@ -32,9 +32,10 @@ import numpy as np
 
 from .equivclass import MAGIC_BASIS, to_magic
 from .model import SystemParams, X1, h_rwa_frame1
-from .propagate import entangling_u_frame1, entangling_u_frame2
+from .propagate import entangling_u
 from .qmat import (
     ID2,
+    ContractViolationError,
     Operator4,
     SIGMA_X,
     SIGMA_Y,
@@ -46,15 +47,15 @@ from .qmat import (
 )
 
 
-class DetuningOutOfRangeError(ValueError):
+class DetuningOutOfRangeError(ContractViolationError):
     """Detuning exceeds the validity bound of the requested sequence."""
 
 
-class UnsupportedCouplingError(ValueError):
+class UnsupportedCouplingError(ContractViolationError):
     """The sequence does not support a nonzero longitudinal coupling."""
 
 
-class FidelityUndefinedError(ValueError):
+class FidelityUndefinedError(ContractViolationError):
     """The intrinsic fidelity formula is only meaningful near the target."""
 
 
@@ -73,11 +74,6 @@ CNOT.setflags(write=False)
 #: Local pi pulse on qubit 1, exp(-pi X1) = -i (I (x) sigma_x).
 PI_PULSE_X1 = expm_skew(-math.pi * X1)
 PI_PULSE_X1.setflags(write=False)
-
-
-def canonical_cnot() -> Operator4:
-    """The canonical CNOT matrix (|10> <-> |11| swap); det = -1."""
-    return CNOT.copy()
 
 
 def rot2(sigma: np.ndarray, theta: float) -> np.ndarray:
@@ -294,30 +290,11 @@ def two_step_time(p: SystemParams) -> float:
     return (math.pi - math.acos(ratio)) / math.hypot(p.delta, 2.0 * p.g)
 
 
-def _entangling_u(t: float, p: SystemParams, frame: int) -> Operator4:
-    if frame == 1:
-        return entangling_u_frame1(t, p)
-    if frame == 2:
-        return entangling_u_frame2(t, p)
-    raise ValueError(f"frame must be 1 or 2, got {frame}")
-
-
 def two_step_entangler(p: SystemParams, frame: int = 1) -> Operator4:
     """The entangling core U(t2) e^{-pi X1} U(t2) in the chosen frame."""
     t2 = two_step_time(p)
-    u = _entangling_u(t2, p, frame)
+    u = entangling_u(t2, p, frame)
     return u @ PI_PULSE_X1 @ u
-
-
-def assemble_two_step(
-    p: SystemParams, rotations: LocalRotationSpec, frame: int = 1
-) -> Operator4:
-    """Full two-step gate: rotations dressed around the entangling core.
-
-    Raises:
-        DetuningOutOfRangeError: ``|delta| > 2g``.
-    """
-    return rotations.realize(two_step_entangler(p, frame))
 
 
 def single_step_u(t: float, p: SystemParams) -> Operator4:
@@ -339,15 +316,14 @@ def fidelity(u: Operator4, target: Operator4) -> float:
     """Intrinsic fidelity F = sqrt(1 - tr[(U - T)^dag (U - T)]).
 
     Only meaningful for gates close to the target (the radicand must stay
-    nonnegative); the trace is evaluated as a real number.
+    nonnegative); the trace is the squared Frobenius distance.
 
     Raises:
         FidelityUndefinedError: the radicand is negative.
     """
     u = require_unitary(u, what="gate")
     target = require_unitary(target, what="target")
-    diff = u - target
-    radicand = 1.0 - float(np.real(np.trace(diff.conj().T @ diff)))
+    radicand = 1.0 - frob_dist(u, target) ** 2
     if radicand < 0.0:
         raise FidelityUndefinedError(
             f"1 - ||U - T||_F^2 = {radicand:.4f} < 0; gate is too far from target"
@@ -470,7 +446,9 @@ def fit_local_rotations(u_ent: Operator4, target: Operator4) -> FitResult:
     spec = LocalRotationSpec.from_factors(post2, post1, pre2, pre1, phase=0.0)
     overlap_phase = float(np.angle(np.trace(target.conj().T @ spec.realize(u_ent))))
     spec = replace(spec, phase=-overlap_phase)
-    distance = frob_dist(spec.realize(u_ent), target)
-    radicand = 1.0 - distance**2
-    fid = math.sqrt(radicand) if radicand >= 0.0 else None
-    return FitResult(rotations=spec, distance=distance, fidelity=fid)
+    gate = spec.realize(u_ent)
+    try:
+        fid = fidelity(gate, target)
+    except FidelityUndefinedError:
+        fid = None
+    return FitResult(rotations=spec, distance=frob_dist(gate, target), fidelity=fid)

@@ -18,21 +18,23 @@ from typing import Callable, Sequence
 import numpy as np
 
 
+#: The search stops when the simplex diameter falls below _X_TOLERANCE or the
+#: spread of its vertex values below _F_TOLERANCE.
+_X_TOLERANCE = 1e-10
+_F_TOLERANCE = 1e-14
+
+
 @dataclass(frozen=True)
 class NMOptions:
     """Search controls.
 
     Attributes:
         bounds: per-dimension (lower, upper) closed intervals.
-        x_tolerance: stop when the simplex diameter falls below this.
-        f_tolerance: stop when the spread of vertex values falls below this.
         max_iterations: iteration cap; hitting it clears the converged flag.
         initial_edge: initial simplex edge length as a fraction of box width.
     """
 
     bounds: Sequence[tuple[float, float]] = ()
-    x_tolerance: float = 1e-10
-    f_tolerance: float = 1e-14
     max_iterations: int = 5000
     initial_edge: float = 0.05
 
@@ -85,7 +87,7 @@ def nelder_mead(f: Callable[[np.ndarray], float], x0: Sequence[float], opts: NMO
         order = np.argsort(fv, kind="stable")
         verts, fv = verts[order], fv[order]
         diam = float(np.max(np.abs(verts[1:] - verts[0]))) if n else 0.0
-        if diam < opts.x_tolerance or fv[-1] - fv[0] < opts.f_tolerance:
+        if diam < _X_TOLERANCE or fv[-1] - fv[0] < _F_TOLERANCE:
             return NMResult(x=verts[0], fun=float(fv[0]), iterations=iterations, converged=True)
         iterations += 1
 

@@ -21,7 +21,7 @@ from .equivclass import (
     weyl_coordinates,
 )
 from .model import SystemParams
-from .propagate import entangling_u_frame1, entangling_u_frame2, uv_coefficients
+from .propagate import entangling_u, entangling_u_frame1, entangling_u_frame2, uv_coefficients
 from .qmat import kron2, unitarity_defect
 from .sequences import PI_PULSE_X1, euler_u2, single_step_u
 
@@ -53,7 +53,7 @@ def _random_unitary(rng: np.random.Generator, n: int = 4) -> np.ndarray:
 
 
 def _sandwich(t: float, p: SystemParams, frame: int) -> np.ndarray:
-    u = entangling_u_frame1(t, p) if frame == 1 else entangling_u_frame2(t, p)
+    u = entangling_u(t, p, frame)
     return u @ PI_PULSE_X1 @ u
 
 

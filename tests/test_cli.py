@@ -98,6 +98,21 @@ def test_gate_two_step_rejects_large_detuning(tmp_path, capsys):
     assert "delta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gate", "--mode", "two-step", "--delta", "nan"],
+        ["gate", "--mode", "one-step", "--delta", "inf"],
+        ["trajectory", "--delta", "nan"],
+    ],
+)
+def test_non_finite_detuning_is_a_domain_error(argv, tmp_path, capsys):
+    out = tmp_path / "never"
+    assert main([*argv, "--out", str(out)]) == EXIT_DOMAIN
+    assert not out.exists()
+    assert "finite" in capsys.readouterr().err
+
+
 def test_trajectory_output(tmp_path):
     out = tmp_path / "traj.csv"
     rc = main(
@@ -172,3 +187,16 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     )
     assert main(["verify"]) == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_plain_value_error_is_not_a_domain_error(monkeypatch):
+    # Only the package's deliberate rejections exit 2; a ValueError from a
+    # bug (numpy's LinAlgError among them) must surface.
+    import cnotsteer.cli as cli
+
+    def broken(seed):
+        raise ValueError("a bug, not a domain error")
+
+    monkeypatch.setattr(cli, "run_checks", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["verify"])

@@ -18,7 +18,7 @@ from cnotsteer.equivclass import (
 from cnotsteer.model import SystemParams
 from cnotsteer.qmat import ContractViolationError, frob_dist, kron2, unitarity_defect
 from cnotsteer.sequences import CNOT, PI_PULSE_X1, euler_u2, single_step_u, two_step_time
-from cnotsteer.propagate import entangling_u_frame1, entangling_u_frame2
+from cnotsteer.propagate import entangling_u
 
 from conftest import random_unitary
 from weyl_oracle import search_weyl_coordinates
@@ -29,8 +29,7 @@ ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
 
 
 def _sandwich(t, p, frame=1):
-    fn = entangling_u_frame1 if frame == 1 else entangling_u_frame2
-    u = fn(t, p)
+    u = entangling_u(t, p, frame)
     return u @ PI_PULSE_X1 @ u
 
 
@@ -59,8 +58,9 @@ def test_invariants_of_identity():
 
 
 def test_invariants_reject_non_unitary():
-    with pytest.raises(ContractViolationError):
-        makhlin_invariants(np.ones((4, 4), dtype=complex))
+    for bad in (np.ones((4, 4), dtype=complex), np.full((4, 4), np.nan, dtype=complex)):
+        with pytest.raises(ContractViolationError):
+            makhlin_invariants(bad)
 
 
 def test_invariants_of_gates_unitary_only_to_the_input_tolerance(rng):
@@ -96,13 +96,21 @@ def test_closed_form_invariants_special_values():
 
 
 def test_closed_form_agrees_with_assembled_product(rng):
-    for _ in range(100):
-        t = rng.uniform(0.0, 3.0)
-        p = SystemParams.from_ratios(
-            delta_over_g=rng.uniform(0.0, 3.0), gtilde_over_g=rng.uniform(0.0, 0.1)
-        )
+    cases = [
+        (rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0), rng.uniform(0.0, 0.1), 1)
+        for _ in range(100)
+    ]
+    # t = 0, and the ends of the two-step range (delta = +-2g exactly) at
+    # t = 0 and at their gate time: in both frames, with and without ZZ.
+    edges = [(0.0, 0.0), (0.0, 1.0)]
+    for delta in (2.0, -2.0):
+        t2 = two_step_time(SystemParams.from_ratios(delta_over_g=delta))
+        edges += [(0.0, delta), (t2, delta)]
+    cases += [(t, d, gtilde, frame) for t, d in edges for gtilde in (0.0, 0.1) for frame in (1, 2)]
+    for t, delta, gtilde, frame in cases:
+        p = SystemParams.from_ratios(delta_over_g=delta, gtilde_over_g=gtilde)
         closed = two_step_invariants_closed(t, p)
-        direct = makhlin_invariants(_sandwich(t, p, frame=1))
+        direct = makhlin_invariants(_sandwich(t, p, frame=frame))
         assert abs(closed.g1 - direct.g1) < 1e-9
         assert abs(closed.g2 - direct.g2) < 1e-9
 
@@ -155,8 +163,9 @@ def test_weyl_coordinates_of_named_gates():
 
 
 def test_weyl_reject_non_unitary():
-    with pytest.raises(ContractViolationError):
-        weyl_coordinates(2.0 * np.eye(4, dtype=complex))
+    for bad in (2.0 * np.eye(4, dtype=complex), np.full((4, 4), np.nan, dtype=complex)):
+        with pytest.raises(ContractViolationError):
+            weyl_coordinates(bad)
 
 
 def test_weyl_round_trip_interior(rng):

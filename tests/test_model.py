@@ -1,20 +1,33 @@
+import math
+
 import numpy as np
 import pytest
 
+from cnotsteer import model
 from cnotsteer.model import (
-    GeneratorName,
     SystemParams,
     XX,
     XY,
     YX,
     YY,
     ZZ,
+    X1,
     Z1,
-    generator,
+    Z2,
     h_rwa_frame1,
     h_rwa_frame2,
 )
-from cnotsteer.qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_skew, frob_dist, kron2, skewness_defect
+from cnotsteer.qmat import (
+    ContractViolationError,
+    ID2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    expm_skew,
+    frob_dist,
+    kron2,
+    skewness_defect,
+)
 
 
 _PAULI = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
@@ -25,19 +38,14 @@ def _comm(a, b):
 
 
 def test_generator_definitions_against_kron():
-    for name in GeneratorName:
-        label = name.value
+    for label in ("X1", "Y1", "Z1", "X2", "Y2", "Z2", "XX", "YY", "ZZ", "XY", "YX"):
         if label[1] in "12":  # single-qubit generator, e.g. "X1"
             sigma = _PAULI[label[0]]
             expected = 0.5j * (kron2(ID2, sigma) if label[1] == "1" else kron2(sigma, ID2))
         else:  # two-qubit product, e.g. "XY" acts as sigma^x on qubit 2, sigma^y on qubit 1
             expected = 0.5j * kron2(_PAULI[label[0]], _PAULI[label[1]])
-        assert frob_dist(generator(name), expected) == 0.0
-        assert skewness_defect(generator(name)) < 1e-15
-
-
-def test_generator_accepts_string_names():
-    assert frob_dist(generator("Z1"), 0.5j * np.diag([1, -1, 1, -1])) == 0.0
+        assert frob_dist(getattr(model, label), expected) == 0.0
+        assert skewness_defect(getattr(model, label)) < 1e-15
 
 
 def test_coupling_matrix_form():
@@ -57,8 +65,7 @@ def test_commutation_structure():
 def test_adjoint_rotation_identity():
     # conjugating the coupling by a qubit-1 z rotation turns XX into XX cos + XY sin
     for theta in np.linspace(0.0, 2.0 * np.pi, 17, endpoint=False):
-        z1 = generator(GeneratorName.Z1)
-        lhs = expm_skew(-theta * z1) @ (2.0 * XX) @ expm_skew(theta * z1)
+        lhs = expm_skew(-theta * Z1) @ (2.0 * XX) @ expm_skew(theta * Z1)
         rhs = 2.0 * (XX * np.cos(theta) + XY * np.sin(theta))
         assert frob_dist(lhs, rhs) < 1e-12
 
@@ -72,7 +79,7 @@ def test_frame1_composition():
     assert frob_dist(gen, 0.07 * 0.5j * np.diag([1, -1, -1, 1])) < 1e-15
 
     p = SystemParams.from_ratios(delta_over_g=0.8, omega1_over_g=2.5, gtilde_over_g=0.05)
-    expected = -0.8 * generator("Z2") + 2.5 * generator("X1") + (XX + YY) + 0.05 * ZZ
+    expected = -0.8 * Z2 + 2.5 * X1 + (XX + YY) + 0.05 * ZZ
     assert frob_dist(h_rwa_frame1(p), expected) < 1e-15
 
 
@@ -108,6 +115,10 @@ def test_params_validation():
         SystemParams(g=1.0, g_tilde=-0.1)
     with pytest.raises(ValueError):
         SystemParams(g=1.0, omega1=-1.0)
+    for rate in ("g", "g_tilde", "delta", "omega1"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ContractViolationError):
+                SystemParams(**{rate: value})
     p = SystemParams(g=2.0, g_tilde=0.1, delta=-1.0, omega1=4.0)
     assert p.delta_over_g == -0.5
     assert p.omega1_over_g == 2.0

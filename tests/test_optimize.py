@@ -143,6 +143,13 @@ def test_sweep_collects_errors_and_preserves_order():
     assert all(r.error is None for i, r in enumerate(results) if i != 2)
 
 
+def test_sweep_records_non_finite_detunings():
+    for mode in ("one-step", "two-step"):
+        results = sweep([math.nan, 0.3], mode=mode)
+        assert "finite" in results[0].error
+        assert results[1].error is None
+
+
 def test_sweep_single_step_matches_reference_rows():
     results = sweep([0.0, 0.5, 1.0], mode="one-step")
     for r in results:

@@ -44,8 +44,9 @@ def test_expm_quarter_period_coupling():
 
 
 def test_expm_rejects_non_skew_input():
-    with pytest.raises(ContractViolationError):
-        expm_skew(np.eye(4, dtype=complex))
+    for bad in (np.eye(4, dtype=complex), np.full((4, 4), np.nan, dtype=complex)):
+        with pytest.raises(ContractViolationError):
+            expm_skew(bad)
 
 
 def test_expm_inverse_property(rng):

@@ -5,7 +5,7 @@ import pytest
 
 from cnotsteer.equivclass import cnot_distance, makhlin_invariants
 from cnotsteer.model import SystemParams, Z1, Z2, Y2, X1, X2
-from cnotsteer.qmat import expm_skew, frob_dist, unitarity_defect
+from cnotsteer.qmat import ContractViolationError, expm_skew, frob_dist, unitarity_defect
 from cnotsteer.sequences import (
     CNOT,
     DetuningOutOfRangeError,
@@ -13,8 +13,6 @@ from cnotsteer.sequences import (
     GateRecipe,
     LocalRotationSpec,
     UnsupportedCouplingError,
-    assemble_two_step,
-    canonical_cnot,
     euler_u2,
     fidelity,
     fit_local_rotations,
@@ -41,7 +39,7 @@ HALF_PI = math.pi / 2.0
 
 
 def test_canonical_cnot_properties():
-    c = canonical_cnot()
+    c = CNOT
     assert frob_dist(c @ c, np.eye(4)) == 0.0
     assert abs(np.linalg.det(c) - (-1.0)) < 1e-12
     inv = makhlin_invariants(c)
@@ -67,19 +65,21 @@ def test_two_step_time_detuning_bound():
 
 def test_resonant_two_step_assembles_exact_cnot():
     p = SystemParams.from_ratios(delta_over_g=0.0)
-    gate = assemble_two_step(p, two_step_rotations_frame1())
+    gate = two_step_rotations_frame1().realize(two_step_entangler(p))
     assert frob_dist(gate, CNOT) < 1e-10
 
 
 def test_detuned_two_step_frame1_with_fitted_angles():
     p = SystemParams.from_ratios(delta_over_g=1.0)
-    gate = assemble_two_step(p, two_step_rotations_frame1(*TWO_STEP_ANGLES_FRAME1), frame=1)
+    rotations = two_step_rotations_frame1(*TWO_STEP_ANGLES_FRAME1)
+    gate = rotations.realize(two_step_entangler(p, frame=1))
     assert frob_dist(gate, CNOT) < 1e-3
 
 
 def test_detuned_two_step_frame2_with_fitted_angles():
     p = SystemParams.from_ratios(delta_over_g=1.0)
-    gate = assemble_two_step(p, two_step_rotations_frame2(*TWO_STEP_ANGLES_FRAME2), frame=2)
+    rotations = two_step_rotations_frame2(*TWO_STEP_ANGLES_FRAME2)
+    gate = rotations.realize(two_step_entangler(p, frame=2))
     assert frob_dist(gate, CNOT) < 1e-3
 
 
@@ -174,6 +174,11 @@ def test_fidelity_of_target_is_one():
 def test_fidelity_undefined_far_from_target():
     with pytest.raises(FidelityUndefinedError):
         fidelity(np.eye(4, dtype=complex), CNOT)
+
+
+def test_fidelity_rejects_non_unitary_input():
+    with pytest.raises(ContractViolationError):
+        fidelity(np.full((4, 4), np.nan, dtype=complex), CNOT)
 
 
 def test_fidelity_formula_against_reference_gate():

@@ -1,16 +1,23 @@
 """Closed-form chamber fold (``weyl_coordinates``) against the reference
 search it replaced, on random gates, chamber faces and the package's own
-entanglers and trajectories."""
+entanglers and trajectories; and both class labels' invariance under local
+dressing at named gates and chamber faces."""
 
 import math
 
 import numpy as np
 import pytest
 
-from cnotsteer.equivclass import _WEYL_TOL, canonical_class_gate, weyl_coordinates, weyl_trajectory
+from cnotsteer.equivclass import (
+    _WEYL_TOL,
+    canonical_class_gate,
+    makhlin_invariants,
+    weyl_coordinates,
+    weyl_trajectory,
+)
 from cnotsteer.model import SystemParams, h_rwa_frame1
 from cnotsteer.qmat import expm_skew, kron2
-from cnotsteer.sequences import euler_u2, two_step_entangler
+from cnotsteer.sequences import CNOT, euler_u2, two_step_entangler
 
 from conftest import random_unitary
 from weyl_oracle import search_weyl_coordinates
@@ -20,6 +27,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 HALF_PI = math.pi / 2.0
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -78,6 +86,24 @@ def test_random_dressed_gates(u, dress):
 @given(face_points(), dressings())
 def test_chamber_face_points(point, dress):
     _assert_matches_search(dress(canonical_class_gate(point)))
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        st.sampled_from([np.eye(4, dtype=complex), CNOT, SWAP]),
+        face_points().map(canonical_class_gate),
+    ),
+    dressings(),
+)
+def test_class_labels_are_invariant_under_local_dressing(gate, dress):
+    # I, CNOT and SWAP have repeated magic-basis spectra; face points sit
+    # where the fold's mirror and permutation symmetries meet.
+    dressed = dress(gate)
+    a, b = makhlin_invariants(gate), makhlin_invariants(dressed)
+    assert abs(a.g1 - b.g1) < 1e-10 and abs(a.g2 - b.g2) < 1e-10
+    got, want = weyl_coordinates(dressed).as_array(), weyl_coordinates(gate).as_array()
+    assert np.max(np.abs(got - want)) < 1e-10
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6])

@@ -51,7 +51,7 @@ def _chamber_candidates(c: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def search_weyl_coordinates(u: Operator4, tol: float = 1e-8) -> WeylPoint:
+def search_weyl_coordinates(u: Operator4) -> WeylPoint:
     """Canonical Weyl-chamber coordinates of the class of ``u``, by search.
 
     Extracts the eigenphases of the magic-basis symmetric product, then
@@ -61,7 +61,7 @@ def search_weyl_coordinates(u: Operator4, tol: float = 1e-8) -> WeylPoint:
     is returned, with lexicographic tie-breaking; mirror-image classes
     therefore come back as their conjugate representative.
     """
-    u = require_unitary(u, tol=tol, what="gate")
+    u = require_unitary(u, what="gate")
     target = makhlin_invariants(u)
     raw = _raw_coordinates(u)
     best: np.ndarray | None = None

@@ -1,0 +1,73 @@
+"""Write the CLI's reference artifacts to one directory.
+
+    python3 tools/artifacts.py OUTDIR
+
+Runs ``cnotsteer.cli.main`` in-process, from the ``src/`` of the checkout
+this script sits in, for 32 artifacts: ``table1`` and ``table2``; the
+2048-sample trajectory with its resonant trace at five detunings; one-step
+gates at six detunings; two-step gates at the same six detunings in both
+frames; and the ``verify`` report at two seeds.  Every output is
+deterministic, so two checkouts that should agree byte for byte are compared
+with one ``diff -r`` of their OUTDIRs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from cnotsteer.cli import main as cnotsteer_main  # noqa: E402
+
+TRAJECTORY_DELTAS = ("0", "0.3", "0.5", "0.8", "1.0")
+GATE_DELTAS = ("0.5", "1.0", "1.2", "1.5", "1.8", "2.0")
+VERIFY_SEEDS = (None, "7")
+
+
+def _commands(out: Path) -> list[tuple[list[str], Path | None]]:
+    """(argv, stdout file) pairs; argv writes its own files when stdout is None."""
+    runs: list[tuple[list[str], Path | None]] = [
+        (["table1", "--out", str(out / "table1.csv")], None),
+        (["table2", "--out", str(out / "table2.csv")], None),
+    ]
+    for delta in TRAJECTORY_DELTAS:
+        path = out / f"trajectory_{delta}.csv"
+        runs.append((["trajectory", "--delta", delta, "--samples", "2048",
+                      "--with-resonant-trace", "--out", str(path)], None))
+    for delta in GATE_DELTAS:
+        path = out / f"gate_one-step_{delta}.json"
+        runs.append((["gate", "--mode", "one-step", "--delta", delta, "--out", str(path)], None))
+        for frame in ("1", "2"):
+            path = out / f"gate_two-step_{delta}_frame{frame}.json"
+            runs.append((["gate", "--mode", "two-step", "--delta", delta, "--frame", frame,
+                          "--out", str(path)], None))
+    for seed in VERIFY_SEEDS:
+        argv = ["verify"] if seed is None else ["verify", "--seed", seed]
+        runs.append((argv, out / f"verify_seed{seed or 'default'}.txt"))
+    return runs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/artifacts.py OUTDIR", file=sys.stderr)
+        return 2
+    out = Path(argv[0]).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    for cli_argv, stdout_path in _commands(out):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            rc = cnotsteer_main(cli_argv)
+        if rc != 0:
+            print(f"cnotsteer {' '.join(cli_argv)} exited {rc}", file=sys.stderr)
+            return 1
+        if stdout_path is not None:
+            stdout_path.write_text(buffer.getvalue(), encoding="utf-8")
+    print(f"{sum(1 for _ in out.iterdir())} files in {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

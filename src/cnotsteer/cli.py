@@ -16,7 +16,10 @@ a header row; cells that have no value (for example the single-step columns
 beyond their detuning bound) are left empty.
 
 Exit codes: 0 success, 2 domain error (for example detuning out of range),
-3 I/O error, 4 verification failure.
+3 I/O error, 4 verification failure.  A single-step calibration that stops
+short of its tolerance does not change the exit code or the output files; it
+prints a ``warning:`` line to stderr with the detuning, the method and the
+d^2 it reached.
 """
 
 from __future__ import annotations
@@ -37,16 +40,21 @@ from .equivclass import (
     weyl_trajectory,
 )
 from .model import SystemParams
-from .optimize import calibrate_single_step, calibrate_two_step
+from .optimize import (
+    SINGLE_STEP_BOUND,
+    CalibrationResult,
+    calibrate_single_step,
+    calibrate_two_step,
+)
 from .propagate import entangling_u
 from .qmat import ContractViolationError
 from .sequences import (
     CNOT,
-    PI_PULSE_X1,
     GateRecipe,
     fit_local_rotations,
     matrix_to_json,
     single_step_u,
+    two_step_sandwich,
     two_step_time,
 )
 from .verify import run_checks
@@ -83,6 +91,18 @@ class _IOFailure(RuntimeError):
     pass
 
 
+def _calibrate_single_step(delta: float) -> CalibrationResult:
+    """``calibrate_single_step``, with a stderr warning when it did not converge."""
+    cal = calibrate_single_step(delta)
+    if not cal.converged:
+        print(
+            f"warning: single-step calibration at delta/g = {delta:g} did not converge "
+            f"({cal.method}, {cal.iterations} iterations, d^2 = {cal.distance:.3e})",
+            file=sys.stderr,
+        )
+    return cal
+
+
 def cmd_table1(args: argparse.Namespace) -> int:
     """Gate parameters for an ideal CNOT over the detuning grid 0.0-2.0.
 
@@ -93,8 +113,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
     rows = []
     for delta in _TABLE_GRID:
         t2 = calibrate_two_step(delta).t_units
-        if delta <= 1.0 + 1e-12:
-            cal = calibrate_single_step(delta)
+        if delta <= SINGLE_STEP_BOUND:
+            cal = _calibrate_single_step(delta)
             rows.append([f"{delta:.2f}", t2, cal.t_units, cal.omega1_over_g])
         else:
             rows.append([f"{delta:.2f}", t2, None, None])
@@ -106,7 +126,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
     """Closest-to-CNOT single-step parameters for detunings 1.0-2.0."""
     rows = []
     for delta in _TABLE2_GRID:
-        cal = calibrate_single_step(delta)
+        cal = _calibrate_single_step(delta)
         inv = cal.invariants
         rows.append([f"{delta:.2f}", cal.t_units, cal.omega1_over_g, inv.g1.real, inv.g2])
     _write(_out_path(args.out), csv_text(["delta_over_g", "T1", "omega1_over_g", "G1", "G2"], rows))
@@ -119,9 +139,9 @@ def _gate_payload(args: argparse.Namespace) -> dict:
         p = SystemParams.from_ratios(delta_over_g=delta)
         t = two_step_time(p)
         segment = entangling_u(t, p, args.frame)
-        entangler = segment @ PI_PULSE_X1 @ segment
+        entangler = two_step_sandwich(t, p, args.frame)
     else:
-        cal = calibrate_single_step(delta)
+        cal = _calibrate_single_step(delta)
         p = SystemParams.from_ratios(delta_over_g=delta, omega1_over_g=cal.omega1_over_g)
         t = cal.t_units * math.pi / 2.0
         segment = single_step_u(t, p)
@@ -160,13 +180,13 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     ``--with-resonant-trace`` a companion file ``<stem>.resonant<suffix>``
     holds the resonant (delta = 0) trace over the same number of samples.
     """
-    cal = calibrate_single_step(args.delta)
+    cal = _calibrate_single_step(args.delta)
     p = SystemParams.from_ratios(delta_over_g=args.delta, omega1_over_g=cal.omega1_over_g)
     samples = weyl_trajectory(p, cal.t_units * math.pi / 2.0, args.samples)
     out = _out_path(args.out)
     _write(out, trajectory_to_csv(samples))
     if args.with_resonant_trace:
-        cal0 = calibrate_single_step(0.0)
+        cal0 = _calibrate_single_step(0.0)
         p0 = SystemParams.from_ratios(delta_over_g=0.0, omega1_over_g=cal0.omega1_over_g)
         res_samples = weyl_trajectory(p0, cal0.t_units * math.pi / 2.0, args.samples)
         res_path = out.with_name(out.stem + ".resonant" + out.suffix)

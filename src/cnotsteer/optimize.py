@@ -1,15 +1,18 @@
 """Calibration drivers: find gate parameters that reach (or best approach)
 the CNOT class at a given detuning.
 
-``calibrate_single_step`` minimizes the squared invariant distance
-``d^2 = |G1|^2 + |G2 - 1|^2`` of the single-step evolution over the Rabi
-amplitude and the gate time.  The objective is oscillatory -- resonant
-solutions exist for a whole family of drive amplitudes -- and the bounds
-plus the starting point pin the search to the lowest branch.  Near the
-largest detuning that still admits an exact CNOT the minimum sits in an
-extremely flat basin, so the driver polishes the first solution with two
-progressively smaller restarts; this keeps the reported parameters stable
-to well below table precision.
+``calibrate_single_step`` picks its method from the detuning.  For
+``|delta| <= SINGLE_STEP_BOUND`` (that is, ``|delta| <= g``) an exact
+CNOT-class gate exists, and the driver solves for it as a root: the
+magic-basis residual ``R = m^2 / det U + I``, with ``m = U_B^T U_B``, is
+exactly zero on the CNOT class and linear in the distance from it, so
+Gauss-Newton from the resonant solution converges to rounding in a few
+steps.  Beyond the bound no exact solution exists, and the driver minimizes
+the squared invariant distance ``d^2 = |G1|^2 + |G2 - 1|^2`` instead: the
+closest class, found by bounded Nelder-Mead and polished by two
+progressively smaller restarts.  Both methods start from the resonant
+solution, which keeps them on the lowest branch; the search box also bounds
+Nelder-Mead.
 
 ``calibrate_two_step`` needs no search: the entangling time has a closed
 form, which is cross-validated against the invariants of the assembled
@@ -23,9 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equivclass import InvariantPair, cnot_distance, csv_text, makhlin_invariants
+from .equivclass import InvariantPair, cnot_distance, csv_text, makhlin_invariants, to_magic
 from .model import SystemParams
-from .qmat import ContractViolationError
+from .qmat import ContractViolationError, require_unitary
 from .sequences import single_step_u, two_step_entangler, two_step_time
 from .simplex import NMOptions, nelder_mead
 
@@ -35,9 +38,14 @@ __all__ = [
     "calibrate_two_step",
     "sweep",
     "results_to_csv",
+    "SINGLE_STEP_BOUND",
     "SINGLE_STEP_BOUNDS",
     "SINGLE_STEP_START",
 ]
+
+#: Largest |delta|/g at which the single-step sequence reaches the CNOT class
+#: exactly; up to it the calibration is a root solve, beyond it a d^2 search.
+SINGLE_STEP_BOUND = 1.0
 
 #: Search box for (omega1/g, T1) and the resonant-branch starting point.
 SINGLE_STEP_BOUNDS = ((0.5, 8.0), (0.5, 2.5))
@@ -48,16 +56,26 @@ _SEARCH = NMOptions(bounds=SINGLE_STEP_BOUNDS)
 #: Initial-simplex edges for the polish passes that resolve flat basins.
 _POLISH_EDGES = (0.002, 0.0001)
 
+#: Gauss-Newton controls of the root solve: stop once ||R||_F is at rounding
+#: level; forward-difference step; iteration cap (hitting it clears the
+#: converged flag).  The fold at delta = g, where the Jacobian loses rank and
+#: convergence turns linear, takes the most iterations, about 20.
+_ROOT_TOL = 1e-12
+_ROOT_STEP = 1e-7
+_ROOT_MAX_ITERATIONS = 50
+
 
 @dataclass(frozen=True)
 class CalibrationResult:
     """Calibrated gate parameters and the achieved class data.
 
     ``t_units`` is the gate time as a multiple of the sequence's canonical
-    unit (pi/2g for one-step, pi/4g for two-step).  ``fidelity`` is filled
-    in only by callers that also dress with local rotations.  A failed row
-    (for example a two-step request beyond the detuning bound) carries the
-    message in ``error`` and NaN numeric fields.
+    unit (pi/2g for one-step, pi/4g for two-step).  ``method`` names how the
+    parameters were found: ``"root solve"`` or ``"d^2 minimisation"`` for
+    one-step, ``"closed form"`` for two-step.  ``fidelity`` is filled in only
+    by callers that also dress with local rotations.  A failed row (for
+    example a two-step request beyond the detuning bound) carries the message
+    in ``error``, NaN numeric fields and the method ``"none"``.
     """
 
     delta_over_g: float
@@ -68,6 +86,7 @@ class CalibrationResult:
     distance: float
     iterations: int
     converged: bool
+    method: str
     fidelity: float | None = None
     error: str | None = None
 
@@ -81,17 +100,47 @@ def _single_step_objective(delta_over_g: float):
     return objective
 
 
-def calibrate_single_step(delta_over_g: float) -> CalibrationResult:
-    """Calibrate (omega1, t1) of the single-step sequence at the given detuning.
+def _single_step_residual(delta_over_g: float, x: np.ndarray) -> np.ndarray:
+    """Real and imaginary parts of ``m^2 / det U + I`` at ``x = (omega1/g, T1)``.
 
-    Searches the lowest-branch box with bounded Nelder-Mead from the
-    resonant solution, then polishes with two smaller restarts.  For
-    ``|delta| <= g`` the achieved distance is numerically zero (an exact
-    CNOT-class gate exists); beyond that the result is the closest class.
-
-    The sign of the detuning is irrelevant to the class data and to the
-    calibrated parameters.
+    ``m = U_B^T U_B`` in the magic basis.  The CNOT class is the one whose
+    ``m`` has the spectrum ``+-i sqrt(det U)``, each twice, so the residual
+    vanishes exactly there (where G1 = 0 and G2 = 1) and nowhere else.
     """
+    p = SystemParams.from_ratios(delta_over_g=delta_over_g, omega1_over_g=float(x[0]))
+    u = require_unitary(single_step_u(float(x[1]) * math.pi / 2.0, p), what="single-step gate")
+    ub = to_magic(u)
+    m = ub.T @ ub
+    r = m @ m / np.linalg.det(u) + np.eye(4)
+    return np.concatenate([r.real.ravel(), r.imag.ravel()])
+
+
+def _solve_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
+    """Gauss-Newton root of the single-step residual from ``SINGLE_STEP_START``.
+
+    Each step solves the 32 x 2 forward-difference linearization in the
+    least-squares sense.  Returns the root, the iteration count and whether
+    ``||R||_F <= _ROOT_TOL`` was reached.
+    """
+    x = np.array(SINGLE_STEP_START)
+    r = _single_step_residual(delta_over_g, x)
+    iterations = 0
+    while np.linalg.norm(r) > _ROOT_TOL:
+        if iterations == _ROOT_MAX_ITERATIONS:
+            return x, iterations, False
+        jac = np.empty((r.size, 2))
+        for k in range(2):
+            xk = x.copy()
+            xk[k] += _ROOT_STEP
+            jac[:, k] = (_single_step_residual(delta_over_g, xk) - r) / _ROOT_STEP
+        x = x - np.linalg.lstsq(jac, r, rcond=None)[0]
+        r = _single_step_residual(delta_over_g, x)
+        iterations += 1
+    return x, iterations, True
+
+
+def _minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
+    """Closest class by bounded Nelder-Mead on d^2, polished twice."""
     objective = _single_step_objective(delta_over_g)
 
     res = nelder_mead(objective, np.array(SINGLE_STEP_START), _SEARCH)
@@ -101,8 +150,31 @@ def calibrate_single_step(delta_over_g: float) -> CalibrationResult:
         res = nelder_mead(objective, res.x, replace(_SEARCH, initial_edge=edge))
         iterations += res.iterations
         converged = converged and res.converged
+    return res.x, iterations, converged
 
-    omega, t_units = float(res.x[0]), float(res.x[1])
+
+def calibrate_single_step(delta_over_g: float) -> CalibrationResult:
+    """Calibrate (omega1, t1) of the single-step sequence at the given detuning.
+
+    For ``|delta| <= SINGLE_STEP_BOUND`` an exact CNOT-class gate exists, and
+    it is found as the Gauss-Newton root of the magic-basis residual; the
+    achieved distance is at rounding level and ``iterations`` counts
+    Gauss-Newton steps.  Beyond the bound the result is the closest class:
+    bounded Nelder-Mead on d^2, polished with two smaller restarts, with
+    ``iterations`` the simplex iterations of all three passes.  Both start
+    from the resonant solution.
+
+    The sign of the detuning is irrelevant to the class data and to the
+    calibrated parameters.
+    """
+    if abs(delta_over_g) <= SINGLE_STEP_BOUND:
+        method = "root solve"
+        x, iterations, converged = _solve_single_step(delta_over_g)
+    else:
+        method = "d^2 minimisation"
+        x, iterations, converged = _minimize_single_step(delta_over_g)
+
+    omega, t_units = float(x[0]), float(x[1])
     p = SystemParams.from_ratios(delta_over_g=delta_over_g, omega1_over_g=omega)
     inv = makhlin_invariants(single_step_u(t_units * math.pi / 2.0, p))
     return CalibrationResult(
@@ -114,6 +186,7 @@ def calibrate_single_step(delta_over_g: float) -> CalibrationResult:
         distance=cnot_distance(inv),
         iterations=iterations,
         converged=converged,
+        method=method,
     )
 
 
@@ -135,6 +208,7 @@ def calibrate_two_step(delta_over_g: float) -> CalibrationResult:
         distance=cnot_distance(inv),
         iterations=0,
         converged=True,
+        method="closed form",
     )
 
 
@@ -160,6 +234,7 @@ def sweep(delta_values: list[float], mode: str) -> list[CalibrationResult]:
                     distance=math.nan,
                     iterations=0,
                     converged=False,
+                    method="none",
                     error=str(exc),
                 )
             )

@@ -290,11 +290,15 @@ def two_step_time(p: SystemParams) -> float:
     return (math.pi - math.acos(ratio)) / math.hypot(p.delta, 2.0 * p.g)
 
 
+def two_step_sandwich(t: float, p: SystemParams, frame: int) -> Operator4:
+    """The two-step product U(t) e^{-pi X1} U(t), segments in the chosen frame."""
+    u = entangling_u(t, p, frame)
+    return u @ PI_PULSE_X1 @ u
+
+
 def two_step_entangler(p: SystemParams, frame: int = 1) -> Operator4:
     """The entangling core U(t2) e^{-pi X1} U(t2) in the chosen frame."""
-    t2 = two_step_time(p)
-    u = entangling_u(t2, p, frame)
-    return u @ PI_PULSE_X1 @ u
+    return two_step_sandwich(two_step_time(p), p, frame)
 
 
 def single_step_u(t: float, p: SystemParams) -> Operator4:

@@ -21,9 +21,9 @@ from .equivclass import (
     weyl_coordinates,
 )
 from .model import SystemParams
-from .propagate import entangling_u, entangling_u_frame1, entangling_u_frame2, uv_coefficients
+from .propagate import entangling_u_frame1, entangling_u_frame2, uv_coefficients
 from .qmat import kron2, unitarity_defect
-from .sequences import PI_PULSE_X1, euler_u2, single_step_u
+from .sequences import euler_u2, single_step_u, two_step_sandwich
 
 _HALF_PI = math.pi / 2.0
 
@@ -45,22 +45,18 @@ def _random_local(rng: np.random.Generator) -> np.ndarray:
     return kron2(euler_u2(*angles[:3]), euler_u2(*angles[3:]))
 
 
-def _random_unitary(rng: np.random.Generator, n: int = 4) -> np.ndarray:
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+def _random_unitary(rng: np.random.Generator) -> np.ndarray:
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
 
-def _sandwich(t: float, p: SystemParams, frame: int) -> np.ndarray:
-    u = entangling_u(t, p, frame)
-    return u @ PI_PULSE_X1 @ u
-
-
-def check_unitarity(seed: int, n: int = 100, tol: float = 1e-12) -> CheckResult:
+def check_unitarity(seed: int) -> CheckResult:
+    tol = 1e-12
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(100):
         t = rng.uniform(0.0, 4.0)
         p = SystemParams.from_ratios(
             delta_over_g=rng.uniform(-3.0, 3.0), gtilde_over_g=rng.uniform(0.0, 0.1)
@@ -70,39 +66,42 @@ def check_unitarity(seed: int, n: int = 100, tol: float = 1e-12) -> CheckResult:
     return CheckResult("propagator unitarity", worst < tol, worst, tol)
 
 
-def check_frame_equivalence(seed: int, n: int = 100, tol: float = 1e-10) -> CheckResult:
+def check_frame_equivalence(seed: int) -> CheckResult:
+    tol = 1e-10
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(100):
         t = rng.uniform(0.0, 3.0)
         p = SystemParams.from_ratios(delta_over_g=rng.uniform(0.0, 3.0))
-        a = makhlin_invariants(_sandwich(t, p, frame=1))
-        b = makhlin_invariants(_sandwich(t, p, frame=2))
+        a = makhlin_invariants(two_step_sandwich(t, p, frame=1))
+        b = makhlin_invariants(two_step_sandwich(t, p, frame=2))
         worst = max(worst, abs(a.g1 - b.g1), abs(a.g2 - b.g2))
     return CheckResult("frame-1 vs frame-2 invariants", worst < tol, worst, tol)
 
 
-def check_zz_independence(seed: int, n: int = 34, tol: float = 1e-9) -> CheckResult:
+def check_zz_independence(seed: int) -> CheckResult:
+    tol = 1e-9
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(34):
         t = rng.uniform(0.0, 3.0)
         delta = rng.uniform(0.0, 3.0)
         ref = makhlin_invariants(
-            _sandwich(t, SystemParams.from_ratios(delta_over_g=delta), frame=1)
+            two_step_sandwich(t, SystemParams.from_ratios(delta_over_g=delta), frame=1)
         )
         for gtilde in (0.05, 0.1):
             p = SystemParams.from_ratios(delta_over_g=delta, gtilde_over_g=gtilde)
             for frame in (1, 2):
-                inv = makhlin_invariants(_sandwich(t, p, frame=frame))
+                inv = makhlin_invariants(two_step_sandwich(t, p, frame=frame))
                 worst = max(worst, abs(inv.g1 - ref.g1), abs(inv.g2 - ref.g2))
     return CheckResult("ZZ-coupling independence of invariants", worst < tol, worst, tol)
 
 
-def check_local_invariance(seed: int, n: int = 100, tol: float = 1e-10) -> CheckResult:
+def check_local_invariance(seed: int) -> CheckResult:
+    tol = 1e-10
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(100):
         u = _random_unitary(rng)
         dressed = (
             np.exp(1j * rng.uniform(-math.pi, math.pi))
@@ -115,30 +114,33 @@ def check_local_invariance(seed: int, n: int = 100, tol: float = 1e-10) -> Check
     return CheckResult("local-dressing invariance", worst < tol, worst, tol)
 
 
-def _interior_point(rng: np.random.Generator, margin: float = 1e-3) -> tuple[float, float, float]:
+def _interior_point(rng: np.random.Generator) -> tuple[float, float, float]:
+    margin = 1e-3
     while True:
         c = np.sort(rng.uniform(margin, _HALF_PI - margin, size=3))[::-1]
         if c[0] - c[1] > margin and c[1] - c[2] > margin:
             return float(c[0]), float(c[1]), float(c[2])
 
 
-def check_weyl_roundtrip(seed: int, n: int = 100, tol: float = 1e-8) -> CheckResult:
+def check_weyl_roundtrip(seed: int) -> CheckResult:
+    tol = 1e-8
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(100):
         c = _interior_point(rng)
         got = weyl_coordinates(canonical_class_gate(c))
         worst = max(worst, float(np.max(np.abs(got.as_array() - np.array(c)))))
     return CheckResult("Weyl-coordinate round trip", worst < tol, worst, tol)
 
 
-def check_planarity(seed: int, n: int = 40, tol: float = 1e-8) -> CheckResult:
+def check_planarity(seed: int) -> CheckResult:
+    tol = 1e-8
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(40):
         t = rng.uniform(0.0, 3.0)
         p2 = SystemParams.from_ratios(delta_over_g=rng.uniform(0.0, 3.0))
-        worst = max(worst, weyl_coordinates(_sandwich(t, p2, frame=1)).c3)
+        worst = max(worst, weyl_coordinates(two_step_sandwich(t, p2, frame=1)).c3)
         p1 = SystemParams.from_ratios(
             delta_over_g=rng.uniform(0.0, 2.0), omega1_over_g=rng.uniform(0.5, 8.0)
         )
@@ -146,10 +148,11 @@ def check_planarity(seed: int, n: int = 40, tol: float = 1e-8) -> CheckResult:
     return CheckResult("c3 = 0 along both sequence families", worst < tol, worst, tol)
 
 
-def check_uv_normalization(seed: int, n: int = 200, tol: float = 1e-12) -> CheckResult:
+def check_uv_normalization(seed: int) -> CheckResult:
+    tol = 1e-12
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(200):
         p = SystemParams.from_ratios(delta_over_g=rng.uniform(-3.0, 3.0))
         uv = uv_coefficients(rng.uniform(0.0, 5.0), p)
         worst = max(worst, abs(abs(uv.u) ** 2 + uv.v**2 - 1.0))

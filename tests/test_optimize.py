@@ -4,15 +4,19 @@ import math
 import numpy as np
 import pytest
 
+import cnotsteer.optimize as optimize
+from cnotsteer.equivclass import cnot_distance, makhlin_invariants
+from cnotsteer.model import SystemParams
 from cnotsteer.optimize import (
     CalibrationResult,
+    SINGLE_STEP_BOUND,
     SINGLE_STEP_BOUNDS,
     calibrate_single_step,
     calibrate_two_step,
     results_to_csv,
     sweep,
 )
-from cnotsteer.sequences import DetuningOutOfRangeError
+from cnotsteer.sequences import CNOT, DetuningOutOfRangeError, fit_local_rotations, single_step_u
 from cnotsteer.simplex import NMOptions, nelder_mead
 
 from reference_data import TABLE1_SINGLE, TABLE1_T2, TABLE2
@@ -181,3 +185,64 @@ def test_single_step_bounds_exposed():
     (om_lo, om_hi), (t_lo, t_hi) = SINGLE_STEP_BOUNDS
     assert om_lo < math.sqrt(15.0) < om_hi
     assert t_lo < 1.0 < t_hi
+
+
+def test_single_step_root_stays_on_the_lower_branch():
+    # The upper branch meets the lower one at the fold delta = g; a jump to
+    # it shows as a T1 above its neighbours (as Nelder-Mead's 1.387 at 0.98g).
+    grid = [calibrate_single_step(float(d)) for d in np.linspace(0.0, SINGLE_STEP_BOUND, 101)]
+    t1 = [cal.t_units for cal in grid]
+    assert all(b > a for a, b in zip(t1, t1[1:]))
+    for cal in grid:
+        assert cal.converged, cal.delta_over_g
+        assert cal.distance < 1e-20, cal.delta_over_g
+        assert cal.iterations <= 25, cal.delta_over_g
+
+
+def test_single_step_rows_match_paper_to_four_decimals():
+    for delta, (t_ref, om_ref) in TABLE1_SINGLE.items():
+        if delta > 0.9:
+            continue
+        cal = calibrate_single_step(delta)
+        assert round(cal.t_units, 4) == t_ref, (delta, cal.t_units)
+        assert round(cal.omega1_over_g, 4) == om_ref, (delta, cal.omega1_over_g)
+
+
+def _dressed_quality(delta, omega, t_units):
+    p = SystemParams.from_ratios(delta_over_g=delta, omega1_over_g=float(omega))
+    u = single_step_u(float(t_units) * math.pi / 2.0, p)
+    return cnot_distance(makhlin_invariants(u)), fit_local_rotations(u, CNOT).distance
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.9, 0.98, 1.0])
+def test_single_step_root_no_worse_than_nelder_mead_oracle(delta):
+    cal = calibrate_single_step(delta)
+    d2, dressed = _dressed_quality(delta, cal.omega1_over_g, cal.t_units)
+    x, _, _ = optimize._minimize_single_step(delta)
+    d2_oracle, dressed_oracle = _dressed_quality(delta, *x)
+    assert d2 <= d2_oracle
+    assert dressed <= dressed_oracle
+    assert dressed < 1e-12
+
+
+def test_single_step_root_cap_clears_converged_flag(monkeypatch):
+    monkeypatch.setattr(optimize, "_ROOT_MAX_ITERATIONS", 1)
+    cal = calibrate_single_step(0.5)
+    assert not cal.converged
+    assert cal.iterations == 1
+
+
+def test_single_step_method_switches_at_the_bound(monkeypatch):
+    # Within the bound no simplex runs; beyond it the d^2 search does.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return nelder_mead(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "nelder_mead", counting)
+    for delta in (SINGLE_STEP_BOUND, -SINGLE_STEP_BOUND):
+        assert calibrate_single_step(delta).method == "root solve"
+    assert calls == []
+    assert calibrate_single_step(1.1).method == "d^2 minimisation"
+    assert len(calls) == 3

@@ -9,10 +9,11 @@ exactly zero on the CNOT class and linear in the distance from it, so
 Gauss-Newton from the resonant solution converges to rounding in a few
 steps.  Beyond the bound no exact solution exists, and the driver minimizes
 the squared invariant distance ``d^2 = |G1|^2 + |G2 - 1|^2`` instead: the
-closest class, found by bounded Nelder-Mead and polished by two
-progressively smaller restarts.  Both methods start from the resonant
-solution, which keeps them on the lowest branch; the search box also bounds
-Nelder-Mead.
+closest class.  One bounded Nelder-Mead pass finds its basin, and Newton
+steps on a central-difference model of d^2 converge to the minimum, which
+lies in a valley too flat for the simplex's stopping rule.  Both methods
+start from the resonant solution, which keeps them on the lowest branch; the
+search box also bounds both searches.
 
 ``calibrate_two_step`` needs no search: the entangling time has a closed
 form, which is cross-validated against the invariants of the assembled
@@ -22,7 +23,7 @@ sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,10 +52,17 @@ SINGLE_STEP_BOUND = 1.0
 SINGLE_STEP_BOUNDS = ((0.5, 8.0), (0.5, 2.5))
 SINGLE_STEP_START = (math.sqrt(15.0), 1.0)
 
-#: Search controls of the first pass; the polish passes shrink its edge.
+#: Search controls of the simplex pass that finds the d^2 basin.
 _SEARCH = NMOptions(bounds=SINGLE_STEP_BOUNDS)
-#: Initial-simplex edges for the polish passes that resolve flat basins.
-_POLISH_EDGES = (0.002, 0.0001)
+
+#: Newton polish of the d^2 minimum: central-difference step (the bias of
+#: the minimum it finds goes as its square: ~1e-8 at 1.1-2g, 5e-7 at 3g),
+#: stop once every step component is below _NEWTON_TOL, iteration cap
+#: (hitting it clears the converged flag).  From the simplex point it takes
+#: 2 steps at every Table 2 row, and at most 4 just beyond g.
+_NEWTON_STEP = 1e-4
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITERATIONS = 20
 
 #: Gauss-Newton controls of the root solve: stop once ||R||_F is at rounding
 #: level; forward-difference step; iteration cap (hitting it clears the
@@ -139,18 +147,50 @@ def _solve_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
     return x, iterations, True
 
 
-def _minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
-    """Closest class by bounded Nelder-Mead on d^2, polished twice."""
-    objective = _single_step_objective(delta_over_g)
+def _newton_polish(objective, x: np.ndarray, fx: float) -> tuple[np.ndarray, int, bool]:
+    """Newton steps on ``objective`` from ``x``, where it takes the value ``fx``.
 
+    Each step reads the gradient and Hessian off the central differences of
+    the 3 x 3 stencil around ``x`` (8 new evaluations) and evaluates the
+    trial point.  A trial that raises the objective is dropped and ends the
+    polish as converged: the step is then below what the model resolves,
+    through the bias of the differences (as near 2.9g) or, just beyond g,
+    the rounding of d^2 itself.  A trial outside the search box ends it
+    unconverged.
+    Returns the point, the number of steps and whether the polish converged.
+    """
+    h = _NEWTON_STEP
+    lo, hi = np.array(SINGLE_STEP_BOUNDS).T
+    for iterations in range(1, _NEWTON_MAX_ITERATIONS + 1):
+        f = np.empty((3, 3))  # f[i, j] = objective(x + h * (i - 1, j - 1))
+        for i in range(3):
+            for j in range(3):
+                f[i, j] = fx if i == j == 1 else objective(x + h * np.array([i - 1.0, j - 1.0]))
+        grad = np.array([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]]) / (2.0 * h)
+        cross = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / 4.0
+        hess = np.array([
+            [f[2, 1] - 2.0 * fx + f[0, 1], cross],
+            [cross, f[1, 2] - 2.0 * fx + f[1, 0]],
+        ]) / (h * h)
+        step = -np.linalg.lstsq(hess, grad, rcond=None)[0]
+        if np.max(np.abs(step)) <= _NEWTON_TOL:
+            return x, iterations, True
+        trial = x + step
+        if np.any(trial < lo) or np.any(trial > hi):
+            return x, iterations, False
+        f_trial = objective(trial)
+        if f_trial > fx:
+            return x, iterations, True
+        x, fx = trial, f_trial
+    return x, _NEWTON_MAX_ITERATIONS, False
+
+
+def _minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
+    """Closest class: bounded Nelder-Mead on d^2 finds the basin, Newton polishes."""
+    objective = _single_step_objective(delta_over_g)
     res = nelder_mead(objective, np.array(SINGLE_STEP_START), _SEARCH)
-    iterations = res.iterations
-    converged = res.converged
-    for edge in _POLISH_EDGES:
-        res = nelder_mead(objective, res.x, replace(_SEARCH, initial_edge=edge))
-        iterations += res.iterations
-        converged = converged and res.converged
-    return res.x, iterations, converged
+    x, steps, polished = _newton_polish(objective, res.x, res.fun)
+    return x, res.iterations + steps, res.converged and polished
 
 
 def calibrate_single_step(delta_over_g: float) -> CalibrationResult:
@@ -160,8 +200,8 @@ def calibrate_single_step(delta_over_g: float) -> CalibrationResult:
     it is found as the Gauss-Newton root of the magic-basis residual; the
     achieved distance is at rounding level and ``iterations`` counts
     Gauss-Newton steps.  Beyond the bound the result is the closest class:
-    bounded Nelder-Mead on d^2, polished with two smaller restarts, with
-    ``iterations`` the simplex iterations of all three passes.  Both start
+    bounded Nelder-Mead on d^2, polished by Newton steps, with
+    ``iterations`` the simplex iterations plus the Newton steps.  Both start
     from the resonant solution.
 
     The sign of the detuning is irrelevant to the class data and to the

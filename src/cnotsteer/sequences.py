@@ -141,19 +141,6 @@ class LocalRotationSpec:
             phase=phase,
         )
 
-    @classmethod
-    def from_vector(cls, v: Sequence[float]) -> "LocalRotationSpec":
-        v = list(map(float, v))
-        if len(v) != 13:
-            raise ValueError(f"expected 13 parameters, got {len(v)}")
-        return cls(
-            post2=(v[0], v[1], v[2]),
-            post1=(v[3], v[4], v[5]),
-            pre2=(v[6], v[7], v[8]),
-            pre1=(v[9], v[10], v[11]),
-            phase=v[12],
-        )
-
     def as_vector(self) -> np.ndarray:
         return np.array(
             [*self.post2, *self.post1, *self.pre2, *self.pre1, self.phase], dtype=float

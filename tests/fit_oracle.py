@@ -22,6 +22,8 @@ from cnotsteer.sequences import (
 )
 from cnotsteer.simplex import NMOptions, nelder_mead
 
+from conftest import spec_from_vector
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -61,7 +63,7 @@ def search_local_rotations(
     target = require_unitary(target, what="target")
 
     def objective(v: np.ndarray) -> float:
-        spec = LocalRotationSpec.from_vector(v)
+        spec = spec_from_vector(v)
         return frob_dist(spec.realize(u_ent), target)
 
     if warm_starts is None:
@@ -91,7 +93,7 @@ def search_local_rotations(
             break
 
     assert best_x is not None
-    spec = LocalRotationSpec.from_vector(best_x)
+    spec = spec_from_vector(best_x)
     radicand = 1.0 - best_f**2
     fid = math.sqrt(radicand) if radicand >= 0.0 else None
     return SearchResult(

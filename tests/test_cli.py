@@ -60,6 +60,21 @@ def test_table2_contents(tmp_path):
         assert abs(float(r[4]) - g2_ref) < 2e-3
 
 
+def test_table2_holds_the_converged_minima(tmp_path):
+    # Sixth-decimal cells a simplex stopped on a 1e-14 spread in d^2 misses:
+    # the minimum lies in a valley whose smallest curvature is 0.0019 at 1.1g.
+    out = tmp_path / "table2.csv"
+    assert main(["table2", "--out", str(out)]) == EXIT_OK
+    header, rows = _rows(out)
+    cells = {(r[0], name): value for r in rows for name, value in zip(header[1:], r[1:])}
+    assert cells["1.10", "omega1_over_g"] == "3.747043"
+    assert cells["1.20", "T1"] == "1.194559"
+    assert cells["1.30", "T1"] == "1.159027"
+    assert cells["1.40", "T1"] == "1.126234"
+    assert cells["1.50", "omega1_over_g"] == "3.715195"
+    assert cells["1.60", "G1"] == "0.061368"
+
+
 def test_gate_one_step_json(tmp_path):
     out = tmp_path / "gate.json"
     assert main(["gate", "--mode", "one-step", "--delta", "1.0", "--out", str(out)]) == EXIT_OK

@@ -19,6 +19,7 @@ from cnotsteer.optimize import (
 from cnotsteer.sequences import CNOT, DetuningOutOfRangeError, fit_local_rotations, single_step_u
 from cnotsteer.simplex import NMOptions, nelder_mead
 
+from calibration_oracle import minimize_single_step
 from reference_data import TABLE1_SINGLE, TABLE1_T2, TABLE2
 
 
@@ -218,7 +219,7 @@ def _dressed_quality(delta, omega, t_units):
 def test_single_step_root_no_worse_than_nelder_mead_oracle(delta):
     cal = calibrate_single_step(delta)
     d2, dressed = _dressed_quality(delta, cal.omega1_over_g, cal.t_units)
-    x, _, _ = optimize._minimize_single_step(delta)
+    x, _, _ = minimize_single_step(delta)
     d2_oracle, dressed_oracle = _dressed_quality(delta, *x)
     assert d2 <= d2_oracle
     assert dressed <= dressed_oracle
@@ -233,7 +234,7 @@ def test_single_step_root_cap_clears_converged_flag(monkeypatch):
 
 
 def test_single_step_method_switches_at_the_bound(monkeypatch):
-    # Within the bound no simplex runs; beyond it the d^2 search does.
+    # Within the bound no simplex runs; beyond it one pass finds the basin.
     calls = []
 
     def counting(*args, **kwargs):
@@ -245,4 +246,51 @@ def test_single_step_method_switches_at_the_bound(monkeypatch):
         assert calibrate_single_step(delta).method == "root solve"
     assert calls == []
     assert calibrate_single_step(1.1).method == "d^2 minimisation"
-    assert len(calls) == 3
+    assert len(calls) == 1
+
+
+BEYOND_THE_BOUND = [d for d in TABLE2 if d > SINGLE_STEP_BOUND] + [1.001, 1.01, 1.05, 2.5, 3.0, -1.5]
+
+
+def _d2(delta, x):
+    return optimize._single_step_objective(delta)(np.asarray(x, dtype=float))
+
+
+@pytest.mark.parametrize("delta", BEYOND_THE_BOUND)
+def test_single_step_minimum_no_worse_than_nelder_mead_oracle(delta):
+    cal = calibrate_single_step(delta)
+    x = (cal.omega1_over_g, cal.t_units)
+    x_oracle, _, _ = minimize_single_step(delta)
+    assert cal.converged
+    assert cal.distance == _d2(delta, x)
+    # 1e-14 covers the h^2 bias of the central differences, 2.7e-15 at 3g.
+    assert cal.distance <= _d2(delta, x_oracle) + 1e-14
+    if abs(delta) >= 1.1:
+        # Same branch.  Nearer the fold the oracle itself stops early: it is
+        # 3.6e-6 off in T1 at 1.05g and 3.6e-5 at 1.01g.
+        assert np.max(np.abs(np.array(x) - x_oracle)) < 2e-6
+
+
+@pytest.mark.parametrize("delta", [d for d in BEYOND_THE_BOUND if abs(d) >= 1.05])
+def test_single_step_minimum_is_a_local_minimum(delta):
+    cal = calibrate_single_step(delta)
+    x = np.array([cal.omega1_over_g, cal.t_units])
+    for direction in ((1, 0), (0, 1), (1, 1), (1, -1)):
+        for sign in (1.0, -1.0):
+            moved = x + sign * 1e-6 * np.array(direction, dtype=float)
+            assert _d2(delta, moved) >= cal.distance, (direction, sign)
+
+
+@pytest.mark.parametrize("delta", [1.0000001, 1.00001])
+def test_single_step_minimum_just_beyond_the_bound(delta):
+    # d^2 <= 1e-16 up to 1.0001g: the landscape is flat to rounding, and a
+    # Newton step that raises d^2 must not be kept.
+    cal = calibrate_single_step(delta)
+    assert cal.method == "d^2 minimisation"
+    assert cal.converged
+    assert cal.distance <= 1e-16
+
+
+def test_single_step_newton_cap_clears_converged_flag(monkeypatch):
+    monkeypatch.setattr(optimize, "_NEWTON_MAX_ITERATIONS", 1)
+    assert not calibrate_single_step(1.5).converged

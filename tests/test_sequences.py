@@ -11,7 +11,6 @@ from cnotsteer.sequences import (
     DetuningOutOfRangeError,
     FidelityUndefinedError,
     GateRecipe,
-    LocalRotationSpec,
     UnsupportedCouplingError,
     euler_u2,
     fidelity,
@@ -27,6 +26,7 @@ from cnotsteer.sequences import (
     zyz_angles,
 )
 
+from conftest import spec_from_vector
 from reference_data import (
     SINGLE_STEP_ANGLES,
     SINGLE_STEP_U_DELTA1,
@@ -189,7 +189,7 @@ def test_fidelity_formula_against_reference_gate():
 
 
 def test_fidelity_matches_frobenius_distance(rng):
-    spec = LocalRotationSpec.from_vector(rng.uniform(-0.05, 0.05, size=13))
+    spec = spec_from_vector(rng.uniform(-0.05, 0.05, size=13))
     u = spec.realize(CNOT)
     d = frob_dist(u, CNOT)
     assert abs(fidelity(u, CNOT) - math.sqrt(1.0 - d**2)) < 1e-12
@@ -212,10 +212,10 @@ def test_zyz_rejects_non_special_unitary():
 
 def test_rotation_spec_vector_round_trip(rng):
     v = rng.uniform(-2.0, 2.0, size=13)
-    spec = LocalRotationSpec.from_vector(v)
+    spec = spec_from_vector(v)
     assert np.allclose(spec.as_vector(), v)
     with pytest.raises(ValueError):
-        LocalRotationSpec.from_vector(v[:12])
+        spec_from_vector(v[:12])
 
 
 def test_fit_recovers_exact_cnot_at_resonance():

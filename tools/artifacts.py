@@ -3,13 +3,15 @@
     python3 tools/artifacts.py OUTDIR
 
 Runs ``cnotsteer.cli.main`` in-process, from the ``src/`` of the checkout
-this script sits in, for 35 artifacts: ``table1`` and ``table2``; the
+this script sits in, for 41 artifacts: ``table1`` and ``table2``; the
 2048-sample trajectory with its resonant trace at five detunings; one-step
-gates at seven detunings, among them 0.98g, just below the single-step bound,
-where the calibration must stay on the lower solution branch; two-step gates
-at the same seven detunings in both frames; and the ``verify`` report at two
-seeds.  Every output is deterministic, so two checkouts that should agree
-byte for byte are compared with one ``diff -r`` of their OUTDIRs.
+gates at nine detunings, among them 0.98g, just below the single-step bound,
+where the calibration must stay on the lower solution branch, and 1.01g and
+1.05g, just beyond it, where the d^2 minimum lies in the flattest valley;
+two-step gates at the same nine detunings in both frames; and the ``verify``
+report at two seeds.  Every output is deterministic, so two checkouts that
+should agree byte for byte are compared with one ``diff -r`` of their
+OUTDIRs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cnotsteer.cli import main as cnotsteer_main  # noqa: E402
 
 TRAJECTORY_DELTAS = ("0", "0.3", "0.5", "0.8", "1.0")
-GATE_DELTAS = ("0.5", "0.98", "1.0", "1.2", "1.5", "1.8", "2.0")
+GATE_DELTAS = ("0.5", "0.98", "1.0", "1.01", "1.05", "1.2", "1.5", "1.8", "2.0")
 VERIFY_SEEDS = (None, "7")
 
 

@@ -29,8 +29,6 @@ from .optimize import (
     CalibrationResult,
     calibrate_single_step,
     calibrate_two_step,
-    results_to_csv,
-    sweep,
 )
 from .propagate import (
     UVPair,
@@ -58,7 +56,6 @@ from .sequences import (
     two_step_rotations_frame2,
     two_step_time,
 )
-from .simplex import NMOptions, NMResult, nelder_mead
 
 __version__ = "0.1.0"
 
@@ -72,8 +69,6 @@ __all__ = [
     "GateRecipe",
     "InvariantPair",
     "LocalRotationSpec",
-    "NMOptions",
-    "NMResult",
     "SystemParams",
     "TrajectorySample",
     "UVPair",
@@ -96,11 +91,8 @@ __all__ = [
     "invariants_from_weyl",
     "kron2",
     "makhlin_invariants",
-    "nelder_mead",
-    "results_to_csv",
     "single_step_rotations",
     "single_step_u",
-    "sweep",
     "trajectory_to_csv",
     "two_step_entangler",
     "two_step_invariants_closed",

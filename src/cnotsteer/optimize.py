@@ -9,11 +9,11 @@ exactly zero on the CNOT class and linear in the distance from it, so
 Gauss-Newton from the resonant solution converges to rounding in a few
 steps.  Beyond the bound no exact solution exists, and the driver minimizes
 the squared invariant distance ``d^2 = |G1|^2 + |G2 - 1|^2`` instead: the
-closest class.  One bounded Nelder-Mead pass finds its basin, and Newton
-steps on a central-difference model of d^2 converge to the minimum, which
-lies in a valley too flat for the simplex's stopping rule.  Both methods
-start from the resonant solution, which keeps them on the lowest branch; the
-search box also bounds both searches.
+closest class, by damped Newton steps on a central-difference model of d^2:
+a Hessian that is not positive definite is shifted, and each step is halved
+until it stays in the search box and lowers d^2.  Both methods start from
+the resonant solution, which keeps them on the lowest branch.  The search
+box bounds only the minimisation; the root solve does not check it.
 
 ``calibrate_two_step`` needs no search: the entangling time has a closed
 form, which is cross-validated against the invariants of the assembled
@@ -27,18 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equivclass import InvariantPair, cnot_distance, csv_text, makhlin_invariants, to_magic
+from .equivclass import InvariantPair, cnot_distance, makhlin_invariants, to_magic
 from .model import SystemParams
-from .qmat import ContractViolationError, require_unitary
+from .qmat import require_unitary
 from .sequences import single_step_u, two_step_entangler, two_step_time
-from .simplex import NMOptions, nelder_mead
 
 __all__ = [
     "CalibrationResult",
     "calibrate_single_step",
     "calibrate_two_step",
-    "sweep",
-    "results_to_csv",
     "SINGLE_STEP_BOUND",
     "SINGLE_STEP_BOUNDS",
     "SINGLE_STEP_START",
@@ -52,17 +49,15 @@ SINGLE_STEP_BOUND = 1.0
 SINGLE_STEP_BOUNDS = ((0.5, 8.0), (0.5, 2.5))
 SINGLE_STEP_START = (math.sqrt(15.0), 1.0)
 
-#: Search controls of the simplex pass that finds the d^2 basin.
-_SEARCH = NMOptions(bounds=SINGLE_STEP_BOUNDS)
-
-#: Newton polish of the d^2 minimum: central-difference step (the bias of
-#: the minimum it finds goes as its square: ~1e-8 at 1.1-2g, 5e-7 at 3g),
-#: stop once every step component is below _NEWTON_TOL, iteration cap
-#: (hitting it clears the converged flag).  From the simplex point it takes
-#: 2 steps at every Table 2 row, and at most 4 just beyond g.
+#: Damped Newton on d^2 beyond the bound: central-difference step (the bias
+#: of the minimum it finds goes as its square: ~1e-8 at 1.1-2g, 5e-7 at 3g);
+#: stop once every step component is below _NEWTON_TOL; floor of the shifted
+#: Hessian spectrum, relative to its larger eigenvalue; iteration cap
+#: (hitting it clears the converged flag).
 _NEWTON_STEP = 1e-4
 _NEWTON_TOL = 1e-10
-_NEWTON_MAX_ITERATIONS = 20
+_HESSIAN_FLOOR = 1e-3
+_NEWTON_MAX_ITERATIONS = 60
 
 #: Gauss-Newton controls of the root solve: stop once ||R||_F is at rounding
 #: level; forward-difference step; iteration cap (hitting it clears the
@@ -80,23 +75,18 @@ class CalibrationResult:
     ``t_units`` is the gate time as a multiple of the sequence's canonical
     unit (pi/2g for one-step, pi/4g for two-step).  ``method`` names how the
     parameters were found: ``"root solve"`` or ``"d^2 minimisation"`` for
-    one-step, ``"closed form"`` for two-step.  ``fidelity`` is filled in only
-    by callers that also dress with local rotations.  A failed row (for
-    example a two-step request beyond the detuning bound) carries the message
-    in ``error``, NaN numeric fields and the method ``"none"``.
+    one-step, ``"closed form"`` for two-step.
     """
 
     delta_over_g: float
     kind: str  # "one-step" | "two-step"
     t_units: float
     omega1_over_g: float
-    invariants: InvariantPair | None
+    invariants: InvariantPair
     distance: float
     iterations: int
     converged: bool
     method: str
-    fidelity: float | None = None
-    error: str | None = None
 
 
 def _single_step_objective(delta_over_g: float):
@@ -147,21 +137,25 @@ def _solve_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
     return x, iterations, True
 
 
-def _newton_polish(objective, x: np.ndarray, fx: float) -> tuple[np.ndarray, int, bool]:
-    """Newton steps on ``objective`` from ``x``, where it takes the value ``fx``.
+def _minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
+    """Closest class: damped Newton on d^2 from ``SINGLE_STEP_START``.
 
     Each step reads the gradient and Hessian off the central differences of
-    the 3 x 3 stencil around ``x`` (8 new evaluations) and evaluates the
-    trial point.  A trial that raises the objective is dropped and ends the
-    polish as converged: the step is then below what the model resolves,
-    through the bias of the differences (as near 2.9g) or, just beyond g,
-    the rounding of d^2 itself.  A trial outside the search box ends it
-    unconverged.
-    Returns the point, the number of steps and whether the polish converged.
+    the 3 x 3 stencil around ``x`` (8 new evaluations).  A Hessian that is not
+    positive definite has its spectrum shifted so that its smallest
+    eigenvalue becomes ``_HESSIAN_FLOOR * max(1, |larger eigenvalue|)``.  The
+    step is halved until the trial lies in the search box and lowers d^2, and
+    the loop ends converged once the step, taken or halved, is no larger than
+    ``_NEWTON_TOL`` in every component.  Just beyond g, where d^2 is flat to
+    rounding, that monotone guard is what ends it.
+    Returns the point, the number of Newton steps and whether it converged.
     """
+    objective = _single_step_objective(delta_over_g)
     h = _NEWTON_STEP
     lo, hi = np.array(SINGLE_STEP_BOUNDS).T
-    for iterations in range(1, _NEWTON_MAX_ITERATIONS + 1):
+    x = np.array(SINGLE_STEP_START)
+    fx = objective(x)
+    for iterations in range(_NEWTON_MAX_ITERATIONS):
         f = np.empty((3, 3))  # f[i, j] = objective(x + h * (i - 1, j - 1))
         for i in range(3):
             for j in range(3):
@@ -172,25 +166,21 @@ def _newton_polish(objective, x: np.ndarray, fx: float) -> tuple[np.ndarray, int
             [f[2, 1] - 2.0 * fx + f[0, 1], cross],
             [cross, f[1, 2] - 2.0 * fx + f[1, 0]],
         ]) / (h * h)
-        step = -np.linalg.lstsq(hess, grad, rcond=None)[0]
-        if np.max(np.abs(step)) <= _NEWTON_TOL:
-            return x, iterations, True
-        trial = x + step
-        if np.any(trial < lo) or np.any(trial > hi):
-            return x, iterations, False
-        f_trial = objective(trial)
-        if f_trial > fx:
+        low, high = np.linalg.eigvalsh(hess)
+        if low <= 0.0:
+            hess += (_HESSIAN_FLOOR * max(1.0, abs(high)) - low) * np.eye(2)
+        step = -np.linalg.solve(hess, grad)
+        while np.max(np.abs(step)) > _NEWTON_TOL:
+            trial = x + step
+            if np.all(trial >= lo) and np.all(trial <= hi):
+                f_trial = objective(trial)
+                if f_trial < fx:
+                    break
+            step = step / 2.0
+        else:
             return x, iterations, True
         x, fx = trial, f_trial
     return x, _NEWTON_MAX_ITERATIONS, False
-
-
-def _minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
-    """Closest class: bounded Nelder-Mead on d^2 finds the basin, Newton polishes."""
-    objective = _single_step_objective(delta_over_g)
-    res = nelder_mead(objective, np.array(SINGLE_STEP_START), _SEARCH)
-    x, steps, polished = _newton_polish(objective, res.x, res.fun)
-    return x, res.iterations + steps, res.converged and polished
 
 
 def calibrate_single_step(delta_over_g: float) -> CalibrationResult:
@@ -199,10 +189,10 @@ def calibrate_single_step(delta_over_g: float) -> CalibrationResult:
     For ``|delta| <= SINGLE_STEP_BOUND`` an exact CNOT-class gate exists, and
     it is found as the Gauss-Newton root of the magic-basis residual; the
     achieved distance is at rounding level and ``iterations`` counts
-    Gauss-Newton steps.  Beyond the bound the result is the closest class:
-    bounded Nelder-Mead on d^2, polished by Newton steps, with
-    ``iterations`` the simplex iterations plus the Newton steps.  Both start
-    from the resonant solution.
+    Gauss-Newton steps.  Beyond the bound the result is the closest class,
+    the minimum of d^2 in the search box reached by damped Newton steps, and
+    ``iterations`` counts those steps.  Both start from the resonant
+    solution.
 
     The sign of the detuning is irrelevant to the class data and to the
     calibrated parameters.
@@ -250,52 +240,3 @@ def calibrate_two_step(delta_over_g: float) -> CalibrationResult:
         converged=True,
         method="closed form",
     )
-
-
-def sweep(delta_values: list[float], mode: str) -> list[CalibrationResult]:
-    """Calibrate a list of detunings; per-row failures are recorded, not raised."""
-    if mode not in ("one-step", "two-step"):
-        raise ValueError(f"mode must be 'one-step' or 'two-step', got {mode!r}")
-    out: list[CalibrationResult] = []
-    for delta in delta_values:
-        try:
-            if mode == "one-step":
-                out.append(calibrate_single_step(delta))
-            else:
-                out.append(calibrate_two_step(delta))
-        except ContractViolationError as exc:
-            out.append(
-                CalibrationResult(
-                    delta_over_g=delta,
-                    kind=mode,
-                    t_units=math.nan,
-                    omega1_over_g=math.nan,
-                    invariants=None,
-                    distance=math.nan,
-                    iterations=0,
-                    converged=False,
-                    method="none",
-                    error=str(exc),
-                )
-            )
-    return out
-
-
-def results_to_csv(results: list[CalibrationResult]) -> str:
-    """Serialize calibration rows; failed rows have blank numeric fields."""
-    header = "delta_over_g,T,omega1_over_g,G1_re,G1_im,G2,d2,fidelity,converged".split(",")
-    rows = []
-    for r in results:
-        inv = r.invariants
-        rows.append([
-            r.delta_over_g,
-            r.t_units,
-            r.omega1_over_g,
-            inv.g1.real if inv else None,
-            inv.g1.imag if inv else None,
-            inv.g2 if inv else None,
-            r.distance,
-            r.fidelity,
-            str(r.converged).lower(),
-        ])
-    return csv_text(header, rows)

@@ -1,10 +1,10 @@
 """Reference search for the single-step calibration beyond the bound.
 
 This is the three-pass bounded Nelder-Mead on d^2 that
-``optimize.calibrate_single_step`` used beyond ``|delta| = g`` before the
-Newton polish replaced its two polish passes.  It is kept unchanged as a test
-oracle: the in-bound root solve must reach at least the d^2 it reaches, and
-beyond the bound the polished minimum must reach it too, on the same branch.
+``optimize.calibrate_single_step`` used beyond ``|delta| = g`` before Newton
+steps on d^2 replaced it.  It is kept as a test oracle: the in-bound root
+solve must reach at least the d^2 it reaches, and beyond the bound the Newton
+minimum must reach it too, on the same branch.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from cnotsteer.optimize import SINGLE_STEP_START, _SEARCH, _single_step_objective
-from cnotsteer.simplex import nelder_mead
+from cnotsteer.optimize import SINGLE_STEP_BOUNDS, SINGLE_STEP_START, _single_step_objective
+from nelder_mead import NMOptions, nelder_mead
+
+_SEARCH = NMOptions(bounds=SINGLE_STEP_BOUNDS)
 
 #: Initial-simplex edges for the polish passes that resolve flat basins.
 _POLISH_EDGES = (0.002, 0.0001)

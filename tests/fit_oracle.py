@@ -20,9 +20,8 @@ from cnotsteer.sequences import (
     single_step_rotations,
     two_step_rotations_frame1,
 )
-from cnotsteer.simplex import NMOptions, nelder_mead
-
 from conftest import spec_from_vector
+from nelder_mead import NMOptions, nelder_mead
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,9 @@ smooth inside the box and their minima are interior.
 The search is fully deterministic: the initial simplex steps along the
 coordinate axes by a fixed fraction of each box width, and ties in the
 vertex ordering are broken stably.
+
+It drives the test oracles ``calibration_oracle`` and ``fit_oracle``, the
+searches that the package's calibration and rotation dressing replaced.
 """
 
 from __future__ import annotations

@@ -8,18 +8,15 @@ import cnotsteer.optimize as optimize
 from cnotsteer.equivclass import cnot_distance, makhlin_invariants
 from cnotsteer.model import SystemParams
 from cnotsteer.optimize import (
-    CalibrationResult,
     SINGLE_STEP_BOUND,
     SINGLE_STEP_BOUNDS,
     calibrate_single_step,
     calibrate_two_step,
-    results_to_csv,
-    sweep,
 )
 from cnotsteer.sequences import CNOT, DetuningOutOfRangeError, fit_local_rotations, single_step_u
-from cnotsteer.simplex import NMOptions, nelder_mead
 
 from calibration_oracle import minimize_single_step
+from nelder_mead import NMOptions, nelder_mead
 from reference_data import TABLE1_SINGLE, TABLE1_T2, TABLE2
 
 
@@ -139,49 +136,6 @@ def test_calibrate_two_step_out_of_range():
         calibrate_two_step(2.1)
 
 
-def test_sweep_collects_errors_and_preserves_order():
-    results = sweep([1.9, 2.0, 2.1, 0.3], mode="two-step")
-    assert [r.delta_over_g for r in results] == [1.9, 2.0, 2.1, 0.3]
-    assert results[2].error is not None
-    assert not results[2].converged
-    assert math.isnan(results[2].t_units)
-    assert all(r.error is None for i, r in enumerate(results) if i != 2)
-
-
-def test_sweep_records_non_finite_detunings():
-    for mode in ("one-step", "two-step"):
-        results = sweep([math.nan, 0.3], mode=mode)
-        assert "finite" in results[0].error
-        assert results[1].error is None
-
-
-def test_sweep_single_step_matches_reference_rows():
-    results = sweep([0.0, 0.5, 1.0], mode="one-step")
-    for r in results:
-        t_ref, om_ref = TABLE1_SINGLE[r.delta_over_g]
-        assert abs(r.t_units - t_ref) < 5e-3
-        assert abs(r.omega1_over_g - om_ref) < 5e-3
-        assert r.distance < 1e-10
-
-
-def test_sweep_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        sweep([0.1], mode="three-step")
-
-
-def test_results_csv_format():
-    rows = sweep([0.5, 2.1], mode="two-step")
-    text = results_to_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == "delta_over_g,T,omega1_over_g,G1_re,G1_im,G2,d2,fidelity,converged"
-    good = lines[1].split(",")
-    assert good[0] == "0.500000"
-    assert good[7] == ""  # no fidelity on plain calibration rows
-    assert good[8] == "true"
-    bad = lines[2].split(",")
-    assert bad[1] == "" and bad[8] == "false"
-
-
 def test_single_step_bounds_exposed():
     (om_lo, om_hi), (t_lo, t_hi) = SINGLE_STEP_BOUNDS
     assert om_lo < math.sqrt(15.0) < om_hi
@@ -234,22 +188,27 @@ def test_single_step_root_cap_clears_converged_flag(monkeypatch):
 
 
 def test_single_step_method_switches_at_the_bound(monkeypatch):
-    # Within the bound no simplex runs; beyond it one pass finds the basin.
+    # Within the bound only the root solve runs; beyond it only the minimiser.
     calls = []
+    for name in ("_solve_single_step", "_minimize_single_step"):
+        method = getattr(optimize, name)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return nelder_mead(*args, **kwargs)
+        def counting(delta_over_g, name=name, method=method):
+            calls.append(name)
+            return method(delta_over_g)
 
-    monkeypatch.setattr(optimize, "nelder_mead", counting)
+        monkeypatch.setattr(optimize, name, counting)
     for delta in (SINGLE_STEP_BOUND, -SINGLE_STEP_BOUND):
         assert calibrate_single_step(delta).method == "root solve"
-    assert calls == []
+    assert calls == ["_solve_single_step"] * 2
+    calls.clear()
     assert calibrate_single_step(1.1).method == "d^2 minimisation"
-    assert len(calls) == 1
+    assert calls == ["_minimize_single_step"]
 
 
-BEYOND_THE_BOUND = [d for d in TABLE2 if d > SINGLE_STEP_BOUND] + [1.001, 1.01, 1.05, 2.5, 3.0, -1.5]
+BEYOND_THE_BOUND = [d for d in TABLE2 if d > SINGLE_STEP_BOUND] + [
+    1.001, 1.01, 1.05, 2.2, 2.4, 2.5, 2.6, 2.8, 3.0, -1.5, -2.5, -3.0,
+]
 
 
 def _d2(delta, x):
@@ -263,7 +222,7 @@ def test_single_step_minimum_no_worse_than_nelder_mead_oracle(delta):
     x_oracle, _, _ = minimize_single_step(delta)
     assert cal.converged
     assert cal.distance == _d2(delta, x)
-    # 1e-14 covers the h^2 bias of the central differences, 2.7e-15 at 3g.
+    # 1e-14 leaves room for the h^2 bias of the central differences.
     assert cal.distance <= _d2(delta, x_oracle) + 1e-14
     if abs(delta) >= 1.1:
         # Same branch.  Nearer the fold the oracle itself stops early: it is

@@ -136,13 +136,13 @@ def cmd_table2(args: argparse.Namespace) -> int:
 def _gate_payload(args: argparse.Namespace) -> dict:
     delta = args.delta
     if args.mode == "two-step":
-        p = SystemParams.from_ratios(delta_over_g=delta)
+        p = SystemParams(delta=delta)
         t = two_step_time(p)
         segment = entangling_u(t, p, args.frame)
         entangler = two_step_sandwich(t, p, args.frame)
     else:
         cal = _calibrate_single_step(delta)
-        p = SystemParams.from_ratios(delta_over_g=delta, omega1_over_g=cal.omega1_over_g)
+        p = SystemParams(delta=delta, omega1=cal.omega1_over_g)
         t = cal.t_units * math.pi / 2.0
         segment = single_step_u(t, p)
         entangler = segment
@@ -181,13 +181,13 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     holds the resonant (delta = 0) trace over the same number of samples.
     """
     cal = _calibrate_single_step(args.delta)
-    p = SystemParams.from_ratios(delta_over_g=args.delta, omega1_over_g=cal.omega1_over_g)
+    p = SystemParams(delta=args.delta, omega1=cal.omega1_over_g)
     samples = weyl_trajectory(p, cal.t_units * math.pi / 2.0, args.samples)
     out = _out_path(args.out)
     _write(out, trajectory_to_csv(samples))
     if args.with_resonant_trace:
         cal0 = _calibrate_single_step(0.0)
-        p0 = SystemParams.from_ratios(delta_over_g=0.0, omega1_over_g=cal0.omega1_over_g)
+        p0 = SystemParams(delta=0.0, omega1=cal0.omega1_over_g)
         res_samples = weyl_trajectory(p0, cal0.t_units * math.pi / 2.0, args.samples)
         res_path = out.with_name(out.stem + ".resonant" + out.suffix)
         _write(res_path, trajectory_to_csv(res_samples))

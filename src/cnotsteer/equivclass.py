@@ -146,14 +146,13 @@ def two_step_invariants_closed(t: float, p: SystemParams) -> InvariantPair:
     frame in which the segments are evolved.
     """
     d2 = p.delta**2
-    g2_ = p.g**2
-    lam2 = d2 + 4.0 * g2_
+    lam2 = d2 + 4.0
     lam = math.sqrt(lam2)
-    g1 = ((d2 + 8.0 * g2_ * math.cos(0.5 * lam * t) ** 2 - 4.0 * g2_) / lam2) ** 2
+    g1 = ((d2 + 8.0 * math.cos(0.5 * lam * t) ** 2 - 4.0) / lam2) ** 2
     g2 = (
         3.0 * d2**2
-        + 8.0 * d2 * g2_ * (1.0 + 2.0 * math.cos(lam * t))
-        + 16.0 * g2_**2 * (2.0 + math.cos(2.0 * lam * t))
+        + 8.0 * d2 * (1.0 + 2.0 * math.cos(lam * t))
+        + 16.0 * (2.0 + math.cos(2.0 * lam * t))
     ) / lam2**2
     return InvariantPair(g1=complex(g1), g2=g2)
 

@@ -32,52 +32,29 @@ from .qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, ContractViolationError, Genera
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Physical rates of the coupled pair, all finite and in frequency units of ``g``.
+    """Rates of the coupled pair in units of the transverse coupling ``g``.
+
+    ``g`` itself is the unit, so it has no field.  All rates are finite.
 
     Attributes:
-        g: transverse (XX+YY) coupling strength; sets the scale, must be > 0.
-        g_tilde: longitudinal ZZ coupling, >= 0 (zero for capacitive coupling).
-        delta: qubit-qubit detuning, signed.
-        omega1: Rabi amplitude of the drive on qubit 1, >= 0.
+        delta: qubit-qubit detuning over g, signed.
+        omega1: Rabi amplitude of the drive on qubit 1 over g, >= 0.
+        g_tilde: longitudinal ZZ coupling over g, >= 0 (zero for capacitive
+            coupling).
     """
 
-    g: float = 1.0
-    g_tilde: float = 0.0
     delta: float = 0.0
     omega1: float = 0.0
+    g_tilde: float = 0.0
 
     def __post_init__(self) -> None:
         # Each comparison is false for NaN, so these also reject NaN rates.
-        if not 0.0 < self.g < math.inf:
-            raise ContractViolationError(f"coupling g must be finite and > 0, got {self.g}")
-        if not 0.0 <= self.g_tilde < math.inf:
-            raise ContractViolationError(f"g_tilde must be finite and >= 0, got {self.g_tilde}")
         if not math.isfinite(self.delta):
             raise ContractViolationError(f"detuning delta must be finite, got {self.delta}")
         if not 0.0 <= self.omega1 < math.inf:
             raise ContractViolationError(f"drive omega1 must be finite and >= 0, got {self.omega1}")
-
-    @classmethod
-    def from_ratios(
-        cls,
-        delta_over_g: float = 0.0,
-        omega1_over_g: float = 0.0,
-        gtilde_over_g: float = 0.0,
-    ) -> "SystemParams":
-        """Build params with g = 1, i.e. directly from dimensionless ratios."""
-        return cls(g=1.0, g_tilde=gtilde_over_g, delta=delta_over_g, omega1=omega1_over_g)
-
-    @property
-    def delta_over_g(self) -> float:
-        return self.delta / self.g
-
-    @property
-    def omega1_over_g(self) -> float:
-        return self.omega1 / self.g
-
-    @property
-    def gtilde_over_g(self) -> float:
-        return self.g_tilde / self.g
+        if not 0.0 <= self.g_tilde < math.inf:
+            raise ContractViolationError(f"g_tilde must be finite and >= 0, got {self.g_tilde}")
 
 
 def _scaled_product(a2: np.ndarray, b1: np.ndarray) -> Generator4:
@@ -103,19 +80,21 @@ YX = _scaled_product(SIGMA_Y, SIGMA_X)
 def h_rwa_frame1(p: SystemParams) -> Generator4:
     """Time-independent frame-1 generator.
 
-    Returns ``-delta*Z2 + omega1*X1 + g*(XX + YY) + g_tilde*ZZ``; the
-    evolution operator over a time ``t`` is ``expm_skew(-t * h_rwa_frame1(p))``.
+    Returns ``-delta*Z2 + omega1*X1 + (XX + YY) + g_tilde*ZZ`` in units of
+    g; the evolution operator over a time ``t`` (units of 1/g) is
+    ``expm_skew(-t * h_rwa_frame1(p))``.
     """
-    return -p.delta * Z2 + p.omega1 * X1 + p.g * (XX + YY) + p.g_tilde * ZZ
+    return -p.delta * Z2 + p.omega1 * X1 + (XX + YY) + p.g_tilde * ZZ
 
 
 def h_rwa_frame2(p: SystemParams, t: float) -> Generator4:
     """Frame-2 generator at time ``t``.
 
-    The detuning appears as a rotating transverse coupling:
-    ``omega1*X1 + g*[(XX+YY)cos(delta t) + (YX-XY)sin(delta t)] + g_tilde*ZZ``.
-    Periodic in ``t`` with period ``2*pi/|delta|`` for nonzero detuning.
+    The detuning appears as a rotating transverse coupling, in units of g:
+    ``omega1*X1 + [(XX+YY)cos(delta t) + (YX-XY)sin(delta t)] + g_tilde*ZZ``.
+    Periodic in ``t`` (units of 1/g) with period ``2*pi/|delta|`` for
+    nonzero detuning.
     """
     phase = p.delta * t
     coupling = (XX + YY) * math.cos(phase) + (YX - XY) * math.sin(phase)
-    return p.omega1 * X1 + p.g * coupling + p.g_tilde * ZZ
+    return p.omega1 * X1 + coupling + p.g_tilde * ZZ

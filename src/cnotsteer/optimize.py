@@ -91,7 +91,7 @@ class CalibrationResult:
 
 def _single_step_objective(delta_over_g: float):
     def objective(x: np.ndarray) -> float:
-        p = SystemParams.from_ratios(delta_over_g=delta_over_g, omega1_over_g=float(x[0]))
+        p = SystemParams(delta=delta_over_g, omega1=float(x[0]))
         u = single_step_u(float(x[1]) * math.pi / 2.0, p)
         return cnot_distance(makhlin_invariants(u))
 
@@ -105,7 +105,7 @@ def _single_step_residual(delta_over_g: float, x: np.ndarray) -> np.ndarray:
     ``m`` has the spectrum ``+-i sqrt(det U)``, each twice, so the residual
     vanishes exactly there (where G1 = 0 and G2 = 1) and nowhere else.
     """
-    p = SystemParams.from_ratios(delta_over_g=delta_over_g, omega1_over_g=float(x[0]))
+    p = SystemParams(delta=delta_over_g, omega1=float(x[0]))
     u = require_unitary(single_step_u(float(x[1]) * math.pi / 2.0, p), what="single-step gate")
     ub = to_magic(u)
     m = ub.T @ ub
@@ -205,7 +205,7 @@ def calibrate_single_step(delta_over_g: float) -> CalibrationResult:
         x, iterations, converged = _minimize_single_step(delta_over_g)
 
     omega, t_units = float(x[0]), float(x[1])
-    p = SystemParams.from_ratios(delta_over_g=delta_over_g, omega1_over_g=omega)
+    p = SystemParams(delta=delta_over_g, omega1=omega)
     inv = makhlin_invariants(single_step_u(t_units * math.pi / 2.0, p))
     return CalibrationResult(
         delta_over_g=delta_over_g,
@@ -226,7 +226,7 @@ def calibrate_two_step(delta_over_g: float) -> CalibrationResult:
     Raises:
         DetuningOutOfRangeError: ``|delta| > 2g``.
     """
-    p = SystemParams.from_ratios(delta_over_g=delta_over_g)
+    p = SystemParams(delta=delta_over_g)
     t2 = two_step_time(p)
     inv = makhlin_invariants(two_step_entangler(p, frame=1))
     return CalibrationResult(

@@ -46,10 +46,10 @@ def uv_coefficients(t: float, p: SystemParams) -> UVPair:
     """Oscillation amplitudes (u, v) of the single-excitation block at time t."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    lam = math.hypot(p.delta, 2.0 * p.g)
+    lam = math.hypot(p.delta, 2.0)
     half = 0.5 * lam * t
     u = math.cos(half) + 1j * (p.delta / lam) * math.sin(half)
-    v = (2.0 * p.g / lam) * math.sin(half)
+    v = (2.0 / lam) * math.sin(half)
     return UVPair(u=u, v=v)
 
 

@@ -235,14 +235,14 @@ class GateRecipe:
     def t_value(self) -> float:
         """Entangling time as a multiple of the kind's canonical unit."""
         unit = math.pi / 4.0 if self.kind == "two-step" else math.pi / 2.0
-        return self.t * self.params.g / unit
+        return self.t / unit
 
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "delta_over_g": self.params.delta_over_g,
-            "gtilde_over_g": self.params.gtilde_over_g,
-            "omega1_over_g": self.params.omega1_over_g,
+            "delta_over_g": self.params.delta,
+            "gtilde_over_g": self.params.g_tilde,
+            "omega1_over_g": self.params.omega1,
             "t_units": self.t_units,
             "t_value": self.t_value,
             "euler_angles": [float(a) for a in self.rotations.as_vector()[:12]],
@@ -261,20 +261,20 @@ def matrix_from_json(rows: Iterable[Iterable[Sequence[float]]]) -> np.ndarray:
 
 
 def two_step_time(p: SystemParams) -> float:
-    """Closed-form entangling time of the two-step sequence (units of 1/g).
+    """Closed-form entangling time of the two-step sequence, in units of 1/g.
 
-    ``t2 = (pi - arccos(delta^2 / 4 g^2)) / sqrt(delta^2 + 4 g^2)``, which
-    reduces to ``pi / 4g`` at zero detuning.
+    With delta in units of g, ``t2 = (pi - arccos(delta^2 / 4)) /
+    sqrt(delta^2 + 4)``, which reduces to pi/4 at zero detuning.
 
     Raises:
         DetuningOutOfRangeError: ``|delta| > 2g`` (no exact CNOT exists).
     """
-    ratio = p.delta**2 / (4.0 * p.g**2)
+    ratio = p.delta**2 / 4.0
     if ratio > 1.0:
         raise DetuningOutOfRangeError(
-            f"two-step sequence requires |delta| <= 2g, got delta/g = {p.delta_over_g}"
+            f"two-step sequence requires |delta| <= 2g, got delta/g = {p.delta}"
         )
-    return (math.pi - math.acos(ratio)) / math.hypot(p.delta, 2.0 * p.g)
+    return (math.pi - math.acos(ratio)) / math.hypot(p.delta, 2.0)
 
 
 def two_step_sandwich(t: float, p: SystemParams, frame: int) -> Operator4:
@@ -289,7 +289,7 @@ def two_step_entangler(p: SystemParams, frame: int = 1) -> Operator4:
 
 
 def single_step_u(t: float, p: SystemParams) -> Operator4:
-    """Single-step evolution exp(-t * [-delta Z2 + omega1 X1 + g (XX+YY)]).
+    """Single-step evolution exp(-t * [-delta Z2 + omega1 X1 + (XX+YY)]), units of g.
 
     Raises:
         UnsupportedCouplingError: ``g_tilde != 0`` (the single-drive sequence

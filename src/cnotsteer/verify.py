@@ -58,9 +58,7 @@ def check_unitarity(seed: int) -> CheckResult:
     worst = 0.0
     for _ in range(100):
         t = rng.uniform(0.0, 4.0)
-        p = SystemParams.from_ratios(
-            delta_over_g=rng.uniform(-3.0, 3.0), gtilde_over_g=rng.uniform(0.0, 0.1)
-        )
+        p = SystemParams(delta=rng.uniform(-3.0, 3.0), g_tilde=rng.uniform(0.0, 0.1))
         worst = max(worst, unitarity_defect(entangling_u_frame1(t, p)))
         worst = max(worst, unitarity_defect(entangling_u_frame2(t, p)))
     return CheckResult("propagator unitarity", worst < tol, worst, tol)
@@ -72,7 +70,7 @@ def check_frame_equivalence(seed: int) -> CheckResult:
     worst = 0.0
     for _ in range(100):
         t = rng.uniform(0.0, 3.0)
-        p = SystemParams.from_ratios(delta_over_g=rng.uniform(0.0, 3.0))
+        p = SystemParams(delta=rng.uniform(0.0, 3.0))
         a = makhlin_invariants(two_step_sandwich(t, p, frame=1))
         b = makhlin_invariants(two_step_sandwich(t, p, frame=2))
         worst = max(worst, abs(a.g1 - b.g1), abs(a.g2 - b.g2))
@@ -87,10 +85,10 @@ def check_zz_independence(seed: int) -> CheckResult:
         t = rng.uniform(0.0, 3.0)
         delta = rng.uniform(0.0, 3.0)
         ref = makhlin_invariants(
-            two_step_sandwich(t, SystemParams.from_ratios(delta_over_g=delta), frame=1)
+            two_step_sandwich(t, SystemParams(delta=delta), frame=1)
         )
         for gtilde in (0.05, 0.1):
-            p = SystemParams.from_ratios(delta_over_g=delta, gtilde_over_g=gtilde)
+            p = SystemParams(delta=delta, g_tilde=gtilde)
             for frame in (1, 2):
                 inv = makhlin_invariants(two_step_sandwich(t, p, frame=frame))
                 worst = max(worst, abs(inv.g1 - ref.g1), abs(inv.g2 - ref.g2))
@@ -139,11 +137,9 @@ def check_planarity(seed: int) -> CheckResult:
     worst = 0.0
     for _ in range(40):
         t = rng.uniform(0.0, 3.0)
-        p2 = SystemParams.from_ratios(delta_over_g=rng.uniform(0.0, 3.0))
+        p2 = SystemParams(delta=rng.uniform(0.0, 3.0))
         worst = max(worst, weyl_coordinates(two_step_sandwich(t, p2, frame=1)).c3)
-        p1 = SystemParams.from_ratios(
-            delta_over_g=rng.uniform(0.0, 2.0), omega1_over_g=rng.uniform(0.5, 8.0)
-        )
+        p1 = SystemParams(delta=rng.uniform(0.0, 2.0), omega1=rng.uniform(0.5, 8.0))
         worst = max(worst, weyl_coordinates(single_step_u(t, p1)).c3)
     return CheckResult("c3 = 0 along both sequence families", worst < tol, worst, tol)
 
@@ -153,7 +149,7 @@ def check_uv_normalization(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(200):
-        p = SystemParams.from_ratios(delta_over_g=rng.uniform(-3.0, 3.0))
+        p = SystemParams(delta=rng.uniform(-3.0, 3.0))
         uv = uv_coefficients(rng.uniform(0.0, 5.0), p)
         worst = max(worst, abs(abs(uv.u) ** 2 + uv.v**2 - 1.0))
     return CheckResult("|u|^2 + v^2 = 1", worst < tol, worst, tol)

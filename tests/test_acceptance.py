@@ -57,9 +57,9 @@ def single_step_table():
 def test_criterion_01_closed_form_gate_time():
     worst = 0.0
     for delta, t2_ref in TABLE1_T2.items():
-        t2 = two_step_time(SystemParams.from_ratios(delta)) / (math.pi / 4.0)
+        t2 = two_step_time(SystemParams(delta=delta)) / (math.pi / 4.0)
         worst = max(worst, abs(t2 - t2_ref))
-    exact0 = two_step_time(SystemParams.from_ratios(0.0)) == pytest.approx(
+    exact0 = two_step_time(SystemParams(delta=0.0)) == pytest.approx(
         math.pi / 4.0, abs=1e-15
     )
     _report(1, worst < 1e-4 and exact0,
@@ -93,11 +93,11 @@ def test_criterion_03_large_detuning_calibration(single_step_table):
 
 
 def test_criterion_04_worked_matrices():
-    p = SystemParams.from_ratios(delta_over_g=1.0)
+    p = SystemParams(delta=1.0)
     t2 = two_step_time(p)
     err1 = float(np.max(np.abs(entangling_u_frame1(t2, p) - ENTANGLER_FRAME1_DELTA1)))
     err2 = float(np.max(np.abs(entangling_u_frame2(t2, p) - ENTANGLER_FRAME2_DELTA1)))
-    ps = SystemParams.from_ratios(delta_over_g=1.0, omega1_over_g=3.7781)
+    ps = SystemParams(delta=1.0, omega1=3.7781)
     err3 = float(np.max(np.abs(single_step_u(1.2753 * HALF_PI, ps) - SINGLE_STEP_U_DELTA1)))
     ok = max(err1, err2, err3) < 1e-3
     _report(4, ok, f"delta = g propagators entrywise: frame1 {err1:.2e}, "
@@ -106,7 +106,7 @@ def test_criterion_04_worked_matrices():
 
 def test_criterion_05_fidelity_at_delta_15(single_step_table):
     cal = single_step_table[1.5]
-    p = SystemParams.from_ratios(delta_over_g=1.5, omega1_over_g=cal.omega1_over_g)
+    p = SystemParams(delta=1.5, omega1=cal.omega1_over_g)
     u = single_step_u(cal.t_units * HALF_PI, p)
     fit = fit_local_rotations(u, CNOT)
     ok = fit.fidelity is not None and abs(fit.fidelity - FIDELITY_DELTA15) < 1e-3
@@ -116,16 +116,16 @@ def test_criterion_05_fidelity_at_delta_15(single_step_table):
 
 def test_criterion_06_exact_cnot_assembly(single_step_table):
     # resonance: analytic rotations, both sequences
-    p0 = SystemParams.from_ratios(delta_over_g=0.0)
+    p0 = SystemParams(delta=0.0)
     d_two = frob_dist(two_step_rotations_frame1().realize(two_step_entangler(p0)), CNOT)
-    p0s = SystemParams.from_ratios(delta_over_g=0.0, omega1_over_g=math.sqrt(15.0))
+    p0s = SystemParams(delta=0.0, omega1=math.sqrt(15.0))
     d_one = frob_dist(single_step_rotations().realize(single_step_u(HALF_PI, p0s)), CNOT)
 
     # delta = g: closed-form rotation dressing, both sequences
-    p1 = SystemParams.from_ratios(delta_over_g=1.0)
+    p1 = SystemParams(delta=1.0)
     fit_two = fit_local_rotations(two_step_entangler(p1), CNOT)
     cal = single_step_table[1.0]
-    p1s = SystemParams.from_ratios(delta_over_g=1.0, omega1_over_g=cal.omega1_over_g)
+    p1s = SystemParams(delta=1.0, omega1=cal.omega1_over_g)
     fit_one = fit_local_rotations(single_step_u(cal.t_units * HALF_PI, p1s), CNOT)
 
     ok = (
@@ -143,10 +143,10 @@ def test_criterion_06_exact_cnot_assembly(single_step_table):
 def test_criterion_07_crossover_bounds(single_step_table):
     ok_small = all(single_step_table[d].distance < 1e-10 for d in (0.0, 0.5, 1.0))
     ok_large = all(single_step_table[d].distance > 1e-4 for d in (1.2, 1.5, 2.0))
-    two_step_time(SystemParams.from_ratios(2.0))  # must not raise at the bound
+    two_step_time(SystemParams(delta=2.0))  # must not raise at the bound
     raised = False
     try:
-        two_step_time(SystemParams.from_ratios(2.0 + 1e-9))
+        two_step_time(SystemParams(delta=2.0 + 1e-9))
     except DetuningOutOfRangeError:
         raised = True
     ok = ok_small and ok_large and raised
@@ -163,12 +163,12 @@ def test_criterion_08_property_suite():
 
 def test_criterion_09_trajectory_endpoints(single_step_table):
     cal1 = single_step_table[1.0]
-    p1 = SystemParams.from_ratios(delta_over_g=1.0, omega1_over_g=cal1.omega1_over_g)
+    p1 = SystemParams(delta=1.0, omega1=cal1.omega1_over_g)
     end1 = weyl_trajectory(p1, cal1.t_units * HALF_PI, n_samples=33)[-1].point
     err1 = max(abs(end1.c1 - HALF_PI), abs(end1.c2), abs(end1.c3))
 
     cal15 = single_step_table[1.5]
-    p15 = SystemParams.from_ratios(delta_over_g=1.5, omega1_over_g=cal15.omega1_over_g)
+    p15 = SystemParams(delta=1.5, omega1=cal15.omega1_over_g)
     end15 = weyl_trajectory(p15, cal15.t_units * HALF_PI, n_samples=33)[-1].point
     inv15 = invariants_from_weyl(end15)
     err15 = max(abs(inv15.g1 - 0.0476), abs(inv15.g2 - 0.9898))
@@ -179,12 +179,12 @@ def test_criterion_09_trajectory_endpoints(single_step_table):
 
 
 def test_criterion_10_oracle_equivalence():
-    p = SystemParams.from_ratios(delta_over_g=1.0)
+    p = SystemParams(delta=1.0)
     t = math.pi / 4.0
     ref = entangling_u_frame2(t, p)
     err = frob_dist(evolve_stepwise(p, t, steps=4096), ref)
 
-    p2 = SystemParams.from_ratios(delta_over_g=1.3, gtilde_over_g=0.05)
+    p2 = SystemParams(delta=1.3, g_tilde=0.05)
     ref2 = entangling_u_frame2(2.0, p2)
     ratio = frob_dist(evolve_stepwise(p2, 2.0, steps=128), ref2) / frob_dist(
         evolve_stepwise(p2, 2.0, steps=256), ref2

@@ -78,20 +78,20 @@ def test_invariants_of_gates_unitary_only_to_the_input_tolerance(rng):
 
 
 def test_two_step_sandwich_reaches_cnot_class_at_delta_one():
-    p = SystemParams.from_ratios(delta_over_g=1.0)
+    p = SystemParams(delta=1.0)
     inv = makhlin_invariants(_sandwich(two_step_time(p), p))
     assert cnot_distance(inv) < 1e-10
 
 
 def test_closed_form_invariants_special_values():
-    p0 = SystemParams.from_ratios(delta_over_g=0.7)
+    p0 = SystemParams(delta=0.7)
     inv = two_step_invariants_closed(0.0, p0)
     assert abs(inv.g1 - 1.0) < 1e-12 and abs(inv.g2 - 3.0) < 1e-12
 
-    inv = two_step_invariants_closed(np.pi / 4.0, SystemParams.from_ratios(0.0))
+    inv = two_step_invariants_closed(np.pi / 4.0, SystemParams(delta=0.0))
     assert abs(inv.g1) < 1e-12 and abs(inv.g2 - 1.0) < 1e-12
 
-    inv = two_step_invariants_closed(np.pi / (2.0 * np.sqrt(2.0)), SystemParams.from_ratios(2.0))
+    inv = two_step_invariants_closed(np.pi / (2.0 * np.sqrt(2.0)), SystemParams(delta=2.0))
     assert abs(inv.g1) < 1e-12 and abs(inv.g2 - 1.0) < 1e-12
 
 
@@ -104,11 +104,11 @@ def test_closed_form_agrees_with_assembled_product(rng):
     # t = 0 and at their gate time: in both frames, with and without ZZ.
     edges = [(0.0, 0.0), (0.0, 1.0)]
     for delta in (2.0, -2.0):
-        t2 = two_step_time(SystemParams.from_ratios(delta_over_g=delta))
+        t2 = two_step_time(SystemParams(delta=delta))
         edges += [(0.0, delta), (t2, delta)]
     cases += [(t, d, gtilde, frame) for t, d in edges for gtilde in (0.0, 0.1) for frame in (1, 2)]
     for t, delta, gtilde, frame in cases:
-        p = SystemParams.from_ratios(delta_over_g=delta, gtilde_over_g=gtilde)
+        p = SystemParams(delta=delta, g_tilde=gtilde)
         closed = two_step_invariants_closed(t, p)
         direct = makhlin_invariants(_sandwich(t, p, frame=frame))
         assert abs(closed.g1 - direct.g1) < 1e-9
@@ -118,7 +118,7 @@ def test_closed_form_agrees_with_assembled_product(rng):
 def test_frame_independence_of_sandwich_invariants(rng):
     for _ in range(25):
         t = rng.uniform(0.0, 3.0)
-        p = SystemParams.from_ratios(delta_over_g=rng.uniform(0.0, 3.0))
+        p = SystemParams(delta=rng.uniform(0.0, 3.0))
         a = makhlin_invariants(_sandwich(t, p, frame=1))
         b = makhlin_invariants(_sandwich(t, p, frame=2))
         assert abs(a.g1 - b.g1) < 1e-10 and abs(a.g2 - b.g2) < 1e-10
@@ -201,7 +201,7 @@ def test_weyl_matches_invariants_from_closed_form(rng):
 
 
 def test_single_step_table_point_at_delta_15():
-    p = SystemParams.from_ratios(delta_over_g=1.5, omega1_over_g=3.7152)
+    p = SystemParams(delta=1.5, omega1=3.7152)
     point = weyl_coordinates(single_step_u(1.0961 * HALF_PI, p))
     assert abs(point.c3) < 1e-8
     inv = invariants_from_weyl(point)
@@ -217,7 +217,7 @@ def test_cnot_distance_values():
 
 
 def test_trajectory_starts_at_origin_and_reaches_cnot():
-    p = SystemParams.from_ratios(delta_over_g=1.0, omega1_over_g=3.7781)
+    p = SystemParams(delta=1.0, omega1=3.7781)
     samples = weyl_trajectory(p, 1.2753 * HALF_PI, n_samples=65)
     assert np.max(np.abs(samples[0].point.as_array())) < 1e-12
     end = samples[-1].point
@@ -228,11 +228,11 @@ def test_trajectory_starts_at_origin_and_reaches_cnot():
 
 def test_trajectory_validates_sample_count():
     with pytest.raises(ValueError):
-        weyl_trajectory(SystemParams.from_ratios(), 1.0, n_samples=1)
+        weyl_trajectory(SystemParams(), 1.0, n_samples=1)
 
 
 def test_trajectory_csv_format():
-    p = SystemParams.from_ratios(delta_over_g=0.5, omega1_over_g=3.8583)
+    p = SystemParams(delta=0.5, omega1=3.8583)
     text = trajectory_to_csv(weyl_trajectory(p, 1.0253 * HALF_PI, n_samples=5))
     lines = text.strip().split("\n")
     assert lines[0] == "t,c1,c2,c3"

@@ -58,12 +58,12 @@ def _single_step_entangler(delta: float) -> np.ndarray:
 
 
 def _single_step_entangler_at(delta: float, omega1_over_g: float, t_units: float) -> np.ndarray:
-    p = SystemParams.from_ratios(delta_over_g=delta, omega1_over_g=omega1_over_g)
+    p = SystemParams(delta=delta, omega1=omega1_over_g)
     return single_step_u(t_units * HALF_PI, p)
 
 
 def _two_step_entangler(delta: float, frame: int) -> np.ndarray:
-    return two_step_entangler(SystemParams.from_ratios(delta_over_g=delta), frame=frame)
+    return two_step_entangler(SystemParams(delta=delta), frame=frame)
 
 
 @pytest.mark.parametrize(

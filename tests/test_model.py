@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -71,38 +72,38 @@ def test_adjoint_rotation_identity():
 
 
 def test_frame1_composition():
-    p = SystemParams.from_ratios(delta_over_g=0.0)
+    p = SystemParams(delta=0.0)
     assert frob_dist(h_rwa_frame1(p), XX + YY) == 0.0
 
-    p = SystemParams(g=1.0, g_tilde=0.07)
+    p = SystemParams(g_tilde=0.07)
     gen = h_rwa_frame1(p) - (XX + YY)
     assert frob_dist(gen, 0.07 * 0.5j * np.diag([1, -1, -1, 1])) < 1e-15
 
-    p = SystemParams.from_ratios(delta_over_g=0.8, omega1_over_g=2.5, gtilde_over_g=0.05)
+    p = SystemParams(delta=0.8, omega1=2.5, g_tilde=0.05)
     expected = -0.8 * Z2 + 2.5 * X1 + (XX + YY) + 0.05 * ZZ
     assert frob_dist(h_rwa_frame1(p), expected) < 1e-15
 
 
 def test_frame2_at_zero_time_drops_detuning_term():
-    p = SystemParams.from_ratios(delta_over_g=1.3, omega1_over_g=0.9, gtilde_over_g=0.02)
-    p_res = SystemParams.from_ratios(delta_over_g=0.0, omega1_over_g=0.9, gtilde_over_g=0.02)
+    p = SystemParams(delta=1.3, omega1=0.9, g_tilde=0.02)
+    p_res = SystemParams(delta=0.0, omega1=0.9, g_tilde=0.02)
     assert frob_dist(h_rwa_frame2(p, 0.0), h_rwa_frame1(p_res)) < 1e-15
 
 
 def test_frame2_resonant_is_time_independent():
-    p = SystemParams.from_ratios(delta_over_g=0.0, omega1_over_g=1.7)
+    p = SystemParams(delta=0.0, omega1=1.7)
     for t in (0.0, 0.3, 2.9):
         assert frob_dist(h_rwa_frame2(p, t), h_rwa_frame1(p)) < 1e-15
 
 
 def test_frame2_quarter_detuning_period():
-    p = SystemParams.from_ratios(delta_over_g=0.6)
+    p = SystemParams(delta=0.6)
     t = np.pi / (2.0 * 0.6)
     assert frob_dist(h_rwa_frame2(p, t), YX - XY) < 1e-12
 
 
 def test_frame2_periodicity():
-    p = SystemParams.from_ratios(delta_over_g=1.1, omega1_over_g=0.4, gtilde_over_g=0.03)
+    p = SystemParams(delta=1.1, omega1=0.4, g_tilde=0.03)
     period = 2.0 * np.pi / abs(p.delta)
     for t in (0.0, 0.45, 1.8):
         assert frob_dist(h_rwa_frame2(p, t + period), h_rwa_frame2(p, t)) < 1e-12
@@ -110,16 +111,14 @@ def test_frame2_periodicity():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        SystemParams(g=0.0)
+        SystemParams(g_tilde=-0.1)
     with pytest.raises(ValueError):
-        SystemParams(g=1.0, g_tilde=-0.1)
-    with pytest.raises(ValueError):
-        SystemParams(g=1.0, omega1=-1.0)
-    for rate in ("g", "g_tilde", "delta", "omega1"):
+        SystemParams(omega1=-1.0)
+    for rate in ("delta", "omega1", "g_tilde"):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ContractViolationError):
                 SystemParams(**{rate: value})
-    p = SystemParams(g=2.0, g_tilde=0.1, delta=-1.0, omega1=4.0)
-    assert p.delta_over_g == -0.5
-    assert p.omega1_over_g == 2.0
-    assert p.gtilde_over_g == 0.05
+
+
+def test_params_are_rates_in_units_of_g():
+    assert [f.name for f in dataclasses.fields(SystemParams)] == ["delta", "omega1", "g_tilde"]

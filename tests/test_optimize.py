@@ -164,7 +164,7 @@ def test_single_step_rows_match_paper_to_four_decimals():
 
 
 def _dressed_quality(delta, omega, t_units):
-    p = SystemParams.from_ratios(delta_over_g=delta, omega1_over_g=float(omega))
+    p = SystemParams(delta=delta, omega1=float(omega))
     u = single_step_u(float(t_units) * math.pi / 2.0, p)
     return cnot_distance(makhlin_invariants(u)), fit_local_rotations(u, CNOT).distance
 

@@ -16,18 +16,18 @@ from reference_data import ENTANGLER_FRAME1_DELTA1, ENTANGLER_FRAME2_DELTA1
 
 
 def test_uv_at_zero_time():
-    uv = uv_coefficients(0.0, SystemParams.from_ratios(delta_over_g=1.7))
+    uv = uv_coefficients(0.0, SystemParams(delta=1.7))
     assert uv.u == 1.0 and uv.v == 0.0
 
 
 def test_uv_resonant_quarter_period():
-    uv = uv_coefficients(np.pi / 4.0, SystemParams.from_ratios(delta_over_g=0.0))
+    uv = uv_coefficients(np.pi / 4.0, SystemParams(delta=0.0))
     assert abs(uv.u - 1.0 / np.sqrt(2.0)) < 1e-12
     assert abs(uv.v - 1.0 / np.sqrt(2.0)) < 1e-12
 
 
 def test_uv_at_detuning_one():
-    p = SystemParams.from_ratios(delta_over_g=1.0)
+    p = SystemParams(delta=1.0)
     uv = uv_coefficients(two_step_time(p), p)
     assert abs(uv.u - (0.6124 + 0.3536j)) < 1e-4
     assert abs(uv.v - 0.7071) < 1e-4
@@ -35,7 +35,7 @@ def test_uv_at_detuning_one():
 
 def test_uv_normalization(rng):
     for _ in range(100):
-        p = SystemParams.from_ratios(delta_over_g=rng.uniform(-3.0, 3.0))
+        p = SystemParams(delta=rng.uniform(-3.0, 3.0))
         uv = uv_coefficients(rng.uniform(0.0, 6.0), p)
         assert abs(abs(uv.u) ** 2 + uv.v**2 - 1.0) < 1e-12
 
@@ -46,18 +46,18 @@ def test_uvpair_rejects_unnormalized():
 
 
 def test_frame1_identity_at_zero_time():
-    p = SystemParams.from_ratios(delta_over_g=0.4, gtilde_over_g=0.1)
+    p = SystemParams(delta=0.4, g_tilde=0.1)
     assert frob_dist(entangling_u_frame1(0.0, p), np.eye(4)) < 1e-15
 
 
 def test_frame1_matches_reference_at_delta_one():
-    p = SystemParams.from_ratios(delta_over_g=1.0)
+    p = SystemParams(delta=1.0)
     got = entangling_u_frame1(two_step_time(p), p)
     assert np.max(np.abs(got - ENTANGLER_FRAME1_DELTA1)) < 2e-4
 
 
 def test_frame2_matches_reference_at_delta_one():
-    p = SystemParams.from_ratios(delta_over_g=1.0)
+    p = SystemParams(delta=1.0)
     got = entangling_u_frame2(two_step_time(p), p)
     assert np.max(np.abs(got - ENTANGLER_FRAME2_DELTA1)) < 2e-4
 
@@ -65,15 +65,14 @@ def test_frame2_matches_reference_at_delta_one():
 def test_frame1_equals_generator_exponential(rng):
     # dual route: closed form vs exponential of the static generator (drive off)
     for _ in range(10):
-        p = SystemParams.from_ratios(delta_over_g=rng.uniform(-3.0, 3.0),
-                                     gtilde_over_g=rng.uniform(0.0, 0.1))
+        p = SystemParams(delta=rng.uniform(-3.0, 3.0), g_tilde=rng.uniform(0.0, 0.1))
         t = rng.uniform(0.0, 3.0)
         assert frob_dist(entangling_u_frame1(t, p), expm_skew(-t * h_rwa_frame1(p))) < 1e-12
 
 
 def test_zz_coupling_factorizes():
-    p0 = SystemParams.from_ratios(delta_over_g=0.9)
-    pz = SystemParams.from_ratios(delta_over_g=0.9, gtilde_over_g=0.08)
+    p0 = SystemParams(delta=0.9)
+    pz = SystemParams(delta=0.9, g_tilde=0.08)
     t = 1.7
     phase = np.exp(-0.5j * 0.08 * t * np.array([1, -1, -1, 1]))
     for fn in (entangling_u_frame1, entangling_u_frame2):
@@ -81,41 +80,40 @@ def test_zz_coupling_factorizes():
 
 
 def test_frames_coincide_at_zero_detuning():
-    p = SystemParams.from_ratios(delta_over_g=0.0, gtilde_over_g=0.05)
+    p = SystemParams(delta=0.0, g_tilde=0.05)
     for t in (0.3, 1.1, 2.6):
         assert frob_dist(entangling_u_frame1(t, p), entangling_u_frame2(t, p)) < 1e-14
 
 
 def test_propagators_unitary(rng):
     for _ in range(50):
-        p = SystemParams.from_ratios(delta_over_g=rng.uniform(-3.0, 3.0),
-                                     gtilde_over_g=rng.uniform(0.0, 0.1))
+        p = SystemParams(delta=rng.uniform(-3.0, 3.0), g_tilde=rng.uniform(0.0, 0.1))
         t = rng.uniform(0.0, 5.0)
         assert unitarity_defect(entangling_u_frame1(t, p)) < 1e-12
         assert unitarity_defect(entangling_u_frame2(t, p)) < 1e-12
 
 
 def test_stepwise_single_slice_static_is_exact():
-    p = SystemParams.from_ratios(delta_over_g=0.0, omega1_over_g=0.0, gtilde_over_g=0.06)
+    p = SystemParams(delta=0.0, omega1=0.0, g_tilde=0.06)
     got = evolve_stepwise(p, 1.3, steps=1)
     assert frob_dist(got, expm_skew(-1.3 * h_rwa_frame1(p))) < 1e-13
 
 
 def test_stepwise_converges_to_closed_form():
-    p = SystemParams.from_ratios(delta_over_g=1.0)
+    p = SystemParams(delta=1.0)
     t = np.pi / 4.0
     got = evolve_stepwise(p, t, steps=4096)
     assert frob_dist(got, entangling_u_frame2(t, p)) < 1e-6
 
 
 def test_stepwise_static_drive_cross_check():
-    p = SystemParams.from_ratios(delta_over_g=0.0, omega1_over_g=np.sqrt(15.0))
+    p = SystemParams(delta=0.0, omega1=np.sqrt(15.0))
     got = evolve_stepwise(p, np.pi / 2.0, steps=4096)
     assert frob_dist(got, expm_skew(-(np.pi / 2.0) * h_rwa_frame1(p))) < 1e-6
 
 
 def test_stepwise_second_order_convergence():
-    p = SystemParams.from_ratios(delta_over_g=1.3, gtilde_over_g=0.05)
+    p = SystemParams(delta=1.3, g_tilde=0.05)
     t = 2.0
     ref = entangling_u_frame2(t, p)
     err_coarse = frob_dist(evolve_stepwise(p, t, steps=128), ref)
@@ -125,7 +123,7 @@ def test_stepwise_second_order_convergence():
 
 
 def test_stepwise_validates_arguments():
-    p = SystemParams.from_ratios()
+    p = SystemParams()
     with pytest.raises(ValueError):
         evolve_stepwise(p, 1.0, steps=0)
     with pytest.raises(ValueError):

@@ -47,37 +47,37 @@ def test_canonical_cnot_properties():
 
 
 def test_two_step_time_values():
-    assert two_step_time(SystemParams.from_ratios(0.0)) == pytest.approx(np.pi / 4.0, abs=1e-15)
-    t = two_step_time(SystemParams.from_ratios(1.0))
+    assert two_step_time(SystemParams(delta=0.0)) == pytest.approx(np.pi / 4.0, abs=1e-15)
+    t = two_step_time(SystemParams(delta=1.0))
     assert abs(t / (np.pi / 4.0) - 1.0383) < 1e-4
-    t = two_step_time(SystemParams.from_ratios(2.0))
+    t = two_step_time(SystemParams(delta=2.0))
     assert abs(t - np.pi / (2.0 * np.sqrt(2.0))) < 1e-14
     # sign of the detuning is immaterial
-    assert two_step_time(SystemParams.from_ratios(-1.3)) == two_step_time(
-        SystemParams.from_ratios(1.3)
+    assert two_step_time(SystemParams(delta=-1.3)) == two_step_time(
+        SystemParams(delta=1.3)
     )
 
 
 def test_two_step_time_detuning_bound():
     with pytest.raises(DetuningOutOfRangeError):
-        two_step_time(SystemParams.from_ratios(2.1))
+        two_step_time(SystemParams(delta=2.1))
 
 
 def test_resonant_two_step_assembles_exact_cnot():
-    p = SystemParams.from_ratios(delta_over_g=0.0)
+    p = SystemParams(delta=0.0)
     gate = two_step_rotations_frame1().realize(two_step_entangler(p))
     assert frob_dist(gate, CNOT) < 1e-10
 
 
 def test_detuned_two_step_frame1_with_fitted_angles():
-    p = SystemParams.from_ratios(delta_over_g=1.0)
+    p = SystemParams(delta=1.0)
     rotations = two_step_rotations_frame1(*TWO_STEP_ANGLES_FRAME1)
     gate = rotations.realize(two_step_entangler(p, frame=1))
     assert frob_dist(gate, CNOT) < 1e-3
 
 
 def test_detuned_two_step_frame2_with_fitted_angles():
-    p = SystemParams.from_ratios(delta_over_g=1.0)
+    p = SystemParams(delta=1.0)
     rotations = two_step_rotations_frame2(*TWO_STEP_ANGLES_FRAME2)
     gate = rotations.realize(two_step_entangler(p, frame=2))
     assert frob_dist(gate, CNOT) < 1e-3
@@ -85,9 +85,7 @@ def test_detuned_two_step_frame2_with_fitted_angles():
 
 def test_two_step_class_invariants_across_settings(rng):
     for _ in range(12):
-        p = SystemParams.from_ratios(
-            delta_over_g=rng.uniform(0.0, 2.0), gtilde_over_g=rng.uniform(0.0, 0.1)
-        )
+        p = SystemParams(delta=rng.uniform(0.0, 2.0), g_tilde=rng.uniform(0.0, 0.1))
         frame = int(rng.integers(1, 3))
         inv = makhlin_invariants(two_step_entangler(p, frame=frame))
         assert cnot_distance(inv) < 1e-10
@@ -120,12 +118,12 @@ def test_rotation_forms_match_generator_exponentials():
 
 
 def test_single_step_identity_at_zero_time():
-    p = SystemParams.from_ratios(delta_over_g=0.7, omega1_over_g=3.8)
+    p = SystemParams(delta=0.7, omega1=3.8)
     assert frob_dist(single_step_u(0.0, p), np.eye(4)) < 1e-15
 
 
 def test_single_step_resonant_closed_form():
-    p = SystemParams.from_ratios(delta_over_g=0.0, omega1_over_g=np.sqrt(15.0))
+    p = SystemParams(delta=0.0, omega1=np.sqrt(15.0))
     got = single_step_u(np.pi / 2.0, p)
     corner = np.array(
         [[1, 0, 0, -1j], [0, 1, -1j, 0], [0, -1j, 1, 0], [-1j, 0, 0, 1]], dtype=complex
@@ -134,27 +132,27 @@ def test_single_step_resonant_closed_form():
 
 
 def test_single_step_resonant_sequence_is_exact_cnot():
-    p = SystemParams.from_ratios(delta_over_g=0.0, omega1_over_g=np.sqrt(15.0))
+    p = SystemParams(delta=0.0, omega1=np.sqrt(15.0))
     u = single_step_u(np.pi / 2.0, p)
     gate = single_step_rotations().realize(u)
     assert frob_dist(gate, CNOT) < 1e-12
 
 
 def test_single_step_matches_reference_at_delta_one():
-    p = SystemParams.from_ratios(delta_over_g=1.0, omega1_over_g=3.7781)
+    p = SystemParams(delta=1.0, omega1=3.7781)
     got = single_step_u(1.2753 * HALF_PI, p)
     assert np.max(np.abs(got - SINGLE_STEP_U_DELTA1)) < 1e-3
 
 
 def test_single_step_sequence_with_reference_angles():
-    p = SystemParams.from_ratios(delta_over_g=1.0, omega1_over_g=3.7781)
+    p = SystemParams(delta=1.0, omega1=3.7781)
     u = single_step_u(1.2753 * HALF_PI, p)
     gate = single_step_rotations(*SINGLE_STEP_ANGLES).realize(u)
     assert frob_dist(gate, CNOT) < 1e-3
 
 
 def test_single_step_rejects_zz_coupling():
-    p = SystemParams.from_ratios(delta_over_g=0.5, omega1_over_g=3.0, gtilde_over_g=0.05)
+    p = SystemParams(delta=0.5, omega1=3.0, g_tilde=0.05)
     with pytest.raises(UnsupportedCouplingError):
         single_step_u(1.0, p)
 
@@ -162,7 +160,7 @@ def test_single_step_rejects_zz_coupling():
 def test_resonant_drive_family_reaches_cnot_class():
     for n in (1, 2, 3):
         omega = math.sqrt((4 * n) ** 2 - 1)
-        p = SystemParams.from_ratios(delta_over_g=0.0, omega1_over_g=omega)
+        p = SystemParams(delta=0.0, omega1=omega)
         inv = makhlin_invariants(single_step_u(np.pi / 2.0, p))
         assert cnot_distance(inv) < 1e-12
 
@@ -219,7 +217,7 @@ def test_rotation_spec_vector_round_trip(rng):
 
 
 def test_fit_recovers_exact_cnot_at_resonance():
-    p = SystemParams.from_ratios(delta_over_g=0.0)
+    p = SystemParams(delta=0.0)
     result = fit_local_rotations(two_step_entangler(p), CNOT)
     assert result.fidelity is not None
     assert 1.0 - result.fidelity < 1e-8
@@ -227,7 +225,7 @@ def test_fit_recovers_exact_cnot_at_resonance():
 
 
 def test_gate_recipe_validation_and_json():
-    p = SystemParams.from_ratios(delta_over_g=0.5, omega1_over_g=3.8583)
+    p = SystemParams(delta=0.5, omega1=3.8583)
     recipe = GateRecipe(
         kind="one-step", params=p, t=1.0253 * HALF_PI, rotations=single_step_rotations()
     )

@@ -124,12 +124,12 @@ def test_points_near_the_chamber_boundary(eps, sign, rng):
 @pytest.mark.parametrize("delta", [0.0, 2.0, -2.0])
 @pytest.mark.parametrize("frame", [1, 2])
 def test_two_step_entanglers_at_the_range_ends(delta, frame):
-    u = two_step_entangler(SystemParams.from_ratios(delta_over_g=delta), frame=frame)
+    u = two_step_entangler(SystemParams(delta=delta), frame=frame)
     _assert_matches_search(u)
 
 
 def test_trajectory_samples_including_t0():
-    p = SystemParams.from_ratios(delta_over_g=1.0, omega1_over_g=3.7781)
+    p = SystemParams(delta=1.0, omega1=3.7781)
     t_max = 1.2753 * HALF_PI
     samples = weyl_trajectory(p, t_max, n_samples=2048)
     assert samples[0].t == 0.0 and np.all(samples[0].point.as_array() == 0.0)

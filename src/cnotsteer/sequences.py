@@ -346,6 +346,7 @@ _KAK_MIX = (
     -2.6854520010653062,
 )
 _KAK_TOL = 1e-10
+_KAK_TIE = 1e-12
 # The Weyl-group images of a magic-basis spectrum: every permutation of the
 # four entries, times every sign pattern with an even number of flips.
 _KAK_PERMS = np.array(list(itertools.permutations(range(4))))
@@ -426,7 +427,10 @@ def fit_local_rotations(u_ent: Operator4, target: Operator4) -> FitResult:
     # apart that are closer than ~1e-8, where the subtraction cancels.
     best_phase = np.exp(-1j * np.angle(aligned @ dt.conj()))
     residual = np.sum(np.abs(best_phase[..., None] * aligned - dt) ** 2, axis=-1)
-    i_sign, i_perm = np.unravel_index(np.argmin(residual), residual.shape)
+    # Beyond the CNOT class several images tie to rounding; taking the first
+    # of those within a relative _KAK_TIE of the best keeps the choice stable.
+    tied = np.flatnonzero(residual <= residual.min() * (1.0 + _KAK_TIE))
+    i_sign, i_perm = np.unravel_index(tied[0], residual.shape)
     perm = np.eye(4)[_KAK_PERMS[i_perm]]
     # Both sides stay in SO(4): the det(perm) sign on one axis cancels
     # between them, and the sign pattern is even.

@@ -139,6 +139,18 @@ def test_tells_apart_images_closer_than_the_overlap_resolves():
     assert fit_local_rotations(gate, dressed).distance <= 1e-15
 
 
+@pytest.mark.parametrize("delta", [1.2, 1.5, 2.0])
+def test_dressing_beyond_the_bound_is_stable_under_rounding(delta, rng):
+    # Beyond g several Weyl images tie to rounding; a 1e-12 nudge of the
+    # calibration must not switch the dressing to another of them.
+    cal = calibrate_single_step(delta)
+    gates = []
+    for nudge in rng.uniform(-1e-12, 1e-12, size=(20, 2)):
+        u = _single_step_entangler_at(delta, cal.omega1_over_g + nudge[0], cal.t_units + nudge[1])
+        gates.append(fit_local_rotations(u, CNOT).rotations.realize(u))
+    assert max(frob_dist(g, gates[0]) for g in gates) <= 1e-9
+
+
 def test_gates_unitary_only_to_the_input_tolerance(rng):
     # A 1e-9 unitarity defect passes the input check, but no mixing constant
     # then diagonalizes m to 1e-10; the best one is kept.

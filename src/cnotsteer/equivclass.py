@@ -225,16 +225,14 @@ def weyl_coordinates(u: Operator4) -> WeylPoint:
     return WeylPoint(c1=float(c[0]), c2=float(c[1]), c3=float(c[2]))
 
 
-def weyl_trajectory(
-    p: SystemParams, t_max: float, n_samples: int = 2048
-) -> list[TrajectorySample]:
+def weyl_trajectory(p: SystemParams, t_max: float, n_samples: int) -> list[TrajectorySample]:
     """Steering trajectory of U(t) = exp(-t * h_rwa_frame1(p)) through the chamber.
 
     Samples a uniform time grid from 0 to ``t_max`` (inclusive) and returns
     the canonical coordinates per sample; the first sample is the origin.
     Canonicalization is applied independently per sample, so apparent kinks
-    can only occur at chamber boundaries; the default grid is fine enough to
-    render the curves smoothly.
+    can only occur at chamber boundaries; the CLI's default of 2048 samples
+    is fine enough to render the curves smoothly.
     """
     if n_samples < 2:
         raise ContractViolationError(f"n_samples must be >= 2, got {n_samples}")

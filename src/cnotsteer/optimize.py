@@ -16,7 +16,7 @@ the resonant solution, which keeps them on the lowest branch.  The search
 box bounds only the minimisation; the root solve does not check it.
 
 ``calibrate_two_step`` needs no search: the entangling time has a closed
-form, which is cross-validated against the invariants of the assembled
+form, and the invariants and distance it reports are those of the assembled
 sequence.
 """
 
@@ -89,11 +89,15 @@ class CalibrationResult:
     method: str
 
 
+def _single_step_gate(delta_over_g: float, x: np.ndarray) -> np.ndarray:
+    """The single-step gate at ``x = (omega1/g, T1)``, with T1 in units of pi/2g."""
+    p = SystemParams(delta=delta_over_g, omega1=float(x[0]))
+    return single_step_u(float(x[1]) * math.pi / 2.0, p)
+
+
 def _single_step_objective(delta_over_g: float):
     def objective(x: np.ndarray) -> float:
-        p = SystemParams(delta=delta_over_g, omega1=float(x[0]))
-        u = single_step_u(float(x[1]) * math.pi / 2.0, p)
-        return cnot_distance(makhlin_invariants(u))
+        return cnot_distance(makhlin_invariants(_single_step_gate(delta_over_g, x)))
 
     return objective
 
@@ -105,8 +109,7 @@ def _single_step_residual(delta_over_g: float, x: np.ndarray) -> np.ndarray:
     ``m`` has the spectrum ``+-i sqrt(det U)``, each twice, so the residual
     vanishes exactly there (where G1 = 0 and G2 = 1) and nowhere else.
     """
-    p = SystemParams(delta=delta_over_g, omega1=float(x[0]))
-    u = require_unitary(single_step_u(float(x[1]) * math.pi / 2.0, p), what="single-step gate")
+    u = require_unitary(_single_step_gate(delta_over_g, x), what="single-step gate")
     ub = to_magic(u)
     m = ub.T @ ub
     r = m @ m / np.linalg.det(u) + np.eye(4)
@@ -204,14 +207,12 @@ def calibrate_single_step(delta_over_g: float) -> CalibrationResult:
         method = "d^2 minimisation"
         x, iterations, converged = _minimize_single_step(delta_over_g)
 
-    omega, t_units = float(x[0]), float(x[1])
-    p = SystemParams(delta=delta_over_g, omega1=omega)
-    inv = makhlin_invariants(single_step_u(t_units * math.pi / 2.0, p))
+    inv = makhlin_invariants(_single_step_gate(delta_over_g, x))
     return CalibrationResult(
         delta_over_g=delta_over_g,
         kind="one-step",
-        t_units=t_units,
-        omega1_over_g=omega,
+        t_units=float(x[1]),
+        omega1_over_g=float(x[0]),
         invariants=inv,
         distance=cnot_distance(inv),
         iterations=iterations,
@@ -221,7 +222,10 @@ def calibrate_single_step(delta_over_g: float) -> CalibrationResult:
 
 
 def calibrate_two_step(delta_over_g: float) -> CalibrationResult:
-    """Two-step gate time from the closed form, cross-checked by assembly.
+    """Two-step gate time from the closed form.
+
+    The invariants and distance are those of the assembled frame-1
+    entangler; they are reported, not checked against a tolerance.
 
     Raises:
         DetuningOutOfRangeError: ``|delta| > 2g``.

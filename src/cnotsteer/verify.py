@@ -155,7 +155,7 @@ def check_uv_normalization(seed: int) -> CheckResult:
     return CheckResult("|u|^2 + v^2 = 1", worst < tol, worst, tol)
 
 
-def run_checks(seed: int = 42) -> list[CheckResult]:
+def run_checks(seed: int) -> list[CheckResult]:
     """Run the full suite; child seeds are derived deterministically."""
     return [
         check_unitarity(seed + 1),

@@ -105,14 +105,21 @@ def test_gate_two_step_json(tmp_path):
     assert 1.0 - payload["fidelity"] < 1e-6
     assert payload["recipe"]["t_units"] == "pi/4g"
     assert abs(payload["recipe"]["t_value"] - TABLE1_T2[1.0]) < 1e-4
+    # |delta| = 2g exactly is the last detuning with an exact CNOT.
+    for delta in ("-2.0", "2.0"):
+        for frame in ("1", "2"):
+            argv = ["gate", "--mode", "two-step", "--delta", delta, "--frame", frame]
+            assert main([*argv, "--out", str(out)]) == EXIT_OK, argv
+            assert 1.0 - json.loads(out.read_text())["fidelity"] < 1e-6, argv
 
 
 def test_gate_two_step_rejects_large_detuning(tmp_path, capsys):
     out = tmp_path / "never.json"
-    rc = main(["gate", "--mode", "two-step", "--delta", "2.5", "--out", str(out)])
-    assert rc == EXIT_DOMAIN
-    assert not out.exists()
-    assert "delta" in capsys.readouterr().err
+    for delta in ("2.5", "2.0000001", "-2.0000001"):
+        rc = main(["gate", "--mode", "two-step", "--delta", delta, "--out", str(out)])
+        assert rc == EXIT_DOMAIN, delta
+        assert not out.exists()
+        assert "delta" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

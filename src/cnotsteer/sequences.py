@@ -427,8 +427,8 @@ def fit_local_rotations(u_ent: Operator4, target: Operator4) -> FitResult:
     # apart that are closer than ~1e-8, where the subtraction cancels.
     best_phase = np.exp(-1j * np.angle(aligned @ dt.conj()))
     residual = np.sum(np.abs(best_phase[..., None] * aligned - dt) ** 2, axis=-1)
-    # Beyond the CNOT class several images tie to rounding; taking the first
-    # of those within a relative _KAK_TIE of the best keeps the choice stable.
+    # Several images can tie to rounding; taking the first of those within a
+    # relative _KAK_TIE of the best keeps the choice off the last bits.
     tied = np.flatnonzero(residual <= residual.min() * (1.0 + _KAK_TIE))
     i_sign, i_perm = np.unravel_index(tied[0], residual.shape)
     perm = np.eye(4)[_KAK_PERMS[i_perm]]

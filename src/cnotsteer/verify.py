@@ -84,9 +84,7 @@ def check_zz_independence(seed: int) -> CheckResult:
     for _ in range(34):
         t = rng.uniform(0.0, 3.0)
         delta = rng.uniform(0.0, 3.0)
-        ref = makhlin_invariants(
-            two_step_sandwich(t, SystemParams(delta=delta), frame=1)
-        )
+        ref = makhlin_invariants(two_step_sandwich(t, SystemParams(delta=delta), frame=1))
         for gtilde in (0.05, 0.1):
             p = SystemParams(delta=delta, g_tilde=gtilde)
             for frame in (1, 2):

@@ -31,7 +31,6 @@ from .optimize import (
     calibrate_two_step,
 )
 from .propagate import (
-    UVPair,
     entangling_u,
     entangling_u_frame1,
     entangling_u_frame2,
@@ -71,7 +70,6 @@ __all__ = [
     "LocalRotationSpec",
     "SystemParams",
     "TrajectorySample",
-    "UVPair",
     "UnsupportedCouplingError",
     "WeylPoint",
     "calibrate_single_step",

@@ -176,21 +176,13 @@ def cmd_gate(args: argparse.Namespace) -> int:
 def cmd_trajectory(args: argparse.Namespace) -> int:
     """Steering trajectory of the calibrated single-step gate at --delta.
 
-    Writes ``t,c1,c2,c3`` (t in units of pi/2g, c in units of pi/2).  With
-    ``--with-resonant-trace`` a companion file ``<stem>.resonant<suffix>``
-    holds the resonant (delta = 0) trace over the same number of samples.
+    Writes ``t,c1,c2,c3`` (t in units of pi/2g, c in units of pi/2).  The
+    resonant trace is ``--delta 0``.
     """
     cal = _calibrate_single_step(args.delta)
     p = SystemParams(delta=args.delta, omega1=cal.omega1_over_g)
     samples = weyl_trajectory(p, cal.t_units * math.pi / 2.0, args.samples)
-    out = _out_path(args.out)
-    _write(out, trajectory_to_csv(samples))
-    if args.with_resonant_trace:
-        cal0 = _calibrate_single_step(0.0)
-        p0 = SystemParams(delta=0.0, omega1=cal0.omega1_over_g)
-        res_samples = weyl_trajectory(p0, cal0.t_units * math.pi / 2.0, args.samples)
-        res_path = out.with_name(out.stem + ".resonant" + out.suffix)
-        _write(res_path, trajectory_to_csv(res_samples))
+    _write(_out_path(args.out), trajectory_to_csv(samples))
     return EXIT_OK
 
 
@@ -233,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--delta", type=float, required=True, help="detuning in units of g")
     pt.add_argument("--samples", type=int, default=2048)
     pt.add_argument("--out", default="trajectory.csv")
-    pt.add_argument("--with-resonant-trace", action="store_true")
     pt.set_defaults(func=cmd_trajectory)
 
     pv = sub.add_parser("verify", help="run the invariant/property suite")

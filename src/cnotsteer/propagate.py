@@ -7,10 +7,11 @@ closed form built from
     u = cos(L t / 2) + (i delta / L) sin(L t / 2),
     v = (2 g / L) sin(L t / 2),          L = sqrt(delta^2 + 4 g^2),
 
-with |u|^2 + v^2 = 1.  The frame-2 propagator is the same block dressed with
-counter-rotating phases exp(-/+ i delta t / 2); its corners are 1 instead of
-exp(+/- i delta t / 2).  A longitudinal coupling only multiplies either form
-by the diagonal phase factor exp(-t * g_tilde * ZZ).
+with |u|^2 + v^2 = 1 (checked by the ``verify`` suite, not on return).  The
+frame-2 propagator is the same block dressed with counter-rotating phases
+exp(-/+ i delta t / 2); its corners are 1 instead of exp(+/- i delta t / 2).
+A longitudinal coupling only multiplies either form by the diagonal phase
+factor exp(-t * g_tilde * ZZ).
 
 ``evolve_stepwise`` integrates the time-dependent frame-2 generator directly
 (midpoint product formula).  It is deliberately independent of the closed
@@ -21,7 +22,6 @@ as O(steps^-2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,20 +29,7 @@ from .model import SystemParams, h_rwa_frame2
 from .qmat import Operator4, expm_skew
 
 
-@dataclass(frozen=True)
-class UVPair:
-    """Central-block amplitudes of the undriven propagator."""
-
-    u: complex
-    v: float
-
-    def __post_init__(self) -> None:
-        norm = abs(self.u) ** 2 + self.v**2
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"|u|^2 + v^2 = {norm!r} deviates from 1 beyond 1e-12")
-
-
-def uv_coefficients(t: float, p: SystemParams) -> UVPair:
+def uv_coefficients(t: float, p: SystemParams) -> tuple[complex, float]:
     """Oscillation amplitudes (u, v) of the single-excitation block at time t."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
@@ -50,7 +37,7 @@ def uv_coefficients(t: float, p: SystemParams) -> UVPair:
     half = 0.5 * lam * t
     u = math.cos(half) + 1j * (p.delta / lam) * math.sin(half)
     v = (2.0 / lam) * math.sin(half)
-    return UVPair(u=u, v=v)
+    return u, v
 
 
 def _zz_phase(t: float, p: SystemParams) -> np.ndarray:
@@ -65,13 +52,13 @@ def entangling_u_frame1(t: float, p: SystemParams) -> Operator4:
     Corners carry exp(+/- i delta t / 2); the central block is
     [[u, -iv], [-iv, u*]].  ``p.omega1`` is ignored.
     """
-    uv = uv_coefficients(t, p)
+    u, v = uv_coefficients(t, p)
     corner = np.exp(0.5j * p.delta * t)
     m = np.array(
         [
             [corner, 0, 0, 0],
-            [0, uv.u, -1j * uv.v, 0],
-            [0, -1j * uv.v, np.conj(uv.u), 0],
+            [0, u, -1j * v, 0],
+            [0, -1j * v, np.conj(u), 0],
             [0, 0, 0, np.conj(corner)],
         ],
         dtype=complex,
@@ -86,14 +73,14 @@ def entangling_u_frame2(t: float, p: SystemParams) -> Operator4:
     [[u e^{-i d t/2}, -iv e^{-i d t/2}], [-iv e^{i d t/2}, u* e^{i d t/2}]].
     Coincides with the frame-1 form at zero detuning.
     """
-    uv = uv_coefficients(t, p)
+    u, v = uv_coefficients(t, p)
     em = np.exp(-0.5j * p.delta * t)
     ep = np.conj(em)
     m = np.array(
         [
             [1, 0, 0, 0],
-            [0, uv.u * em, -1j * uv.v * em, 0],
-            [0, -1j * uv.v * ep, np.conj(uv.u) * ep, 0],
+            [0, u * em, -1j * v * em, 0],
+            [0, -1j * v * ep, np.conj(u) * ep, 0],
             [0, 0, 0, 1],
         ],
         dtype=complex,
@@ -110,7 +97,7 @@ def entangling_u(t: float, p: SystemParams, frame: int) -> Operator4:
     raise ValueError(f"frame must be 1 or 2, got {frame}")
 
 
-def evolve_stepwise(p: SystemParams, t: float, steps: int = 4096) -> Operator4:
+def evolve_stepwise(p: SystemParams, t: float, steps: int) -> Operator4:
     """Integrate the frame-2 evolution as a midpoint-rule product formula.
 
     Splits [0, t] into ``steps`` uniform slices and accumulates

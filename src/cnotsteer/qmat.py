@@ -61,7 +61,7 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
 
 
-def require_unitary(u: np.ndarray, what: str = "operator") -> Operator4:
+def require_unitary(u: np.ndarray, what: str) -> Operator4:
     """``u`` as a complex array, if it is unitary within ``UNITARITY_TOL``.
 
     Raises:

@@ -1,9 +1,11 @@
 """Self-contained property suite behind the ``verify`` CLI command.
 
-Each check draws its own deterministic random samples, records the worst
-observed deviation, and compares it against the check's tolerance.  The
-suite covers the cross-cutting guarantees of the package: unitarity of the
-propagators, frame independence and ZZ independence of the class
+Each check is a generator that draws deterministic random samples and
+yields one deviation per comparison.  ``run_checks`` is the one loop that
+runs them: it takes the worst deviation of each check and compares it
+against the check's tolerance, so a NaN deviation is the worst and fails.
+The suite covers the cross-cutting guarantees of the package: unitarity of
+the propagators, frame independence and ZZ independence of the class
 invariants, invariance under local dressing, Weyl round trips, planarity
 of both sequence families, and normalization of the oscillation amplitudes.
 """
@@ -11,11 +13,13 @@ of both sequence families, and normalization of the oscillation amplitudes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .equivclass import (
+    InvariantPair,
     canonical_class_gate,
     makhlin_invariants,
     weyl_coordinates,
@@ -52,35 +56,29 @@ def _random_unitary(rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def check_unitarity(seed: int) -> CheckResult:
-    tol = 1e-12
-    rng = np.random.default_rng(seed)
-    worst = 0.0
+def _invariant_gaps(a: InvariantPair, b: InvariantPair) -> tuple[float, float]:
+    return abs(a.g1 - b.g1), abs(a.g2 - b.g2)
+
+
+def _unitarity(rng: np.random.Generator) -> Iterator[float]:
     for _ in range(100):
         t = rng.uniform(0.0, 4.0)
         p = SystemParams(delta=rng.uniform(-3.0, 3.0), g_tilde=rng.uniform(0.0, 0.1))
-        worst = max(worst, unitarity_defect(entangling_u_frame1(t, p)))
-        worst = max(worst, unitarity_defect(entangling_u_frame2(t, p)))
-    return CheckResult("propagator unitarity", worst < tol, worst, tol)
+        yield unitarity_defect(entangling_u_frame1(t, p))
+        yield unitarity_defect(entangling_u_frame2(t, p))
 
 
-def check_frame_equivalence(seed: int) -> CheckResult:
-    tol = 1e-10
-    rng = np.random.default_rng(seed)
-    worst = 0.0
+def _frame_equivalence(rng: np.random.Generator) -> Iterator[float]:
     for _ in range(100):
         t = rng.uniform(0.0, 3.0)
         p = SystemParams(delta=rng.uniform(0.0, 3.0))
-        a = makhlin_invariants(two_step_sandwich(t, p, frame=1))
-        b = makhlin_invariants(two_step_sandwich(t, p, frame=2))
-        worst = max(worst, abs(a.g1 - b.g1), abs(a.g2 - b.g2))
-    return CheckResult("frame-1 vs frame-2 invariants", worst < tol, worst, tol)
+        yield from _invariant_gaps(
+            makhlin_invariants(two_step_sandwich(t, p, frame=1)),
+            makhlin_invariants(two_step_sandwich(t, p, frame=2)),
+        )
 
 
-def check_zz_independence(seed: int) -> CheckResult:
-    tol = 1e-9
-    rng = np.random.default_rng(seed)
-    worst = 0.0
+def _zz_independence(rng: np.random.Generator) -> Iterator[float]:
     for _ in range(34):
         t = rng.uniform(0.0, 3.0)
         delta = rng.uniform(0.0, 3.0)
@@ -89,14 +87,10 @@ def check_zz_independence(seed: int) -> CheckResult:
             p = SystemParams(delta=delta, g_tilde=gtilde)
             for frame in (1, 2):
                 inv = makhlin_invariants(two_step_sandwich(t, p, frame=frame))
-                worst = max(worst, abs(inv.g1 - ref.g1), abs(inv.g2 - ref.g2))
-    return CheckResult("ZZ-coupling independence of invariants", worst < tol, worst, tol)
+                yield from _invariant_gaps(inv, ref)
 
 
-def check_local_invariance(seed: int) -> CheckResult:
-    tol = 1e-10
-    rng = np.random.default_rng(seed)
-    worst = 0.0
+def _local_invariance(rng: np.random.Generator) -> Iterator[float]:
     for _ in range(100):
         u = _random_unitary(rng)
         dressed = (
@@ -105,9 +99,7 @@ def check_local_invariance(seed: int) -> CheckResult:
             @ u
             @ _random_local(rng)
         )
-        a, b = makhlin_invariants(u), makhlin_invariants(dressed)
-        worst = max(worst, abs(a.g1 - b.g1), abs(a.g2 - b.g2))
-    return CheckResult("local-dressing invariance", worst < tol, worst, tol)
+        yield from _invariant_gaps(makhlin_invariants(u), makhlin_invariants(dressed))
 
 
 def _interior_point(rng: np.random.Generator) -> tuple[float, float, float]:
@@ -118,49 +110,48 @@ def _interior_point(rng: np.random.Generator) -> tuple[float, float, float]:
             return float(c[0]), float(c[1]), float(c[2])
 
 
-def check_weyl_roundtrip(seed: int) -> CheckResult:
-    tol = 1e-8
-    rng = np.random.default_rng(seed)
-    worst = 0.0
+def _weyl_roundtrip(rng: np.random.Generator) -> Iterator[float]:
     for _ in range(100):
         c = _interior_point(rng)
-        got = weyl_coordinates(canonical_class_gate(c))
-        worst = max(worst, float(np.max(np.abs(got.as_array() - np.array(c)))))
-    return CheckResult("Weyl-coordinate round trip", worst < tol, worst, tol)
+        yield from np.abs(weyl_coordinates(canonical_class_gate(c)).as_array() - np.array(c))
 
 
-def check_planarity(seed: int) -> CheckResult:
-    tol = 1e-8
-    rng = np.random.default_rng(seed)
-    worst = 0.0
+def _planarity(rng: np.random.Generator) -> Iterator[float]:
     for _ in range(40):
         t = rng.uniform(0.0, 3.0)
         p2 = SystemParams(delta=rng.uniform(0.0, 3.0))
-        worst = max(worst, weyl_coordinates(two_step_sandwich(t, p2, frame=1)).c3)
+        yield weyl_coordinates(two_step_sandwich(t, p2, frame=1)).c3
         p1 = SystemParams(delta=rng.uniform(0.0, 2.0), omega1=rng.uniform(0.5, 8.0))
-        worst = max(worst, weyl_coordinates(single_step_u(t, p1)).c3)
-    return CheckResult("c3 = 0 along both sequence families", worst < tol, worst, tol)
+        yield weyl_coordinates(single_step_u(t, p1)).c3
 
 
-def check_uv_normalization(seed: int) -> CheckResult:
-    tol = 1e-12
-    rng = np.random.default_rng(seed)
-    worst = 0.0
+def _uv_normalization(rng: np.random.Generator) -> Iterator[float]:
     for _ in range(200):
         p = SystemParams(delta=rng.uniform(-3.0, 3.0))
-        uv = uv_coefficients(rng.uniform(0.0, 5.0), p)
-        worst = max(worst, abs(abs(uv.u) ** 2 + uv.v**2 - 1.0))
-    return CheckResult("|u|^2 + v^2 = 1", worst < tol, worst, tol)
+        u, v = uv_coefficients(rng.uniform(0.0, 5.0), p)
+        yield abs(abs(u) ** 2 + v**2 - 1.0)
+
+
+#: (name, tolerance, deviations) of every check, in report order.
+_CHECKS = (
+    ("propagator unitarity", 1e-12, _unitarity),
+    ("frame-1 vs frame-2 invariants", 1e-10, _frame_equivalence),
+    ("ZZ-coupling independence of invariants", 1e-9, _zz_independence),
+    ("local-dressing invariance", 1e-10, _local_invariance),
+    ("Weyl-coordinate round trip", 1e-8, _weyl_roundtrip),
+    ("c3 = 0 along both sequence families", 1e-8, _planarity),
+    ("|u|^2 + v^2 = 1", 1e-12, _uv_normalization),
+)
 
 
 def run_checks(seed: int) -> list[CheckResult]:
-    """Run the full suite; child seeds are derived deterministically."""
-    return [
-        check_unitarity(seed + 1),
-        check_frame_equivalence(seed + 2),
-        check_zz_independence(seed + 3),
-        check_local_invariance(seed + 4),
-        check_weyl_roundtrip(seed + 5),
-        check_planarity(seed + 6),
-        check_uv_normalization(seed + 7),
-    ]
+    """Run the full suite; check k (from 1) draws from ``default_rng(seed + k)``.
+
+    ``np.max`` keeps a NaN deviation, and ``NaN < tol`` is false, so a NaN
+    fails its check instead of being dropped.
+    """
+    results = []
+    for k, (name, tol, deviations) in enumerate(_CHECKS, start=1):
+        worst = float(np.max(list(deviations(np.random.default_rng(seed + k)))))
+        results.append(CheckResult(name, worst < tol, worst, tol))
+    return results

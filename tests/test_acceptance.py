@@ -15,7 +15,7 @@ from cnotsteer.equivclass import (
 )
 from cnotsteer.model import SystemParams
 from cnotsteer.propagate import entangling_u_frame1, entangling_u_frame2, evolve_stepwise
-from cnotsteer.optimize import calibrate_single_step, calibrate_two_step
+from cnotsteer.optimize import calibrate_single_step
 from cnotsteer.qmat import frob_dist
 from cnotsteer.sequences import (
     CNOT,

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cnotsteer.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
+from cnotsteer.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
 from cnotsteer.sequences import matrix_from_json
 
 from reference_data import (
@@ -139,10 +139,7 @@ def test_non_finite_detuning_is_a_domain_error(argv, tmp_path, capsys):
 
 def test_trajectory_output(tmp_path):
     out = tmp_path / "traj.csv"
-    rc = main(
-        ["trajectory", "--delta", "1.0", "--samples", "65", "--out", str(out),
-         "--with-resonant-trace"]
-    )
+    rc = main(["trajectory", "--delta", "1.0", "--samples", "65", "--out", str(out)])
     assert rc == EXIT_OK
     header, rows = _rows(out)
     assert header == ["t", "c1", "c2", "c3"]
@@ -152,12 +149,6 @@ def test_trajectory_output(tmp_path):
     assert abs(float(final[1]) - 1.0) < 2e-3
     assert abs(float(final[2])) < 2e-3
     assert all(abs(float(r[3])) < 1e-6 for r in rows)
-
-    resonant = tmp_path / "traj.resonant.csv"
-    assert resonant.exists()
-    _, res_rows = _rows(resonant)
-    assert len(res_rows) == 65
-    assert abs(float(res_rows[-1][1]) - 1.0) < 2e-3
 
 
 def test_trajectory_rejects_single_sample(tmp_path):
@@ -213,6 +204,25 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "name, replacement, failed",
+    [
+        ("unitarity_defect", lambda u: math.nan, "FAIL  propagator unitarity: worst nan"),
+        ("uv_coefficients", lambda t, p: (1.0, 0.5), "FAIL  |u|^2 + v^2 = 1: worst 2.500e-01"),
+    ],
+    ids=["nan-deviation", "unnormalized-uv"],
+)
+def test_verify_reports_failures_of_the_package(name, replacement, failed, monkeypatch, capsys):
+    # A NaN deviation must fail its check, and an unnormalized (u, v) must
+    # reach the check that reports it.
+    import cnotsteer.verify as verify
+
+    monkeypatch.setattr(verify, name, replacement)
+    assert main(["verify"]) == EXIT_VERIFY
+    fails = [line for line in capsys.readouterr().out.split("\n") if line.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith(failed), fails
+
+
 def test_plain_value_error_is_not_a_domain_error(monkeypatch):
     # Only the package's deliberate rejections exit 2; a ValueError from a
     # bug (numpy's LinAlgError among them) must surface.
@@ -237,8 +247,8 @@ def test_unconverged_calibration_warns_without_changing_outputs(tmp_path, monkey
         "table1": (["table1"], [(f"{k / 10:g}", root) for k in range(11)]),
         "table2": (["table2"], [("1", root)] + [(f"{1 + k / 10:g}", search) for k in range(1, 11)]),
         "trajectory": (
-            ["trajectory", "--delta", "0.5", "--samples", "9", "--with-resonant-trace"],
-            [("0.5", root), ("0", root)],
+            ["trajectory", "--delta", "0.5", "--samples", "9"],
+            [("0.5", root)],
         ),
         "gate-in": (["gate", "--mode", "one-step", "--delta", "0.5"], [("0.5", root)]),
         "gate-out": (["gate", "--mode", "one-step", "--delta", "1.5"], [("1.5", search)]),

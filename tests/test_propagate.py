@@ -3,7 +3,6 @@ import pytest
 
 from cnotsteer.model import SystemParams, h_rwa_frame1
 from cnotsteer.propagate import (
-    UVPair,
     entangling_u_frame1,
     entangling_u_frame2,
     evolve_stepwise,
@@ -16,33 +15,28 @@ from reference_data import ENTANGLER_FRAME1_DELTA1, ENTANGLER_FRAME2_DELTA1
 
 
 def test_uv_at_zero_time():
-    uv = uv_coefficients(0.0, SystemParams(delta=1.7))
-    assert uv.u == 1.0 and uv.v == 0.0
+    u, v = uv_coefficients(0.0, SystemParams(delta=1.7))
+    assert u == 1.0 and v == 0.0
 
 
 def test_uv_resonant_quarter_period():
-    uv = uv_coefficients(np.pi / 4.0, SystemParams(delta=0.0))
-    assert abs(uv.u - 1.0 / np.sqrt(2.0)) < 1e-12
-    assert abs(uv.v - 1.0 / np.sqrt(2.0)) < 1e-12
+    u, v = uv_coefficients(np.pi / 4.0, SystemParams(delta=0.0))
+    assert abs(u - 1.0 / np.sqrt(2.0)) < 1e-12
+    assert abs(v - 1.0 / np.sqrt(2.0)) < 1e-12
 
 
 def test_uv_at_detuning_one():
     p = SystemParams(delta=1.0)
-    uv = uv_coefficients(two_step_time(p), p)
-    assert abs(uv.u - (0.6124 + 0.3536j)) < 1e-4
-    assert abs(uv.v - 0.7071) < 1e-4
+    u, v = uv_coefficients(two_step_time(p), p)
+    assert abs(u - (0.6124 + 0.3536j)) < 1e-4
+    assert abs(v - 0.7071) < 1e-4
 
 
 def test_uv_normalization(rng):
     for _ in range(100):
         p = SystemParams(delta=rng.uniform(-3.0, 3.0))
-        uv = uv_coefficients(rng.uniform(0.0, 6.0), p)
-        assert abs(abs(uv.u) ** 2 + uv.v**2 - 1.0) < 1e-12
-
-
-def test_uvpair_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        UVPair(u=1.0, v=0.5)
+        u, v = uv_coefficients(rng.uniform(0.0, 6.0), p)
+        assert abs(abs(u) ** 2 + v**2 - 1.0) < 1e-12
 
 
 def test_frame1_identity_at_zero_time():

@@ -3,8 +3,8 @@
     python3 tools/artifacts.py OUTDIR
 
 Runs ``cnotsteer.cli.main`` in-process, from the ``src/`` of the checkout
-this script sits in, for 43 artifacts: ``table1`` and ``table2``; the
-2048-sample trajectory with its resonant trace at five detunings; one-step
+this script sits in, for 38 artifacts: ``table1`` and ``table2``; the
+2048-sample trajectory at five detunings from resonance (0) to g; one-step
 gates at eleven detunings, among them 0.98g, just below the single-step
 bound, where the calibration must stay on the lower solution branch, 1.01g
 and 1.05g, just beyond it, where the d^2 minimum lies in the flattest
@@ -42,7 +42,7 @@ def _commands(out: Path) -> list[tuple[list[str], Path | None]]:
     for delta in TRAJECTORY_DELTAS:
         path = out / f"trajectory_{delta}.csv"
         runs.append((["trajectory", "--delta", delta, "--samples", "2048",
-                      "--with-resonant-trace", "--out", str(path)], None))
+                      "--out", str(path)], None))
     for delta in GATE_DELTAS + ONE_STEP_ONLY_DELTAS:
         path = out / f"gate_one-step_{delta}.json"
         runs.append((["gate", "--mode", "one-step", "--delta", delta, "--out", str(path)], None))

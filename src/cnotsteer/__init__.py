@@ -1,14 +1,15 @@
 """Calibration and verification of CNOT gates for detuned, weakly coupled
 phase qubits in the rotating-wave approximation.
 
-The package computes closed-form gate times and propagators for the
-two-step (entangle / pi-pulse / entangle) sequence, numerically calibrates
-the single-step (drive plus coupling) sequence, tracks local equivalence
-classes through Makhlin invariants and Weyl-chamber coordinates, computes
-in closed form (KAK decomposition; Kraus & Cirac 2001, Zhang et al. 2003)
-the local rotations that take an entangler closest to the canonical CNOT,
-and evaluates the intrinsic gate fidelity.  A CLI (``cnotsteer``) regenerates
-the reference tables, gates, and steering trajectories as CSV/JSON.
+The package computes closed-form gate times, propagators and rotations
+for the two-step (entangle / pi-pulse / entangle) sequence, numerically
+calibrates the single-step (drive plus coupling) sequence, tracks local
+equivalence classes through Makhlin invariants and Weyl-chamber
+coordinates, computes in closed form (KAK decomposition; Kraus & Cirac
+2001, Zhang et al. 2003) the local rotations that take a single-step
+entangler closest to the canonical CNOT, and evaluates the intrinsic gate
+fidelity.  A CLI (``cnotsteer``) regenerates the reference tables, gates,
+and steering trajectories as CSV/JSON.
 """
 
 from .equivclass import (
@@ -51,8 +52,7 @@ from .sequences import (
     single_step_rotations,
     single_step_u,
     two_step_entangler,
-    two_step_rotations_frame1,
-    two_step_rotations_frame2,
+    two_step_rotations,
     two_step_time,
 )
 
@@ -94,8 +94,7 @@ __all__ = [
     "trajectory_to_csv",
     "two_step_entangler",
     "two_step_invariants_closed",
-    "two_step_rotations_frame1",
-    "two_step_rotations_frame2",
+    "two_step_rotations",
     "two_step_time",
     "uv_coefficients",
     "weyl_coordinates",

@@ -50,10 +50,12 @@ from .propagate import entangling_u
 from .qmat import ContractViolationError
 from .sequences import (
     CNOT,
+    FitResult,
     GateRecipe,
     fit_local_rotations,
     matrix_to_json,
     single_step_u,
+    two_step_rotations,
     two_step_sandwich,
     two_step_time,
 )
@@ -140,14 +142,15 @@ def _gate_payload(args: argparse.Namespace) -> dict:
         t = two_step_time(p)
         segment = entangling_u(t, p, args.frame)
         entangler = two_step_sandwich(t, p, args.frame)
+        fit = FitResult.of(two_step_rotations(p, args.frame), entangler, CNOT)
     else:
         cal = _calibrate_single_step(delta)
         p = SystemParams(delta=delta, omega1=cal.omega1_over_g)
         t = cal.t_units * math.pi / 2.0
         segment = single_step_u(t, p)
         entangler = segment
+        fit = fit_local_rotations(entangler, CNOT)
 
-    fit = fit_local_rotations(entangler, CNOT)
     gate = fit.rotations.realize(entangler)
     recipe = GateRecipe(kind=args.mode, params=p, t=t, rotations=fit.rotations)
     inv = makhlin_invariants(entangler)

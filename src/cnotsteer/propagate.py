@@ -7,11 +7,11 @@ closed form built from
     u = cos(L t / 2) + (i delta / L) sin(L t / 2),
     v = (2 g / L) sin(L t / 2),          L = sqrt(delta^2 + 4 g^2),
 
-with |u|^2 + v^2 = 1 (checked by the ``verify`` suite, not on return).  The
-frame-2 propagator is the same block dressed with counter-rotating phases
-exp(-/+ i delta t / 2); its corners are 1 instead of exp(+/- i delta t / 2).
-A longitudinal coupling only multiplies either form by the diagonal phase
-factor exp(-t * g_tilde * ZZ).
+with |u|^2 + v^2 = 1 (checked by the ``verify`` suite, not on return).  A
+longitudinal coupling only multiplies it by the diagonal phase factor
+exp(-t * g_tilde * ZZ).  The frame-2 propagator is exp(-delta t Z2) U1(t),
+with U1 the frame-1 one, so its corners are 1 instead of
+exp(+/- i delta t / 2).
 
 ``evolve_stepwise`` integrates the time-dependent frame-2 generator directly
 (midpoint product formula).  It is deliberately independent of the closed
@@ -40,12 +40,6 @@ def uv_coefficients(t: float, p: SystemParams) -> tuple[complex, float]:
     return u, v
 
 
-def _zz_phase(t: float, p: SystemParams) -> np.ndarray:
-    """Diagonal of exp(-t * g_tilde * ZZ)."""
-    ph = np.exp(-0.5j * p.g_tilde * t)
-    return np.array([ph, ph.conjugate(), ph.conjugate(), ph])
-
-
 def entangling_u_frame1(t: float, p: SystemParams) -> Operator4:
     """Frame-1 entangling propagator (drive off) for duration ``t``.
 
@@ -63,29 +57,19 @@ def entangling_u_frame1(t: float, p: SystemParams) -> Operator4:
         ],
         dtype=complex,
     )
-    return _zz_phase(t, p)[:, None] * m
+    zz = np.exp(-0.5j * p.g_tilde * t)  # the diagonal of exp(-t * g_tilde * ZZ)
+    return np.array([zz, zz.conjugate(), zz.conjugate(), zz])[:, None] * m
 
 
 def entangling_u_frame2(t: float, p: SystemParams) -> Operator4:
-    """Frame-2 entangling propagator (drive off) for duration ``t``.
+    """Frame-2 entangling propagator (drive off): exp(-delta t Z2) U1(t).
 
-    Unit corners; the central block picks up counter-rotating phases:
-    [[u e^{-i d t/2}, -iv e^{-i d t/2}], [-iv e^{i d t/2}, u* e^{i d t/2}]].
-    Coincides with the frame-1 form at zero detuning.
+    U1 is ``entangling_u_frame1``, and the factor puts the phase
+    exp(-/+ i delta t / 2) on the rows where qubit 2 is |0> / |1>.
     """
-    u, v = uv_coefficients(t, p)
-    em = np.exp(-0.5j * p.delta * t)
-    ep = np.conj(em)
-    m = np.array(
-        [
-            [1, 0, 0, 0],
-            [0, u * em, -1j * v * em, 0],
-            [0, -1j * v * ep, np.conj(u) * ep, 0],
-            [0, 0, 0, 1],
-        ],
-        dtype=complex,
-    )
-    return _zz_phase(t, p)[:, None] * m
+    row = np.exp(-0.5j * p.delta * t)
+    phases = np.array([row, row, row.conjugate(), row.conjugate()])
+    return phases[:, None] * entangling_u_frame1(t, p)
 
 
 def entangling_u(t: float, p: SystemParams, frame: int) -> Operator4:

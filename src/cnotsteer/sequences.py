@@ -13,12 +13,12 @@ Two sequence families generate the controlled-NOT class:
 
 Local rotations are parameterized per qubit as z-y-z Euler triples on each
 side of the entangler plus one global phase (13 parameters total), which
-spans all of SU(2) x SU(2) x U(1).  The analytic rotation forms used at
-resonance (and their z-offset generalizations at finite detuning) are
-provided as constructors.  The dressing that takes an arbitrary entangler
-closest to a target is computed in closed form by ``fit_local_rotations``,
-from the KAK (Cartan) decomposition read off the magic basis (Kraus & Cirac,
-PRA 63, 062309 (2001); Zhang, Vala, Sastry & Whaley, PRA 67, 042313 (2003)).
+spans all of SU(2) x SU(2) x U(1).  Two-step gates take the paper's
+closed-form rotations, ``two_step_rotations``.  One-step gates take the
+dressing closest to the target, ``fit_local_rotations``, computed in closed
+form from the KAK (Cartan) decomposition read off the magic basis (Kraus &
+Cirac, PRA 63, 062309 (2001); Zhang, Vala, Sastry & Whaley, PRA 67, 042313
+(2003)).
 """
 
 from __future__ import annotations
@@ -157,37 +157,46 @@ class LocalRotationSpec:
         return np.exp(1j * self.phase) * self.post_matrix() @ entangler @ self.pre_matrix()
 
 
-def two_step_rotations_frame1(alpha2: float = 0.0, alpha1: float = 0.0) -> LocalRotationSpec:
-    """Two-step dressing rotations for the frame-1 entangler.
+def _two_step_angles(p: SystemParams) -> tuple[float, float]:
+    """The paper's two-step angles (alpha1, beta); see ``two_step_rotations``."""
+    return p.delta * two_step_time(p) / math.pi, 2.0 / math.pi * math.asin(p.delta / 2.0)
 
-    ``R_post = e^{-(pi/2) Y2} e^{-(pi/2)(alpha2 Z2 + alpha1 Z1)}`` and
-    ``R_pre = e^{-(pi/2)((1+alpha2) Z2 + alpha1 Z1)} e^{+(pi/2)(X2 + X1)}``,
-    with the sequence's global phase pi/4.  The defaults give the resonant
-    rotations, which produce the canonical CNOT exactly at zero detuning.
+
+def two_step_rotations(p: SystemParams, frame: int) -> LocalRotationSpec:
+    """The paper's closed-form dressing of the two-step entangler.
+
+    Global phase pi/4, ``R_post = e^{-(pi/2) Y2} e^{-(pi/2)(a Z2 + c Z1)}``
+    and ``R_pre = e^{-(pi/2)((1+b) Z2 + c Z1)} e^{+(pi/2)(X2 + X1)}``, with
+    ``(a, b, c) = (alpha1 + beta, alpha1 + beta, alpha1)`` in frame 1 (a is
+    the paper's alpha2) and ``(beta - 2 alpha1, beta, 0)`` in frame 2 (a is
+    its beta_tilde); ``alpha1 = delta t2 / pi``, ``sin(pi beta/2) = delta/2``.
+
+    Derivation: split ``Z2 = (Z1 + Z2)/2 + (Z2 - Z1)/2``.  ``Z1 + Z2`` and
+    ``ZZ`` commute with the undriven generator, so ``U1 = D B e^{-g_tilde t
+    ZZ}``, with the local ``D = e^{(delta t/2)(Z1 + Z2)}`` and B the
+    {|01>, |10>} block [[u, -iv], [-iv, u*]].  ``P = e^{-pi X1}`` flips Z1
+    and ZZ: g_tilde drops out, ``U1 P U1 = D (B P B) D`` and, as
+    ``U2 = e^{-delta t Z2} U1``, ``U2 P U2 = e^{-delta t Z2} (B P B)``.  The
+    alpha1 terms undo D and ``e^{-delta t Z2}``; the Z2 phases beta and
+    1 + beta turn the u entries of ``B P B`` into ``u e^{-i pi beta/2}`` and
+    keep its v entries.  So the gate is CNOT when ``|u| = |v| = 1/sqrt(2)``
+    (``t2``) and ``sin(pi beta/2) = Im u / |u| = delta / 2`` (``Re u >= 0``).
+
+    Raises:
+        DetuningOutOfRangeError: ``|delta| > 2g`` (no exact CNOT exists).
+        ValueError: ``frame`` is not 1 or 2.
     """
+    if frame not in (1, 2):
+        raise ValueError(f"frame must be 1 or 2, got {frame}")
+    alpha1, beta = _two_step_angles(p)
+    frame1 = alpha1 + beta, alpha1 + beta, alpha1
+    a, b, c = frame1 if frame == 1 else (beta - 2.0 * alpha1, beta, 0.0)
     half_pi = math.pi / 2.0
     return LocalRotationSpec.from_factors(
-        post2=rot2(SIGMA_Y, -half_pi) @ rot2(SIGMA_Z, -half_pi * alpha2),
-        post1=rot2(SIGMA_Z, -half_pi * alpha1),
-        pre2=rot2(SIGMA_Z, -half_pi * (1.0 + alpha2)) @ rot2(SIGMA_X, half_pi),
-        pre1=rot2(SIGMA_Z, -half_pi * alpha1) @ rot2(SIGMA_X, half_pi),
-        phase=math.pi / 4.0,
-    )
-
-
-def two_step_rotations_frame2(beta_tilde: float = 0.0, beta: float = 0.0) -> LocalRotationSpec:
-    """Two-step dressing rotations for the frame-2 entangler.
-
-    ``R_post = e^{-(pi/2) Y2} e^{-(pi/2) beta_tilde Z2}`` and
-    ``R_pre = e^{-(pi/2)(1+beta) Z2} e^{+(pi/2)(X2 + X1)}``, global phase
-    pi/4.  Defaults reduce to the resonant rotations.
-    """
-    half_pi = math.pi / 2.0
-    return LocalRotationSpec.from_factors(
-        post2=rot2(SIGMA_Y, -half_pi) @ rot2(SIGMA_Z, -half_pi * beta_tilde),
-        post1=ID2,
-        pre2=rot2(SIGMA_Z, -half_pi * (1.0 + beta)) @ rot2(SIGMA_X, half_pi),
-        pre1=rot2(SIGMA_X, half_pi),
+        post2=rot2(SIGMA_Y, -half_pi) @ rot2(SIGMA_Z, -half_pi * a),
+        post1=rot2(SIGMA_Z, -half_pi * c),
+        pre2=rot2(SIGMA_Z, -half_pi * (1.0 + b)) @ rot2(SIGMA_X, half_pi),
+        pre1=rot2(SIGMA_Z, -half_pi * c) @ rot2(SIGMA_X, half_pi),
         phase=math.pi / 4.0,
     )
 
@@ -283,7 +292,7 @@ def two_step_sandwich(t: float, p: SystemParams, frame: int) -> Operator4:
     return u @ PI_PULSE_X1 @ u
 
 
-def two_step_entangler(p: SystemParams, frame: int = 1) -> Operator4:
+def two_step_entangler(p: SystemParams, frame: int) -> Operator4:
     """The entangling core U(t2) e^{-pi X1} U(t2) in the chosen frame."""
     return two_step_sandwich(two_step_time(p), p, frame)
 
@@ -329,6 +338,16 @@ class FitResult:
     rotations: LocalRotationSpec
     distance: float  # Frobenius distance of the dressed gate to the target
     fidelity: float | None  # None when the intrinsic fidelity is undefined
+
+    @classmethod
+    def of(cls, rotations: LocalRotationSpec, entangler: Operator4, target: Operator4) -> FitResult:
+        """The figures of ``rotations.realize(entangler)`` against ``target``."""
+        gate = rotations.realize(entangler)
+        try:
+            fid = fidelity(gate, target)
+        except FidelityUndefinedError:
+            fid = None
+        return cls(rotations=rotations, distance=frob_dist(gate, target), fidelity=fid)
 
 
 # Mixing constants c for eigh(Re m + c Im m).  Each pair of distinct
@@ -440,10 +459,4 @@ def fit_local_rotations(u_ent: Operator4, target: Operator4) -> FitResult:
 
     spec = LocalRotationSpec.from_factors(post2, post1, pre2, pre1, phase=0.0)
     overlap_phase = float(np.angle(np.trace(target.conj().T @ spec.realize(u_ent))))
-    spec = replace(spec, phase=-overlap_phase)
-    gate = spec.realize(u_ent)
-    try:
-        fid = fidelity(gate, target)
-    except FidelityUndefinedError:
-        fid = None
-    return FitResult(rotations=spec, distance=frob_dist(gate, target), fidelity=fid)
+    return FitResult.of(replace(spec, phase=-overlap_phase), u_ent, target)

@@ -14,11 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
+from cnotsteer.model import SystemParams
 from cnotsteer.qmat import Operator4, frob_dist, require_unitary
 from cnotsteer.sequences import (
     LocalRotationSpec,
     single_step_rotations,
-    two_step_rotations_frame1,
+    two_step_rotations,
 )
 from conftest import spec_from_vector
 from nelder_mead import NMOptions, nelder_mead
@@ -66,7 +67,7 @@ def search_local_rotations(
         return frob_dist(spec.realize(u_ent), target)
 
     if warm_starts is None:
-        warm_starts = (two_step_rotations_frame1(), single_step_rotations())
+        warm_starts = (two_step_rotations(SystemParams(), 1), single_step_rotations())
     rng = np.random.default_rng(seed)
     starts = [w.as_vector() for w in warm_starts]
     starts += [rng.uniform(-math.pi, math.pi, size=13) for _ in range(n_restarts)]

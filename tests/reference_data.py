@@ -86,8 +86,9 @@ TABLE2 = {
     2.0: (0.9849, 3.6179, 0.1118, 0.9754),
 }
 
-# Fitted dressing angles at delta = g: two-step frame 1 (alpha2, alpha1),
-# two-step frame 2 (beta_tilde, beta), single-step (alpha2, alpha1, gamma1).
+# The paper's four-decimal dressing angles at delta = g: two-step frame 1
+# (alpha2, alpha1), two-step frame 2 (beta_tilde, beta), single-step
+# (alpha2, alpha1, gamma1).
 TWO_STEP_ANGLES_FRAME1 = (0.5929, 0.2596)
 TWO_STEP_ANGLES_FRAME2 = (-0.1858, 0.3333)
 SINGLE_STEP_ANGLES = (0.8294, -0.1705, -0.9998)

@@ -24,7 +24,7 @@ from cnotsteer.sequences import (
     single_step_rotations,
     single_step_u,
     two_step_entangler,
-    two_step_rotations_frame1,
+    two_step_rotations,
     two_step_time,
 )
 from cnotsteer.verify import run_checks
@@ -117,13 +117,13 @@ def test_criterion_05_fidelity_at_delta_15(single_step_table):
 def test_criterion_06_exact_cnot_assembly(single_step_table):
     # resonance: analytic rotations, both sequences
     p0 = SystemParams(delta=0.0)
-    d_two = frob_dist(two_step_rotations_frame1().realize(two_step_entangler(p0)), CNOT)
+    d_two = frob_dist(two_step_rotations(p0, 1).realize(two_step_entangler(p0, frame=1)), CNOT)
     p0s = SystemParams(delta=0.0, omega1=math.sqrt(15.0))
     d_one = frob_dist(single_step_rotations().realize(single_step_u(HALF_PI, p0s)), CNOT)
 
     # delta = g: closed-form rotation dressing, both sequences
     p1 = SystemParams(delta=1.0)
-    fit_two = fit_local_rotations(two_step_entangler(p1), CNOT)
+    fit_two = fit_local_rotations(two_step_entangler(p1, frame=1), CNOT)
     cal = single_step_table[1.0]
     p1s = SystemParams(delta=1.0, omega1=cal.omega1_over_g)
     fit_one = fit_local_rotations(single_step_u(cal.t_units * HALF_PI, p1s), CNOT)

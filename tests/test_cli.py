@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from cnotsteer.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
-from cnotsteer.sequences import matrix_from_json
+from cnotsteer.model import SystemParams
+from cnotsteer.qmat import frob_dist
+from cnotsteer.sequences import PI_PULSE_X1, matrix_from_json, two_step_rotations
 
+from conftest import spec_from_vector
 from reference_data import (
     ENTANGLER_FRAME1_DELTA1,
     SINGLE_STEP_U_DELTA1,
@@ -120,6 +123,41 @@ def test_gate_two_step_rejects_large_detuning(tmp_path, capsys):
         assert rc == EXIT_DOMAIN, delta
         assert not out.exists()
         assert "delta" in capsys.readouterr().err
+
+
+def _gate(tmp_path, *argv: str) -> dict:
+    out = tmp_path / "gate.json"
+    assert main(["gate", *argv, "--out", str(out)]) == EXIT_OK, argv
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("frame", [1, 2])
+def test_two_step_recipe_is_the_closed_form_and_stable(tmp_path, frame):
+    # A KAK dressing of these CNOT-class entanglers would take its recipe
+    # from the last bits of the entangler; the closed form must not.
+    for delta in (0.5, 0.98, 1.0, 1.01, 1.05, 1.2, 1.5, 1.8):
+        angles = []
+        for d in (delta - 1e-12, delta, delta + 1e-12):
+            payload = _gate(tmp_path, "--mode", "two-step", "--delta", repr(d), "--frame", str(frame))
+            angles.append(payload["recipe"]["euler_angles"])
+            want = two_step_rotations(SystemParams(delta=d), frame).as_vector()[:12]
+            assert angles[-1] == want.tolist(), d
+        moved = np.max(np.abs(np.array(angles) - angles[1]))
+        assert moved <= 1e-11, (delta, moved)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--mode", "one-step", "--delta", d] for d in ("0.5", "1.0", "1.5")]
+    + [["--mode", "two-step", "--delta", d, "--frame", f] for d in ("-1.0", "2.0") for f in "12"],
+)
+def test_gate_recipe_replays_to_the_gate_matrix(tmp_path, argv):
+    payload = _gate(tmp_path, *argv)
+    recipe = payload["recipe"]
+    spec = spec_from_vector([*recipe["euler_angles"], recipe["global_phase"]])
+    segment = matrix_from_json(payload["entangling_matrix"])
+    entangler = segment @ PI_PULSE_X1 @ segment if recipe["kind"] == "two-step" else segment
+    assert frob_dist(spec.realize(entangler), matrix_from_json(payload["gate_matrix"])) <= 1e-14
 
 
 @pytest.mark.parametrize(

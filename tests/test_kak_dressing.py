@@ -16,7 +16,7 @@ from cnotsteer.sequences import (
     fit_local_rotations,
     single_step_u,
     two_step_entangler,
-    two_step_rotations_frame1,
+    two_step_rotations,
 )
 
 from conftest import random_unitary, spec_from_vector
@@ -76,7 +76,7 @@ def test_closed_form_matches_reference_search(kind, delta, frame):
     closed = fit_local_rotations(u, CNOT)
     # No random restarts, and only the first warm start: at every point here
     # the second one halves the search's speed and ends within 4e-15 of it.
-    oracle = search_local_rotations(u, CNOT, n_restarts=0, warm_starts=(two_step_rotations_frame1(),))
+    oracle = search_local_rotations(u, CNOT, n_restarts=0, warm_starts=(two_step_rotations(SystemParams(), 1),))
     assert closed.distance <= oracle.distance + 1e-12
     assert (closed.fidelity is None) == (oracle.fidelity is None)
     if closed.fidelity is not None:

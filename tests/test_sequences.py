@@ -5,23 +5,34 @@ import pytest
 
 from cnotsteer.equivclass import cnot_distance, makhlin_invariants
 from cnotsteer.model import SystemParams, Z1, Z2, Y2, X1, X2
-from cnotsteer.qmat import ContractViolationError, expm_skew, frob_dist, unitarity_defect
+from cnotsteer.qmat import (
+    ID2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    ContractViolationError,
+    expm_skew,
+    frob_dist,
+    unitarity_defect,
+)
 from cnotsteer.sequences import (
     CNOT,
     DetuningOutOfRangeError,
     FidelityUndefinedError,
     GateRecipe,
+    LocalRotationSpec,
     UnsupportedCouplingError,
     euler_u2,
     fidelity,
     fit_local_rotations,
     matrix_from_json,
     matrix_to_json,
+    rot2,
     single_step_rotations,
     single_step_u,
+    _two_step_angles,
     two_step_entangler,
-    two_step_rotations_frame1,
-    two_step_rotations_frame2,
+    two_step_rotations,
     two_step_time,
     zyz_angles,
 )
@@ -65,22 +76,48 @@ def test_two_step_time_detuning_bound():
 
 def test_resonant_two_step_assembles_exact_cnot():
     p = SystemParams(delta=0.0)
-    gate = two_step_rotations_frame1().realize(two_step_entangler(p))
+    gate = two_step_rotations(p, 1).realize(two_step_entangler(p, frame=1))
     assert frob_dist(gate, CNOT) < 1e-10
 
 
-def test_detuned_two_step_frame1_with_fitted_angles():
-    p = SystemParams(delta=1.0)
-    rotations = two_step_rotations_frame1(*TWO_STEP_ANGLES_FRAME1)
-    gate = rotations.realize(two_step_entangler(p, frame=1))
-    assert frob_dist(gate, CNOT) < 1e-3
+@pytest.mark.parametrize("g_tilde", [0.0, 0.05, 0.3])
+@pytest.mark.parametrize("frame", [1, 2])
+def test_two_step_rotations_dress_exact_cnot(g_tilde, frame):
+    worst = 0.0
+    for delta in np.linspace(-2.0, 2.0, 401):
+        p = SystemParams(delta=float(delta), g_tilde=g_tilde)
+        gate = two_step_rotations(p, frame).realize(two_step_entangler(p, frame=frame))
+        worst = max(worst, frob_dist(gate, CNOT))
+    assert worst <= 1e-14
 
 
-def test_detuned_two_step_frame2_with_fitted_angles():
-    p = SystemParams(delta=1.0)
-    rotations = two_step_rotations_frame2(*TWO_STEP_ANGLES_FRAME2)
-    gate = rotations.realize(two_step_entangler(p, frame=2))
-    assert frob_dist(gate, CNOT) < 1e-3
+def test_two_step_angles_match_the_paper_at_delta_g():
+    alpha1, beta = _two_step_angles(SystemParams(delta=1.0))
+    assert beta == pytest.approx(1.0 / 3.0, abs=1e-15)  # arcsin(1/2) = pi/6
+    assert np.allclose((alpha1 + beta, alpha1), TWO_STEP_ANGLES_FRAME1, rtol=0.0, atol=5e-5)
+    assert np.allclose((beta - 2.0 * alpha1, beta), TWO_STEP_ANGLES_FRAME2, rtol=0.0, atol=5e-5)
+
+
+def test_two_step_angles_at_the_range_ends_and_resonance():
+    for sign in (1.0, -1.0):
+        alpha1, beta = _two_step_angles(SystemParams(delta=2.0 * sign))
+        assert alpha1 == pytest.approx(sign / math.sqrt(2.0), abs=1e-15)
+        assert beta == pytest.approx(sign, abs=1e-15)
+    resonant = LocalRotationSpec.from_factors(
+        post2=rot2(SIGMA_Y, -HALF_PI),
+        post1=ID2,
+        pre2=rot2(SIGMA_Z, -HALF_PI) @ rot2(SIGMA_X, HALF_PI),
+        pre1=rot2(SIGMA_X, HALF_PI),
+        phase=math.pi / 4.0,
+    )
+    for frame in (1, 2):
+        spec = two_step_rotations(SystemParams(), frame)
+        assert np.array_equal(spec.as_vector(), resonant.as_vector())
+
+
+def test_two_step_rotations_reject_an_unknown_frame():
+    with pytest.raises(ValueError):
+        two_step_rotations(SystemParams(delta=1.0), 3)
 
 
 def test_two_step_class_invariants_across_settings(rng):
@@ -93,19 +130,15 @@ def test_two_step_class_invariants_across_settings(rng):
 
 def test_rotation_forms_match_generator_exponentials():
     # the Euler-realized specs must equal the explicit exponential products
-    a2, a1 = TWO_STEP_ANGLES_FRAME1
-    spec = two_step_rotations_frame1(a2, a1)
-    post = expm_skew(-HALF_PI * Y2) @ expm_skew(-HALF_PI * (a2 * Z2 + a1 * Z1))
-    pre = expm_skew(-HALF_PI * ((1 + a2) * Z2 + a1 * Z1)) @ expm_skew(HALF_PI * (X2 + X1))
-    assert frob_dist(spec.post_matrix(), post) < 1e-10
-    assert frob_dist(spec.pre_matrix(), pre) < 1e-10
-
-    bt, b = TWO_STEP_ANGLES_FRAME2
-    spec = two_step_rotations_frame2(bt, b)
-    post = expm_skew(-HALF_PI * Y2) @ expm_skew(-HALF_PI * bt * Z2)
-    pre = expm_skew(-HALF_PI * (1 + b) * Z2) @ expm_skew(HALF_PI * (X2 + X1))
-    assert frob_dist(spec.post_matrix(), post) < 1e-10
-    assert frob_dist(spec.pre_matrix(), pre) < 1e-10
+    p = SystemParams(delta=1.0)
+    alpha1, beta = _two_step_angles(p)
+    frames = {1: (alpha1 + beta, alpha1 + beta, alpha1), 2: (beta - 2.0 * alpha1, beta, 0.0)}
+    for frame, (a, b, c) in frames.items():
+        spec = two_step_rotations(p, frame)
+        post = expm_skew(-HALF_PI * Y2) @ expm_skew(-HALF_PI * (a * Z2 + c * Z1))
+        pre = expm_skew(-HALF_PI * ((1 + b) * Z2 + c * Z1)) @ expm_skew(HALF_PI * (X2 + X1))
+        assert frob_dist(spec.post_matrix(), post) < 1e-10
+        assert frob_dist(spec.pre_matrix(), pre) < 1e-10
 
     a2, a1, g1 = SINGLE_STEP_ANGLES
     spec = single_step_rotations(a2, a1, g1)
@@ -218,10 +251,10 @@ def test_rotation_spec_vector_round_trip(rng):
 
 def test_fit_recovers_exact_cnot_at_resonance():
     p = SystemParams(delta=0.0)
-    result = fit_local_rotations(two_step_entangler(p), CNOT)
+    result = fit_local_rotations(two_step_entangler(p, frame=1), CNOT)
     assert result.fidelity is not None
     assert 1.0 - result.fidelity < 1e-8
-    assert frob_dist(result.rotations.realize(two_step_entangler(p)), CNOT) < 1e-4
+    assert frob_dist(result.rotations.realize(two_step_entangler(p, frame=1)), CNOT) < 1e-4
 
 
 def test_gate_recipe_validation_and_json():

@@ -3,17 +3,17 @@
     python3 tools/artifacts.py OUTDIR
 
 Runs ``cnotsteer.cli.main`` in-process, from the ``src/`` of the checkout
-this script sits in, for 38 artifacts: ``table1`` and ``table2``; the
+this script sits in, for 40 artifacts: ``table1`` and ``table2``; the
 2048-sample trajectory at five detunings from resonance (0) to g; one-step
 gates at eleven detunings, among them 0.98g, just below the single-step
 bound, where the calibration must stay on the lower solution branch, 1.01g
 and 1.05g, just beyond it, where the d^2 minimum lies in the flattest
 valley, and 2.5g and 3.0g, where the minimiser shifts the Hessian and halves
-its steps; two-step gates at the first nine of them in both frames (the
-two-step sequence exits 2 beyond 2g); and the ``verify`` report at two
-seeds.  Every output is deterministic, so two checkouts that
-should agree byte for byte are compared with one ``diff -r`` of their
-OUTDIRs.
+its steps; two-step gates at the first nine of them and at -g, where the
+signs of the dressing angles flip, in both frames (the two-step sequence
+exits 2 beyond 2g); and the ``verify`` report at two seeds.  Every output
+is deterministic, so two checkouts that should agree byte for byte are
+compared with one ``diff -r`` of their OUTDIRs.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from cnotsteer.cli import main as cnotsteer_main  # noqa: E402
 TRAJECTORY_DELTAS = ("0", "0.3", "0.5", "0.8", "1.0")
 GATE_DELTAS = ("0.5", "0.98", "1.0", "1.01", "1.05", "1.2", "1.5", "1.8", "2.0")
 ONE_STEP_ONLY_DELTAS = ("2.5", "3.0")
+TWO_STEP_ONLY_DELTAS = ("-1.0",)
 VERIFY_SEEDS = (None, "7")
 
 
@@ -46,7 +47,7 @@ def _commands(out: Path) -> list[tuple[list[str], Path | None]]:
     for delta in GATE_DELTAS + ONE_STEP_ONLY_DELTAS:
         path = out / f"gate_one-step_{delta}.json"
         runs.append((["gate", "--mode", "one-step", "--delta", delta, "--out", str(path)], None))
-    for delta in GATE_DELTAS:
+    for delta in GATE_DELTAS + TWO_STEP_ONLY_DELTAS:
         for frame in ("1", "2"):
             path = out / f"gate_two-step_{delta}_frame{frame}.json"
             runs.append((["gate", "--mode", "two-step", "--delta", delta, "--frame", frame,

@@ -202,6 +202,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def seed(text: str) -> int:
+    """A ``--seed`` value: an integer >= 0, as numpy's ``default_rng`` takes."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cnotsteer",
@@ -231,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(func=cmd_trajectory)
 
     pv = sub.add_parser("verify", help="run the invariant/property suite")
-    pv.add_argument("--seed", type=int, default=42,
+    pv.add_argument("--seed", type=seed, default=42,
                     help="seed of the suite's random samples")
     pv.set_defaults(func=cmd_verify)
 

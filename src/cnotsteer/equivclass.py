@@ -28,6 +28,18 @@ maps a class to its complex conjugate (same Re(G1), |Im(G1)| and G2, the
 opposite sign of Im(G1)), and both land on the same point.  Classes with
 Im(G1) = 0 -- in particular every gate produced by the sequences in this
 package, which stay on the c3 = 0 face -- are represented exactly.
+
+Stacks
+------
+``to_magic``, ``makhlin_invariants`` and ``weyl_coordinates`` take one gate
+or a stack of shape ``(..., 4, 4)``, and ``canonical_class_gate`` takes one
+point or points of shape ``(..., 3)``.  One gate gives one array, pair or
+point; a stack gives an array of the same stack shape, or a list of pairs or
+points in C order of the stack axes.  Each member gets the bits it would get
+alone, and every contract holds per member: the unitarity tolerance, the
+G2-reality bound and the chamber bounds of ``WeylPoint``.  A stack with a
+failing member, NaN included, is rejected, and the error names the worst
+member's index and defect.
 """
 
 from __future__ import annotations
@@ -46,7 +58,9 @@ from .qmat import (
     SIGMA_Y,
     expm_skew,
     kron2,
+    member_name,
     require_unitary,
+    worst_failure,
 )
 
 #: Magic-basis column vectors (Bell states with fixed phases), indexed by
@@ -60,8 +74,11 @@ MAGIC_BASIS = (1.0 / np.sqrt(2.0)) * np.array(
     ],
     dtype=complex,
 )
+_MAGIC_DAG = MAGIC_BASIS.conj().T
 
 _SYSY = kron2(SIGMA_Y, SIGMA_Y)
+#: Rows pick the pairwise sums (s1 + s2, s1 + s3, s2 + s3) of three phases.
+_COMBINE = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 
 _WEYL_TOL = 1e-9
 _HALF_PI = math.pi / 2
@@ -105,12 +122,12 @@ class TrajectorySample:
 
 
 def to_magic(u: np.ndarray) -> np.ndarray:
-    """Rewrite a computational-basis matrix in the magic basis."""
-    return MAGIC_BASIS.conj().T @ u @ MAGIC_BASIS
+    """Rewrite a computational-basis matrix, or each in a stack, in the magic basis."""
+    return _MAGIC_DAG @ u @ MAGIC_BASIS
 
 
-def makhlin_invariants(u: Operator4) -> InvariantPair:
-    """Makhlin invariants (G1, G2) of a two-qubit unitary.
+def makhlin_invariants(u: Operator4) -> InvariantPair | list[InvariantPair]:
+    """Makhlin invariants (G1, G2) of a two-qubit unitary, or of each in a stack.
 
     Forms ``m = U_B^T U_B`` in the magic basis and evaluates
 
@@ -123,20 +140,33 @@ def makhlin_invariants(u: Operator4) -> InvariantPair:
     sqrt(3) * e * max(1, |G2|) to first order, inside the
     2 * UNITARITY_TOL * max(1, |G2|) accepted here.
 
+    One gate gives one pair; a stack gives a list of pairs, one per member.
+
     Raises:
-        ContractViolationError: ``u`` is not unitary within ``UNITARITY_TOL``,
-            or G2 is further from real than that defect allows.
+        ContractViolationError: a member is not unitary within
+            ``UNITARITY_TOL``, or its G2 is further from real than that defect
+            allows.
     """
     u = require_unitary(u, what="gate")
     det = np.linalg.det(u)
     ub = to_magic(u)
-    m = ub.T @ ub
-    tr = np.trace(m)
-    g1 = tr**2 / (16.0 * det)
-    g2 = (tr**2 - np.trace(m @ m)) / (4.0 * det)
-    if not abs(g2.imag) <= 2.0 * UNITARITY_TOL * max(1.0, abs(g2)):
-        raise ContractViolationError(f"G2 is not real: {g2!r}")
-    return InvariantPair(g1=complex(g1), g2=float(g2.real))
+    m = ub.swapaxes(-1, -2) @ ub
+    # np.power squares each element as a scalar does; ``**`` on an array
+    # takes a vectorized square whose last bit can differ.
+    tr2 = np.power(m.trace(axis1=-2, axis2=-1), 2)
+    g1 = tr2 / (16.0 * det)
+    g2 = (tr2 - (m @ m).trace(axis1=-2, axis2=-1)) / (4.0 * det)
+    # |Im G2| <= 2 tol max(1, |G2|), one comparison per branch of the max.
+    im = abs(g2.imag)
+    bad = worst_failure((im <= 2.0 * UNITARITY_TOL) | (im <= 2.0 * UNITARITY_TOL * abs(g2)), im)
+    if bad is not None:
+        raise ContractViolationError(f"G2 of gate{member_name(bad)} is not real: {g2[bad]!r}")
+    if u.ndim == 2:
+        return InvariantPair(g1=complex(g1), g2=float(g2.real))
+    return [
+        InvariantPair(g1=a, g2=b)
+        for a, b in zip(g1.ravel().tolist(), g2.real.ravel().tolist())
+    ]
 
 
 def two_step_invariants_closed(t: float, p: SystemParams) -> InvariantPair:
@@ -170,8 +200,13 @@ def invariants_from_weyl(point: WeylPoint | tuple[float, float, float]) -> Invar
 
 
 def canonical_class_gate(point: WeylPoint | tuple[float, float, float]) -> Operator4:
-    """The representative gate exp(-c1*XX - c2*YY - c3*ZZ)."""
-    c1, c2, c3 = (point.c1, point.c2, point.c3) if isinstance(point, WeylPoint) else point
+    """The representative gate exp(-c1*XX - c2*YY - c3*ZZ).
+
+    Points given as an array of shape ``(..., 3)`` give a stack of gates.
+    """
+    if isinstance(point, WeylPoint):
+        point = point.as_array()
+    c1, c2, c3 = np.moveaxis(np.asarray(point, dtype=float), -1, 0)[..., None, None]
     return expm_skew(-(c1 * XX + c2 * YY + c3 * ZZ))
 
 
@@ -185,26 +220,48 @@ def _raw_coordinates(u: np.ndarray) -> np.ndarray:
 
     Spectral extraction: the eigenphases of U (sy sy U^T sy sy) / sqrt(det U)
     are the exponent combinations +/-c1 -/+c2 +/-c3; half-angle bookkeeping
-    on the sorted phases recovers a representative with c3 >= 0.
+    on the sorted phases recovers a representative with c3 >= 0.  Works on
+    the last two axes, so a stack of gates gives one row per member.
     """
-    u_tilde = _SYSY @ u.T @ _SYSY
-    ev = np.linalg.eigvals((u @ u_tilde) / np.sqrt(complex(np.linalg.det(u))))
+    u_tilde = _SYSY @ u.swapaxes(-1, -2) @ _SYSY
+    root_det = np.sqrt(np.linalg.det(u))[..., None, None]
+    ev = np.linalg.eigvals((u @ u_tilde) / root_det)
     two_s = np.angle(ev) / math.pi
     two_s[two_s <= -0.5] += 2.0
-    s = np.sort(two_s / 2.0)[::-1]
-    n = int(round(s.sum()))
-    s = s - np.r_[np.ones(n), np.zeros(4 - n)]
-    s = np.roll(s, -n)
-    combine = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-    c = combine @ s[:3]
-    if c[2] < 0:
-        c[0] = 1.0 - c[0]
-        c[2] = -c[2]
+    s = np.sort(two_s / 2.0, axis=-1)[..., ::-1]
+    # The phases sum to an integer n: take 1 off the n largest, then rotate
+    # them to the end.
+    n = np.rint(s.sum(axis=-1)).astype(int)[..., None]
+    k = np.arange(4)
+    s = np.take_along_axis(s - (k < n), (k + n) % 4, axis=-1)
+    c = s[..., :3] @ _COMBINE.T
+    flip = c[..., 2] < 0
+    c[flip, 0] = 1.0 - c[flip, 0]
+    c[flip, 2] = -c[flip, 2]
     return c * math.pi
 
 
-def weyl_coordinates(u: Operator4) -> WeylPoint:
-    """Canonical Weyl-chamber coordinates of the class of ``u``.
+def _weyl_points(c: np.ndarray) -> list[WeylPoint]:
+    """One ``WeylPoint`` per row of ``c``, whose trailing axis is (c1, c2, c3).
+
+    Raises:
+        ValueError: a row lies outside the chamber (or has a NaN); the error
+            names the worst row and how far out it lies.
+    """
+    try:
+        return [WeylPoint(*row) for row in c.reshape(-1, 3).tolist()]
+    except ValueError:
+        c1, c2, c3 = np.moveaxis(c, -1, 0)
+        excess = np.max([-c3, c3 - c2, c2 - c1, c1 - _HALF_PI], axis=0) - _WEYL_TOL
+        bad = worst_failure(excess <= 0.0, excess)
+        raise ValueError(
+            f"Weyl point{member_name(bad)} {c[bad].tolist()} is outside the chamber "
+            f"by {excess[bad]:.3e}"
+        ) from None
+
+
+def weyl_coordinates(u: Operator4) -> WeylPoint | list[WeylPoint]:
+    """Canonical Weyl-chamber coordinates of the class of ``u``, or of each in a stack.
 
     Folds the spectral representative into the reduced chamber with the
     class symmetries (Zhang, Vala, Sastry & Whaley, PRA 67, 042313, 2003):
@@ -215,14 +272,18 @@ def weyl_coordinates(u: Operator4) -> WeylPoint:
     so that a class on the c1 = pi/2 face, CNOT's among them, reads pi/2
     exactly whatever the rounding of the spectrum.
 
+    One gate gives one point; a stack gives a list of points, one per member.
+
     Raises:
-        ContractViolationError: ``u`` is not unitary within ``UNITARITY_TOL``.
+        ContractViolationError: a member is not unitary within
+            ``UNITARITY_TOL``.
     """
     u = require_unitary(u, what="gate")
     c = np.mod(_raw_coordinates(u), math.pi)
-    c = np.sort(np.minimum(c, math.pi - c))[::-1]
+    c = np.sort(np.minimum(c, math.pi - c), axis=-1)[..., ::-1]
     c[np.abs(c - _HALF_PI) <= _WEYL_TOL] = _HALF_PI
-    return WeylPoint(c1=float(c[0]), c2=float(c[1]), c3=float(c[2]))
+    points = _weyl_points(c)
+    return points[0] if u.ndim == 2 else points
 
 
 def weyl_trajectory(p: SystemParams, t_max: float, n_samples: int) -> list[TrajectorySample]:

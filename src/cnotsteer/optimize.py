@@ -7,7 +7,11 @@ CNOT-class gate exists, and the driver solves for it as a root: the
 magic-basis residual ``R = m^2 / det U + I``, with ``m = U_B^T U_B``, is
 exactly zero on the CNOT class and linear in the distance from it, so
 Gauss-Newton from the resonant solution converges to rounding in a few
-steps.  Beyond the bound no exact solution exists, and the driver minimizes
+steps.  Each step reads its 32 x 2 forward-difference Jacobian off one
+stacked evaluation of the residual at x, x + h e0 and x + h e1: the three
+gates are exponentiated, checked and transformed as one (3, 4, 4) stack,
+with the same bits as three single evaluations.  Beyond the bound no exact
+solution exists, and the driver minimizes
 the squared invariant distance ``d^2 = |G1|^2 + |G2 - 1|^2`` instead: the
 closest class, by damped Newton steps on a central-difference model of d^2:
 a Hessian that is not positive definite is shifted, and each step is halved
@@ -28,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equivclass import InvariantPair, cnot_distance, makhlin_invariants, to_magic
-from .model import SystemParams
-from .qmat import require_unitary
+from .model import X1, XX, YY, Z2, ZZ, SystemParams
+from .qmat import expm_skew, require_unitary
 from .sequences import single_step_u, two_step_entangler, two_step_time
 
 __all__ = [
@@ -66,6 +70,9 @@ _NEWTON_MAX_ITERATIONS = 60
 _ROOT_TOL = 1e-12
 _ROOT_STEP = 1e-7
 _ROOT_MAX_ITERATIONS = 50
+#: Offsets of the points at which each Gauss-Newton step evaluates the
+#: residual: x itself, then x + h e0 and x + h e1.
+_ROOT_STENCIL = np.array([[0.0, 0.0], [_ROOT_STEP, 0.0], [0.0, _ROOT_STEP]])
 
 
 @dataclass(frozen=True)
@@ -95,6 +102,20 @@ def _single_step_gate(delta_over_g: float, x: np.ndarray) -> np.ndarray:
     return single_step_u(float(x[1]) * math.pi / 2.0, p)
 
 
+def _single_step_gates(delta_over_g: float, x: np.ndarray) -> np.ndarray:
+    """The stack of single-step gates at the points ``x``, shape ``(..., 2)``.
+
+    Broadcasts omega1 and t over the stack in ``h_rwa_frame1``'s expression,
+    term by term in its order, and exponentiates as ``single_step_u`` does,
+    so each gate has the bits of ``_single_step_gate`` at its point.
+    """
+    p = SystemParams(delta=delta_over_g)
+    omega1 = x[..., 0, None, None]
+    t = x[..., 1, None, None] * math.pi / 2.0
+    gen = -p.delta * Z2 + omega1 * X1 + (XX + YY) + p.g_tilde * ZZ
+    return expm_skew(-t * gen)
+
+
 def _single_step_objective(delta_over_g: float):
     def objective(x: np.ndarray) -> float:
         return cnot_distance(makhlin_invariants(_single_step_gate(delta_over_g, x)))
@@ -108,36 +129,34 @@ def _single_step_residual(delta_over_g: float, x: np.ndarray) -> np.ndarray:
     ``m = U_B^T U_B`` in the magic basis.  The CNOT class is the one whose
     ``m`` has the spectrum ``+-i sqrt(det U)``, each twice, so the residual
     vanishes exactly there (where G1 = 0 and G2 = 1) and nowhere else.
+    Points ``(..., 2)`` give residuals ``(..., 32)``.
     """
-    u = require_unitary(_single_step_gate(delta_over_g, x), what="single-step gate")
+    u = require_unitary(_single_step_gates(delta_over_g, x), what="single-step gate")
     ub = to_magic(u)
-    m = ub.T @ ub
-    r = m @ m / np.linalg.det(u) + np.eye(4)
-    return np.concatenate([r.real.ravel(), r.imag.ravel()])
+    m = ub.swapaxes(-1, -2) @ ub
+    r = (m @ m / np.linalg.det(u)[..., None, None] + np.eye(4)).reshape(x.shape[:-1] + (16,))
+    return np.concatenate([r.real, r.imag], axis=-1)
 
 
 def _solve_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
     """Gauss-Newton root of the single-step residual from ``SINGLE_STEP_START``.
 
-    Each step solves the 32 x 2 forward-difference linearization in the
-    least-squares sense.  Returns the root, the iteration count and whether
-    ``||R||_F <= _ROOT_TOL`` was reached.
+    Each step evaluates the residual at x and at its two forward-difference
+    neighbours in one stacked call, and solves the 32 x 2 linearization in
+    the least-squares sense.  Returns the root, the iteration count and
+    whether ``||R||_F <= _ROOT_TOL`` was reached.
     """
     x = np.array(SINGLE_STEP_START)
-    r = _single_step_residual(delta_over_g, x)
     iterations = 0
-    while np.linalg.norm(r) > _ROOT_TOL:
+    while True:
+        r, *shifted = _single_step_residual(delta_over_g, x + _ROOT_STENCIL)
+        if not np.linalg.norm(r) > _ROOT_TOL:
+            return x, iterations, True
         if iterations == _ROOT_MAX_ITERATIONS:
             return x, iterations, False
-        jac = np.empty((r.size, 2))
-        for k in range(2):
-            xk = x.copy()
-            xk[k] += _ROOT_STEP
-            jac[:, k] = (_single_step_residual(delta_over_g, xk) - r) / _ROOT_STEP
+        jac = np.stack([(r_k - r) / _ROOT_STEP for r_k in shifted], axis=1)
         x = x - np.linalg.lstsq(jac, r, rcond=None)[0]
-        r = _single_step_residual(delta_over_g, x)
         iterations += 1
-    return x, iterations, True
 
 
 def _minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:

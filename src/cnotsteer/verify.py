@@ -1,9 +1,13 @@
 """Self-contained property suite behind the ``verify`` CLI command.
 
 Each check is a generator that draws deterministic random samples and
-yields one deviation per comparison.  ``run_checks`` is the one loop that
-runs them: it takes the worst deviation of each check and compares it
-against the check's tolerance, so a NaN deviation is the worst and fails.
+yields one deviation per comparison.  A check that compares gates draws all
+its samples first, in a fixed order, and then evaluates the unitarity
+defects, invariants or Weyl points of all its gates in one stacked call; a
+member of a stack gets the bits it would get alone.  ``run_checks`` is the
+one loop that runs them: it takes the worst deviation of each check and
+compares it against the check's tolerance, so a NaN deviation is the worst
+and fails.
 The suite covers the cross-cutting guarantees of the package: unitarity of
 the propagators, frame independence and ZZ independence of the class
 invariants, invariance under local dressing, Weyl round trips, planarity
@@ -49,11 +53,11 @@ def _random_local(rng: np.random.Generator) -> np.ndarray:
     return kron2(euler_u2(*angles[:3]), euler_u2(*angles[3:]))
 
 
-def _random_unitary(rng: np.random.Generator) -> np.ndarray:
-    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+def _haar_unitaries(z: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries from a stack of complex Gaussian matrices."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _invariant_gaps(a: InvariantPair, b: InvariantPair) -> tuple[float, float]:
@@ -61,45 +65,58 @@ def _invariant_gaps(a: InvariantPair, b: InvariantPair) -> tuple[float, float]:
 
 
 def _unitarity(rng: np.random.Generator) -> Iterator[float]:
+    gates = []
     for _ in range(100):
         t = rng.uniform(0.0, 4.0)
         p = SystemParams(delta=rng.uniform(-3.0, 3.0), g_tilde=rng.uniform(0.0, 0.1))
-        yield unitarity_defect(entangling_u_frame1(t, p))
-        yield unitarity_defect(entangling_u_frame2(t, p))
+        gates += [entangling_u_frame1(t, p), entangling_u_frame2(t, p)]
+    yield from unitarity_defect(np.array(gates))
 
 
 def _frame_equivalence(rng: np.random.Generator) -> Iterator[float]:
+    gates = []
     for _ in range(100):
         t = rng.uniform(0.0, 3.0)
         p = SystemParams(delta=rng.uniform(0.0, 3.0))
-        yield from _invariant_gaps(
-            makhlin_invariants(two_step_sandwich(t, p, frame=1)),
-            makhlin_invariants(two_step_sandwich(t, p, frame=2)),
-        )
+        gates += [two_step_sandwich(t, p, frame=1), two_step_sandwich(t, p, frame=2)]
+    invs = makhlin_invariants(np.array(gates))
+    for frame1, frame2 in zip(invs[::2], invs[1::2]):
+        yield from _invariant_gaps(frame1, frame2)
 
 
 def _zz_independence(rng: np.random.Generator) -> Iterator[float]:
+    # Per sample: the reference (no ZZ coupling, frame 1), then each coupling
+    # in both frames.
+    gates = []
     for _ in range(34):
         t = rng.uniform(0.0, 3.0)
         delta = rng.uniform(0.0, 3.0)
-        ref = makhlin_invariants(two_step_sandwich(t, SystemParams(delta=delta), frame=1))
+        gates.append(two_step_sandwich(t, SystemParams(delta=delta), frame=1))
         for gtilde in (0.05, 0.1):
             p = SystemParams(delta=delta, g_tilde=gtilde)
             for frame in (1, 2):
-                inv = makhlin_invariants(two_step_sandwich(t, p, frame=frame))
-                yield from _invariant_gaps(inv, ref)
+                gates.append(two_step_sandwich(t, p, frame=frame))
+    invs = makhlin_invariants(np.array(gates))
+    for k in range(0, len(invs), 5):
+        ref = invs[k]
+        for inv in invs[k + 1 : k + 5]:
+            yield from _invariant_gaps(inv, ref)
 
 
 def _local_invariance(rng: np.random.Generator) -> Iterator[float]:
+    # Per sample: a Gaussian matrix, a global phase and the two local
+    # rotations around the unitary made from it.
+    z, phase, left, right = [], [], [], []
     for _ in range(100):
-        u = _random_unitary(rng)
-        dressed = (
-            np.exp(1j * rng.uniform(-math.pi, math.pi))
-            * _random_local(rng)
-            @ u
-            @ _random_local(rng)
-        )
-        yield from _invariant_gaps(makhlin_invariants(u), makhlin_invariants(dressed))
+        z.append(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        phase.append(np.exp(1j * rng.uniform(-math.pi, math.pi)))
+        left.append(_random_local(rng))
+        right.append(_random_local(rng))
+    u = _haar_unitaries(np.array(z))
+    dressed = np.array(phase)[:, None, None] * np.array(left) @ u @ np.array(right)
+    invs = makhlin_invariants(np.stack([u, dressed], axis=1))
+    for u_inv, dressed_inv in zip(invs[::2], invs[1::2]):
+        yield from _invariant_gaps(u_inv, dressed_inv)
 
 
 def _interior_point(rng: np.random.Generator) -> tuple[float, float, float]:
@@ -111,18 +128,22 @@ def _interior_point(rng: np.random.Generator) -> tuple[float, float, float]:
 
 
 def _weyl_roundtrip(rng: np.random.Generator) -> Iterator[float]:
-    for _ in range(100):
-        c = _interior_point(rng)
-        yield from np.abs(weyl_coordinates(canonical_class_gate(c)).as_array() - np.array(c))
+    points = [_interior_point(rng) for _ in range(100)]
+    found = weyl_coordinates(canonical_class_gate(np.array(points)))
+    for c, point in zip(points, found):
+        yield from np.abs(point.as_array() - np.array(c))
 
 
 def _planarity(rng: np.random.Generator) -> Iterator[float]:
+    gates = []
     for _ in range(40):
         t = rng.uniform(0.0, 3.0)
         p2 = SystemParams(delta=rng.uniform(0.0, 3.0))
-        yield weyl_coordinates(two_step_sandwich(t, p2, frame=1)).c3
+        gates.append(two_step_sandwich(t, p2, frame=1))
         p1 = SystemParams(delta=rng.uniform(0.0, 2.0), omega1=rng.uniform(0.5, 8.0))
-        yield weyl_coordinates(single_step_u(t, p1)).c3
+        gates.append(single_step_u(t, p1))
+    for point in weyl_coordinates(np.array(gates)):
+        yield point.c3
 
 
 def _uv_normalization(rng: np.random.Generator) -> Iterator[float]:

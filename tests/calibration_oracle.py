@@ -1,10 +1,16 @@
-"""Reference search for the single-step calibration beyond the bound.
+"""Reference searches for the single-step calibration.
 
-This is the three-pass bounded Nelder-Mead on d^2 that
+``minimize_single_step`` is the three-pass bounded Nelder-Mead on d^2 that
 ``optimize.calibrate_single_step`` used beyond ``|delta| = g`` before Newton
 steps on d^2 replaced it.  It is kept as a test oracle: the in-bound root
 solve must reach at least the d^2 it reaches, and beyond the bound the Newton
 minimum must reach it too, on the same branch.
+
+``solve_single_step`` is the in-bound Gauss-Newton root solve as it was
+before each step evaluated its three residuals as one stack: one
+single-gate residual per point, x first, then each forward difference.  The
+stacked solve must return the same root, bit for bit, the same iteration
+count and the same flag.
 """
 
 from __future__ import annotations
@@ -13,7 +19,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from cnotsteer.optimize import SINGLE_STEP_BOUNDS, SINGLE_STEP_START, _single_step_objective
+from cnotsteer.equivclass import to_magic
+from cnotsteer.optimize import (
+    _ROOT_MAX_ITERATIONS,
+    _ROOT_STEP,
+    _ROOT_TOL,
+    SINGLE_STEP_BOUNDS,
+    SINGLE_STEP_START,
+    _single_step_gate,
+    _single_step_objective,
+)
+from cnotsteer.qmat import require_unitary
 from nelder_mead import NMOptions, nelder_mead
 
 _SEARCH = NMOptions(bounds=SINGLE_STEP_BOUNDS)
@@ -34,3 +50,31 @@ def minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
         iterations += res.iterations
         converged = converged and res.converged
     return res.x, iterations, converged
+
+
+def _single_step_residual(delta_over_g: float, x: np.ndarray) -> np.ndarray:
+    """Real and imaginary parts of ``m^2 / det U + I`` at ``x = (omega1/g, T1)``."""
+    u = require_unitary(_single_step_gate(delta_over_g, x), what="single-step gate")
+    ub = to_magic(u)
+    m = ub.T @ ub
+    r = m @ m / np.linalg.det(u) + np.eye(4)
+    return np.concatenate([r.real.ravel(), r.imag.ravel()])
+
+
+def solve_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
+    """Gauss-Newton root of the single-step residual, one point per call."""
+    x = np.array(SINGLE_STEP_START)
+    r = _single_step_residual(delta_over_g, x)
+    iterations = 0
+    while np.linalg.norm(r) > _ROOT_TOL:
+        if iterations == _ROOT_MAX_ITERATIONS:
+            return x, iterations, False
+        jac = np.empty((r.size, 2))
+        for k in range(2):
+            xk = x.copy()
+            xk[k] += _ROOT_STEP
+            jac[:, k] = (_single_step_residual(delta_over_g, xk) - r) / _ROOT_STEP
+        x = x - np.linalg.lstsq(jac, r, rcond=None)[0]
+        r = _single_step_residual(delta_over_g, x)
+        iterations += 1
+    return x, iterations, True

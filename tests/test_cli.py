@@ -230,6 +230,18 @@ def test_verify_command(capsys):
     assert "all 7 checks passed" in out
 
 
+@pytest.mark.parametrize("seed", ["-1", "-2"])
+def test_verify_rejects_a_negative_seed(seed, capsys):
+    # numpy's default_rng rejects negative seeds; the parser must catch them
+    # first, with a usage line, instead of ending in a traceback.
+    with pytest.raises(SystemExit) as exited:
+        main(["verify", "--seed", seed])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cnotsteer verify")
+    assert f"argument --seed: must be >= 0, got {seed}" in err
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import cnotsteer.cli as cli
     from cnotsteer.verify import CheckResult
@@ -245,7 +257,11 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "name, replacement, failed",
     [
-        ("unitarity_defect", lambda u: math.nan, "FAIL  propagator unitarity: worst nan"),
+        (
+            "unitarity_defect",
+            lambda u: np.full(u.shape[:-2], math.nan),
+            "FAIL  propagator unitarity: worst nan",
+        ),
         ("uv_coefficients", lambda t, p: (1.0, 0.5), "FAIL  |u|^2 + v^2 = 1: worst 2.500e-01"),
     ],
     ids=["nan-deviation", "unnormalized-uv"],

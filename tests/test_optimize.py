@@ -15,7 +15,7 @@ from cnotsteer.optimize import (
 )
 from cnotsteer.sequences import CNOT, DetuningOutOfRangeError, fit_local_rotations, single_step_u
 
-from calibration_oracle import minimize_single_step
+from calibration_oracle import minimize_single_step, solve_single_step
 from nelder_mead import NMOptions, nelder_mead
 from reference_data import TABLE1_SINGLE, TABLE1_T2, TABLE2
 
@@ -178,6 +178,16 @@ def test_single_step_root_no_worse_than_nelder_mead_oracle(delta):
     assert d2 <= d2_oracle
     assert dressed <= dressed_oracle
     assert dressed < 1e-12
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.3, -0.3, 0.5, 0.9, 0.98, 1.0])
+def test_single_step_root_matches_the_per_point_oracle(delta):
+    # Each step evaluates its three residuals as one stack; the root, the
+    # step count and the flag must be those of one evaluation per point.
+    x, iterations, converged = optimize._solve_single_step(delta)
+    x_ref, iterations_ref, converged_ref = solve_single_step(delta)
+    assert np.array_equal(x, x_ref) and x.tobytes() == x_ref.tobytes()
+    assert (iterations, converged) == (iterations_ref, converged_ref)
 
 
 def test_single_step_root_cap_clears_converged_flag(monkeypatch):

@@ -147,26 +147,23 @@ def _gate_payload(args: argparse.Namespace) -> dict:
         cal = _calibrate_single_step(delta)
         p = SystemParams(delta=delta, omega1=cal.omega1_over_g)
         t = cal.t_units * math.pi / 2.0
-        segment = single_step_u(t, p)
-        entangler = segment
+        entangler = segment = single_step_u(t, p)
         fit = fit_local_rotations(entangler, CNOT)
 
-    gate = fit.rotations.realize(entangler)
     recipe = GateRecipe(kind=args.mode, params=p, t=t, rotations=fit.rotations)
     inv = makhlin_invariants(entangler)
     weyl = weyl_coordinates(entangler)
-    payload = {
+    return {
         "recipe": recipe.to_json_dict(),
         "frame": args.frame if args.mode == "two-step" else None,
         "entangling_matrix": matrix_to_json(segment),
-        "gate_matrix": matrix_to_json(gate),
+        "gate_matrix": matrix_to_json(fit.gate),
         "invariants": {"g1_re": inv.g1.real, "g1_im": inv.g1.imag, "g2": inv.g2},
         "class_distance_sq": cnot_distance(inv),
         "weyl_point": {"c1": weyl.c1, "c2": weyl.c2, "c3": weyl.c3},
         "frobenius_distance_to_cnot": fit.distance,
         "fidelity": fit.fidelity,
     }
-    return payload
 
 
 def cmd_gate(args: argparse.Namespace) -> int:

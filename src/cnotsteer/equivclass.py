@@ -11,6 +11,9 @@ equivalence class.  Classes are labelled here in two interchangeable ways:
   ``exp(-c1*XX - c2*YY - c3*ZZ)`` folded into the reduced chamber
   ``pi/2 >= c1 >= c2 >= c3 >= 0``.  CNOT sits at ``(pi/2, 0, 0)``.
 
+The CNOT and SWAP classes are the roots of ``cnot_residual``; it and the
+invariants share one magic-basis ``m = U_B^T U_B`` (``_magic_gram``).
+
 Conventions
 -----------
 The magic-basis transform is fixed once (module constant ``MAGIC_BASIS``)
@@ -31,15 +34,15 @@ package, which stay on the c3 = 0 face -- are represented exactly.
 
 Stacks
 ------
-``to_magic``, ``makhlin_invariants`` and ``weyl_coordinates`` take one gate
-or a stack of shape ``(..., 4, 4)``, and ``canonical_class_gate`` takes one
-point or points of shape ``(..., 3)``.  One gate gives one array, pair or
-point; a stack gives an array of the same stack shape, or a list of pairs or
-points in C order of the stack axes.  Each member gets the bits it would get
-alone, and every contract holds per member: the unitarity tolerance, the
-G2-reality bound and the chamber bounds of ``WeylPoint``.  A stack with a
-failing member, NaN included, is rejected, and the error names the worst
-member's index and defect.
+``to_magic``, ``makhlin_invariants``, ``cnot_residual`` and
+``weyl_coordinates`` take one gate or a stack of shape ``(..., 4, 4)``, and
+``canonical_class_gate`` takes one point or points of shape ``(..., 3)``.
+One gate gives one array, pair or point; a stack gives an array of the same
+stack shape, or a list of pairs or points in C order of the stack axes.
+Each member gets the bits it would get alone, and every contract holds per
+member: the unitarity tolerance, the G2-reality bound and the chamber
+bounds of ``WeylPoint``.  A stack with a failing member, NaN included, is
+rejected, and the error names the worst member's index and defect.
 """
 
 from __future__ import annotations
@@ -126,6 +129,13 @@ def to_magic(u: np.ndarray) -> np.ndarray:
     return _MAGIC_DAG @ u @ MAGIC_BASIS
 
 
+def _magic_gram(u: Operator4) -> tuple[np.ndarray, np.ndarray]:
+    """``m = U_B^T U_B`` in the magic basis and ``det U``, for ``u`` checked unitary."""
+    u = require_unitary(u, what="gate")
+    ub = to_magic(u)
+    return ub.swapaxes(-1, -2) @ ub, np.linalg.det(u)
+
+
 def makhlin_invariants(u: Operator4) -> InvariantPair | list[InvariantPair]:
     """Makhlin invariants (G1, G2) of a two-qubit unitary, or of each in a stack.
 
@@ -147,10 +157,7 @@ def makhlin_invariants(u: Operator4) -> InvariantPair | list[InvariantPair]:
             ``UNITARITY_TOL``, or its G2 is further from real than that defect
             allows.
     """
-    u = require_unitary(u, what="gate")
-    det = np.linalg.det(u)
-    ub = to_magic(u)
-    m = ub.swapaxes(-1, -2) @ ub
+    m, det = _magic_gram(u)
     # np.power squares each element as a scalar does; ``**`` on an array
     # takes a vectorized square whose last bit can differ.
     tr2 = np.power(m.trace(axis1=-2, axis2=-1), 2)
@@ -213,6 +220,22 @@ def canonical_class_gate(point: WeylPoint | tuple[float, float, float]) -> Opera
 def cnot_distance(inv: InvariantPair) -> float:
     """Squared invariant distance d^2 = |G1|^2 + |G2 - 1|^2 to the CNOT class."""
     return abs(inv.g1) ** 2 + abs(inv.g2 - 1.0) ** 2
+
+
+def cnot_residual(u: Operator4) -> np.ndarray:
+    """Real and imaginary parts of ``R = m^2 / det U + I``: 32 values, or ``(..., 32)``.
+
+    R vanishes exactly where ``m / sqrt(det U)`` has only +-i in its
+    spectrum: on the CNOT class (i, i, -i, -i) and the SWAP class (four equal
+    entries).  On the c3 = 0 face, where single-step gates lie, only CNOT is
+    a root, and R is linear in the distance from it.
+
+    Raises:
+        ContractViolationError: a member is not unitary within ``UNITARITY_TOL``.
+    """
+    m, det = _magic_gram(u)
+    r = (m @ m / det[..., None, None] + np.eye(4)).reshape(m.shape[:-2] + (16,))
+    return np.concatenate([r.real, r.imag], axis=-1)
 
 
 def _raw_coordinates(u: np.ndarray) -> np.ndarray:

@@ -1,23 +1,20 @@
 """Calibration drivers: find gate parameters that reach (or best approach)
 the CNOT class at a given detuning.
 
-``calibrate_single_step`` picks its method from the detuning.  For
-``|delta| <= SINGLE_STEP_BOUND`` (that is, ``|delta| <= g``) an exact
-CNOT-class gate exists, and the driver solves for it as a root: the
-magic-basis residual ``R = m^2 / det U + I``, with ``m = U_B^T U_B``, is
-exactly zero on the CNOT class and linear in the distance from it, so
-Gauss-Newton from the resonant solution converges to rounding in a few
-steps.  Each step reads its 32 x 2 forward-difference Jacobian off one
-stacked evaluation of the residual at x, x + h e0 and x + h e1: the three
-gates are exponentiated, checked and transformed as one (3, 4, 4) stack,
-with the same bits as three single evaluations.  Beyond the bound no exact
-solution exists, and the driver minimizes
-the squared invariant distance ``d^2 = |G1|^2 + |G2 - 1|^2`` instead: the
-closest class, by damped Newton steps on a central-difference model of d^2:
-a Hessian that is not positive definite is shifted, and each step is halved
-until it stays in the search box and lowers d^2.  Both methods start from
-the resonant solution, which keeps them on the lowest branch.  The search
-box bounds only the minimisation; the root solve does not check it.
+``calibrate_single_step`` picks its method from the detuning.  Both
+methods search ``x = (omega1/g, T1)``, T1 in units of pi/2g, and take each
+gate from ``sequences.single_step_gates``.  For ``|delta| <=
+SINGLE_STEP_BOUND`` (that is, ``|delta| <= g``) an exact CNOT-class gate
+exists, and Gauss-Newton from the resonant solution finds it in a few steps
+as a root of ``equivclass.cnot_residual``, ``R = m^2 / det U + I``.  R also
+vanishes on the SWAP class, which single-step gates, on the c3 = 0 face,
+never reach.  Each step reads its 32 x 2 forward-difference Jacobian off one
+stacked evaluation at x, x + h e0 and x + h e1.  Beyond the bound the driver
+minimizes ``d^2 = |G1|^2 + |G2 - 1|^2`` instead, for the closest class, by
+damped Newton steps on a central-difference model: a Hessian that is not
+positive definite is shifted, and each step is halved until it stays in the
+search box and lowers d^2.  Both methods start from the resonant solution,
+which keeps them on the lowest branch; only the minimisation checks the box.
 
 ``calibrate_two_step`` needs no search: the entangling time has a closed
 form, and the invariants and distance it reports are those of the assembled
@@ -31,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equivclass import InvariantPair, cnot_distance, makhlin_invariants, to_magic
-from .model import X1, XX, YY, Z2, ZZ, SystemParams
-from .qmat import expm_skew, require_unitary
-from .sequences import single_step_u, two_step_entangler, two_step_time
+from .equivclass import InvariantPair, cnot_distance, cnot_residual, makhlin_invariants
+from .model import SystemParams
+from .sequences import single_step_gates, single_step_u, two_step_entangler, two_step_time
 
 __all__ = [
     "CalibrationResult",
@@ -96,46 +92,14 @@ class CalibrationResult:
     method: str
 
 
-def _single_step_gate(delta_over_g: float, x: np.ndarray) -> np.ndarray:
-    """The single-step gate at ``x = (omega1/g, T1)``, with T1 in units of pi/2g."""
-    p = SystemParams(delta=delta_over_g, omega1=float(x[0]))
-    return single_step_u(float(x[1]) * math.pi / 2.0, p)
+def _gates(delta_over_g: float, x: np.ndarray) -> np.ndarray:
+    """Single-step gates at points ``x = (omega1/g, T1)`` of shape ``(..., 2)``, T1 in pi/2g."""
+    return single_step_gates(delta_over_g, x[..., 0], x[..., 1] * math.pi / 2.0)
 
 
-def _single_step_gates(delta_over_g: float, x: np.ndarray) -> np.ndarray:
-    """The stack of single-step gates at the points ``x``, shape ``(..., 2)``.
-
-    Broadcasts omega1 and t over the stack in ``h_rwa_frame1``'s expression,
-    term by term in its order, and exponentiates as ``single_step_u`` does,
-    so each gate has the bits of ``_single_step_gate`` at its point.
-    """
-    p = SystemParams(delta=delta_over_g)
-    omega1 = x[..., 0, None, None]
-    t = x[..., 1, None, None] * math.pi / 2.0
-    gen = -p.delta * Z2 + omega1 * X1 + (XX + YY) + p.g_tilde * ZZ
-    return expm_skew(-t * gen)
-
-
-def _single_step_objective(delta_over_g: float):
-    def objective(x: np.ndarray) -> float:
-        return cnot_distance(makhlin_invariants(_single_step_gate(delta_over_g, x)))
-
-    return objective
-
-
-def _single_step_residual(delta_over_g: float, x: np.ndarray) -> np.ndarray:
-    """Real and imaginary parts of ``m^2 / det U + I`` at ``x = (omega1/g, T1)``.
-
-    ``m = U_B^T U_B`` in the magic basis.  The CNOT class is the one whose
-    ``m`` has the spectrum ``+-i sqrt(det U)``, each twice, so the residual
-    vanishes exactly there (where G1 = 0 and G2 = 1) and nowhere else.
-    Points ``(..., 2)`` give residuals ``(..., 32)``.
-    """
-    u = require_unitary(_single_step_gates(delta_over_g, x), what="single-step gate")
-    ub = to_magic(u)
-    m = ub.swapaxes(-1, -2) @ ub
-    r = (m @ m / np.linalg.det(u)[..., None, None] + np.eye(4)).reshape(x.shape[:-1] + (16,))
-    return np.concatenate([r.real, r.imag], axis=-1)
+def _d2(delta_over_g: float, x: np.ndarray) -> float:
+    """The objective beyond the bound: d^2 of the single-step gate at ``x``."""
+    return cnot_distance(makhlin_invariants(_gates(delta_over_g, x)))
 
 
 def _solve_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
@@ -149,7 +113,7 @@ def _solve_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
     x = np.array(SINGLE_STEP_START)
     iterations = 0
     while True:
-        r, *shifted = _single_step_residual(delta_over_g, x + _ROOT_STENCIL)
+        r, *shifted = cnot_residual(_gates(delta_over_g, x + _ROOT_STENCIL))
         if not np.linalg.norm(r) > _ROOT_TOL:
             return x, iterations, True
         if iterations == _ROOT_MAX_ITERATIONS:
@@ -172,16 +136,17 @@ def _minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
     rounding, that monotone guard is what ends it.
     Returns the point, the number of Newton steps and whether it converged.
     """
-    objective = _single_step_objective(delta_over_g)
     h = _NEWTON_STEP
     lo, hi = np.array(SINGLE_STEP_BOUNDS).T
     x = np.array(SINGLE_STEP_START)
-    fx = objective(x)
+    fx = _d2(delta_over_g, x)
     for iterations in range(_NEWTON_MAX_ITERATIONS):
-        f = np.empty((3, 3))  # f[i, j] = objective(x + h * (i - 1, j - 1))
+        f = np.empty((3, 3))  # f[i, j] = d^2 at x + h * (i - 1, j - 1)
         for i in range(3):
             for j in range(3):
-                f[i, j] = fx if i == j == 1 else objective(x + h * np.array([i - 1.0, j - 1.0]))
+                f[i, j] = fx if i == j == 1 else _d2(
+                    delta_over_g, x + h * np.array([i - 1.0, j - 1.0])
+                )
         grad = np.array([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]]) / (2.0 * h)
         cross = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / 4.0
         hess = np.array([
@@ -195,7 +160,7 @@ def _minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
         while np.max(np.abs(step)) > _NEWTON_TOL:
             trial = x + step
             if np.all(trial >= lo) and np.all(trial <= hi):
-                f_trial = objective(trial)
+                f_trial = _d2(delta_over_g, trial)
                 if f_trial < fx:
                     break
             step = step / 2.0
@@ -226,7 +191,8 @@ def calibrate_single_step(delta_over_g: float) -> CalibrationResult:
         method = "d^2 minimisation"
         x, iterations, converged = _minimize_single_step(delta_over_g)
 
-    inv = makhlin_invariants(_single_step_gate(delta_over_g, x))
+    p = SystemParams(delta=delta_over_g, omega1=float(x[0]))
+    inv = makhlin_invariants(single_step_u(float(x[1]) * math.pi / 2.0, p))
     return CalibrationResult(
         delta_over_g=delta_over_g,
         kind="one-step",

@@ -9,7 +9,7 @@ Two sequence families generate the controlled-NOT class:
 * **single-step** -- one continuous evolution under drive plus coupling,
   ``e^{i 5 pi/4} R_post U(t1) R_pre``, with ``(omega1, t1)`` calibrated
   numerically; an exact CNOT requires ``|delta| <= g`` and capacitive
-  (``g_tilde = 0``) coupling.
+  (``g_tilde = 0``) coupling.  Its one gate map is ``single_step_gates``.
 
 Local rotations are parameterized per qubit as z-y-z Euler triples on each
 side of the entangler plus one global phase (13 parameters total), which
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -297,8 +297,19 @@ def two_step_entangler(p: SystemParams, frame: int) -> Operator4:
     return two_step_sandwich(two_step_time(p), p, frame)
 
 
+def single_step_gates(delta: float, omega1: float | np.ndarray, t: float | np.ndarray) -> Operator4:
+    """Single-step evolution exp(-t * [h_rwa_frame1 + omega1 X1]) at ``g_tilde = 0``.
+
+    One ``(omega1, t)`` gives one gate; arrays broadcast to a stack of gates,
+    each member with the bits it gets alone.  Units of g.
+    """
+    omega1 = np.asarray(omega1)[..., None, None]
+    t = np.asarray(t)[..., None, None]
+    return expm_skew(-t * (h_rwa_frame1(SystemParams(delta=delta)) + omega1 * X1))
+
+
 def single_step_u(t: float, p: SystemParams) -> Operator4:
-    """Single-step evolution exp(-t * [-delta Z2 + omega1 X1 + (XX+YY)]), units of g.
+    """Single-step evolution ``single_step_gates(p.delta, p.omega1, t)``.
 
     Raises:
         UnsupportedCouplingError: ``g_tilde != 0`` (the single-drive sequence
@@ -309,7 +320,7 @@ def single_step_u(t: float, p: SystemParams) -> Operator4:
             "single-step sequence requires g_tilde = 0; an additional drive on "
             "qubit 2 would be needed otherwise"
         )
-    return expm_skew(-t * h_rwa_frame1(p))
+    return single_step_gates(p.delta, p.omega1, t)
 
 
 def fidelity(u: Operator4, target: Operator4) -> float:
@@ -336,18 +347,19 @@ class FitResult:
     """Outcome of the local dressing of an entangler."""
 
     rotations: LocalRotationSpec
+    gate: Operator4 = field(compare=False, repr=False)  # the dressed gate that was scored
     distance: float  # Frobenius distance of the dressed gate to the target
     fidelity: float | None  # None when the intrinsic fidelity is undefined
 
     @classmethod
     def of(cls, rotations: LocalRotationSpec, entangler: Operator4, target: Operator4) -> FitResult:
-        """The figures of ``rotations.realize(entangler)`` against ``target``."""
+        """``rotations.realize(entangler)`` and its figures against ``target``."""
         gate = rotations.realize(entangler)
         try:
             fid = fidelity(gate, target)
         except FidelityUndefinedError:
             fid = None
-        return cls(rotations=rotations, distance=frob_dist(gate, target), fidelity=fid)
+        return cls(rotations=rotations, gate=gate, distance=frob_dist(gate, target), fidelity=fid)
 
 
 # Mixing constants c for eigh(Re m + c Im m).  Each pair of distinct

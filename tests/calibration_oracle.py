@@ -10,26 +10,31 @@ minimum must reach it too, on the same branch.
 before each step evaluated its three residuals as one stack: one
 single-gate residual per point, x first, then each forward difference.  The
 stacked solve must return the same root, bit for bit, the same iteration
-count and the same flag.
+count and the same flag.  Its per-point gate, ``single_step_gate``, goes
+through ``single_step_u``, and its residual, ``single_step_residual``, is
+formed here, apart from ``equivclass.cnot_residual``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import replace
 
 import numpy as np
 
 from cnotsteer.equivclass import to_magic
+from cnotsteer.model import SystemParams
 from cnotsteer.optimize import (
     _ROOT_MAX_ITERATIONS,
     _ROOT_STEP,
     _ROOT_TOL,
     SINGLE_STEP_BOUNDS,
     SINGLE_STEP_START,
-    _single_step_gate,
-    _single_step_objective,
+    _d2,
 )
 from cnotsteer.qmat import require_unitary
+from cnotsteer.sequences import single_step_u
 from nelder_mead import NMOptions, nelder_mead
 
 _SEARCH = NMOptions(bounds=SINGLE_STEP_BOUNDS)
@@ -40,7 +45,7 @@ _POLISH_EDGES = (0.002, 0.0001)
 
 def minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
     """Closest class by bounded Nelder-Mead on d^2, polished twice."""
-    objective = _single_step_objective(delta_over_g)
+    objective = functools.partial(_d2, delta_over_g)
 
     res = nelder_mead(objective, np.array(SINGLE_STEP_START), _SEARCH)
     iterations = res.iterations
@@ -52,9 +57,15 @@ def minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
     return res.x, iterations, converged
 
 
-def _single_step_residual(delta_over_g: float, x: np.ndarray) -> np.ndarray:
+def single_step_gate(delta_over_g: float, x: np.ndarray) -> np.ndarray:
+    """The single-step gate at one point ``x = (omega1/g, T1)``, T1 in units of pi/2g."""
+    p = SystemParams(delta=delta_over_g, omega1=float(x[0]))
+    return single_step_u(float(x[1]) * math.pi / 2.0, p)
+
+
+def single_step_residual(delta_over_g: float, x: np.ndarray) -> np.ndarray:
     """Real and imaginary parts of ``m^2 / det U + I`` at ``x = (omega1/g, T1)``."""
-    u = require_unitary(_single_step_gate(delta_over_g, x), what="single-step gate")
+    u = require_unitary(single_step_gate(delta_over_g, x), what="single-step gate")
     ub = to_magic(u)
     m = ub.T @ ub
     r = m @ m / np.linalg.det(u) + np.eye(4)
@@ -64,7 +75,7 @@ def _single_step_residual(delta_over_g: float, x: np.ndarray) -> np.ndarray:
 def solve_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
     """Gauss-Newton root of the single-step residual, one point per call."""
     x = np.array(SINGLE_STEP_START)
-    r = _single_step_residual(delta_over_g, x)
+    r = single_step_residual(delta_over_g, x)
     iterations = 0
     while np.linalg.norm(r) > _ROOT_TOL:
         if iterations == _ROOT_MAX_ITERATIONS:
@@ -73,8 +84,8 @@ def solve_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
         for k in range(2):
             xk = x.copy()
             xk[k] += _ROOT_STEP
-            jac[:, k] = (_single_step_residual(delta_over_g, xk) - r) / _ROOT_STEP
+            jac[:, k] = (single_step_residual(delta_over_g, xk) - r) / _ROOT_STEP
         x = x - np.linalg.lstsq(jac, r, rcond=None)[0]
-        r = _single_step_residual(delta_over_g, x)
+        r = single_step_residual(delta_over_g, x)
         iterations += 1
     return x, iterations, True

@@ -8,6 +8,7 @@ from cnotsteer.equivclass import (
     WeylPoint,
     canonical_class_gate,
     cnot_distance,
+    cnot_residual,
     invariants_from_weyl,
     makhlin_invariants,
     trajectory_to_csv,
@@ -243,3 +244,27 @@ def test_trajectory_csv_format():
         assert len(fields) == 4
         for f in fields:
             assert len(f.split(".")[1]) == 6
+
+
+def _residual_norms(u):
+    return np.linalg.norm(cnot_residual(u), axis=-1)
+
+
+def test_cnot_residual_vanishes_on_the_cnot_and_swap_classes(rng):
+    # m / sqrt(det U) has the spectrum (i, i, -i, -i) on the CNOT class and
+    # four equal entries +-i on the SWAP class; both give m^2 = -det U I.
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=200))
+    dressed = [z * _random_local(rng) @ CNOT @ _random_local(rng) for z in phases]
+    assert np.max(_residual_norms(np.array([CNOT, SWAP, *dressed]))) <= 1e-14
+    for u in (np.eye(4), canonical_class_gate((math.pi / 4,) * 3)):
+        assert _residual_norms(u) >= 1.0
+
+
+def test_cnot_residual_on_the_c3_zero_face_vanishes_only_at_cnot():
+    # Single-step gates stay on this face, where R = 0 picks out CNOT.
+    c = np.linspace(0.0, HALF_PI, 41)
+    c1, c2 = np.meshgrid(c, c, indexing="ij")
+    c1, c2 = c1[c1 >= c2], c2[c1 >= c2]
+    norms = _residual_norms(canonical_class_gate(np.stack([c1, c2, np.zeros_like(c1)], axis=-1)))
+    distance = np.hypot(c1 - HALF_PI, c2)
+    assert np.all(norms >= 2.0 * distance)

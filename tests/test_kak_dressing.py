@@ -81,7 +81,8 @@ def test_closed_form_matches_reference_search(kind, delta, frame):
     assert (closed.fidelity is None) == (oracle.fidelity is None)
     if closed.fidelity is not None:
         assert abs(closed.fidelity - oracle.fidelity) <= 1e-12
-    # the reported figures are those of the realized gate
+    # the reported gate and figures are those of the realized gate
+    assert closed.gate.tobytes() == closed.rotations.realize(u).tobytes()
     assert closed.distance == frob_dist(closed.rotations.realize(u), CNOT)
 
 

@@ -222,7 +222,7 @@ BEYOND_THE_BOUND = [d for d in TABLE2 if d > SINGLE_STEP_BOUND] + [
 
 
 def _d2(delta, x):
-    return optimize._single_step_objective(delta)(np.asarray(x, dtype=float))
+    return optimize._d2(delta, np.asarray(x, dtype=float))
 
 
 @pytest.mark.parametrize("delta", BEYOND_THE_BOUND)

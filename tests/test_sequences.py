@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cnotsteer.equivclass import cnot_distance, makhlin_invariants
-from cnotsteer.model import SystemParams, Z1, Z2, Y2, X1, X2
+from cnotsteer.model import SystemParams, Z1, Z2, Y2, X1, X2, h_rwa_frame1
 from cnotsteer.qmat import (
     ID2,
     SIGMA_X,
@@ -153,6 +153,14 @@ def test_rotation_forms_match_generator_exponentials():
 def test_single_step_identity_at_zero_time():
     p = SystemParams(delta=0.7, omega1=3.8)
     assert frob_dist(single_step_u(0.0, p), np.eye(4)) < 1e-15
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.0, 1.0, -1.0, 2.0, -2.0])
+def test_single_step_gate_is_the_frame1_evolution_bit_for_bit(delta):
+    # The drive added to the undriven generator gives the bits of the full one.
+    for omega1, t in [(3.8, 0.0), (math.sqrt(15.0), HALF_PI), (0.5, 2.0), (7.25, 0.3)]:
+        p = SystemParams(delta=delta, omega1=omega1)
+        assert single_step_u(t, p).tobytes() == expm_skew(-t * h_rwa_frame1(p)).tobytes()
 
 
 def test_single_step_resonant_closed_form():

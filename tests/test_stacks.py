@@ -14,6 +14,7 @@ import cnotsteer.equivclass as equivclass
 import cnotsteer.optimize as optimize
 from cnotsteer.equivclass import (
     canonical_class_gate,
+    cnot_residual,
     makhlin_invariants,
     to_magic,
     weyl_coordinates,
@@ -27,9 +28,9 @@ from cnotsteer.qmat import (
     skewness_defect,
     unitarity_defect,
 )
-from cnotsteer.sequences import CNOT, euler_u2
+from cnotsteer.sequences import CNOT, euler_u2, single_step_gates
 
-from calibration_oracle import _single_step_residual
+from calibration_oracle import single_step_gate, single_step_residual
 from conftest import random_skew, random_unitary
 
 pytest.importorskip("hypothesis")
@@ -113,6 +114,7 @@ def test_gate_kernels_give_each_member_its_own_bits(stack):
         lambda u: require_unitary(u, what="gate"),
         to_magic,
         makhlin_invariants,
+        cnot_residual,
         weyl_coordinates,
     ):
         _assert_members_alone(kernel, stack)
@@ -128,7 +130,7 @@ def test_generator_kernels_give_each_member_its_own_bits(stack):
 def test_named_gates_in_one_stack():
     # I, CNOT and SWAP have degenerate magic-basis spectra.
     stack = np.array(NAMED)
-    for kernel in (unitarity_defect, to_magic, makhlin_invariants, weyl_coordinates):
+    for kernel in (unitarity_defect, to_magic, makhlin_invariants, cnot_residual, weyl_coordinates):
         _assert_members_alone(kernel, stack)
     assert [p.as_array().tolist() for p in weyl_coordinates(stack)] == [
         [0.0, 0.0, 0.0],
@@ -155,6 +157,7 @@ def test_empty_stack_gives_empty_results():
     assert require_unitary(empty, what="gate").shape == (0, 4, 4)
     assert expm_skew(empty).shape == (0, 4, 4)
     assert to_magic(empty).shape == (0, 4, 4)
+    assert cnot_residual(empty).shape == (0, 32)
     assert makhlin_invariants(empty) == []
     assert weyl_coordinates(empty) == []
 
@@ -236,12 +239,26 @@ def test_one_member_outside_the_chamber_is_named(monkeypatch):
 points = st.tuples(st.floats(0.5, 8.0), st.floats(0.5, 2.5))
 
 
+def _assert_points_alone(delta, x):
+    # The solvers' stacked gates and residuals against one call per point.
+    gates = optimize._gates(delta, x)
+    residuals = cnot_residual(gates)
+    for gate, r, point in zip(gates, residuals, x):
+        assert gate.tobytes() == single_step_gate(delta, point).tobytes()
+        assert r.tobytes() == single_step_residual(delta, point).tobytes()
+
+
 @PROPERTY
 @given(st.floats(-3.0, 3.0), st.lists(points, min_size=1, max_size=4).map(np.array))
 def test_single_step_gates_and_residuals_give_each_point_its_own_bits(delta, x):
-    # The root solve's stacked gates and residuals against one call per point.
-    gates = optimize._single_step_gates(delta, x)
-    residuals = optimize._single_step_residual(delta, x)
-    for gate, r, point in zip(gates, residuals, x):
-        assert gate.tobytes() == optimize._single_step_gate(delta, point).tobytes()
-        assert r.tobytes() == _single_step_residual(delta, point).tobytes()
+    _assert_points_alone(delta, x)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.0, 1.0, -1.0, 2.0, -2.0])
+def test_single_step_stencil_at_named_detunings(delta):
+    x = np.array(optimize.SINGLE_STEP_START) + optimize._ROOT_STENCIL
+    _assert_points_alone(delta, x)
+    # Zero time gives exactly I, alone and in a stack.
+    _assert_points_alone(delta, np.array([[3.0, 0.0], [0.5, 0.0], [3.0, 1.0]]))
+    assert np.array_equal(single_step_gate(delta, np.array([3.0, 0.0])), np.eye(4))
+    assert np.array_equal(single_step_gates(delta, [3.0, 0.5], 0.0), np.array([np.eye(4)] * 2))

@@ -44,7 +44,6 @@ from .optimize import (
     SINGLE_STEP_BOUND,
     CalibrationResult,
     calibrate_single_step,
-    calibrate_two_step,
 )
 from .propagate import entangling_u
 from .qmat import ContractViolationError
@@ -55,8 +54,8 @@ from .sequences import (
     fit_local_rotations,
     matrix_to_json,
     single_step_u,
+    two_step_product,
     two_step_rotations,
-    two_step_sandwich,
     two_step_time,
 )
 from .verify import run_checks
@@ -114,7 +113,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     """
     rows = []
     for delta in _TABLE_GRID:
-        t2 = calibrate_two_step(delta).t_units
+        t2 = two_step_time(SystemParams(delta=delta)) / (math.pi / 4.0)  # as calibrate_two_step
         if delta <= SINGLE_STEP_BOUND:
             cal = _calibrate_single_step(delta)
             rows.append([f"{delta:.2f}", t2, cal.t_units, cal.omega1_over_g])
@@ -141,7 +140,7 @@ def _gate_payload(args: argparse.Namespace) -> dict:
         p = SystemParams(delta=delta)
         t = two_step_time(p)
         segment = entangling_u(t, p, args.frame)
-        entangler = two_step_sandwich(t, p, args.frame)
+        entangler = two_step_product(segment)
         fit = FitResult.of(two_step_rotations(p, args.frame), entangler, CNOT)
     else:
         cal = _calibrate_single_step(delta)

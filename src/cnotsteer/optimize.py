@@ -30,7 +30,7 @@ import numpy as np
 
 from .equivclass import InvariantPair, cnot_distance, cnot_residual, makhlin_invariants
 from .model import SystemParams
-from .sequences import single_step_gates, single_step_u, two_step_entangler, two_step_time
+from .sequences import single_step_gates, two_step_entangler, two_step_time
 
 __all__ = [
     "CalibrationResult",
@@ -97,33 +97,39 @@ def _gates(delta_over_g: float, x: np.ndarray) -> np.ndarray:
     return single_step_gates(delta_over_g, x[..., 0], x[..., 1] * math.pi / 2.0)
 
 
+def _invariants(delta_over_g: float, x: np.ndarray) -> InvariantPair:
+    """Invariants of the single-step gate at one point ``x``."""
+    return makhlin_invariants(_gates(delta_over_g, x))
+
+
 def _d2(delta_over_g: float, x: np.ndarray) -> float:
     """The objective beyond the bound: d^2 of the single-step gate at ``x``."""
-    return cnot_distance(makhlin_invariants(_gates(delta_over_g, x)))
+    return cnot_distance(_invariants(delta_over_g, x))
 
 
-def _solve_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
+def _solve_single_step(delta_over_g: float) -> tuple[np.ndarray, InvariantPair, int, bool]:
     """Gauss-Newton root of the single-step residual from ``SINGLE_STEP_START``.
 
     Each step evaluates the residual at x and at its two forward-difference
     neighbours in one stacked call, and solves the 32 x 2 linearization in
-    the least-squares sense.  Returns the root, the iteration count and
-    whether ``||R||_F <= _ROOT_TOL`` was reached.
+    the least-squares sense.  Returns the root, the invariants of its gate
+    (member 0 of the last stencil), the iteration count and whether
+    ``||R||_F <= _ROOT_TOL`` was reached.
     """
     x = np.array(SINGLE_STEP_START)
     iterations = 0
     while True:
-        r, *shifted = cnot_residual(_gates(delta_over_g, x + _ROOT_STENCIL))
-        if not np.linalg.norm(r) > _ROOT_TOL:
-            return x, iterations, True
-        if iterations == _ROOT_MAX_ITERATIONS:
-            return x, iterations, False
+        gates = _gates(delta_over_g, x + _ROOT_STENCIL)
+        r, *shifted = cnot_residual(gates)
+        converged = not np.linalg.norm(r) > _ROOT_TOL
+        if converged or iterations == _ROOT_MAX_ITERATIONS:
+            return x, makhlin_invariants(gates[0]), iterations, converged
         jac = np.stack([(r_k - r) / _ROOT_STEP for r_k in shifted], axis=1)
         x = x - np.linalg.lstsq(jac, r, rcond=None)[0]
         iterations += 1
 
 
-def _minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
+def _minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, InvariantPair, int, bool]:
     """Closest class: damped Newton on d^2 from ``SINGLE_STEP_START``.
 
     Each step reads the gradient and Hessian off the central differences of
@@ -134,12 +140,14 @@ def _minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
     the loop ends converged once the step, taken or halved, is no larger than
     ``_NEWTON_TOL`` in every component.  Just beyond g, where d^2 is flat to
     rounding, that monotone guard is what ends it.
-    Returns the point, the number of Newton steps and whether it converged.
+    Returns the point, the invariants of its gate, the number of Newton
+    steps and whether it converged.
     """
     h = _NEWTON_STEP
     lo, hi = np.array(SINGLE_STEP_BOUNDS).T
     x = np.array(SINGLE_STEP_START)
-    fx = _d2(delta_over_g, x)
+    inv = _invariants(delta_over_g, x)
+    fx = cnot_distance(inv)
     for iterations in range(_NEWTON_MAX_ITERATIONS):
         f = np.empty((3, 3))  # f[i, j] = d^2 at x + h * (i - 1, j - 1)
         for i in range(3):
@@ -160,14 +168,15 @@ def _minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
         while np.max(np.abs(step)) > _NEWTON_TOL:
             trial = x + step
             if np.all(trial >= lo) and np.all(trial <= hi):
-                f_trial = _d2(delta_over_g, trial)
+                inv_trial = _invariants(delta_over_g, trial)
+                f_trial = cnot_distance(inv_trial)
                 if f_trial < fx:
                     break
             step = step / 2.0
         else:
-            return x, iterations, True
-        x, fx = trial, f_trial
-    return x, _NEWTON_MAX_ITERATIONS, False
+            return x, inv, iterations, True
+        x, fx, inv = trial, f_trial, inv_trial
+    return x, inv, _NEWTON_MAX_ITERATIONS, False
 
 
 def calibrate_single_step(delta_over_g: float) -> CalibrationResult:
@@ -179,25 +188,30 @@ def calibrate_single_step(delta_over_g: float) -> CalibrationResult:
     Gauss-Newton steps.  Beyond the bound the result is the closest class,
     the minimum of d^2 in the search box reached by damped Newton steps, and
     ``iterations`` counts those steps.  Both start from the resonant
-    solution.
+    solution.  The invariants are those of the last gate the solver built at
+    the returned point.
 
     The sign of the detuning is irrelevant to the class data and to the
     calibrated parameters.
+
+    Raises:
+        ContractViolationError: the detuning is not finite, or the returned
+            drive is negative.
     """
+    SystemParams(delta=delta_over_g)  # rejects a non-finite detuning before the search
     if abs(delta_over_g) <= SINGLE_STEP_BOUND:
         method = "root solve"
-        x, iterations, converged = _solve_single_step(delta_over_g)
+        x, inv, iterations, converged = _solve_single_step(delta_over_g)
     else:
         method = "d^2 minimisation"
-        x, iterations, converged = _minimize_single_step(delta_over_g)
+        x, inv, iterations, converged = _minimize_single_step(delta_over_g)
 
-    p = SystemParams(delta=delta_over_g, omega1=float(x[0]))
-    inv = makhlin_invariants(single_step_u(float(x[1]) * math.pi / 2.0, p))
+    p = SystemParams(delta=delta_over_g, omega1=float(x[0]))  # and a negative drive after it
     return CalibrationResult(
         delta_over_g=delta_over_g,
         kind="one-step",
         t_units=float(x[1]),
-        omega1_over_g=float(x[0]),
+        omega1_over_g=p.omega1,
         invariants=inv,
         distance=cnot_distance(inv),
         iterations=iterations,

@@ -13,6 +13,13 @@ exp(-t * g_tilde * ZZ).  The frame-2 propagator is exp(-delta t Z2) U1(t),
 with U1 the frame-1 one, so its corners are 1 instead of
 exp(+/- i delta t / 2).
 
+That closed form is written once, as maps over broadcast arrays:
+``undriven_uv(delta, t)`` gives (u, v) and ``undriven_propagators(delta,
+g_tilde, t, frame)`` a stack of shape ``(..., 4, 4)``.  Each member of a
+stack gets the bits that one point gets.  ``uv_coefficients``,
+``entangling_u_frame1``, ``entangling_u_frame2`` and ``entangling_u`` are
+the one-point calls of ``(t, p)``.
+
 ``evolve_stepwise`` integrates the time-dependent frame-2 generator directly
 (midpoint product formula).  It is deliberately independent of the closed
 forms above and serves as their numerical cross-check; the error falls off
@@ -29,47 +36,86 @@ from .model import SystemParams, h_rwa_frame2
 from .qmat import Operator4, expm_skew
 
 
+def undriven_uv(
+    delta: float | np.ndarray, t: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes (u, v) of the single-excitation block at broadcast ``delta`` and ``t``.
+
+    Returns complex u and real v arrays of the broadcast shape; each member
+    gets the bits that one point gets.  L is taken point by point with
+    ``math.hypot``: ``np.hypot`` rounds differently in ~0.6 % of inputs.
+
+    Raises:
+        ValueError: a time is negative.
+    """
+    delta, t = np.asarray(delta, dtype=float), np.asarray(t, dtype=float)
+    if (t < 0).any():
+        raise ValueError(f"time must be >= 0, got {t.min()}")
+    lam = np.array([math.hypot(d, 2.0) for d in delta.ravel().tolist()]).reshape(delta.shape)
+    half = 0.5 * lam * t
+    sin = np.sin(half)
+    return np.cos(half) + 1j * (delta / lam) * sin, (2.0 / lam) * sin
+
+
+def undriven_propagators(
+    delta: float | np.ndarray, g_tilde: float | np.ndarray, t: float | np.ndarray, frame: int
+) -> np.ndarray:
+    """Entangling propagators (drive off) at broadcast ``(delta, g_tilde, t)``.
+
+    The frame-1 propagator has the corners exp(+/- i delta t / 2) and the
+    central block [[u, -iv], [-iv, u*]], times the diagonal of
+    exp(-t * g_tilde * ZZ).  Frame 2 multiplies it by exp(-delta t Z2), the
+    phase exp(-/+ i delta t / 2) on the rows where qubit 2 is |0> / |1>.
+    Returns shape ``(..., 4, 4)``; each member gets the bits that one point
+    gets.
+
+    Raises:
+        ValueError: ``frame`` is not 1 or 2, or a time is negative.
+    """
+    if frame not in (1, 2):
+        raise ValueError(f"frame must be 1 or 2, got {frame}")
+    delta, t = np.asarray(delta, dtype=float), np.asarray(t, dtype=float)
+    u, v = undriven_uv(delta, t)
+    corner = np.exp(0.5j * delta * t)
+    m = np.zeros(u.shape + (16,), dtype=complex)  # the entries, row by row
+    m[..., 0] = corner
+    m[..., 5] = u
+    m[..., 6] = m[..., 9] = -1j * v
+    m[..., 10] = u.conj()
+    m[..., 15] = corner.conj()
+    zz = np.exp(-0.5j * np.asarray(g_tilde, dtype=float) * t)[..., None]
+    m = _row_factors(zz, zz.conj(), zz.conj(), zz) * m.reshape(u.shape + (4, 4))
+    if frame == 2:
+        row = np.exp(-0.5j * delta * t)[..., None]
+        m = _row_factors(row, row, row.conj(), row.conj()) * m
+    return m
+
+
+def _row_factors(*rows: np.ndarray) -> np.ndarray:
+    """Factors of shape ``(..., 4, 1)`` for the four rows, each given as ``(..., 1)``."""
+    return np.concatenate(rows, axis=-1)[..., None]
+
+
 def uv_coefficients(t: float, p: SystemParams) -> tuple[complex, float]:
     """Oscillation amplitudes (u, v) of the single-excitation block at time t."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    lam = math.hypot(p.delta, 2.0)
-    half = 0.5 * lam * t
-    u = math.cos(half) + 1j * (p.delta / lam) * math.sin(half)
-    v = (2.0 / lam) * math.sin(half)
-    return u, v
+    u, v = undriven_uv(p.delta, t)
+    return complex(u), float(v)
 
 
 def entangling_u_frame1(t: float, p: SystemParams) -> Operator4:
     """Frame-1 entangling propagator (drive off) for duration ``t``.
 
-    Corners carry exp(+/- i delta t / 2); the central block is
-    [[u, -iv], [-iv, u*]].  ``p.omega1`` is ignored.
+    One point of ``undriven_propagators``; ``p.omega1`` is ignored.
     """
-    u, v = uv_coefficients(t, p)
-    corner = np.exp(0.5j * p.delta * t)
-    m = np.array(
-        [
-            [corner, 0, 0, 0],
-            [0, u, -1j * v, 0],
-            [0, -1j * v, np.conj(u), 0],
-            [0, 0, 0, np.conj(corner)],
-        ],
-        dtype=complex,
-    )
-    zz = np.exp(-0.5j * p.g_tilde * t)  # the diagonal of exp(-t * g_tilde * ZZ)
-    return np.array([zz, zz.conjugate(), zz.conjugate(), zz])[:, None] * m
+    return undriven_propagators(p.delta, p.g_tilde, t, frame=1)
 
 
 def entangling_u_frame2(t: float, p: SystemParams) -> Operator4:
     """Frame-2 entangling propagator (drive off): exp(-delta t Z2) U1(t).
 
-    U1 is ``entangling_u_frame1``, and the factor puts the phase
-    exp(-/+ i delta t / 2) on the rows where qubit 2 is |0> / |1>.
+    One point of ``undriven_propagators``; ``p.omega1`` is ignored.
     """
-    row = np.exp(-0.5j * p.delta * t)
-    phases = np.array([row, row, row.conjugate(), row.conjugate()])
-    return phases[:, None] * entangling_u_frame1(t, p)
+    return undriven_propagators(p.delta, p.g_tilde, t, frame=2)
 
 
 def entangling_u(t: float, p: SystemParams, frame: int) -> Operator4:

@@ -53,11 +53,13 @@ def kron2(a2: np.ndarray, b1: np.ndarray) -> Operator4:
     """Tensor product with ``a2`` acting on qubit 2 and ``b1`` on qubit 1.
 
     Equal entry for entry to ``np.kron`` of two 2x2 matrices (the same
-    products), without its general-shape overhead.
+    products), without its general-shape overhead.  Stacks of shape
+    ``(..., 2, 2)`` broadcast to a stack of shape ``(..., 4, 4)``.
     """
     a2 = np.asarray(a2, dtype=complex)
     b1 = np.asarray(b1, dtype=complex)
-    return (a2[:, None, :, None] * b1[None, :, None, :]).reshape(4, 4)
+    k = a2[..., :, None, :, None] * b1[..., None, :, None, :]
+    return k.reshape(k.shape[:-4] + (4, 4))
 
 
 def frob_dist(a: np.ndarray, b: np.ndarray) -> float:

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .equivclass import MAGIC_BASIS, to_magic
-from .model import SystemParams, X1, h_rwa_frame1
+from .model import SystemParams, X1, XX, YY, Z2
 from .propagate import entangling_u
 from .qmat import (
     ID2,
@@ -81,16 +81,23 @@ def rot2(sigma: np.ndarray, theta: float) -> np.ndarray:
     return math.cos(theta / 2.0) * ID2 + 1j * math.sin(theta / 2.0) * np.asarray(sigma)
 
 
-def euler_u2(z1: float, y: float, z2: float) -> np.ndarray:
-    """SU(2) matrix exp(-z1*Z) exp(-y*Y) exp(-z2*Z) for Lie generators (i/2)sigma."""
-    cb, sb = math.cos(y / 2.0), math.sin(y / 2.0)
-    return np.array(
+def euler_u2(
+    z1: float | np.ndarray, y: float | np.ndarray, z2: float | np.ndarray
+) -> np.ndarray:
+    """SU(2) matrix exp(-z1*Z) exp(-y*Y) exp(-z2*Z) for Lie generators (i/2)sigma.
+
+    Angle arrays broadcast to a stack of shape ``(..., 2, 2)``; each member
+    gets the bits that one triple gets.
+    """
+    cb, sb = np.cos(y / 2.0), np.sin(y / 2.0)
+    m = np.array(
         [
             [np.exp(-0.5j * (z1 + z2)) * cb, -np.exp(-0.5j * (z1 - z2)) * sb],
             [np.exp(0.5j * (z1 - z2)) * sb, np.exp(0.5j * (z1 + z2)) * cb],
         ],
         dtype=complex,
     )
+    return m.transpose(*range(2, m.ndim), 0, 1)
 
 
 def zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
@@ -286,10 +293,18 @@ def two_step_time(p: SystemParams) -> float:
     return (math.pi - math.acos(ratio)) / math.hypot(p.delta, 2.0)
 
 
+def two_step_product(u: Operator4) -> Operator4:
+    """The two-step product U e^{-pi X1} U of a segment U, or of each in a stack.
+
+    One broadcast matmul, so each member of a ``(..., 4, 4)`` stack gets
+    the bits that it gets alone.
+    """
+    return u @ PI_PULSE_X1 @ u
+
+
 def two_step_sandwich(t: float, p: SystemParams, frame: int) -> Operator4:
     """The two-step product U(t) e^{-pi X1} U(t), segments in the chosen frame."""
-    u = entangling_u(t, p, frame)
-    return u @ PI_PULSE_X1 @ u
+    return two_step_product(entangling_u(t, p, frame))
 
 
 def two_step_entangler(p: SystemParams, frame: int) -> Operator4:
@@ -297,15 +312,18 @@ def two_step_entangler(p: SystemParams, frame: int) -> Operator4:
     return two_step_sandwich(two_step_time(p), p, frame)
 
 
-def single_step_gates(delta: float, omega1: float | np.ndarray, t: float | np.ndarray) -> Operator4:
-    """Single-step evolution exp(-t * [h_rwa_frame1 + omega1 X1]) at ``g_tilde = 0``.
+def single_step_gates(
+    delta: float | np.ndarray, omega1: float | np.ndarray, t: float | np.ndarray
+) -> Operator4:
+    """Single-step evolution exp(-t * [-delta Z2 + omega1 X1 + (XX + YY)]).
 
-    One ``(omega1, t)`` gives one gate; arrays broadcast to a stack of gates,
-    each member with the bits it gets alone.  Units of g.
+    The generator is ``h_rwa_frame1`` at ``g_tilde = 0``, with its terms in
+    that order.  One ``(delta, omega1, t)`` gives one gate; arrays broadcast
+    to a stack of gates, each member with the bits it gets alone.  Units of
+    g.
     """
-    omega1 = np.asarray(omega1)[..., None, None]
-    t = np.asarray(t)[..., None, None]
-    return expm_skew(-t * (h_rwa_frame1(SystemParams(delta=delta)) + omega1 * X1))
+    delta, omega1, t = (np.asarray(a)[..., None, None] for a in (delta, omega1, t))
+    return expm_skew(-t * (-delta * Z2 + omega1 * X1 + (XX + YY)))
 
 
 def single_step_u(t: float, p: SystemParams) -> Operator4:

@@ -1,13 +1,17 @@
 """Self-contained property suite behind the ``verify`` CLI command.
 
 Each check is a generator that draws deterministic random samples and
-yields one deviation per comparison.  A check that compares gates draws all
-its samples first, in a fixed order, and then evaluates the unitarity
-defects, invariants or Weyl points of all its gates in one stacked call; a
-member of a stack gets the bits it would get alone.  ``run_checks`` is the
-one loop that runs them: it takes the worst deviation of each check and
-compares it against the check's tolerance, so a NaN deviation is the worst
-and fails.
+yields one deviation per comparison.  A check draws all its samples first,
+in the order a loop over the samples would draw them, then builds all its
+gates in one call to a map over broadcast arrays
+(``propagate.undriven_propagators`` and ``undriven_uv``,
+``sequences.two_step_product`` and ``single_step_gates``, and
+``euler_u2`` with ``kron2`` for the local dressings), and evaluates the
+unitarity defects, invariants or Weyl points of all of them in one stacked
+call; a member of a stack gets the bits it would get alone.  ``run_checks``
+is the one loop that runs them: it takes the worst deviation of each check
+and compares it against the check's tolerance, so a NaN deviation is the
+worst and fails.
 The suite covers the cross-cutting guarantees of the package: unitarity of
 the propagators, frame independence and ZZ independence of the class
 invariants, invariance under local dressing, Weyl round trips, planarity
@@ -28,10 +32,9 @@ from .equivclass import (
     makhlin_invariants,
     weyl_coordinates,
 )
-from .model import SystemParams
-from .propagate import entangling_u_frame1, entangling_u_frame2, uv_coefficients
+from .propagate import undriven_propagators, undriven_uv
 from .qmat import kron2, unitarity_defect
-from .sequences import euler_u2, single_step_u, two_step_sandwich
+from .sequences import euler_u2, single_step_gates, two_step_product
 
 _HALF_PI = math.pi / 2.0
 
@@ -48,9 +51,10 @@ class CheckResult:
         return f"{status}  {self.name}: worst {self.worst:.3e} (tol {self.tolerance:.1e})"
 
 
-def _random_local(rng: np.random.Generator) -> np.ndarray:
-    angles = rng.uniform(-math.pi, math.pi, size=6)
-    return kron2(euler_u2(*angles[:3]), euler_u2(*angles[3:]))
+def _random_locals(angles: np.ndarray) -> np.ndarray:
+    """Local rotations ``kron2(euler_u2(*a[:3]), euler_u2(*a[3:]))`` for angles ``(..., 6)``."""
+    a = np.moveaxis(angles, -1, 0)
+    return kron2(euler_u2(*a[:3]), euler_u2(*a[3:]))
 
 
 def _haar_unitaries(z: np.ndarray) -> np.ndarray:
@@ -64,22 +68,26 @@ def _invariant_gaps(a: InvariantPair, b: InvariantPair) -> tuple[float, float]:
     return abs(a.g1 - b.g1), abs(a.g2 - b.g2)
 
 
+def _draw(rng: np.random.Generator, n: int, *bounds: tuple[float, float]) -> np.ndarray:
+    """``n`` samples of one ``rng.uniform(lo, hi)`` per bound, drawn sample by sample.
+
+    Returns one array per bound, with the values a loop over the samples
+    would draw.
+    """
+    lo, hi = np.array(bounds).T
+    return rng.uniform(lo, hi, size=(n, len(bounds))).T
+
+
 def _unitarity(rng: np.random.Generator) -> Iterator[float]:
-    gates = []
-    for _ in range(100):
-        t = rng.uniform(0.0, 4.0)
-        p = SystemParams(delta=rng.uniform(-3.0, 3.0), g_tilde=rng.uniform(0.0, 0.1))
-        gates += [entangling_u_frame1(t, p), entangling_u_frame2(t, p)]
-    yield from unitarity_defect(np.array(gates))
+    t, delta, gtilde = _draw(rng, 100, (0.0, 4.0), (-3.0, 3.0), (0.0, 0.1))
+    gates = [undriven_propagators(delta, gtilde, t, frame) for frame in (1, 2)]
+    yield from unitarity_defect(np.stack(gates, axis=1)).ravel()
 
 
 def _frame_equivalence(rng: np.random.Generator) -> Iterator[float]:
-    gates = []
-    for _ in range(100):
-        t = rng.uniform(0.0, 3.0)
-        p = SystemParams(delta=rng.uniform(0.0, 3.0))
-        gates += [two_step_sandwich(t, p, frame=1), two_step_sandwich(t, p, frame=2)]
-    invs = makhlin_invariants(np.array(gates))
+    t, delta = _draw(rng, 100, (0.0, 3.0), (0.0, 3.0))
+    segments = [undriven_propagators(delta, 0.0, t, frame) for frame in (1, 2)]
+    invs = makhlin_invariants(two_step_product(np.stack(segments, axis=1)))
     for frame1, frame2 in zip(invs[::2], invs[1::2]):
         yield from _invariant_gaps(frame1, frame2)
 
@@ -87,16 +95,11 @@ def _frame_equivalence(rng: np.random.Generator) -> Iterator[float]:
 def _zz_independence(rng: np.random.Generator) -> Iterator[float]:
     # Per sample: the reference (no ZZ coupling, frame 1), then each coupling
     # in both frames.
-    gates = []
-    for _ in range(34):
-        t = rng.uniform(0.0, 3.0)
-        delta = rng.uniform(0.0, 3.0)
-        gates.append(two_step_sandwich(t, SystemParams(delta=delta), frame=1))
-        for gtilde in (0.05, 0.1):
-            p = SystemParams(delta=delta, g_tilde=gtilde)
-            for frame in (1, 2):
-                gates.append(two_step_sandwich(t, p, frame=frame))
-    invs = makhlin_invariants(np.array(gates))
+    t, delta = (a[:, None] for a in _draw(rng, 34, (0.0, 3.0), (0.0, 3.0)))
+    frame1 = undriven_propagators(delta, np.array([0.0, 0.05, 0.1]), t, frame=1)
+    frame2 = undriven_propagators(delta, np.array([0.05, 0.1]), t, frame=2)
+    order = [frame1[:, 0], frame1[:, 1], frame2[:, 0], frame1[:, 2], frame2[:, 1]]
+    invs = makhlin_invariants(two_step_product(np.stack(order, axis=1)))
     for k in range(0, len(invs), 5):
         ref = invs[k]
         for inv in invs[k + 1 : k + 5]:
@@ -104,16 +107,16 @@ def _zz_independence(rng: np.random.Generator) -> Iterator[float]:
 
 
 def _local_invariance(rng: np.random.Generator) -> Iterator[float]:
-    # Per sample: a Gaussian matrix, a global phase and the two local
-    # rotations around the unitary made from it.
-    z, phase, left, right = [], [], [], []
+    # Per sample: a Gaussian matrix (real, then imaginary part), then a
+    # global phase and the six angles of each of the two local rotations.
+    z, angles = [], []
     for _ in range(100):
-        z.append(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        phase.append(np.exp(1j * rng.uniform(-math.pi, math.pi)))
-        left.append(_random_local(rng))
-        right.append(_random_local(rng))
-    u = _haar_unitaries(np.array(z))
-    dressed = np.array(phase)[:, None, None] * np.array(left) @ u @ np.array(right)
+        z.append(rng.normal(size=(2, 4, 4)))
+        angles.append(rng.uniform(-math.pi, math.pi, size=13))
+    z, angles = np.array(z), np.array(angles)
+    u = _haar_unitaries(z[:, 0] + 1j * z[:, 1])
+    phase = np.exp(1j * angles[:, 0])[:, None, None]
+    dressed = phase * _random_locals(angles[:, 1:7]) @ u @ _random_locals(angles[:, 7:])
     invs = makhlin_invariants(np.stack([u, dressed], axis=1))
     for u_inv, dressed_inv in zip(invs[::2], invs[1::2]):
         yield from _invariant_gaps(u_inv, dressed_inv)
@@ -135,22 +138,21 @@ def _weyl_roundtrip(rng: np.random.Generator) -> Iterator[float]:
 
 
 def _planarity(rng: np.random.Generator) -> Iterator[float]:
-    gates = []
-    for _ in range(40):
-        t = rng.uniform(0.0, 3.0)
-        p2 = SystemParams(delta=rng.uniform(0.0, 3.0))
-        gates.append(two_step_sandwich(t, p2, frame=1))
-        p1 = SystemParams(delta=rng.uniform(0.0, 2.0), omega1=rng.uniform(0.5, 8.0))
-        gates.append(single_step_u(t, p1))
-    for point in weyl_coordinates(np.array(gates)):
+    # Per sample: a two-step product, then a single-step gate of the same t.
+    t, delta2, delta1, omega1 = _draw(rng, 40, (0.0, 3.0), (0.0, 3.0), (0.0, 2.0), (0.5, 8.0))
+    two_step = two_step_product(undriven_propagators(delta2, 0.0, t, frame=1))
+    gates = [two_step, single_step_gates(delta1, omega1, t)]
+    for point in weyl_coordinates(np.stack(gates, axis=1)):
         yield point.c3
 
 
 def _uv_normalization(rng: np.random.Generator) -> Iterator[float]:
-    for _ in range(200):
-        p = SystemParams(delta=rng.uniform(-3.0, 3.0))
-        u, v = uv_coefficients(rng.uniform(0.0, 5.0), p)
-        yield abs(abs(u) ** 2 + v**2 - 1.0)
+    delta, t = _draw(rng, 200, (-3.0, 3.0), (0.0, 5.0))
+    u, v = undriven_uv(delta, t)
+    # Python scalars: abs() and ** round as one point does, np.abs and
+    # np.power of arrays do not.
+    for u_k, v_k in zip(u.tolist(), v.tolist()):
+        yield abs(abs(u_k) ** 2 + v_k**2 - 1.0)
 
 
 #: (name, tolerance, deviations) of every check, in report order.

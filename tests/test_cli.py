@@ -262,7 +262,11 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
             lambda u: np.full(u.shape[:-2], math.nan),
             "FAIL  propagator unitarity: worst nan",
         ),
-        ("uv_coefficients", lambda t, p: (1.0, 0.5), "FAIL  |u|^2 + v^2 = 1: worst 2.500e-01"),
+        (
+            "undriven_uv",
+            lambda delta, t: (np.ones_like(t), np.full_like(t, 0.5)),
+            "FAIL  |u|^2 + v^2 = 1: worst 2.500e-01",
+        ),
     ],
     ids=["nan-deviation", "unnormalized-uv"],
 )

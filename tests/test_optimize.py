@@ -184,7 +184,7 @@ def test_single_step_root_no_worse_than_nelder_mead_oracle(delta):
 def test_single_step_root_matches_the_per_point_oracle(delta):
     # Each step evaluates its three residuals as one stack; the root, the
     # step count and the flag must be those of one evaluation per point.
-    x, iterations, converged = optimize._solve_single_step(delta)
+    x, _, iterations, converged = optimize._solve_single_step(delta)
     x_ref, iterations_ref, converged_ref = solve_single_step(delta)
     assert np.array_equal(x, x_ref) and x.tobytes() == x_ref.tobytes()
     assert (iterations, converged) == (iterations_ref, converged_ref)

@@ -1,10 +1,13 @@
-"""Stacks of matrices through the class kernels.
+"""Stacks of matrices through the class kernels and the builders.
 
 Each member of a ``(..., 4, 4)`` stack must get the bits it gets when passed
 alone; every contract must hold per member, with the error naming the worst
-member; and an empty stack must give empty results.
+member; and an empty stack must give empty results.  The undriven
+propagators, their two-step products and their (u, v) must equal the
+per-point oracle ``propagator_oracle``, byte for byte.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +22,14 @@ from cnotsteer.equivclass import (
     to_magic,
     weyl_coordinates,
 )
-from cnotsteer.model import XX, YY, ZZ
+from cnotsteer.model import XX, YY, ZZ, SystemParams, h_rwa_frame1
+from cnotsteer.propagate import (
+    entangling_u_frame1,
+    entangling_u_frame2,
+    undriven_propagators,
+    undriven_uv,
+    uv_coefficients,
+)
 from cnotsteer.qmat import (
     ContractViolationError,
     expm_skew,
@@ -28,8 +38,15 @@ from cnotsteer.qmat import (
     skewness_defect,
     unitarity_defect,
 )
-from cnotsteer.sequences import CNOT, euler_u2, single_step_gates
+from cnotsteer.sequences import (
+    CNOT,
+    euler_u2,
+    single_step_gates,
+    two_step_product,
+    two_step_sandwich,
+)
 
+import propagator_oracle
 from calibration_oracle import single_step_gate, single_step_residual
 from conftest import random_skew, random_unitary
 
@@ -262,3 +279,110 @@ def test_single_step_stencil_at_named_detunings(delta):
     _assert_points_alone(delta, np.array([[3.0, 0.0], [0.5, 0.0], [3.0, 1.0]]))
     assert np.array_equal(single_step_gate(delta, np.array([3.0, 0.0])), np.eye(4))
     assert np.array_equal(single_step_gates(delta, [3.0, 0.5], 0.0), np.array([np.eye(4)] * 2))
+
+
+def _assert_undriven_members(delta, g_tilde, t):
+    # Every member of the maps against the per-point oracle, byte for byte.
+    u, v = undriven_uv(delta, t)
+    assert u.shape == v.shape == delta.shape
+    for index in np.ndindex(delta.shape):
+        u_ref, v_ref = propagator_oracle.uv_coefficients(float(t[index]), float(delta[index]))
+        assert u[index].tobytes() == np.complex128(u_ref).tobytes()
+        assert v[index].tobytes() == np.float64(v_ref).tobytes()
+    for frame in (1, 2):
+        gates = undriven_propagators(delta, g_tilde, t, frame)
+        products = two_step_product(gates)
+        assert gates.shape == products.shape == delta.shape + (4, 4)
+        for index in np.ndindex(delta.shape):
+            point = (float(t[index]), float(delta[index]), float(g_tilde[index]), frame)
+            assert gates[index].tobytes() == propagator_oracle.entangling_u(*point).tobytes()
+            product = propagator_oracle.two_step_sandwich(*point)
+            assert products[index].tobytes() == product.tobytes()
+
+
+@st.composite
+def undriven_points(draw):
+    """Arrays (delta, g_tilde, t) of one shape: (n,), (2, 3) or (0,)."""
+    shape = draw(st.sampled_from([(draw(st.integers(1, 6)),), (2, 3), (0,)]))
+    size = math.prod(shape)
+    return [
+        np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=float).reshape(shape)
+        for values in (st.floats(-3.0, 3.0), st.floats(0.0, 0.1), st.floats(0.0, 5.0))
+    ]
+
+
+@PROPERTY
+@given(undriven_points())
+def test_undriven_maps_equal_the_per_point_oracle(points):
+    _assert_undriven_members(*points)
+
+
+def test_undriven_maps_at_named_points():
+    # Zero time, signed-zero and bound detunings, no and weak ZZ coupling.
+    deltas, g_tildes, times = [0.0, -0.0, 2.0, -2.0, 3.0, -3.0], [0.0, 0.05, 0.1], [0.0, 0.7, 3.1]
+    grid = np.array(list(itertools.product(deltas, g_tildes, times)))
+    delta, g_tilde, t = grid.T
+    _assert_undriven_members(delta, g_tilde, t)
+    _assert_undriven_members(*(a.reshape(6, 3, 3) for a in (delta, g_tilde, t)))
+    identities = np.array([np.eye(4)] * len(grid))
+    assert np.array_equal(undriven_propagators(delta, g_tilde, 0.0, frame=2), identities)
+    # The one-point calls are the maps at one point.
+    for d, g, time in grid:
+        p = SystemParams(delta=d, g_tilde=g)
+        for got, want in [
+            (entangling_u_frame1(time, p), propagator_oracle.entangling_u_frame1(time, d, g)),
+            (entangling_u_frame2(time, p), propagator_oracle.entangling_u_frame2(time, d, g)),
+            (two_step_sandwich(time, p, 2), propagator_oracle.two_step_sandwich(time, d, g, 2)),
+        ]:
+            assert got.tobytes() == want.tobytes()
+        assert uv_coefficients(time, p) == propagator_oracle.uv_coefficients(time, d)
+
+
+def test_undriven_maps_broadcast_their_arguments():
+    delta, g_tilde, t = np.array([[0.4], [-1.3]]), np.array([0.0, 0.05, 0.1]), 1.7
+    gates = undriven_propagators(delta, g_tilde, t, frame=2)
+    assert gates.shape == (2, 3, 4, 4)
+    for i, j in np.ndindex(2, 3):
+        ref = propagator_oracle.entangling_u_frame2(t, delta[i, 0], g_tilde[j])
+        assert gates[i, j].tobytes() == ref.tobytes()
+
+
+def test_undriven_maps_reject_a_negative_time_and_an_unknown_frame():
+    with pytest.raises(ValueError, match=r"^time must be >= 0, got -0.5"):
+        undriven_propagators([0.3, 0.4], 0.0, [1.0, -0.5], frame=1)
+    with pytest.raises(ValueError, match=r"^frame must be 1 or 2, got 3"):
+        undriven_propagators(0.3, 0.0, 1.0, frame=3)
+
+
+single_step_point = (st.floats(-3.0, 3.0), st.floats(0.5, 8.0), st.floats(0.0, 4.0))
+
+angle_triples = st.lists(st.tuples(angle, angle, angle), min_size=0, max_size=6).map(
+    lambda a: np.array(a, dtype=float).reshape(-1, 3)
+)
+
+
+@PROPERTY
+@given(angle_triples, angle_triples)
+def test_local_dressings_give_each_member_its_own_bits(left, right):
+    n = min(len(left), len(right))
+    a2, b1 = euler_u2(*left[:n].T), euler_u2(*right[:n].T)
+    assert a2.shape == b1.shape == (n, 2, 2)
+    dressings = kron2(a2, b1)
+    assert dressings.shape == (n, 4, 4)
+    for k in range(n):
+        alone = euler_u2(*left[k].tolist()), euler_u2(*right[k].tolist())
+        assert a2[k].tobytes() == alone[0].tobytes()
+        assert dressings[k].tobytes() == kron2(*alone).tobytes()
+        assert dressings[k].tobytes() == np.kron(*alone).tobytes()
+
+
+@PROPERTY
+@given(st.lists(st.tuples(*single_step_point), max_size=4))
+def test_single_step_gates_take_a_detuning_stack(points):
+    # Each member is the frame-1 evolution of its own (delta, omega1).
+    delta, omega1, t = np.array(points, dtype=float).reshape(-1, 3).T
+    gates = single_step_gates(delta, omega1, t)
+    assert gates.shape == (len(points), 4, 4)
+    for gate, (d, w, time) in zip(gates, points):
+        ref = expm_skew(-time * h_rwa_frame1(SystemParams(delta=d, omega1=w)))
+        assert gate.tobytes() == ref.tobytes()

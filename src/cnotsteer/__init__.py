@@ -10,6 +10,11 @@ coordinates, computes in closed form (KAK decomposition; Kraus & Cirac
 entangler closest to the canonical CNOT, and evaluates the intrinsic gate
 fidelity.  A CLI (``cnotsteer``) regenerates the reference tables, gates,
 and steering trajectories as CSV/JSON.
+
+Each sequence family has one one-point call: ``entangling_u`` for the
+two-step segments and ``single_step_u`` for the single-step evolution.
+``calibrate_single_step`` reports T1 in units of pi/2g, found by a root
+solve up to g and by a d^2 minimisation beyond it.
 """
 
 from .equivclass import (
@@ -26,18 +31,8 @@ from .equivclass import (
     weyl_trajectory,
 )
 from .model import SystemParams, h_rwa_frame1, h_rwa_frame2
-from .optimize import (
-    CalibrationResult,
-    calibrate_single_step,
-    calibrate_two_step,
-)
-from .propagate import (
-    entangling_u,
-    entangling_u_frame1,
-    entangling_u_frame2,
-    evolve_stepwise,
-    uv_coefficients,
-)
+from .optimize import CalibrationResult, calibrate_single_step
+from .propagate import entangling_u, evolve_stepwise
 from .qmat import ContractViolationError, expm_skew, frob_dist, kron2
 from .sequences import (
     CNOT,
@@ -73,12 +68,9 @@ __all__ = [
     "UnsupportedCouplingError",
     "WeylPoint",
     "calibrate_single_step",
-    "calibrate_two_step",
     "canonical_class_gate",
     "cnot_distance",
     "entangling_u",
-    "entangling_u_frame1",
-    "entangling_u_frame2",
     "evolve_stepwise",
     "expm_skew",
     "fidelity",
@@ -96,7 +88,6 @@ __all__ = [
     "two_step_invariants_closed",
     "two_step_rotations",
     "two_step_time",
-    "uv_coefficients",
     "weyl_coordinates",
     "weyl_trajectory",
     "__version__",

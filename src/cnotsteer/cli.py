@@ -113,7 +113,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     """
     rows = []
     for delta in _TABLE_GRID:
-        t2 = two_step_time(SystemParams(delta=delta)) / (math.pi / 4.0)  # as calibrate_two_step
+        t2 = two_step_time(SystemParams(delta=delta)) / (math.pi / 4.0)  # in units of pi/4g
         if delta <= SINGLE_STEP_BOUND:
             cal = _calibrate_single_step(delta)
             rows.append([f"{delta:.2f}", t2, cal.t_units, cal.omega1_over_g])

@@ -1,5 +1,5 @@
-"""Calibration drivers: find gate parameters that reach (or best approach)
-the CNOT class at a given detuning.
+"""Calibration of the single-step sequence: find the gate parameters that reach
+(or best approach) the CNOT class at a given detuning.
 
 ``calibrate_single_step`` picks its method from the detuning.  Both
 methods search ``x = (omega1/g, T1)``, T1 in units of pi/2g, and take each
@@ -16,9 +16,8 @@ positive definite is shifted, and each step is halved until it stays in the
 search box and lowers d^2.  Both methods start from the resonant solution,
 which keeps them on the lowest branch; only the minimisation checks the box.
 
-``calibrate_two_step`` needs no search: the entangling time has a closed
-form, and the invariants and distance it reports are those of the assembled
-sequence.
+The two-step sequence needs no calibration: ``sequences.two_step_time`` is
+its closed-form gate time.
 """
 
 from __future__ import annotations
@@ -30,12 +29,11 @@ import numpy as np
 
 from .equivclass import InvariantPair, cnot_distance, cnot_residual, makhlin_invariants
 from .model import SystemParams
-from .sequences import single_step_gates, two_step_entangler, two_step_time
+from .sequences import single_step_gates
 
 __all__ = [
     "CalibrationResult",
     "calibrate_single_step",
-    "calibrate_two_step",
     "SINGLE_STEP_BOUND",
     "SINGLE_STEP_BOUNDS",
     "SINGLE_STEP_START",
@@ -75,14 +73,12 @@ _ROOT_STENCIL = np.array([[0.0, 0.0], [_ROOT_STEP, 0.0], [0.0, _ROOT_STEP]])
 class CalibrationResult:
     """Calibrated gate parameters and the achieved class data.
 
-    ``t_units`` is the gate time as a multiple of the sequence's canonical
-    unit (pi/2g for one-step, pi/4g for two-step).  ``method`` names how the
-    parameters were found: ``"root solve"`` or ``"d^2 minimisation"`` for
-    one-step, ``"closed form"`` for two-step.
+    ``t_units`` is the single-step gate time T1 in units of pi/2g.
+    ``method`` names how the parameters were found: ``"root solve"`` or
+    ``"d^2 minimisation"``.
     """
 
     delta_over_g: float
-    kind: str  # "one-step" | "two-step"
     t_units: float
     omega1_over_g: float
     invariants: InvariantPair
@@ -209,7 +205,6 @@ def calibrate_single_step(delta_over_g: float) -> CalibrationResult:
     p = SystemParams(delta=delta_over_g, omega1=float(x[0]))  # and a negative drive after it
     return CalibrationResult(
         delta_over_g=delta_over_g,
-        kind="one-step",
         t_units=float(x[1]),
         omega1_over_g=p.omega1,
         invariants=inv,
@@ -217,29 +212,4 @@ def calibrate_single_step(delta_over_g: float) -> CalibrationResult:
         iterations=iterations,
         converged=converged,
         method=method,
-    )
-
-
-def calibrate_two_step(delta_over_g: float) -> CalibrationResult:
-    """Two-step gate time from the closed form.
-
-    The invariants and distance are those of the assembled frame-1
-    entangler; they are reported, not checked against a tolerance.
-
-    Raises:
-        DetuningOutOfRangeError: ``|delta| > 2g``.
-    """
-    p = SystemParams(delta=delta_over_g)
-    t2 = two_step_time(p)
-    inv = makhlin_invariants(two_step_entangler(p, frame=1))
-    return CalibrationResult(
-        delta_over_g=delta_over_g,
-        kind="two-step",
-        t_units=t2 / (math.pi / 4.0),
-        omega1_over_g=0.0,
-        invariants=inv,
-        distance=cnot_distance(inv),
-        iterations=0,
-        converged=True,
-        method="closed form",
     )

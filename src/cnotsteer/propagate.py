@@ -16,9 +16,8 @@ exp(+/- i delta t / 2).
 That closed form is written once, as maps over broadcast arrays:
 ``undriven_uv(delta, t)`` gives (u, v) and ``undriven_propagators(delta,
 g_tilde, t, frame)`` a stack of shape ``(..., 4, 4)``.  Each member of a
-stack gets the bits that one point gets.  ``uv_coefficients``,
-``entangling_u_frame1``, ``entangling_u_frame2`` and ``entangling_u`` are
-the one-point calls of ``(t, p)``.
+stack gets the bits that one point gets.  ``entangling_u(t, p, frame)`` is
+its one-point call.
 
 ``evolve_stepwise`` integrates the time-dependent frame-2 generator directly
 (midpoint product formula).  It is deliberately independent of the closed
@@ -46,9 +45,12 @@ def undriven_uv(
     ``math.hypot``: ``np.hypot`` rounds differently in ~0.6 % of inputs.
 
     Raises:
-        ValueError: a time is negative.
+        ValueError: a time is not finite, or is negative.
     """
     delta, t = np.asarray(delta, dtype=float), np.asarray(t, dtype=float)
+    finite = np.isfinite(t)
+    if not finite.all():
+        raise ValueError(f"time must be finite, got {t[~finite][0]}")
     if (t < 0).any():
         raise ValueError(f"time must be >= 0, got {t.min()}")
     lam = np.array([math.hypot(d, 2.0) for d in delta.ravel().tolist()]).reshape(delta.shape)
@@ -70,7 +72,8 @@ def undriven_propagators(
     gets.
 
     Raises:
-        ValueError: ``frame`` is not 1 or 2, or a time is negative.
+        ValueError: ``frame`` is not 1 or 2, or a time is not finite or is
+            negative.
     """
     if frame not in (1, 2):
         raise ValueError(f"frame must be 1 or 2, got {frame}")
@@ -96,35 +99,12 @@ def _row_factors(*rows: np.ndarray) -> np.ndarray:
     return np.concatenate(rows, axis=-1)[..., None]
 
 
-def uv_coefficients(t: float, p: SystemParams) -> tuple[complex, float]:
-    """Oscillation amplitudes (u, v) of the single-excitation block at time t."""
-    u, v = undriven_uv(p.delta, t)
-    return complex(u), float(v)
-
-
-def entangling_u_frame1(t: float, p: SystemParams) -> Operator4:
-    """Frame-1 entangling propagator (drive off) for duration ``t``.
-
-    One point of ``undriven_propagators``; ``p.omega1`` is ignored.
-    """
-    return undriven_propagators(p.delta, p.g_tilde, t, frame=1)
-
-
-def entangling_u_frame2(t: float, p: SystemParams) -> Operator4:
-    """Frame-2 entangling propagator (drive off): exp(-delta t Z2) U1(t).
-
-    One point of ``undriven_propagators``; ``p.omega1`` is ignored.
-    """
-    return undriven_propagators(p.delta, p.g_tilde, t, frame=2)
-
-
 def entangling_u(t: float, p: SystemParams, frame: int) -> Operator4:
-    """Entangling propagator for duration ``t`` in frame 1 or frame 2."""
-    if frame == 1:
-        return entangling_u_frame1(t, p)
-    if frame == 2:
-        return entangling_u_frame2(t, p)
-    raise ValueError(f"frame must be 1 or 2, got {frame}")
+    """Entangling propagator (drive off) for duration ``t`` in frame 1 or frame 2.
+
+    One point of ``undriven_propagators``; ``p.omega1`` is ignored.
+    """
+    return undriven_propagators(p.delta, p.g_tilde, t, frame)
 
 
 def evolve_stepwise(p: SystemParams, t: float, steps: int) -> Operator4:
@@ -132,7 +112,7 @@ def evolve_stepwise(p: SystemParams, t: float, steps: int) -> Operator4:
 
     Splits [0, t] into ``steps`` uniform slices and accumulates
     exp(-dt * H(t_mid)) in time order.  With the drive off this converges to
-    ``entangling_u_frame2`` at second order in the step size; with a static
+    ``entangling_u(t, p, 2)`` at second order in the step size; with a static
     generator a single step is already exact.
     """
     if steps < 1:

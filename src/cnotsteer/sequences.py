@@ -5,11 +5,14 @@ Two sequence families generate the controlled-NOT class:
 * **two-step** -- entangle with the drive off, apply a local pi pulse on
   qubit 1, entangle again, then dress with local rotations:
   ``e^{i pi/4} R_post [U(t2) e^{-pi X1} U(t2)] R_pre``.  The required
-  entangling time has a closed form and exists for ``|delta| <= 2g``.
+  entangling time has a closed form and exists for ``|delta| <= 2g``.  The
+  segments are ``propagate.entangling_u``, and ``two_step_product`` forms
+  the product of one segment or of a stack.
 * **single-step** -- one continuous evolution under drive plus coupling,
   ``e^{i 5 pi/4} R_post U(t1) R_pre``, with ``(omega1, t1)`` calibrated
   numerically; an exact CNOT requires ``|delta| <= g`` and capacitive
-  (``g_tilde = 0``) coupling.  Its one gate map is ``single_step_gates``.
+  (``g_tilde = 0``) coupling.  Its one gate map is ``single_step_gates``,
+  and ``single_step_u`` its one-point call.
 
 Local rotations are parameterized per qubit as z-y-z Euler triples on each
 side of the entangler plus one global phase (13 parameters total), which
@@ -169,11 +172,26 @@ def _two_step_angles(p: SystemParams) -> tuple[float, float]:
     return p.delta * two_step_time(p) / math.pi, 2.0 / math.pi * math.asin(p.delta / 2.0)
 
 
+def _paper_rotations(a: float, b: float, c: float, x1: float, phase: float) -> LocalRotationSpec:
+    """The paper's dressing ``e^{i phase} R_post U R_pre`` of both sequences.
+
+    ``R_post = e^{-(pi/2) Y2} e^{-(pi/2)(a Z2 + c Z1)}`` and
+    ``R_pre = e^{-(pi/2)((1+b) Z2 + c Z1)} e^{+(pi/2)(X2 + x1 X1)}``.
+    """
+    half_pi = math.pi / 2.0
+    return LocalRotationSpec.from_factors(
+        post2=rot2(SIGMA_Y, -half_pi) @ rot2(SIGMA_Z, -half_pi * a),
+        post1=rot2(SIGMA_Z, -half_pi * c),
+        pre2=rot2(SIGMA_Z, -half_pi * (1.0 + b)) @ rot2(SIGMA_X, half_pi),
+        pre1=rot2(SIGMA_Z, -half_pi * c) @ rot2(SIGMA_X, half_pi * x1),
+        phase=phase,
+    )
+
+
 def two_step_rotations(p: SystemParams, frame: int) -> LocalRotationSpec:
     """The paper's closed-form dressing of the two-step entangler.
 
-    Global phase pi/4, ``R_post = e^{-(pi/2) Y2} e^{-(pi/2)(a Z2 + c Z1)}``
-    and ``R_pre = e^{-(pi/2)((1+b) Z2 + c Z1)} e^{+(pi/2)(X2 + X1)}``, with
+    The form of ``_paper_rotations`` with global phase pi/4, x1 = 1 and
     ``(a, b, c) = (alpha1 + beta, alpha1 + beta, alpha1)`` in frame 1 (a is
     the paper's alpha2) and ``(beta - 2 alpha1, beta, 0)`` in frame 2 (a is
     its beta_tilde); ``alpha1 = delta t2 / pi``, ``sin(pi beta/2) = delta/2``.
@@ -197,15 +215,8 @@ def two_step_rotations(p: SystemParams, frame: int) -> LocalRotationSpec:
         raise ValueError(f"frame must be 1 or 2, got {frame}")
     alpha1, beta = _two_step_angles(p)
     frame1 = alpha1 + beta, alpha1 + beta, alpha1
-    a, b, c = frame1 if frame == 1 else (beta - 2.0 * alpha1, beta, 0.0)
-    half_pi = math.pi / 2.0
-    return LocalRotationSpec.from_factors(
-        post2=rot2(SIGMA_Y, -half_pi) @ rot2(SIGMA_Z, -half_pi * a),
-        post1=rot2(SIGMA_Z, -half_pi * c),
-        pre2=rot2(SIGMA_Z, -half_pi * (1.0 + b)) @ rot2(SIGMA_X, half_pi),
-        pre1=rot2(SIGMA_Z, -half_pi * c) @ rot2(SIGMA_X, half_pi),
-        phase=math.pi / 4.0,
-    )
+    abc = frame1 if frame == 1 else (beta - 2.0 * alpha1, beta, 0.0)
+    return _paper_rotations(*abc, x1=1.0, phase=math.pi / 4.0)
 
 
 def single_step_rotations(
@@ -213,19 +224,11 @@ def single_step_rotations(
 ) -> LocalRotationSpec:
     """Single-step dressing rotations.
 
-    ``R_post = e^{-(pi/2) Y2} e^{-(pi/2)(alpha2 Z2 + alpha1 Z1)}`` and
-    ``R_pre = e^{-(pi/2)((1+alpha2) Z2 + alpha1 Z1)}
-    e^{+(pi/2)(X2 - (1+gamma1) X1)}``, with global phase 5 pi/4.  Defaults
-    give the resonant rotations.
+    The form of ``_paper_rotations`` with global phase 5 pi/4,
+    ``(a, b, c) = (alpha2, alpha2, alpha1)`` and ``x1 = -(1 + gamma1)``.
+    Defaults give the resonant rotations.
     """
-    half_pi = math.pi / 2.0
-    return LocalRotationSpec.from_factors(
-        post2=rot2(SIGMA_Y, -half_pi) @ rot2(SIGMA_Z, -half_pi * alpha2),
-        post1=rot2(SIGMA_Z, -half_pi * alpha1),
-        pre2=rot2(SIGMA_Z, -half_pi * (1.0 + alpha2)) @ rot2(SIGMA_X, half_pi),
-        pre1=rot2(SIGMA_Z, -half_pi * alpha1) @ rot2(SIGMA_X, -half_pi * (1.0 + gamma1)),
-        phase=5.0 * math.pi / 4.0,
-    )
+    return _paper_rotations(alpha2, alpha2, alpha1, x1=-(1.0 + gamma1), phase=5.0 * math.pi / 4.0)
 
 
 @dataclass(frozen=True)
@@ -302,14 +305,9 @@ def two_step_product(u: Operator4) -> Operator4:
     return u @ PI_PULSE_X1 @ u
 
 
-def two_step_sandwich(t: float, p: SystemParams, frame: int) -> Operator4:
-    """The two-step product U(t) e^{-pi X1} U(t), segments in the chosen frame."""
-    return two_step_product(entangling_u(t, p, frame))
-
-
 def two_step_entangler(p: SystemParams, frame: int) -> Operator4:
     """The entangling core U(t2) e^{-pi X1} U(t2) in the chosen frame."""
-    return two_step_sandwich(two_step_time(p), p, frame)
+    return two_step_product(entangling_u(two_step_time(p), p, frame))
 
 
 def single_step_gates(

@@ -14,7 +14,7 @@ from cnotsteer.equivclass import (
     weyl_trajectory,
 )
 from cnotsteer.model import SystemParams
-from cnotsteer.propagate import entangling_u_frame1, entangling_u_frame2, evolve_stepwise
+from cnotsteer.propagate import entangling_u, evolve_stepwise
 from cnotsteer.optimize import calibrate_single_step
 from cnotsteer.qmat import frob_dist
 from cnotsteer.sequences import (
@@ -95,8 +95,8 @@ def test_criterion_03_large_detuning_calibration(single_step_table):
 def test_criterion_04_worked_matrices():
     p = SystemParams(delta=1.0)
     t2 = two_step_time(p)
-    err1 = float(np.max(np.abs(entangling_u_frame1(t2, p) - ENTANGLER_FRAME1_DELTA1)))
-    err2 = float(np.max(np.abs(entangling_u_frame2(t2, p) - ENTANGLER_FRAME2_DELTA1)))
+    err1 = float(np.max(np.abs(entangling_u(t2, p, 1) - ENTANGLER_FRAME1_DELTA1)))
+    err2 = float(np.max(np.abs(entangling_u(t2, p, 2) - ENTANGLER_FRAME2_DELTA1)))
     ps = SystemParams(delta=1.0, omega1=3.7781)
     err3 = float(np.max(np.abs(single_step_u(1.2753 * HALF_PI, ps) - SINGLE_STEP_U_DELTA1)))
     ok = max(err1, err2, err3) < 1e-3
@@ -181,11 +181,11 @@ def test_criterion_09_trajectory_endpoints(single_step_table):
 def test_criterion_10_oracle_equivalence():
     p = SystemParams(delta=1.0)
     t = math.pi / 4.0
-    ref = entangling_u_frame2(t, p)
+    ref = entangling_u(t, p, 2)
     err = frob_dist(evolve_stepwise(p, t, steps=4096), ref)
 
     p2 = SystemParams(delta=1.3, g_tilde=0.05)
-    ref2 = entangling_u_frame2(2.0, p2)
+    ref2 = entangling_u(2.0, p2, 2)
     ratio = frob_dist(evolve_stepwise(p2, 2.0, steps=128), ref2) / frob_dist(
         evolve_stepwise(p2, 2.0, steps=256), ref2
     )

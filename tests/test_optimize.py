@@ -7,17 +7,12 @@ import pytest
 import cnotsteer.optimize as optimize
 from cnotsteer.equivclass import cnot_distance, makhlin_invariants
 from cnotsteer.model import SystemParams
-from cnotsteer.optimize import (
-    SINGLE_STEP_BOUND,
-    SINGLE_STEP_BOUNDS,
-    calibrate_single_step,
-    calibrate_two_step,
-)
-from cnotsteer.sequences import CNOT, DetuningOutOfRangeError, fit_local_rotations, single_step_u
+from cnotsteer.optimize import SINGLE_STEP_BOUND, SINGLE_STEP_BOUNDS, calibrate_single_step
+from cnotsteer.sequences import CNOT, fit_local_rotations, single_step_u
 
 from calibration_oracle import minimize_single_step, solve_single_step
 from nelder_mead import NMOptions, nelder_mead
-from reference_data import TABLE1_SINGLE, TABLE1_T2, TABLE2
+from reference_data import TABLE1_SINGLE, TABLE2
 
 
 def test_nm_quadratic():
@@ -120,20 +115,6 @@ def test_crossover_bounds():
         assert calibrate_single_step(delta).distance < 1e-10
     for delta in (1.2, 1.5, 2.0):
         assert calibrate_single_step(delta).distance > 1e-4
-
-
-def test_calibrate_two_step_values():
-    cal = calibrate_two_step(0.5)
-    assert abs(cal.t_units - TABLE1_T2[0.5]) < 1e-4
-    assert cal.distance < 1e-10
-    cal = calibrate_two_step(1.9)
-    assert abs(cal.t_units - TABLE1_T2[1.9]) < 1e-4
-    assert cal.omega1_over_g == 0.0
-
-
-def test_calibrate_two_step_out_of_range():
-    with pytest.raises(DetuningOutOfRangeError):
-        calibrate_two_step(2.1)
 
 
 def test_single_step_bounds_exposed():

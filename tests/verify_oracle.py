@@ -3,9 +3,11 @@
 These are the check generators of ``cnotsteer.verify`` as they were before
 the checks collected their gates into stacks: each sample's unitarity
 defect, invariants or Weyl point comes from its own single-matrix call, in
-the order the samples are drawn.  ``run_checks`` here is the same runner.
-The stacked suite must return ``CheckResult``s equal to these, ``worst``
-included, bit for bit.
+the order the samples are drawn.  The undriven propagators, their two-step
+products and their (u, v) come from ``propagator_oracle``, which shares no
+code with the map that ``verify`` uses.  ``run_checks`` here is the same
+runner.  The stacked suite must return ``CheckResult``s equal to these,
+``worst`` included, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,10 +24,16 @@ from cnotsteer.equivclass import (
     weyl_coordinates,
 )
 from cnotsteer.model import SystemParams
-from cnotsteer.propagate import entangling_u_frame1, entangling_u_frame2, uv_coefficients
 from cnotsteer.qmat import kron2, unitarity_defect
-from cnotsteer.sequences import euler_u2, single_step_u, two_step_sandwich
+from cnotsteer.sequences import euler_u2, single_step_u
 from cnotsteer.verify import CheckResult
+
+from propagator_oracle import (
+    entangling_u_frame1,
+    entangling_u_frame2,
+    two_step_sandwich,
+    uv_coefficients,
+)
 
 _HALF_PI = math.pi / 2.0
 
@@ -49,18 +57,18 @@ def _invariant_gaps(a: InvariantPair, b: InvariantPair) -> tuple[float, float]:
 def _unitarity(rng: np.random.Generator) -> Iterator[float]:
     for _ in range(100):
         t = rng.uniform(0.0, 4.0)
-        p = SystemParams(delta=rng.uniform(-3.0, 3.0), g_tilde=rng.uniform(0.0, 0.1))
-        yield unitarity_defect(entangling_u_frame1(t, p))
-        yield unitarity_defect(entangling_u_frame2(t, p))
+        delta, g_tilde = rng.uniform(-3.0, 3.0), rng.uniform(0.0, 0.1)
+        yield unitarity_defect(entangling_u_frame1(t, delta, g_tilde))
+        yield unitarity_defect(entangling_u_frame2(t, delta, g_tilde))
 
 
 def _frame_equivalence(rng: np.random.Generator) -> Iterator[float]:
     for _ in range(100):
         t = rng.uniform(0.0, 3.0)
-        p = SystemParams(delta=rng.uniform(0.0, 3.0))
+        delta = rng.uniform(0.0, 3.0)
         yield from _invariant_gaps(
-            makhlin_invariants(two_step_sandwich(t, p, frame=1)),
-            makhlin_invariants(two_step_sandwich(t, p, frame=2)),
+            makhlin_invariants(two_step_sandwich(t, delta, 0.0, frame=1)),
+            makhlin_invariants(two_step_sandwich(t, delta, 0.0, frame=2)),
         )
 
 
@@ -68,11 +76,10 @@ def _zz_independence(rng: np.random.Generator) -> Iterator[float]:
     for _ in range(34):
         t = rng.uniform(0.0, 3.0)
         delta = rng.uniform(0.0, 3.0)
-        ref = makhlin_invariants(two_step_sandwich(t, SystemParams(delta=delta), frame=1))
+        ref = makhlin_invariants(two_step_sandwich(t, delta, 0.0, frame=1))
         for gtilde in (0.05, 0.1):
-            p = SystemParams(delta=delta, g_tilde=gtilde)
             for frame in (1, 2):
-                inv = makhlin_invariants(two_step_sandwich(t, p, frame=frame))
+                inv = makhlin_invariants(two_step_sandwich(t, delta, gtilde, frame=frame))
                 yield from _invariant_gaps(inv, ref)
 
 
@@ -105,16 +112,15 @@ def _weyl_roundtrip(rng: np.random.Generator) -> Iterator[float]:
 def _planarity(rng: np.random.Generator) -> Iterator[float]:
     for _ in range(40):
         t = rng.uniform(0.0, 3.0)
-        p2 = SystemParams(delta=rng.uniform(0.0, 3.0))
-        yield weyl_coordinates(two_step_sandwich(t, p2, frame=1)).c3
+        yield weyl_coordinates(two_step_sandwich(t, rng.uniform(0.0, 3.0), 0.0, frame=1)).c3
         p1 = SystemParams(delta=rng.uniform(0.0, 2.0), omega1=rng.uniform(0.5, 8.0))
         yield weyl_coordinates(single_step_u(t, p1)).c3
 
 
 def _uv_normalization(rng: np.random.Generator) -> Iterator[float]:
     for _ in range(200):
-        p = SystemParams(delta=rng.uniform(-3.0, 3.0))
-        u, v = uv_coefficients(rng.uniform(0.0, 5.0), p)
+        delta = rng.uniform(-3.0, 3.0)
+        u, v = uv_coefficients(rng.uniform(0.0, 5.0), delta)
         yield abs(abs(u) ** 2 + v**2 - 1.0)
 
 

@@ -215,8 +215,8 @@ def two_step_rotations(p: SystemParams, frame: int) -> LocalRotationSpec:
         raise ValueError(f"frame must be 1 or 2, got {frame}")
     alpha1, beta = _two_step_angles(p)
     frame1 = alpha1 + beta, alpha1 + beta, alpha1
-    abc = frame1 if frame == 1 else (beta - 2.0 * alpha1, beta, 0.0)
-    return _paper_rotations(*abc, x1=1.0, phase=math.pi / 4.0)
+    a, b, c = frame1 if frame == 1 else (beta - 2.0 * alpha1, beta, 0.0)
+    return _paper_rotations(a, b, c, x1=1.0, phase=math.pi / 4.0)
 
 
 def single_step_rotations(

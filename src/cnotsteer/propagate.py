@@ -35,6 +35,17 @@ from .model import SystemParams, h_rwa_frame2
 from .qmat import Operator4, expm_skew
 
 
+def _checked_time(t: float | np.ndarray) -> np.ndarray:
+    """``t`` as a float array; ValueError unless every time is finite and >= 0."""
+    t = np.asarray(t, dtype=float)
+    finite = np.isfinite(t)
+    if not finite.all():
+        raise ValueError(f"time must be finite, got {t[~finite][0]}")
+    if (t < 0).any():
+        raise ValueError(f"time must be >= 0, got {t.min()}")
+    return t
+
+
 def undriven_uv(
     delta: float | np.ndarray, t: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -47,12 +58,7 @@ def undriven_uv(
     Raises:
         ValueError: a time is not finite, or is negative.
     """
-    delta, t = np.asarray(delta, dtype=float), np.asarray(t, dtype=float)
-    finite = np.isfinite(t)
-    if not finite.all():
-        raise ValueError(f"time must be finite, got {t[~finite][0]}")
-    if (t < 0).any():
-        raise ValueError(f"time must be >= 0, got {t.min()}")
+    delta, t = np.asarray(delta, dtype=float), _checked_time(t)
     lam = np.array([math.hypot(d, 2.0) for d in delta.ravel().tolist()]).reshape(delta.shape)
     half = 0.5 * lam * t
     sin = np.sin(half)
@@ -114,11 +120,13 @@ def evolve_stepwise(p: SystemParams, t: float, steps: int) -> Operator4:
     exp(-dt * H(t_mid)) in time order.  With the drive off this converges to
     ``entangling_u(t, p, 2)`` at second order in the step size; with a static
     generator a single step is already exact.
+
+    Raises:
+        ValueError: ``steps < 1``, or ``t`` is not finite or is negative.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    _checked_time(t)
     dt = t / steps
     u = np.eye(4, dtype=complex)
     for k in range(steps):

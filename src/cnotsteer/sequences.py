@@ -35,19 +35,8 @@ import numpy as np
 
 from .equivclass import MAGIC_BASIS, to_magic
 from .model import SystemParams, X1, XX, YY, Z2
-from .propagate import entangling_u
-from .qmat import (
-    ID2,
-    ContractViolationError,
-    Operator4,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    expm_skew,
-    frob_dist,
-    kron2,
-    require_unitary,
-)
+from .propagate import _checked_time, entangling_u
+from .qmat import ContractViolationError, Operator4, expm_skew, frob_dist, kron2, require_unitary
 
 
 class DetuningOutOfRangeError(ContractViolationError):
@@ -77,11 +66,6 @@ CNOT.setflags(write=False)
 #: Local pi pulse on qubit 1, exp(-pi X1) = -i (I (x) sigma_x).
 PI_PULSE_X1 = expm_skew(-math.pi * X1)
 PI_PULSE_X1.setflags(write=False)
-
-
-def rot2(sigma: np.ndarray, theta: float) -> np.ndarray:
-    """Single-qubit rotation exp(theta * (i/2) * sigma) in closed form."""
-    return math.cos(theta / 2.0) * ID2 + 1j * math.sin(theta / 2.0) * np.asarray(sigma)
 
 
 def euler_u2(
@@ -133,24 +117,6 @@ class LocalRotationSpec:
     pre1: tuple[float, float, float] = (0.0, 0.0, 0.0)
     phase: float = 0.0
 
-    @classmethod
-    def from_factors(
-        cls,
-        post2: np.ndarray,
-        post1: np.ndarray,
-        pre2: np.ndarray,
-        pre1: np.ndarray,
-        phase: float,
-    ) -> "LocalRotationSpec":
-        """Build a spec from explicit SU(2) factors via Euler extraction."""
-        return cls(
-            post2=zyz_angles(post2),
-            post1=zyz_angles(post1),
-            pre2=zyz_angles(pre2),
-            pre1=zyz_angles(pre1),
-            phase=phase,
-        )
-
     def as_vector(self) -> np.ndarray:
         return np.array(
             [*self.post2, *self.post1, *self.pre2, *self.pre1, self.phase], dtype=float
@@ -175,15 +141,18 @@ def _two_step_angles(p: SystemParams) -> tuple[float, float]:
 def _paper_rotations(a: float, b: float, c: float, x1: float, phase: float) -> LocalRotationSpec:
     """The paper's dressing ``e^{i phase} R_post U R_pre`` of both sequences.
 
-    ``R_post = e^{-(pi/2) Y2} e^{-(pi/2)(a Z2 + c Z1)}`` and
-    ``R_pre = e^{-(pi/2)((1+b) Z2 + c Z1)} e^{+(pi/2)(X2 + x1 X1)}``.
+    ``R_post = e^{-(pi/2) Y2} e^{-(pi/2)(a Z2 + c Z1)}`` and ``R_pre =
+    e^{-(pi/2)((1+b) Z2 + c Z1)} e^{(pi/2)(X2 + x1 X1)}``, written as
+    ``euler_u2`` triples with h = pi/2: as [Z, Y] = X for its generators,
+    ``e^{theta X} = e^{h Z} e^{theta Y} e^{-h Z}``, so the X factors of R_pre
+    give ``e^{-s Z} e^{theta X} = e^{(h - s) Z} e^{theta Y} e^{-h Z}``.
     """
-    half_pi = math.pi / 2.0
-    return LocalRotationSpec.from_factors(
-        post2=rot2(SIGMA_Y, -half_pi) @ rot2(SIGMA_Z, -half_pi * a),
-        post1=rot2(SIGMA_Z, -half_pi * c),
-        pre2=rot2(SIGMA_Z, -half_pi * (1.0 + b)) @ rot2(SIGMA_X, half_pi),
-        pre1=rot2(SIGMA_Z, -half_pi * c) @ rot2(SIGMA_X, half_pi * x1),
+    h = math.pi / 2.0
+    return LocalRotationSpec(
+        post2=(0.0, h, h * a),
+        post1=(h * c, 0.0, 0.0),
+        pre2=(h * b, -h, h),
+        pre1=(h * c - h, -h * x1, h),
         phase=phase,
     )
 
@@ -330,7 +299,9 @@ def single_step_u(t: float, p: SystemParams) -> Operator4:
     Raises:
         UnsupportedCouplingError: ``g_tilde != 0`` (the single-drive sequence
             only reaches the CNOT class for capacitive coupling).
+        ValueError: ``t`` is not finite or is negative.
     """
+    _checked_time(t)
     if p.g_tilde != 0.0:
         raise UnsupportedCouplingError(
             "single-step sequence requires g_tilde = 0; an additional drive on "
@@ -485,6 +456,6 @@ def fit_local_rotations(u_ent: Operator4, target: Operator4) -> FitResult:
     post2, post1 = _local_factors(o1t @ np.diag(_KAK_SIGNS[i_sign]) @ fix @ perm @ o1e.T)
     pre2, pre1 = _local_factors(o2e.T @ perm.T @ fix @ o2t)
 
-    spec = LocalRotationSpec.from_factors(post2, post1, pre2, pre1, phase=0.0)
+    spec = LocalRotationSpec(*map(zyz_angles, (post2, post1, pre2, pre1)))
     overlap_phase = float(np.angle(np.trace(target.conj().T @ spec.realize(u_ent))))
     return FitResult.of(replace(spec, phase=-overlap_phase), u_ent, target)

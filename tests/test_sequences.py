@@ -6,10 +6,6 @@ import pytest
 from cnotsteer.equivclass import cnot_distance, makhlin_invariants
 from cnotsteer.model import SystemParams, Z1, Z2, Y2, X1, X2, h_rwa_frame1
 from cnotsteer.qmat import (
-    ID2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     ContractViolationError,
     expm_skew,
     frob_dist,
@@ -20,14 +16,12 @@ from cnotsteer.sequences import (
     DetuningOutOfRangeError,
     FidelityUndefinedError,
     GateRecipe,
-    LocalRotationSpec,
     UnsupportedCouplingError,
     euler_u2,
     fidelity,
     fit_local_rotations,
     matrix_from_json,
     matrix_to_json,
-    rot2,
     single_step_rotations,
     single_step_u,
     _two_step_angles,
@@ -103,16 +97,28 @@ def test_two_step_angles_at_the_range_ends_and_resonance():
         alpha1, beta = _two_step_angles(SystemParams(delta=2.0 * sign))
         assert alpha1 == pytest.approx(sign / math.sqrt(2.0), abs=1e-15)
         assert beta == pytest.approx(sign, abs=1e-15)
-    resonant = LocalRotationSpec.from_factors(
-        post2=rot2(SIGMA_Y, -HALF_PI),
-        post1=ID2,
-        pre2=rot2(SIGMA_Z, -HALF_PI) @ rot2(SIGMA_X, HALF_PI),
-        pre1=rot2(SIGMA_X, HALF_PI),
-        phase=math.pi / 4.0,
-    )
+    # At resonance both frames give R_post = e^{-(pi/2) Y2} and
+    # R_pre = e^{-(pi/2) Z2} e^{(pi/2)(X2 + X1)}, with phase pi/4.
+    post = expm_skew(-HALF_PI * Y2)
+    pre = expm_skew(-HALF_PI * Z2) @ expm_skew(HALF_PI * (X2 + X1))
     for frame in (1, 2):
         spec = two_step_rotations(SystemParams(), frame)
-        assert np.array_equal(spec.as_vector(), resonant.as_vector())
+        assert frob_dist(spec.post_matrix(), post) <= 1e-15
+        assert frob_dist(spec.pre_matrix(), pre) <= 1e-15
+        assert spec.phase == math.pi / 4.0
+
+
+@pytest.mark.parametrize("frame", [1, 2])
+def test_two_step_recipes_are_continuous_in_delta(frame):
+    # The triples are affine in (alpha1, beta), so no entry wraps by 2 pi
+    # between neighbouring detunings (steps of 1e-3 g).
+    vectors = np.array(
+        [
+            two_step_rotations(SystemParams(delta=float(d)), frame).as_vector()
+            for d in np.linspace(-2.0, 2.0, 4001)
+        ]
+    )
+    assert np.max(np.abs(np.diff(vectors, axis=0))) <= 0.1
 
 
 def test_two_step_rotations_reject_an_unknown_frame():

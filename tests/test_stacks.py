@@ -23,7 +23,12 @@ from cnotsteer.equivclass import (
     weyl_coordinates,
 )
 from cnotsteer.model import XX, YY, ZZ, SystemParams, h_rwa_frame1
-from cnotsteer.propagate import entangling_u, undriven_propagators, undriven_uv
+from cnotsteer.propagate import (
+    entangling_u,
+    evolve_stepwise,
+    undriven_propagators,
+    undriven_uv,
+)
 from cnotsteer.qmat import (
     ContractViolationError,
     expm_skew,
@@ -36,6 +41,7 @@ from cnotsteer.sequences import (
     CNOT,
     euler_u2,
     single_step_gates,
+    single_step_u,
     two_step_product,
 )
 
@@ -352,6 +358,17 @@ def test_undriven_maps_reject_a_negative_time_and_an_unknown_frame():
     for frame in (1, 2):
         with pytest.raises(ValueError, match=r"^time must be finite, got nan$"):
             entangling_u(math.nan, SystemParams(delta=0.5), frame)
+    # The single-step one-point call and the stepwise integrator share the check.
+    p = SystemParams(delta=0.5, omega1=3.0)
+    for t, shown in non_finite:
+        with pytest.raises(ValueError, match=rf"^time must be finite, got {shown}$"):
+            single_step_u(t, p)
+        with pytest.raises(ValueError, match=rf"^time must be finite, got {shown}$"):
+            evolve_stepwise(p, t, 4)
+    with pytest.raises(ValueError, match=r"^time must be >= 0, got -1.0$"):
+        single_step_u(-1.0, p)
+    with pytest.raises(ValueError, match=r"^time must be >= 0, got -1.0$"):
+        evolve_stepwise(p, -1.0, 4)
 
 
 single_step_point = (st.floats(-3.0, 3.0), st.floats(0.5, 8.0), st.floats(0.0, 4.0))

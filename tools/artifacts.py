@@ -1,6 +1,6 @@
-"""Write the CLI's reference artifacts to one directory.
+"""Write the CLI's reference artifacts to one directory, and their digests.
 
-    python3 tools/artifacts.py OUTDIR
+    python3 tools/artifacts.py OUTDIR > tests/artifacts.sha256
 
 Runs ``cnotsteer.cli.main`` in-process, from the ``src/`` of the checkout
 this script sits in, for 40 artifacts: ``table1`` and ``table2``; the
@@ -14,12 +14,19 @@ signs of the dressing angles flip, in both frames (the two-step sequence
 exits 2 beyond 2g); and the ``verify`` report at two seeds.  Every output
 is deterministic, so two checkouts that should agree byte for byte are
 compared with one ``diff -r`` of their OUTDIRs.
-"""
 
+The script prints one ``sha256sum``-style line per file, which is the
+manifest ``tests/test_artifacts.py`` checks.  The in-bound one-step gates
+(``LOOSE_FILES``) are CNOT-class, so ``sequences._kak`` picks their
+dressing by rounding: their digest leaves out the dressing and the figures
+that follow from it (``digest``), and the test checks those numerically.
+"""
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -32,6 +39,7 @@ GATE_DELTAS = ("0.5", "0.98", "1.0", "1.01", "1.05", "1.2", "1.5", "1.8", "2.0")
 ONE_STEP_ONLY_DELTAS = ("2.5", "3.0")
 TWO_STEP_ONLY_DELTAS = ("-1.0",)
 VERIFY_SEEDS = (None, "7")
+LOOSE_FILES = ("gate_one-step_0.5.json", "gate_one-step_0.98.json", "gate_one-step_1.0.json")
 
 
 def _commands(out: Path) -> list[tuple[list[str], Path | None]]:
@@ -58,22 +66,51 @@ def _commands(out: Path) -> list[tuple[list[str], Path | None]]:
     return runs
 
 
+def write_artifacts(out: Path) -> None:
+    """Write the 40 artifacts into the existing directory ``out``.
+
+    Raises:
+        RuntimeError: a command exits nonzero.
+    """
+    for cli_argv, stdout_path in _commands(out):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            rc = cnotsteer_main(cli_argv)
+        if rc != 0:
+            raise RuntimeError(f"cnotsteer {' '.join(cli_argv)} exited {rc}")
+        if stdout_path is not None:
+            stdout_path.write_text(buffer.getvalue(), encoding="utf-8")
+
+
+def digest(path: Path) -> str:
+    """SHA-256 of an artifact; of its JSON without the dressing for ``LOOSE_FILES``."""
+    data = path.read_bytes()
+    if path.name in LOOSE_FILES:
+        gate = json.loads(data)
+        del gate["recipe"]["euler_angles"], gate["recipe"]["global_phase"]
+        del gate["gate_matrix"], gate["frobenius_distance_to_cnot"], gate["fidelity"]
+        data = json.dumps(gate, indent=2).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def manifest(out: Path) -> str:
+    """One ``<digest>  <name>`` line per file in ``out``, sorted by name."""
+    return "".join(f"{digest(path)}  {path.name}\n" for path in sorted(out.iterdir()))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/artifacts.py OUTDIR", file=sys.stderr)
         return 2
     out = Path(argv[0]).resolve()
     out.mkdir(parents=True, exist_ok=True)
-    for cli_argv, stdout_path in _commands(out):
-        buffer = io.StringIO()
-        with contextlib.redirect_stdout(buffer):
-            rc = cnotsteer_main(cli_argv)
-        if rc != 0:
-            print(f"cnotsteer {' '.join(cli_argv)} exited {rc}", file=sys.stderr)
-            return 1
-        if stdout_path is not None:
-            stdout_path.write_text(buffer.getvalue(), encoding="utf-8")
-    print(f"{sum(1 for _ in out.iterdir())} files in {out}")
+    try:
+        write_artifacts(out)
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    print(manifest(out), end="")
+    print(f"{sum(1 for _ in out.iterdir())} files in {out}", file=sys.stderr)
     return 0
 
 

@@ -21,6 +21,7 @@ manifest ``tests/test_artifacts.py`` checks.  The in-bound one-step gates
 dressing by rounding: their digest leaves out the dressing and the figures
 that follow from it (``digest``), and the test checks those numerically.
 """
+
 from __future__ import annotations
 
 import contextlib

@@ -35,8 +35,12 @@ from .model import SystemParams, h_rwa_frame2
 from .qmat import Operator4, expm_skew
 
 
-def _checked_time(t: float | np.ndarray) -> np.ndarray:
-    """``t`` as a float array; ValueError unless every time is finite and >= 0."""
+def checked_time(t: float | np.ndarray) -> np.ndarray:
+    """``t`` as a float array: the one check of every evolution time.
+
+    Raises:
+        ValueError: a time is not finite, or is negative.
+    """
     t = np.asarray(t, dtype=float)
     finite = np.isfinite(t)
     if not finite.all():
@@ -58,7 +62,7 @@ def undriven_uv(
     Raises:
         ValueError: a time is not finite, or is negative.
     """
-    delta, t = np.asarray(delta, dtype=float), _checked_time(t)
+    delta, t = np.asarray(delta, dtype=float), checked_time(t)
     lam = np.array([math.hypot(d, 2.0) for d in delta.ravel().tolist()]).reshape(delta.shape)
     half = 0.5 * lam * t
     sin = np.sin(half)
@@ -126,7 +130,7 @@ def evolve_stepwise(p: SystemParams, t: float, steps: int) -> Operator4:
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    _checked_time(t)
+    checked_time(t)
     dt = t / steps
     u = np.eye(4, dtype=complex)
     for k in range(steps):

@@ -35,8 +35,15 @@ import numpy as np
 
 from .equivclass import MAGIC_BASIS, to_magic
 from .model import SystemParams, X1, XX, YY, Z2
-from .propagate import _checked_time, entangling_u
-from .qmat import ContractViolationError, Operator4, expm_skew, frob_dist, kron2, require_unitary
+from .propagate import checked_time, entangling_u
+from .qmat import (
+    ContractViolationError,
+    Operator4,
+    expm_skew,
+    frob_dist,
+    kron2,
+    require_unitary,
+)
 
 
 class DetuningOutOfRangeError(ContractViolationError):
@@ -301,13 +308,12 @@ def single_step_u(t: float, p: SystemParams) -> Operator4:
             only reaches the CNOT class for capacitive coupling).
         ValueError: ``t`` is not finite or is negative.
     """
-    _checked_time(t)
     if p.g_tilde != 0.0:
         raise UnsupportedCouplingError(
             "single-step sequence requires g_tilde = 0; an additional drive on "
             "qubit 2 would be needed otherwise"
         )
-    return single_step_gates(p.delta, p.omega1, t)
+    return single_step_gates(p.delta, p.omega1, checked_time(t))
 
 
 def fidelity(u: Operator4, target: Operator4) -> float:

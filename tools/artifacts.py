@@ -16,10 +16,7 @@ is deterministic, so two checkouts that should agree byte for byte are
 compared with one ``diff -r`` of their OUTDIRs.
 
 The script prints one ``sha256sum``-style line per file, which is the
-manifest ``tests/test_artifacts.py`` checks.  The in-bound one-step gates
-(``LOOSE_FILES``) are CNOT-class, so ``sequences._kak`` picks their
-dressing by rounding: their digest leaves out the dressing and the figures
-that follow from it (``digest``), and the test checks those numerically.
+manifest ``tests/test_artifacts.py`` checks.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import json
 import sys
 from pathlib import Path
 
@@ -40,7 +36,6 @@ GATE_DELTAS = ("0.5", "0.98", "1.0", "1.01", "1.05", "1.2", "1.5", "1.8", "2.0")
 ONE_STEP_ONLY_DELTAS = ("2.5", "3.0")
 TWO_STEP_ONLY_DELTAS = ("-1.0",)
 VERIFY_SEEDS = (None, "7")
-LOOSE_FILES = ("gate_one-step_0.5.json", "gate_one-step_0.98.json", "gate_one-step_1.0.json")
 
 
 def _commands(out: Path) -> list[tuple[list[str], Path | None]]:
@@ -83,20 +78,12 @@ def write_artifacts(out: Path) -> None:
             stdout_path.write_text(buffer.getvalue(), encoding="utf-8")
 
 
-def digest(path: Path) -> str:
-    """SHA-256 of an artifact; of its JSON without the dressing for ``LOOSE_FILES``."""
-    data = path.read_bytes()
-    if path.name in LOOSE_FILES:
-        gate = json.loads(data)
-        del gate["recipe"]["euler_angles"], gate["recipe"]["global_phase"]
-        del gate["gate_matrix"], gate["frobenius_distance_to_cnot"], gate["fidelity"]
-        data = json.dumps(gate, indent=2).encode()
-    return hashlib.sha256(data).hexdigest()
-
-
 def manifest(out: Path) -> str:
-    """One ``<digest>  <name>`` line per file in ``out``, sorted by name."""
-    return "".join(f"{digest(path)}  {path.name}\n" for path in sorted(out.iterdir()))
+    """One ``<sha256>  <name>`` line per file in ``out``, sorted by name."""
+    return "".join(
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+        for path in sorted(out.iterdir())
+    )
 
 
 def main(argv: list[str]) -> int:

@@ -25,7 +25,6 @@ from .equivclass import (
     cnot_distance,
     invariants_from_weyl,
     makhlin_invariants,
-    trajectory_to_csv,
     two_step_invariants_closed,
     weyl_coordinates,
     weyl_trajectory,
@@ -39,7 +38,6 @@ from .sequences import (
     DetuningOutOfRangeError,
     FidelityUndefinedError,
     FitResult,
-    GateRecipe,
     LocalRotationSpec,
     UnsupportedCouplingError,
     fidelity,
@@ -60,7 +58,6 @@ __all__ = [
     "DetuningOutOfRangeError",
     "FidelityUndefinedError",
     "FitResult",
-    "GateRecipe",
     "InvariantPair",
     "LocalRotationSpec",
     "SystemParams",
@@ -83,7 +80,6 @@ __all__ = [
     "makhlin_invariants",
     "single_step_rotations",
     "single_step_u",
-    "trajectory_to_csv",
     "two_step_entangler",
     "two_step_invariants_closed",
     "two_step_rotations",

@@ -13,7 +13,8 @@ Output is deterministic: repeated runs with the same flags produce
 byte-identical files.  CSV values are printed with six fixed decimals,
 except the tables' ``delta_over_g`` column, which has two, and always carry
 a header row; cells that have no value (for example the single-step columns
-beyond their detuning bound) are left empty.
+beyond their detuning bound) are left empty.  This module alone writes
+CSV cells, the JSON layout and the output time units.
 
 Exit codes: 0 success, 2 domain error (for example detuning out of range),
 3 I/O error, 4 verification failure.  A single-step calibration that stops
@@ -30,12 +31,13 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .equivclass import (
     cnot_distance,
-    csv_text,
     makhlin_invariants,
-    trajectory_to_csv,
     weyl_coordinates,
     weyl_trajectory,
 )
@@ -50,9 +52,7 @@ from .qmat import ContractViolationError
 from .sequences import (
     CNOT,
     FitResult,
-    GateRecipe,
     fit_local_rotations,
-    matrix_to_json,
     single_step_u,
     two_step_product,
     two_step_rotations,
@@ -70,6 +70,7 @@ OUTDIR_ENV = "CNOTSTEER_OUTDIR"
 
 _TABLE_GRID = [round(0.1 * k, 1) for k in range(21)]  # 0.0 .. 2.0
 _TABLE2_GRID = [round(1.0 + 0.1 * k, 1) for k in range(11)]  # 1.0 .. 2.0
+_HALF_PI = math.pi / 2.0
 
 
 def _out_path(arg: str) -> Path:
@@ -90,6 +91,40 @@ def _write(path: Path, text: str) -> None:
 
 class _IOFailure(RuntimeError):
     pass
+
+
+def _csv_cell(value: object) -> str:
+    if isinstance(value, str):
+        return value
+    if value is None or value != value:  # NaN
+        return ""
+    return f"{value:.6f}"
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """CSV text with a header row; the package's one CSV writer.
+
+    Floats get six fixed decimals, None and NaN an empty cell, and strings
+    are written as given.
+    """
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def matrix_to_json(u: np.ndarray) -> list[list[list[float]]]:
+    """4x4 matrix as nested lists of [re, im] pairs."""
+    u = np.asarray(u, dtype=complex)
+    return [[[float(z.real), float(z.imag)] for z in row] for row in u]
+
+
+def matrix_from_json(rows: Iterable[Iterable[Sequence[float]]]) -> np.ndarray:
+    return np.array([[complex(re, im) for re, im in row] for row in rows])
+
+
+def _t2_value(p: SystemParams) -> float:
+    """Two-step entangling time in units of pi/4g."""
+    return two_step_time(p) / (math.pi / 4.0)
 
 
 def _calibrate_single_step(delta: float) -> CalibrationResult:
@@ -113,7 +148,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     """
     rows = []
     for delta in _TABLE_GRID:
-        t2 = two_step_time(SystemParams(delta=delta)) / (math.pi / 4.0)  # in units of pi/4g
+        t2 = _t2_value(SystemParams(delta=delta))
         if delta <= SINGLE_STEP_BOUND:
             cal = _calibrate_single_step(delta)
             rows.append([f"{delta:.2f}", t2, cal.t_units, cal.omega1_over_g])
@@ -134,26 +169,35 @@ def cmd_table2(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _gate_payload(args: argparse.Namespace) -> dict:
+def cmd_gate(args: argparse.Namespace) -> int:
+    """Calibrate, dress with local rotations, and dump the gate description as JSON."""
     delta = args.delta
     if args.mode == "two-step":
         p = SystemParams(delta=delta)
-        t = two_step_time(p)
-        segment = entangling_u(t, p, args.frame)
+        unit, t_value = "pi/4g", _t2_value(p)
+        segment = entangling_u(two_step_time(p), p, args.frame)
         entangler = two_step_product(segment)
         fit = FitResult.of(two_step_rotations(p, args.frame), entangler, CNOT)
     else:
         cal = _calibrate_single_step(delta)
         p = SystemParams(delta=delta, omega1=cal.omega1_over_g)
-        t = cal.t_units * math.pi / 2.0
-        entangler = segment = single_step_u(t, p)
+        unit, t_value = "pi/2g", cal.t_units
+        entangler = segment = single_step_u(cal.t_units * math.pi / 2.0, p)
         fit = fit_local_rotations(entangler, CNOT)
 
-    recipe = GateRecipe(kind=args.mode, params=p, t=t, rotations=fit.rotations)
     inv = makhlin_invariants(entangler)
     weyl = weyl_coordinates(entangler)
-    return {
-        "recipe": recipe.to_json_dict(),
+    payload = {
+        "recipe": {
+            "kind": args.mode,
+            "delta_over_g": p.delta,
+            "gtilde_over_g": p.g_tilde,
+            "omega1_over_g": p.omega1,
+            "t_units": unit,
+            "t_value": t_value,
+            "euler_angles": [float(a) for a in fit.rotations.as_vector()[:12]],
+            "global_phase": float(fit.rotations.phase),
+        },
         "frame": args.frame if args.mode == "two-step" else None,
         "entangling_matrix": matrix_to_json(segment),
         "gate_matrix": matrix_to_json(fit.gate),
@@ -163,11 +207,6 @@ def _gate_payload(args: argparse.Namespace) -> dict:
         "frobenius_distance_to_cnot": fit.distance,
         "fidelity": fit.fidelity,
     }
-
-
-def cmd_gate(args: argparse.Namespace) -> int:
-    """Calibrate, dress with local rotations, and dump the gate description as JSON."""
-    payload = _gate_payload(args)
     _write(_out_path(args.out), json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
@@ -181,7 +220,8 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     cal = _calibrate_single_step(args.delta)
     p = SystemParams(delta=args.delta, omega1=cal.omega1_over_g)
     samples = weyl_trajectory(p, cal.t_units * math.pi / 2.0, args.samples)
-    _write(_out_path(args.out), trajectory_to_csv(samples))
+    rows = ([v / _HALF_PI for v in (s.t, s.point.c1, s.point.c2, s.point.c3)] for s in samples)
+    _write(_out_path(args.out), csv_text(["t", "c1", "c2", "c3"], rows))
     return EXIT_OK
 
 
@@ -189,7 +229,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Run the property suite and report one line per check."""
     results = run_checks(seed=args.seed)
     for r in results:
-        print(r.line())
+        status = "PASS" if r.passed else "FAIL"
+        print(f"{status}  {r.name}: worst {r.worst:.3e} (tol {r.tolerance:.1e})")
     failed = [r for r in results if not r.passed]
     if failed:
         print(f"{len(failed)} of {len(results)} checks failed:", ", ".join(r.name for r in failed))

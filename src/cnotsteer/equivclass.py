@@ -49,11 +49,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .model import SystemParams, XX, YY, ZZ, h_rwa_frame1
+from .propagate import checked_time
 from .qmat import (
     UNITARITY_TOL,
     ContractViolationError,
@@ -317,37 +317,16 @@ def weyl_trajectory(p: SystemParams, t_max: float, n_samples: int) -> list[Traje
     Canonicalization is applied independently per sample, so apparent kinks
     can only occur at chamber boundaries; the CLI's default of 2048 samples
     is fine enough to render the curves smoothly.
+
+    Raises:
+        ContractViolationError: ``n_samples < 2``.
+        ValueError: ``t_max`` is not finite or is negative.
     """
     if n_samples < 2:
         raise ContractViolationError(f"n_samples must be >= 2, got {n_samples}")
     gen = h_rwa_frame1(p)
     out: list[TrajectorySample] = []
-    for t in np.linspace(0.0, t_max, n_samples):
+    for t in np.linspace(0.0, checked_time(t_max), n_samples):
         point = weyl_coordinates(expm_skew(-t * gen))
         out.append(TrajectorySample(t=float(t), point=point))
     return out
-
-
-def _csv_cell(value: object) -> str:
-    if isinstance(value, str):
-        return value
-    if value is None or value != value:  # NaN
-        return ""
-    return f"{value:.6f}"
-
-
-def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """CSV text with a header row; the package's one CSV writer.
-
-    Floats get six fixed decimals, None and NaN an empty cell, and strings
-    are written as given.
-    """
-    lines = [",".join(header)]
-    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def trajectory_to_csv(samples: list[TrajectorySample]) -> str:
-    """Render a trajectory as CSV with t in units of pi/2 and c in units of pi/2."""
-    rows = ((s.t, s.point.c1, s.point.c2, s.point.c3) for s in samples)
-    return csv_text(["t", "c1", "c2", "c3"], ([v / _HALF_PI for v in row] for row in rows))

@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -207,54 +206,6 @@ def single_step_rotations(
     return _paper_rotations(alpha2, alpha2, alpha1, x1=-(1.0 + gamma1), phase=5.0 * math.pi / 4.0)
 
 
-@dataclass(frozen=True)
-class GateRecipe:
-    """A complete gate prescription: sequence kind, rates, time, rotations."""
-
-    kind: str  # "two-step" | "one-step"
-    params: SystemParams
-    t: float  # entangling time, units of 1/g
-    rotations: LocalRotationSpec
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("two-step", "one-step"):
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
-        if not self.t > 0:
-            raise ValueError(f"entangling time must be positive, got {self.t}")
-
-    @property
-    def t_units(self) -> str:
-        return "pi/4g" if self.kind == "two-step" else "pi/2g"
-
-    @property
-    def t_value(self) -> float:
-        """Entangling time as a multiple of the kind's canonical unit."""
-        unit = math.pi / 4.0 if self.kind == "two-step" else math.pi / 2.0
-        return self.t / unit
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "delta_over_g": self.params.delta,
-            "gtilde_over_g": self.params.g_tilde,
-            "omega1_over_g": self.params.omega1,
-            "t_units": self.t_units,
-            "t_value": self.t_value,
-            "euler_angles": [float(a) for a in self.rotations.as_vector()[:12]],
-            "global_phase": float(self.rotations.phase),
-        }
-
-
-def matrix_to_json(u: np.ndarray) -> list[list[list[float]]]:
-    """4x4 matrix as nested lists of [re, im] pairs."""
-    u = np.asarray(u, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in u]
-
-
-def matrix_from_json(rows: Iterable[Iterable[Sequence[float]]]) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
 def two_step_time(p: SystemParams) -> float:
     """Closed-form entangling time of the two-step sequence, in units of 1/g.
 
@@ -264,12 +215,11 @@ def two_step_time(p: SystemParams) -> float:
     Raises:
         DetuningOutOfRangeError: ``|delta| > 2g`` (no exact CNOT exists).
     """
-    ratio = p.delta**2 / 4.0
-    if ratio > 1.0:
+    if abs(p.delta) > 2.0:
         raise DetuningOutOfRangeError(
             f"two-step sequence requires |delta| <= 2g, got delta/g = {p.delta}"
         )
-    return (math.pi - math.acos(ratio)) / math.hypot(p.delta, 2.0)
+    return (math.pi - math.acos(p.delta**2 / 4.0)) / math.hypot(p.delta, 2.0)
 
 
 def two_step_product(u: Operator4) -> Operator4:

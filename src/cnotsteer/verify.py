@@ -46,10 +46,6 @@ class CheckResult:
     worst: float
     tolerance: float
 
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status}  {self.name}: worst {self.worst:.3e} (tol {self.tolerance:.1e})"
-
 
 def _random_locals(angles: np.ndarray) -> np.ndarray:
     """Local rotations ``kron2(euler_u2(*a[:3]), euler_u2(*a[3:]))`` for angles ``(..., 6)``."""

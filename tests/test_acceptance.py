@@ -156,7 +156,7 @@ def test_criterion_07_crossover_bounds(single_step_table):
 def test_criterion_08_property_suite():
     results = run_checks(seed=42)
     for r in results:
-        print("   ", r.line())
+        print("   ", f"{r.name}: worst {r.worst:.3e} (tol {r.tolerance:.1e})")
     ok = all(r.passed for r in results)
     _report(8, ok, f"{sum(r.passed for r in results)}/{len(results)} property checks passed")
 

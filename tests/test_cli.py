@@ -4,12 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from cnotsteer.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
+from cnotsteer.cli import (
+    EXIT_DOMAIN,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_VERIFY,
+    main,
+    matrix_from_json,
+    matrix_to_json,
+)
 from cnotsteer.model import SystemParams
+from cnotsteer.optimize import calibrate_single_step
 from cnotsteer.qmat import frob_dist
-from cnotsteer.sequences import PI_PULSE_X1, matrix_from_json, two_step_rotations
+from cnotsteer.sequences import PI_PULSE_X1, two_step_rotations, two_step_time
 
-from conftest import spec_from_vector
+from conftest import random_unitary, spec_from_vector
 from reference_data import (
     ENTANGLER_FRAME1_DELTA1,
     SINGLE_STEP_U_DELTA1,
@@ -118,11 +127,12 @@ def test_gate_two_step_json(tmp_path):
 
 def test_gate_two_step_rejects_large_detuning(tmp_path, capsys):
     out = tmp_path / "never.json"
-    for delta in ("2.5", "2.0000001", "-2.0000001"):
-        rc = main(["gate", "--mode", "two-step", "--delta", delta, "--out", str(out)])
+    # The last two square to more than the largest float.
+    for delta in ("2.5", "2.0000001", "-2.0000001", "1e300", "-1.35e154"):
+        rc = main(["gate", "--mode", "two-step", f"--delta={delta}", "--out", str(out)])
         assert rc == EXIT_DOMAIN, delta
         assert not out.exists()
-        assert "delta" in capsys.readouterr().err
+        assert "two-step sequence requires |delta| <= 2g" in capsys.readouterr().err
 
 
 def _gate(tmp_path, *argv: str) -> dict:
@@ -144,6 +154,39 @@ def test_two_step_recipe_is_the_closed_form_and_stable(tmp_path, frame):
             assert angles[-1] == want.tolist(), d
         moved = np.max(np.abs(np.array(angles) - angles[1]))
         assert moved <= 1e-11, (delta, moved)
+
+
+RECIPE_KEYS = [
+    "kind",
+    "delta_over_g",
+    "gtilde_over_g",
+    "omega1_over_g",
+    "t_units",
+    "t_value",
+    "euler_angles",
+    "global_phase",
+]
+
+
+def test_gate_recipe_keys_and_time_units(tmp_path):
+    # One-step: t_value is the calibrated T1 itself, with no round trip
+    # through the time in units of 1/g (one ulp off at 2.0g otherwise).
+    recipe = _gate(tmp_path, "--mode", "one-step", "--delta", "2.0")["recipe"]
+    assert list(recipe) == RECIPE_KEYS
+    assert (recipe["kind"], recipe["t_units"]) == ("one-step", "pi/2g")
+    assert recipe["t_value"] == calibrate_single_step(2.0).t_units
+    assert len(recipe["euler_angles"]) == 12
+    # Two-step: t_value is Table 1's T2 expression.
+    for delta in (0.5, 1.5):
+        recipe = _gate(tmp_path, "--mode", "two-step", "--delta", repr(delta))["recipe"]
+        assert list(recipe) == RECIPE_KEYS
+        assert (recipe["kind"], recipe["t_units"]) == ("two-step", "pi/4g")
+        assert recipe["t_value"] == two_step_time(SystemParams(delta=delta)) / (math.pi / 4.0)
+
+
+def test_matrix_json_round_trip(rng):
+    u = random_unitary(rng)
+    assert frob_dist(matrix_from_json(matrix_to_json(u)), u) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -187,6 +230,22 @@ def test_trajectory_output(tmp_path):
     assert abs(float(final[1]) - 1.0) < 2e-3
     assert abs(float(final[2])) < 2e-3
     assert all(abs(float(r[3])) < 1e-6 for r in rows)
+
+
+def test_trajectory_csv_format(tmp_path):
+    out = tmp_path / "traj.csv"
+    assert main(["trajectory", "--delta", "0.5", "--samples", "5", "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == "t,c1,c2,c3"
+    assert lines[1] == "0.000000,0.000000,0.000000,0.000000"
+    assert len(lines) == 6
+    # t is in units of pi/2g, so the last sample reads T1.
+    assert lines[-1].split(",")[0] == f"{calibrate_single_step(0.5).t_units:.6f}"
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert len(fields) == 4
+        for f in fields:
+            assert len(f.split(".")[1]) == 6
 
 
 def test_trajectory_rejects_single_sample(tmp_path):

@@ -11,7 +11,6 @@ from cnotsteer.equivclass import (
     cnot_residual,
     invariants_from_weyl,
     makhlin_invariants,
-    trajectory_to_csv,
     two_step_invariants_closed,
     weyl_coordinates,
     weyl_trajectory,
@@ -230,20 +229,6 @@ def test_trajectory_starts_at_origin_and_reaches_cnot():
 def test_trajectory_validates_sample_count():
     with pytest.raises(ValueError):
         weyl_trajectory(SystemParams(), 1.0, n_samples=1)
-
-
-def test_trajectory_csv_format():
-    p = SystemParams(delta=0.5, omega1=3.8583)
-    text = trajectory_to_csv(weyl_trajectory(p, 1.0253 * HALF_PI, n_samples=5))
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,c1,c2,c3"
-    assert lines[1] == "0.000000,0.000000,0.000000,0.000000"
-    assert len(lines) == 6
-    for line in lines[1:]:
-        fields = line.split(",")
-        assert len(fields) == 4
-        for f in fields:
-            assert len(f.split(".")[1]) == 6
 
 
 def _residual_norms(u):

@@ -15,13 +15,10 @@ from cnotsteer.sequences import (
     CNOT,
     DetuningOutOfRangeError,
     FidelityUndefinedError,
-    GateRecipe,
     UnsupportedCouplingError,
     euler_u2,
     fidelity,
     fit_local_rotations,
-    matrix_from_json,
-    matrix_to_json,
     single_step_rotations,
     single_step_u,
     _two_step_angles,
@@ -66,6 +63,9 @@ def test_two_step_time_values():
 def test_two_step_time_detuning_bound():
     with pytest.raises(DetuningOutOfRangeError):
         two_step_time(SystemParams(delta=2.1))
+    # The bound is checked before delta is squared, which overflows here.
+    with pytest.raises(DetuningOutOfRangeError, match=r"requires \|delta\| <= 2g"):
+        two_step_time(SystemParams(delta=-1e200))
 
 
 def test_resonant_two_step_assembles_exact_cnot():
@@ -269,27 +269,3 @@ def test_fit_recovers_exact_cnot_at_resonance():
     assert result.fidelity is not None
     assert 1.0 - result.fidelity < 1e-8
     assert frob_dist(result.rotations.realize(two_step_entangler(p, frame=1)), CNOT) < 1e-4
-
-
-def test_gate_recipe_validation_and_json():
-    p = SystemParams(delta=0.5, omega1=3.8583)
-    recipe = GateRecipe(
-        kind="one-step", params=p, t=1.0253 * HALF_PI, rotations=single_step_rotations()
-    )
-    assert recipe.t_units == "pi/2g"
-    assert abs(recipe.t_value - 1.0253) < 1e-12
-    d = recipe.to_json_dict()
-    assert d["kind"] == "one-step"
-    assert d["delta_over_g"] == 0.5
-    assert len(d["euler_angles"]) == 12
-    with pytest.raises(ValueError):
-        GateRecipe(kind="three-step", params=p, t=1.0, rotations=single_step_rotations())
-    with pytest.raises(ValueError):
-        GateRecipe(kind="one-step", params=p, t=0.0, rotations=single_step_rotations())
-
-
-def test_matrix_json_round_trip(rng):
-    from conftest import random_unitary
-
-    u = random_unitary(rng)
-    assert frob_dist(matrix_from_json(matrix_to_json(u)), u) == 0.0

@@ -21,6 +21,7 @@ from cnotsteer.equivclass import (
     makhlin_invariants,
     to_magic,
     weyl_coordinates,
+    weyl_trajectory,
 )
 from cnotsteer.model import XX, YY, ZZ, SystemParams, h_rwa_frame1
 from cnotsteer.propagate import (
@@ -358,17 +359,22 @@ def test_undriven_maps_reject_a_negative_time_and_an_unknown_frame():
     for frame in (1, 2):
         with pytest.raises(ValueError, match=r"^time must be finite, got nan$"):
             entangling_u(math.nan, SystemParams(delta=0.5), frame)
-    # The single-step one-point call and the stepwise integrator share the check.
+    # The single-step one-point call, the stepwise integrator and the
+    # trajectory's end time share the check.
     p = SystemParams(delta=0.5, omega1=3.0)
     for t, shown in non_finite:
         with pytest.raises(ValueError, match=rf"^time must be finite, got {shown}$"):
             single_step_u(t, p)
         with pytest.raises(ValueError, match=rf"^time must be finite, got {shown}$"):
             evolve_stepwise(p, t, 4)
+        with pytest.raises(ValueError, match=rf"^time must be finite, got {shown}$"):
+            weyl_trajectory(p, t, 4)
     with pytest.raises(ValueError, match=r"^time must be >= 0, got -1.0$"):
         single_step_u(-1.0, p)
     with pytest.raises(ValueError, match=r"^time must be >= 0, got -1.0$"):
         evolve_stepwise(p, -1.0, 4)
+    with pytest.raises(ValueError, match=r"^time must be >= 0, got -1.0$"):
+        weyl_trajectory(p, -1.0, 4)
 
 
 single_step_point = (st.floats(-3.0, 3.0), st.floats(0.5, 8.0), st.floats(0.0, 4.0))

@@ -127,15 +127,16 @@ def _t2_value(p: SystemParams) -> float:
     return two_step_time(p) / (math.pi / 4.0)
 
 
-def _calibrate_single_step(delta: float) -> CalibrationResult:
-    """``calibrate_single_step``, with a stderr warning when it did not converge."""
+def _calibrate_single_step(delta: float | list[float]) -> CalibrationResult | list[CalibrationResult]:
+    """``calibrate_single_step``, with a stderr warning for each row that did not converge."""
     cal = calibrate_single_step(delta)
-    if not cal.converged:
-        print(
-            f"warning: single-step calibration at delta/g = {delta:g} did not converge "
-            f"({cal.method}, {cal.iterations} iterations, d^2 = {cal.distance:.3e})",
-            file=sys.stderr,
-        )
+    for row in cal if isinstance(cal, list) else [cal]:
+        if not row.converged:
+            print(
+                f"warning: single-step calibration at delta/g = {row.delta_over_g:g} did not converge "
+                f"({row.method}, {row.iterations} iterations, d^2 = {row.distance:.3e})",
+                file=sys.stderr,
+            )
     return cal
 
 
@@ -146,11 +147,13 @@ def cmd_table1(args: argparse.Namespace) -> int:
     omega1/g) only where the single-step sequence reaches the CNOT class
     exactly (|delta| <= g), blank elsewhere.
     """
+    inside = [delta for delta in _TABLE_GRID if delta <= SINGLE_STEP_BOUND]
+    cals = dict(zip(inside, _calibrate_single_step(inside)))
     rows = []
     for delta in _TABLE_GRID:
         t2 = _t2_value(SystemParams(delta=delta))
-        if delta <= SINGLE_STEP_BOUND:
-            cal = _calibrate_single_step(delta)
+        cal = cals.get(delta)
+        if cal is not None:
             rows.append([f"{delta:.2f}", t2, cal.t_units, cal.omega1_over_g])
         else:
             rows.append([f"{delta:.2f}", t2, None, None])
@@ -161,8 +164,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 def cmd_table2(args: argparse.Namespace) -> int:
     """Closest-to-CNOT single-step parameters for detunings 1.0-2.0."""
     rows = []
-    for delta in _TABLE2_GRID:
-        cal = _calibrate_single_step(delta)
+    for delta, cal in zip(_TABLE2_GRID, _calibrate_single_step(_TABLE2_GRID)):
         inv = cal.invariants
         rows.append([f"{delta:.2f}", cal.t_units, cal.omega1_over_g, inv.g1.real, inv.g2])
     _write(_out_path(args.out), csv_text(["delta_over_g", "T1", "omega1_over_g", "G1", "G2"], rows))
@@ -283,8 +285,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.startswith("-")
+
+
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """``argv`` with each ``--option -1e-3`` pair written as ``--option=-1e-3``.
+
+    argparse reads a token that starts with '-' as an option unless it is a
+    plain negative number such as -1 or -0.5, so a negative value with an
+    exponent (``repr(-1e-5)``) would otherwise be refused.
+    """
+    joined: list[str] = []
+    for token in argv:
+        last = joined[-1] if joined else ""
+        if last.startswith("--") and len(last) > 2 and "=" not in last and _is_negative_number(token):
+            joined[-1] = f"{last}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ContractViolationError as exc:

@@ -16,6 +16,14 @@ positive definite is shifted, and each step is halved until it stays in the
 search box and lowers d^2.  Both methods start from the resonant solution,
 which keeps them on the lowest branch; only the minimisation checks the box.
 
+``calibrate_single_step`` also takes a sequence of detunings, as the tables
+do.  Each method's solvers are generators that yield the points they need,
+and ``_lockstep`` runs all rows of one method together: each round it
+evaluates every pending request in one stacked ``single_step_gates`` call
+and one ``cnot_residual`` or ``makhlin_invariants`` call.  The kernels give
+each stack member the bits it gets alone, so each row returns the bits it
+returns when calibrated alone, with the same iteration count and flag.
+
 The two-step sequence needs no calibration: ``sequences.two_step_time`` is
 its closed-form gate time.
 """
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -88,13 +97,13 @@ class CalibrationResult:
     method: str
 
 
-def _gates(delta_over_g: float, x: np.ndarray) -> np.ndarray:
+def _gates(delta_over_g: float | np.ndarray, x: np.ndarray) -> np.ndarray:
     """Single-step gates at points ``x = (omega1/g, T1)`` of shape ``(..., 2)``, T1 in pi/2g."""
     return single_step_gates(delta_over_g, x[..., 0], x[..., 1] * math.pi / 2.0)
 
 
-def _invariants(delta_over_g: float, x: np.ndarray) -> InvariantPair:
-    """Invariants of the single-step gate at one point ``x``."""
+def _invariants(delta_over_g: float | np.ndarray, x: np.ndarray) -> InvariantPair | list[InvariantPair]:
+    """Invariants of the single-step gate at one point ``x``, or of each in a stack."""
     return makhlin_invariants(_gates(delta_over_g, x))
 
 
@@ -103,20 +112,36 @@ def _d2(delta_over_g: float, x: np.ndarray) -> float:
     return cnot_distance(_invariants(delta_over_g, x))
 
 
-def _solve_single_step(delta_over_g: float) -> tuple[np.ndarray, InvariantPair, int, bool]:
+#: A solver run by ``_lockstep``: it yields points of shape ``(..., 2)``, is
+#: sent what ``evaluate`` gives for them, and returns the point it found,
+#: the invariants of its gate, its iteration count and its converged flag.
+_Solver = Generator[np.ndarray, object, tuple[np.ndarray, InvariantPair, int, bool]]
+
+
+def _residuals(delta_over_g: float | np.ndarray, x: np.ndarray) -> tuple | list[tuple]:
+    """Gates at one root-solve stencil ``x`` of shape ``(3, 2)`` and their residuals.
+
+    A stack of stencils gives a list of ``(gates, R)`` pairs, one per stencil.
+    """
+    gates = _gates(delta_over_g, x)
+    r = cnot_residual(gates)
+    return (gates, r) if x.ndim == 2 else list(zip(gates, r))
+
+
+def _solve_single_step() -> _Solver:
     """Gauss-Newton root of the single-step residual from ``SINGLE_STEP_START``.
 
-    Each step evaluates the residual at x and at its two forward-difference
-    neighbours in one stacked call, and solves the 32 x 2 linearization in
-    the least-squares sense.  Returns the root, the invariants of its gate
-    (member 0 of the last stencil), the iteration count and whether
-    ``||R||_F <= _ROOT_TOL`` was reached.
+    A generator run by ``_lockstep``: each step yields x and its two
+    forward-difference neighbours as one stencil, takes back their gates and
+    residuals, and solves the 32 x 2 linearization in the least-squares
+    sense.  Returns the root, the invariants of its gate (member 0 of the
+    last stencil), the iteration count and whether ``||R||_F <= _ROOT_TOL``
+    was reached.
     """
     x = np.array(SINGLE_STEP_START)
     iterations = 0
     while True:
-        gates = _gates(delta_over_g, x + _ROOT_STENCIL)
-        r, *shifted = cnot_residual(gates)
+        gates, (r, *shifted) = yield x + _ROOT_STENCIL
         converged = not np.linalg.norm(r) > _ROOT_TOL
         if converged or iterations == _ROOT_MAX_ITERATIONS:
             return x, makhlin_invariants(gates[0]), iterations, converged
@@ -125,15 +150,17 @@ def _solve_single_step(delta_over_g: float) -> tuple[np.ndarray, InvariantPair, 
         iterations += 1
 
 
-def _minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, InvariantPair, int, bool]:
+def _minimize_single_step() -> _Solver:
     """Closest class: damped Newton on d^2 from ``SINGLE_STEP_START``.
 
-    Each step reads the gradient and Hessian off the central differences of
-    the 3 x 3 stencil around ``x`` (8 new evaluations).  A Hessian that is not
-    positive definite has its spectrum shifted so that its smallest
-    eigenvalue becomes ``_HESSIAN_FLOOR * max(1, |larger eigenvalue|)``.  The
-    step is halved until the trial lies in the search box and lowers d^2, and
-    the loop ends converged once the step, taken or halved, is no larger than
+    A generator run by ``_lockstep``: each evaluation yields one point and
+    takes back the invariants of its gate.  Each step reads the gradient and
+    Hessian off the central differences of the 3 x 3 stencil around ``x``
+    (8 new evaluations).  A Hessian that is not positive definite has its
+    spectrum shifted so that its smallest eigenvalue becomes
+    ``_HESSIAN_FLOOR * max(1, |larger eigenvalue|)``.  The step is halved
+    until the trial lies in the search box and lowers d^2, and the loop ends
+    converged once the step, taken or halved, is no larger than
     ``_NEWTON_TOL`` in every component.  Just beyond g, where d^2 is flat to
     rounding, that monotone guard is what ends it.
     Returns the point, the invariants of its gate, the number of Newton
@@ -142,14 +169,14 @@ def _minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, InvariantPai
     h = _NEWTON_STEP
     lo, hi = np.array(SINGLE_STEP_BOUNDS).T
     x = np.array(SINGLE_STEP_START)
-    inv = _invariants(delta_over_g, x)
+    inv = yield x
     fx = cnot_distance(inv)
     for iterations in range(_NEWTON_MAX_ITERATIONS):
         f = np.empty((3, 3))  # f[i, j] = d^2 at x + h * (i - 1, j - 1)
         for i in range(3):
             for j in range(3):
-                f[i, j] = fx if i == j == 1 else _d2(
-                    delta_over_g, x + h * np.array([i - 1.0, j - 1.0])
+                f[i, j] = fx if i == j == 1 else cnot_distance(
+                    (yield x + h * np.array([i - 1.0, j - 1.0]))
                 )
         grad = np.array([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]]) / (2.0 * h)
         cross = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / 4.0
@@ -164,7 +191,7 @@ def _minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, InvariantPai
         while np.max(np.abs(step)) > _NEWTON_TOL:
             trial = x + step
             if np.all(trial >= lo) and np.all(trial <= hi):
-                inv_trial = _invariants(delta_over_g, trial)
+                inv_trial = yield trial
                 f_trial = cnot_distance(inv_trial)
                 if f_trial < fx:
                     break
@@ -175,7 +202,39 @@ def _minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, InvariantPai
     return x, inv, _NEWTON_MAX_ITERATIONS, False
 
 
-def calibrate_single_step(delta_over_g: float) -> CalibrationResult:
+def _lockstep(steps: list[_Solver], evaluate: Callable, deltas: list[float]) -> list[tuple]:
+    """Run one solver generator per detuning together; return their results in order.
+
+    Each round gathers the pending request of every unfinished solver and
+    evaluates all of them in one stacked ``evaluate(deltas, points)`` call,
+    then sends each solver its own member.  A lone request is evaluated
+    without a stack axis, as a solver run alone evaluates it.  The kernels
+    give each stack member the bits it gets alone, so every solver takes the
+    same path and returns the same bits as it would alone.
+    """
+    results = [None] * len(steps)
+    pending = {k: next(step) for k, step in enumerate(steps)}
+    while pending:
+        rows = list(pending)
+        if len(rows) == 1:
+            replies = [evaluate(deltas[rows[0]], pending[rows[0]])]
+        else:
+            x = np.stack([pending[k] for k in rows])
+            # One detuning per row, broadcast over the points of its request.
+            delta = np.array([deltas[k] for k in rows]).reshape((-1,) + (1,) * (x.ndim - 2))
+            replies = evaluate(delta, x)
+        for k, reply in zip(rows, replies):
+            try:
+                pending[k] = steps[k].send(reply)
+            except StopIteration as done:
+                results[k] = done.value
+                del pending[k]
+    return results
+
+
+def calibrate_single_step(
+    delta_over_g: float | Sequence[float],
+) -> CalibrationResult | list[CalibrationResult]:
     """Calibrate (omega1, t1) of the single-step sequence at the given detuning.
 
     For ``|delta| <= SINGLE_STEP_BOUND`` an exact CNOT-class gate exists, and
@@ -187,29 +246,41 @@ def calibrate_single_step(delta_over_g: float) -> CalibrationResult:
     solution.  The invariants are those of the last gate the solver built at
     the returned point.
 
+    One detuning gives one result; a sequence of detunings gives a list of
+    results, one per detuning in order (an empty sequence gives ``[]``).
+    The rows of each method run in lockstep: each solver round makes one
+    stacked kernel call for all of them, and each row gets the bits it gets
+    alone.
+
     The sign of the detuning is irrelevant to the class data and to the
     calibrated parameters.
 
     Raises:
-        ContractViolationError: the detuning is not finite, or the returned
-            drive is negative.
+        ContractViolationError: a detuning is not finite (checked for every
+            detuning before any search), or a returned drive is negative.
     """
-    SystemParams(delta=delta_over_g)  # rejects a non-finite detuning before the search
-    if abs(delta_over_g) <= SINGLE_STEP_BOUND:
-        method = "root solve"
-        x, inv, iterations, converged = _solve_single_step(delta_over_g)
-    else:
-        method = "d^2 minimisation"
-        x, inv, iterations, converged = _minimize_single_step(delta_over_g)
-
-    p = SystemParams(delta=delta_over_g, omega1=float(x[0]))  # and a negative drive after it
-    return CalibrationResult(
-        delta_over_g=delta_over_g,
-        t_units=float(x[1]),
-        omega1_over_g=p.omega1,
-        invariants=inv,
-        distance=cnot_distance(inv),
-        iterations=iterations,
-        converged=converged,
-        method=method,
-    )
+    one = np.ndim(delta_over_g) == 0
+    deltas = [delta_over_g] if one else list(delta_over_g)
+    for delta in deltas:
+        SystemParams(delta=delta)  # rejects a non-finite detuning before the search
+    results = [None] * len(deltas)
+    for method, solver, evaluate, rows in (
+        ("root solve", _solve_single_step, _residuals,
+         [k for k, d in enumerate(deltas) if abs(d) <= SINGLE_STEP_BOUND]),
+        ("d^2 minimisation", _minimize_single_step, _invariants,
+         [k for k, d in enumerate(deltas) if not abs(d) <= SINGLE_STEP_BOUND]),
+    ):
+        found = _lockstep([solver() for _ in rows], evaluate, [deltas[k] for k in rows])
+        for k, (x, inv, iterations, converged) in zip(rows, found):
+            p = SystemParams(delta=deltas[k], omega1=float(x[0]))  # and a negative drive after it
+            results[k] = CalibrationResult(
+                delta_over_g=deltas[k],
+                t_units=float(x[1]),
+                omega1_over_g=p.omega1,
+                invariants=inv,
+                distance=cnot_distance(inv),
+                iterations=iterations,
+                converged=converged,
+                method=method,
+            )
+    return results[0] if one else results

@@ -129,10 +129,26 @@ def test_gate_two_step_rejects_large_detuning(tmp_path, capsys):
     out = tmp_path / "never.json"
     # The last two square to more than the largest float.
     for delta in ("2.5", "2.0000001", "-2.0000001", "1e300", "-1.35e154"):
-        rc = main(["gate", "--mode", "two-step", f"--delta={delta}", "--out", str(out)])
-        assert rc == EXIT_DOMAIN, delta
-        assert not out.exists()
-        assert "two-step sequence requires |delta| <= 2g" in capsys.readouterr().err
+        for flag in ([f"--delta={delta}"], ["--delta", delta]):
+            rc = main(["gate", "--mode", "two-step", *flag, "--out", str(out)])
+            assert rc == EXIT_DOMAIN, (delta, flag)
+            assert not out.exists()
+            assert "two-step sequence requires |delta| <= 2g" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["-1e-3", repr(-1e-5)])
+@pytest.mark.parametrize("argv", [
+    ["gate", "--mode", "two-step"],
+    ["gate", "--mode", "one-step"],
+    ["trajectory", "--samples", "9"],
+])
+def test_negative_delta_with_an_exponent_is_a_value(tmp_path, capsys, argv, delta):
+    # argparse alone reads "-1e-3" as an unknown option, not as a number.
+    joined, spaced = tmp_path / "joined", tmp_path / "spaced"
+    assert main([*argv, f"--delta={delta}", "--out", str(joined)]) == EXIT_OK
+    assert main([*argv, "--delta", delta, "--out", str(spaced)]) == EXIT_OK
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert capsys.readouterr().err == ""
 
 
 def _gate(tmp_path, *argv: str) -> dict:
@@ -375,10 +391,15 @@ def test_unconverged_calibration_warns_without_changing_outputs(tmp_path, monkey
     assert capsys.readouterr().err == ""
 
     real = cli.calibrate_single_step
-    monkeypatch.setattr(
-        cli, "calibrate_single_step",
-        lambda delta: dataclasses.replace(real(delta), converged=False),
-    )
+
+    def unconverged(delta):
+        # The tables pass their detunings as one list; gate and trajectory pass one.
+        cal = real(delta)
+        if isinstance(cal, list):
+            return [dataclasses.replace(row, converged=False) for row in cal]
+        return dataclasses.replace(cal, converged=False)
+
+    monkeypatch.setattr(cli, "calibrate_single_step", unconverged)
     for name, (argv, expected) in runs.items():
         assert main([*argv, "--out", str(tmp_path / "warned" / name)]) == EXIT_OK
         err = capsys.readouterr().err.strip().split("\n")

@@ -1,13 +1,16 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
+import cnotsteer.cli as cli
 import cnotsteer.optimize as optimize
 from cnotsteer.equivclass import cnot_distance, makhlin_invariants
 from cnotsteer.model import SystemParams
 from cnotsteer.optimize import SINGLE_STEP_BOUND, SINGLE_STEP_BOUNDS, calibrate_single_step
+from cnotsteer.qmat import ContractViolationError
 from cnotsteer.sequences import CNOT, fit_local_rotations, single_step_u
 
 from calibration_oracle import minimize_single_step, solve_single_step
@@ -161,14 +164,21 @@ def test_single_step_root_no_worse_than_nelder_mead_oracle(delta):
     assert dressed < 1e-12
 
 
-@pytest.mark.parametrize("delta", [0.0, 0.3, -0.3, 0.5, 0.9, 0.98, 1.0])
+ROOT_DELTAS = [0.0, 0.3, -0.3, 0.5, 0.9, 0.98, 1.0]
+
+
+@pytest.mark.parametrize("delta", ROOT_DELTAS)
 def test_single_step_root_matches_the_per_point_oracle(delta):
-    # Each step evaluates its three residuals as one stack; the root, the
-    # step count and the flag must be those of one evaluation per point.
-    x, _, iterations, converged = optimize._solve_single_step(delta)
+    # Each step evaluates its three residuals as one stack, and a grid call
+    # stacks the stencils of all its rows; the root, the step count and the
+    # flag must be those of one evaluation per point, alone and in the grid.
     x_ref, iterations_ref, converged_ref = solve_single_step(delta)
-    assert np.array_equal(x, x_ref) and x.tobytes() == x_ref.tobytes()
-    assert (iterations, converged) == (iterations_ref, converged_ref)
+    alone = calibrate_single_step(delta)
+    in_grid = calibrate_single_step(ROOT_DELTAS)[ROOT_DELTAS.index(delta)]
+    for cal in (alone, in_grid):
+        x = np.array([cal.omega1_over_g, cal.t_units])
+        assert np.array_equal(x, x_ref) and x.tobytes() == x_ref.tobytes()
+        assert (cal.iterations, cal.converged) == (iterations_ref, converged_ref)
 
 
 def test_single_step_root_cap_clears_converged_flag(monkeypatch):
@@ -184,9 +194,9 @@ def test_single_step_method_switches_at_the_bound(monkeypatch):
     for name in ("_solve_single_step", "_minimize_single_step"):
         method = getattr(optimize, name)
 
-        def counting(delta_over_g, name=name, method=method):
+        def counting(name=name, method=method):
             calls.append(name)
-            return method(delta_over_g)
+            return method()
 
         monkeypatch.setattr(optimize, name, counting)
     for delta in (SINGLE_STEP_BOUND, -SINGLE_STEP_BOUND):
@@ -195,6 +205,10 @@ def test_single_step_method_switches_at_the_bound(monkeypatch):
     calls.clear()
     assert calibrate_single_step(1.1).method == "d^2 minimisation"
     assert calls == ["_minimize_single_step"]
+    calls.clear()
+    grid = [1.1, SINGLE_STEP_BOUND, -1.1, -SINGLE_STEP_BOUND]
+    assert [cal.method for cal in calibrate_single_step(grid)] == ["d^2 minimisation", "root solve"] * 2
+    assert calls == ["_solve_single_step"] * 2 + ["_minimize_single_step"] * 2
 
 
 BEYOND_THE_BOUND = [d for d in TABLE2 if d > SINGLE_STEP_BOUND] + [
@@ -244,3 +258,89 @@ def test_single_step_minimum_just_beyond_the_bound(delta):
 def test_single_step_newton_cap_clears_converged_flag(monkeypatch):
     monkeypatch.setattr(optimize, "_NEWTON_MAX_ITERATIONS", 1)
     assert not calibrate_single_step(1.5).converged
+
+
+def _bits(cal):
+    """Everything a calibration reports, as bytes where it is a number."""
+    inv = cal.invariants
+    numbers = (cal.delta_over_g, cal.t_units, cal.omega1_over_g, inv.g1, inv.g2, cal.distance)
+    return [np.asarray(v).tobytes() for v in numbers] + [cal.iterations, cal.converged, cal.method]
+
+
+_MIXED = [round(-3.0 + 0.05 * k, 2) for k in range(121)]  # [-3g, 3g] in 0.05g steps
+random.Random(0).shuffle(_MIXED)
+GRIDS = {
+    "table1": cli._TABLE_GRID,
+    "table2": cli._TABLE2_GRID,
+    "mixed": _MIXED,
+    "repeated": [0.5, 1.5, 0.5, 1.5, 1.5, 0.5],
+    "one root row": [0.7],
+    "one minimiser row": [1.7],
+}
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_grid_call_gives_each_row_the_bits_it_gets_alone(name):
+    grid = GRIDS[name]
+    found = calibrate_single_step(grid)
+    assert isinstance(found, list) and len(found) == len(grid)
+    for delta, cal in zip(grid, found):
+        assert _bits(cal) == _bits(calibrate_single_step(delta)), delta
+
+
+def test_mixed_grid_interleaves_both_methods():
+    inside = [abs(d) <= SINGLE_STEP_BOUND for d in _MIXED]
+    assert sum(a != b for a, b in zip(inside, inside[1:])) > 20
+    assert {-2.0, -1.0, 0.0, 1.0, 2.0} <= set(_MIXED)
+
+
+def _counting_gates(monkeypatch):
+    """The list of ``single_step_gates`` calls the calibration makes from now on."""
+    calls = []
+    real = optimize.single_step_gates
+    monkeypatch.setattr(optimize, "single_step_gates", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_grid_call_edge_inputs(monkeypatch):
+    assert calibrate_single_step([]) == []
+    assert calibrate_single_step(()) == []
+    calls = _counting_gates(monkeypatch)
+    for bad, name in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
+        for grid in ([bad], [0.5, bad], [0.5, 1.5, bad, 2.0]):
+            with pytest.raises(ContractViolationError, match=f"got {name}$"):
+                calibrate_single_step(grid)
+    assert calls == []  # rejected before any search
+
+
+def _gate_calls(monkeypatch, deltas):
+    calls = _counting_gates(monkeypatch)
+    calibrate_single_step(deltas)
+    monkeypatch.undo()
+    return len(calls)
+
+
+#: single_step_gates calls of one detuning alone, as counted on the per-row
+#: solvers the lockstep replaced: one per Gauss-Newton step plus the last
+#: stencil, one per point of the minimiser.
+ALONE_CALLS = {0.0: 1, 0.5: 4, -0.5: 4, 0.9: 6, 1.0: 21, 1.1: 90, 1.5: 54, 2.0: 54, -2.0: 54, 3.0: 107}
+
+
+def test_one_detuning_makes_as_many_kernel_calls_as_before(monkeypatch):
+    for delta, calls in ALONE_CALLS.items():
+        assert _gate_calls(monkeypatch, delta) == calls, delta
+
+
+@pytest.mark.parametrize("name", ["table1", "table2", "mixed", "repeated"])
+def test_grid_call_makes_one_kernel_call_per_solver_round(monkeypatch, name):
+    # A silent return to per-row loops would make the sum of the rows' calls.
+    grid = GRIDS[name]
+    alone = {delta: _gate_calls(monkeypatch, delta) for delta in set(grid)}
+    slowest = [
+        max([alone[d] for d in grid if (abs(d) <= SINGLE_STEP_BOUND) == inside], default=0)
+        for inside in (True, False)
+    ]
+    assert _gate_calls(monkeypatch, grid) == sum(slowest)
+    if name == "table2":
+        assert slowest == [alone[1.0], max(alone[d] for d in grid if d > 1.0)]
+        assert sum(slowest) == 21 + 90

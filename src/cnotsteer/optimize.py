@@ -17,11 +17,12 @@ search box and lowers d^2.  Both methods start from the resonant solution,
 which keeps them on the lowest branch; only the minimisation checks the box.
 
 ``calibrate_single_step`` also takes a sequence of detunings, as the tables
-do.  Each method's solvers are generators that yield the points they need,
-and ``_lockstep`` runs all rows of one method together: each round it
-evaluates every pending request in one stacked ``single_step_gates`` call
-and one ``cnot_residual`` or ``makhlin_invariants`` call.  The kernels give
-each stack member the bits it gets alone, so each row returns the bits it
+do.  Each method's solvers are generators that yield the points they need
+and take back plain numbers (the residuals R of a stencil, or one d^2);
+``_lockstep`` runs all rows of one method together, evaluating every
+pending request of a round in one stacked ``single_step_gates`` call.  One
+last stacked call gives every row its invariants.  The kernels give each
+stack member the bits it gets alone, so each row returns the bits it
 returns when calibrated alone, with the same iteration count and flag.
 
 The two-step sequence needs no calibration: ``sequences.two_step_time`` is
@@ -102,49 +103,39 @@ def _gates(delta_over_g: float | np.ndarray, x: np.ndarray) -> np.ndarray:
     return single_step_gates(delta_over_g, x[..., 0], x[..., 1] * math.pi / 2.0)
 
 
-def _invariants(delta_over_g: float | np.ndarray, x: np.ndarray) -> InvariantPair | list[InvariantPair]:
-    """Invariants of the single-step gate at one point ``x``, or of each in a stack."""
-    return makhlin_invariants(_gates(delta_over_g, x))
+def _residuals(delta_over_g: float | np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Residuals R at root-solve stencils ``x`` of shape ``(..., 3, 2)``: ``(..., 3, 32)``."""
+    return cnot_residual(_gates(delta_over_g, x))
 
 
-def _d2(delta_over_g: float, x: np.ndarray) -> float:
-    """The objective beyond the bound: d^2 of the single-step gate at ``x``."""
-    return cnot_distance(_invariants(delta_over_g, x))
+def _distances(delta_over_g: float | np.ndarray, x: np.ndarray) -> float | list[float]:
+    """d^2 of the single-step gate at one point ``x``, or of each in a stack."""
+    inv = makhlin_invariants(_gates(delta_over_g, x))
+    return cnot_distance(inv) if x.ndim == 1 else [cnot_distance(i) for i in inv]
 
 
 #: A solver run by ``_lockstep``: it yields points of shape ``(..., 2)``, is
-#: sent what ``evaluate`` gives for them, and returns the point it found,
-#: the invariants of its gate, its iteration count and its converged flag.
-_Solver = Generator[np.ndarray, object, tuple[np.ndarray, InvariantPair, int, bool]]
-
-
-def _residuals(delta_over_g: float | np.ndarray, x: np.ndarray) -> tuple | list[tuple]:
-    """Gates at one root-solve stencil ``x`` of shape ``(3, 2)`` and their residuals.
-
-    A stack of stencils gives a list of ``(gates, R)`` pairs, one per stencil.
-    """
-    gates = _gates(delta_over_g, x)
-    r = cnot_residual(gates)
-    return (gates, r) if x.ndim == 2 else list(zip(gates, r))
+#: sent their residuals R or d^2, and returns the point it found, its
+#: iteration count and its converged flag.
+_Solver = Generator[np.ndarray, object, tuple[np.ndarray, int, bool]]
 
 
 def _solve_single_step() -> _Solver:
     """Gauss-Newton root of the single-step residual from ``SINGLE_STEP_START``.
 
     A generator run by ``_lockstep``: each step yields x and its two
-    forward-difference neighbours as one stencil, takes back their gates and
+    forward-difference neighbours as one stencil, takes back their
     residuals, and solves the 32 x 2 linearization in the least-squares
-    sense.  Returns the root, the invariants of its gate (member 0 of the
-    last stencil), the iteration count and whether ``||R||_F <= _ROOT_TOL``
-    was reached.
+    sense.  Returns the root (the first point of the last stencil), the
+    iteration count and whether ``||R||_F <= _ROOT_TOL`` was reached.
     """
     x = np.array(SINGLE_STEP_START)
     iterations = 0
     while True:
-        gates, (r, *shifted) = yield x + _ROOT_STENCIL
+        r, *shifted = yield x + _ROOT_STENCIL
         converged = not np.linalg.norm(r) > _ROOT_TOL
         if converged or iterations == _ROOT_MAX_ITERATIONS:
-            return x, makhlin_invariants(gates[0]), iterations, converged
+            return x, iterations, converged
         jac = np.stack([(r_k - r) / _ROOT_STEP for r_k in shifted], axis=1)
         x = x - np.linalg.lstsq(jac, r, rcond=None)[0]
         iterations += 1
@@ -154,7 +145,7 @@ def _minimize_single_step() -> _Solver:
     """Closest class: damped Newton on d^2 from ``SINGLE_STEP_START``.
 
     A generator run by ``_lockstep``: each evaluation yields one point and
-    takes back the invariants of its gate.  Each step reads the gradient and
+    takes back the d^2 of its gate.  Each step reads the gradient and
     Hessian off the central differences of the 3 x 3 stencil around ``x``
     (8 new evaluations).  A Hessian that is not positive definite has its
     spectrum shifted so that its smallest eigenvalue becomes
@@ -163,21 +154,17 @@ def _minimize_single_step() -> _Solver:
     converged once the step, taken or halved, is no larger than
     ``_NEWTON_TOL`` in every component.  Just beyond g, where d^2 is flat to
     rounding, that monotone guard is what ends it.
-    Returns the point, the invariants of its gate, the number of Newton
-    steps and whether it converged.
+    Returns the point, the number of Newton steps and whether it converged.
     """
     h = _NEWTON_STEP
     lo, hi = np.array(SINGLE_STEP_BOUNDS).T
     x = np.array(SINGLE_STEP_START)
-    inv = yield x
-    fx = cnot_distance(inv)
+    fx = yield x
     for iterations in range(_NEWTON_MAX_ITERATIONS):
         f = np.empty((3, 3))  # f[i, j] = d^2 at x + h * (i - 1, j - 1)
         for i in range(3):
             for j in range(3):
-                f[i, j] = fx if i == j == 1 else cnot_distance(
-                    (yield x + h * np.array([i - 1.0, j - 1.0]))
-                )
+                f[i, j] = fx if i == j == 1 else (yield x + h * np.array([i - 1.0, j - 1.0]))
         grad = np.array([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]]) / (2.0 * h)
         cross = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / 4.0
         hess = np.array([
@@ -191,15 +178,14 @@ def _minimize_single_step() -> _Solver:
         while np.max(np.abs(step)) > _NEWTON_TOL:
             trial = x + step
             if np.all(trial >= lo) and np.all(trial <= hi):
-                inv_trial = yield trial
-                f_trial = cnot_distance(inv_trial)
+                f_trial = yield trial
                 if f_trial < fx:
                     break
             step = step / 2.0
         else:
-            return x, inv, iterations, True
-        x, fx, inv = trial, f_trial, inv_trial
-    return x, inv, _NEWTON_MAX_ITERATIONS, False
+            return x, iterations, True
+        x, fx = trial, f_trial
+    return x, _NEWTON_MAX_ITERATIONS, False
 
 
 def _lockstep(steps: list[_Solver], evaluate: Callable, deltas: list[float]) -> list[tuple]:
@@ -207,10 +193,10 @@ def _lockstep(steps: list[_Solver], evaluate: Callable, deltas: list[float]) -> 
 
     Each round gathers the pending request of every unfinished solver and
     evaluates all of them in one stacked ``evaluate(deltas, points)`` call,
-    then sends each solver its own member.  A lone request is evaluated
-    without a stack axis, as a solver run alone evaluates it.  The kernels
-    give each stack member the bits it gets alone, so every solver takes the
-    same path and returns the same bits as it would alone.
+    then sends each solver the numbers of its own member.  A lone request is
+    evaluated without a stack axis, as a solver run alone evaluates it.  The
+    kernels give each stack member the bits it gets alone, so every solver
+    takes the same path and returns the same bits as it would alone.
     """
     results = [None] * len(steps)
     pending = {k: next(step) for k, step in enumerate(steps)}
@@ -243,14 +229,14 @@ def calibrate_single_step(
     Gauss-Newton steps.  Beyond the bound the result is the closest class,
     the minimum of d^2 in the search box reached by damped Newton steps, and
     ``iterations`` counts those steps.  Both start from the resonant
-    solution.  The invariants are those of the last gate the solver built at
-    the returned point.
+    solution.  The invariants are those of the gate at the returned point,
+    with the bits of the last evaluation the solver made there.
 
     One detuning gives one result; a sequence of detunings gives a list of
     results, one per detuning in order (an empty sequence gives ``[]``).
     The rows of each method run in lockstep: each solver round makes one
-    stacked kernel call for all of them, and each row gets the bits it gets
-    alone.
+    stacked kernel call for all of them, and one last call builds every
+    row's gate for its invariants.  Each row gets the bits it gets alone.
 
     The sign of the detuning is irrelevant to the class data and to the
     calibrated parameters.
@@ -263,24 +249,30 @@ def calibrate_single_step(
     deltas = [delta_over_g] if one else list(delta_over_g)
     for delta in deltas:
         SystemParams(delta=delta)  # rejects a non-finite detuning before the search
-    results = [None] * len(deltas)
+    found = [None] * len(deltas)
     for method, solver, evaluate, rows in (
         ("root solve", _solve_single_step, _residuals,
          [k for k, d in enumerate(deltas) if abs(d) <= SINGLE_STEP_BOUND]),
-        ("d^2 minimisation", _minimize_single_step, _invariants,
+        ("d^2 minimisation", _minimize_single_step, _distances,
          [k for k, d in enumerate(deltas) if not abs(d) <= SINGLE_STEP_BOUND]),
     ):
-        found = _lockstep([solver() for _ in rows], evaluate, [deltas[k] for k in rows])
-        for k, (x, inv, iterations, converged) in zip(rows, found):
-            p = SystemParams(delta=deltas[k], omega1=float(x[0]))  # and a negative drive after it
-            results[k] = CalibrationResult(
-                delta_over_g=deltas[k],
-                t_units=float(x[1]),
-                omega1_over_g=p.omega1,
-                invariants=inv,
-                distance=cnot_distance(inv),
-                iterations=iterations,
-                converged=converged,
-                method=method,
-            )
+        solved = _lockstep([solver() for _ in rows], evaluate, [deltas[k] for k in rows])
+        for k, (x, iterations, converged) in zip(rows, solved):
+            found[k] = (x, iterations, converged, method)
+    # Every row's gate at its point in one call.  A stack member gets the bits
+    # it gets alone, and x + 0.0 == x, so each row gets the bits of the last
+    # gate its solver evaluated there.
+    points = np.array([x for x, *_ in found]).reshape(-1, 2)
+    if one:
+        invariants = [makhlin_invariants(_gates(deltas[0], points[0]))]
+    else:
+        invariants = makhlin_invariants(_gates(np.array(deltas), points))
+    results = []
+    for delta, (x, iterations, converged, method), inv in zip(deltas, found, invariants):
+        p = SystemParams(delta=delta, omega1=float(x[0]))  # and a negative drive after the search
+        results.append(CalibrationResult(
+            delta_over_g=delta, t_units=float(x[1]), omega1_over_g=p.omega1,
+            invariants=inv, distance=cnot_distance(inv),
+            iterations=iterations, converged=converged, method=method,
+        ))
     return results[0] if one else results

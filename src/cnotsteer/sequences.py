@@ -236,6 +236,10 @@ def two_step_entangler(p: SystemParams, frame: int) -> Operator4:
     return two_step_product(entangling_u(two_step_time(p), p, frame))
 
 
+#: The exchange term XX + YY of the single-step generator, summed once.
+_EXCHANGE = XX + YY
+
+
 def single_step_gates(
     delta: float | np.ndarray, omega1: float | np.ndarray, t: float | np.ndarray
 ) -> Operator4:
@@ -247,7 +251,7 @@ def single_step_gates(
     g.
     """
     delta, omega1, t = (np.asarray(a)[..., None, None] for a in (delta, omega1, t))
-    return expm_skew(-t * (-delta * Z2 + omega1 * X1 + (XX + YY)))
+    return expm_skew(-t * (-delta * Z2 + omega1 * X1 + _EXCHANGE))
 
 
 def single_step_u(t: float, p: SystemParams) -> Operator4:

@@ -4,7 +4,8 @@
 ``optimize.calibrate_single_step`` used beyond ``|delta| = g`` before Newton
 steps on d^2 replaced it.  It is kept as a test oracle: the in-bound root
 solve must reach at least the d^2 it reaches, and beyond the bound the Newton
-minimum must reach it too, on the same branch.
+minimum must reach it too, on the same branch.  Its objective,
+``single_step_d2``, is built from public calls.
 
 ``solve_single_step`` is the in-bound Gauss-Newton root solve as it was
 before each step evaluated its three residuals as one stack: one
@@ -23,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from cnotsteer.equivclass import to_magic
+from cnotsteer.equivclass import cnot_distance, makhlin_invariants, to_magic
 from cnotsteer.model import SystemParams
 from cnotsteer.optimize import (
     _ROOT_MAX_ITERATIONS,
@@ -31,7 +32,6 @@ from cnotsteer.optimize import (
     _ROOT_TOL,
     SINGLE_STEP_BOUNDS,
     SINGLE_STEP_START,
-    _d2,
 )
 from cnotsteer.qmat import require_unitary
 from cnotsteer.sequences import single_step_u
@@ -45,7 +45,7 @@ _POLISH_EDGES = (0.002, 0.0001)
 
 def minimize_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
     """Closest class by bounded Nelder-Mead on d^2, polished twice."""
-    objective = functools.partial(_d2, delta_over_g)
+    objective = functools.partial(single_step_d2, delta_over_g)
 
     res = nelder_mead(objective, np.array(SINGLE_STEP_START), _SEARCH)
     iterations = res.iterations
@@ -61,6 +61,11 @@ def single_step_gate(delta_over_g: float, x: np.ndarray) -> np.ndarray:
     """The single-step gate at one point ``x = (omega1/g, T1)``, T1 in units of pi/2g."""
     p = SystemParams(delta=delta_over_g, omega1=float(x[0]))
     return single_step_u(float(x[1]) * math.pi / 2.0, p)
+
+
+def single_step_d2(delta_over_g: float, x: np.ndarray) -> float:
+    """d^2 = |G1|^2 + |G2 - 1|^2 of the single-step gate at ``x = (omega1/g, T1)``."""
+    return cnot_distance(makhlin_invariants(single_step_gate(delta_over_g, x)))
 
 
 def single_step_residual(delta_over_g: float, x: np.ndarray) -> np.ndarray:

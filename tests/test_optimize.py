@@ -13,7 +13,7 @@ from cnotsteer.optimize import SINGLE_STEP_BOUND, SINGLE_STEP_BOUNDS, calibrate_
 from cnotsteer.qmat import ContractViolationError
 from cnotsteer.sequences import CNOT, fit_local_rotations, single_step_u
 
-from calibration_oracle import minimize_single_step, solve_single_step
+from calibration_oracle import minimize_single_step, single_step_d2, solve_single_step
 from nelder_mead import NMOptions, nelder_mead
 from reference_data import TABLE1_SINGLE, TABLE2
 
@@ -216,19 +216,15 @@ BEYOND_THE_BOUND = [d for d in TABLE2 if d > SINGLE_STEP_BOUND] + [
 ]
 
 
-def _d2(delta, x):
-    return optimize._d2(delta, np.asarray(x, dtype=float))
-
-
 @pytest.mark.parametrize("delta", BEYOND_THE_BOUND)
 def test_single_step_minimum_no_worse_than_nelder_mead_oracle(delta):
     cal = calibrate_single_step(delta)
     x = (cal.omega1_over_g, cal.t_units)
     x_oracle, _, _ = minimize_single_step(delta)
     assert cal.converged
-    assert cal.distance == _d2(delta, x)
+    assert cal.distance == single_step_d2(delta, x)
     # 1e-14 leaves room for the h^2 bias of the central differences.
-    assert cal.distance <= _d2(delta, x_oracle) + 1e-14
+    assert cal.distance <= single_step_d2(delta, x_oracle) + 1e-14
     if abs(delta) >= 1.1:
         # Same branch.  Nearer the fold the oracle itself stops early: it is
         # 3.6e-6 off in T1 at 1.05g and 3.6e-5 at 1.01g.
@@ -242,7 +238,7 @@ def test_single_step_minimum_is_a_local_minimum(delta):
     for direction in ((1, 0), (0, 1), (1, 1), (1, -1)):
         for sign in (1.0, -1.0):
             moved = x + sign * 1e-6 * np.array(direction, dtype=float)
-            assert _d2(delta, moved) >= cal.distance, (direction, sign)
+            assert single_step_d2(delta, moved) >= cal.distance, (direction, sign)
 
 
 @pytest.mark.parametrize("delta", [1.0000001, 1.00001])
@@ -320,10 +316,11 @@ def _gate_calls(monkeypatch, deltas):
     return len(calls)
 
 
-#: single_step_gates calls of one detuning alone, as counted on the per-row
-#: solvers the lockstep replaced: one per Gauss-Newton step plus the last
-#: stencil, one per point of the minimiser.
-ALONE_CALLS = {0.0: 1, 0.5: 4, -0.5: 4, 0.9: 6, 1.0: 21, 1.1: 90, 1.5: 54, 2.0: 54, -2.0: 54, 3.0: 107}
+#: single_step_gates calls of one detuning alone: as counted on the per-row
+#: solvers the lockstep replaced, one per Gauss-Newton step plus the last
+#: stencil, one per point of the minimiser; then one final call that builds
+#: the gate at the returned point for its invariants.
+ALONE_CALLS = {0.0: 2, 0.5: 5, -0.5: 5, 0.9: 7, 1.0: 22, 1.1: 91, 1.5: 55, 2.0: 55, -2.0: 55, 3.0: 108}
 
 
 def test_one_detuning_makes_as_many_kernel_calls_as_before(monkeypatch):
@@ -334,13 +331,31 @@ def test_one_detuning_makes_as_many_kernel_calls_as_before(monkeypatch):
 @pytest.mark.parametrize("name", ["table1", "table2", "mixed", "repeated"])
 def test_grid_call_makes_one_kernel_call_per_solver_round(monkeypatch, name):
     # A silent return to per-row loops would make the sum of the rows' calls.
+    # Each row alone makes one final call after its solver rounds; the grid
+    # makes one final call for all of its rows.
     grid = GRIDS[name]
-    alone = {delta: _gate_calls(monkeypatch, delta) for delta in set(grid)}
+    rounds = {delta: _gate_calls(monkeypatch, delta) - 1 for delta in set(grid)}
     slowest = [
-        max([alone[d] for d in grid if (abs(d) <= SINGLE_STEP_BOUND) == inside], default=0)
+        max([rounds[d] for d in grid if (abs(d) <= SINGLE_STEP_BOUND) == inside], default=0)
         for inside in (True, False)
     ]
-    assert _gate_calls(monkeypatch, grid) == sum(slowest)
+    assert _gate_calls(monkeypatch, grid) == sum(slowest) + 1
     if name == "table2":
-        assert slowest == [alone[1.0], max(alone[d] for d in grid if d > 1.0)]
+        assert slowest == [rounds[1.0], max(rounds[d] for d in grid if d > 1.0)]
         assert sum(slowest) == 21 + 90
+
+
+@pytest.mark.parametrize("name", ["table1", "table2", "mixed", "alone"])
+def test_invariants_are_those_of_the_gate_at_the_returned_point(name):
+    # cli.cmd_gate rebuilds the one-step gate from (t_units, omega1_over_g);
+    # the class data reported with them must be that gate's, bit for bit.
+    if name == "alone":
+        found = [calibrate_single_step(delta) for delta in ALONE_CALLS]
+    else:
+        found = calibrate_single_step(GRIDS[name])
+    for cal in found:
+        p = SystemParams(delta=cal.delta_over_g, omega1=cal.omega1_over_g)
+        inv = makhlin_invariants(single_step_u(cal.t_units * math.pi / 2.0, p))
+        got = (cal.invariants.g1, cal.invariants.g2, cal.distance)
+        want = (inv.g1, inv.g2, cnot_distance(inv))
+        assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want], cal.delta_over_g

@@ -19,15 +19,12 @@ solve up to g and by a d^2 minimisation beyond it.
 
 from .equivclass import (
     InvariantPair,
-    TrajectorySample,
     WeylPoint,
     canonical_class_gate,
     cnot_distance,
     invariants_from_weyl,
     makhlin_invariants,
-    two_step_invariants_closed,
     weyl_coordinates,
-    weyl_trajectory,
 )
 from .model import SystemParams, h_rwa_frame1, h_rwa_frame2
 from .optimize import CalibrationResult, calibrate_single_step
@@ -39,14 +36,17 @@ from .sequences import (
     FidelityUndefinedError,
     FitResult,
     LocalRotationSpec,
+    TrajectorySample,
     UnsupportedCouplingError,
     fidelity,
     fit_local_rotations,
     single_step_rotations,
     single_step_u,
     two_step_entangler,
+    two_step_invariants_closed,
     two_step_rotations,
     two_step_time,
+    weyl_trajectory,
 )
 
 __version__ = "0.1.0"

@@ -35,12 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .equivclass import (
-    cnot_distance,
-    makhlin_invariants,
-    weyl_coordinates,
-    weyl_trajectory,
-)
+from .equivclass import cnot_distance, makhlin_invariants, weyl_coordinates
 from .model import SystemParams
 from .optimize import (
     SINGLE_STEP_BOUND,
@@ -57,6 +52,7 @@ from .sequences import (
     two_step_product,
     two_step_rotations,
     two_step_time,
+    weyl_trajectory,
 )
 from .verify import run_checks
 
@@ -180,14 +176,15 @@ def cmd_gate(args: argparse.Namespace) -> int:
         segment = entangling_u(two_step_time(p), p, args.frame)
         entangler = two_step_product(segment)
         fit = FitResult.of(two_step_rotations(p, args.frame), entangler, CNOT)
+        inv = makhlin_invariants(entangler)
     else:
         cal = _calibrate_single_step(delta)
         p = SystemParams(delta=delta, omega1=cal.omega1_over_g)
         unit, t_value = "pi/2g", cal.t_units
         entangler = segment = single_step_u(cal.t_units * math.pi / 2.0, p)
         fit = fit_local_rotations(entangler, CNOT)
+        inv = cal.invariants
 
-    inv = makhlin_invariants(entangler)
     weyl = weyl_coordinates(entangler)
     payload = {
         "recipe": {

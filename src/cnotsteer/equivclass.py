@@ -13,6 +13,7 @@ equivalence class.  Classes are labelled here in two interchangeable ways:
 
 The CNOT and SWAP classes are the roots of ``cnot_residual``; it and the
 invariants share one magic-basis ``m = U_B^T U_B`` (``_magic_gram``).
+No sequence is built here; the classes the sequences reach are in ``sequences``.
 
 Conventions
 -----------
@@ -52,8 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams, XX, YY, ZZ, h_rwa_frame1
-from .propagate import checked_time
+from .model import XX, YY, ZZ
 from .qmat import (
     UNITARITY_TOL,
     ContractViolationError,
@@ -116,14 +116,6 @@ class WeylPoint:
         return np.array([self.c1, self.c2, self.c3])
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    """One steering-trajectory sample: time (units of 1/g) and class point."""
-
-    t: float
-    point: WeylPoint
-
-
 def to_magic(u: np.ndarray) -> np.ndarray:
     """Rewrite a computational-basis matrix, or each in a stack, in the magic basis."""
     return _MAGIC_DAG @ u @ MAGIC_BASIS
@@ -174,24 +166,6 @@ def makhlin_invariants(u: Operator4) -> InvariantPair | list[InvariantPair]:
         InvariantPair(g1=a, g2=b)
         for a, b in zip(g1.ravel().tolist(), g2.real.ravel().tolist())
     ]
-
-
-def two_step_invariants_closed(t: float, p: SystemParams) -> InvariantPair:
-    """Closed-form invariants of the two-step entangler U(t) e^{-pi X1} U(t).
-
-    Valid for any detuning and independent of the ZZ coupling and of the
-    frame in which the segments are evolved.
-    """
-    d2 = p.delta**2
-    lam2 = d2 + 4.0
-    lam = math.sqrt(lam2)
-    g1 = ((d2 + 8.0 * math.cos(0.5 * lam * t) ** 2 - 4.0) / lam2) ** 2
-    g2 = (
-        3.0 * d2**2
-        + 8.0 * d2 * (1.0 + 2.0 * math.cos(lam * t))
-        + 16.0 * (2.0 + math.cos(2.0 * lam * t))
-    ) / lam2**2
-    return InvariantPair(g1=complex(g1), g2=g2)
 
 
 def invariants_from_weyl(point: WeylPoint | tuple[float, float, float]) -> InvariantPair:
@@ -307,26 +281,3 @@ def weyl_coordinates(u: Operator4) -> WeylPoint | list[WeylPoint]:
     c[np.abs(c - _HALF_PI) <= _WEYL_TOL] = _HALF_PI
     points = _weyl_points(c)
     return points[0] if u.ndim == 2 else points
-
-
-def weyl_trajectory(p: SystemParams, t_max: float, n_samples: int) -> list[TrajectorySample]:
-    """Steering trajectory of U(t) = exp(-t * h_rwa_frame1(p)) through the chamber.
-
-    Samples a uniform time grid from 0 to ``t_max`` (inclusive) and returns
-    the canonical coordinates per sample; the first sample is the origin.
-    Canonicalization is applied independently per sample, so apparent kinks
-    can only occur at chamber boundaries; the CLI's default of 2048 samples
-    is fine enough to render the curves smoothly.
-
-    Raises:
-        ContractViolationError: ``n_samples < 2``.
-        ValueError: ``t_max`` is not finite or is negative.
-    """
-    if n_samples < 2:
-        raise ContractViolationError(f"n_samples must be >= 2, got {n_samples}")
-    gen = h_rwa_frame1(p)
-    out: list[TrajectorySample] = []
-    for t in np.linspace(0.0, checked_time(t_max), n_samples):
-        point = weyl_coordinates(expm_skew(-t * gen))
-        out.append(TrajectorySample(t=float(t), point=point))
-    return out

@@ -12,7 +12,7 @@ Two sequence families generate the controlled-NOT class:
   ``e^{i 5 pi/4} R_post U(t1) R_pre``, with ``(omega1, t1)`` calibrated
   numerically; an exact CNOT requires ``|delta| <= g`` and capacitive
   (``g_tilde = 0``) coupling.  Its one gate map is ``single_step_gates``,
-  and ``single_step_u`` its one-point call.
+  with the one-point call ``single_step_u`` and the path ``weyl_trajectory``.
 
 Local rotations are parameterized per qubit as z-y-z Euler triples on each
 side of the entangler plus one global phase (13 parameters total), which
@@ -32,11 +32,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .equivclass import MAGIC_BASIS, to_magic
+from .equivclass import MAGIC_BASIS, InvariantPair, WeylPoint, to_magic, weyl_coordinates
 from .model import SystemParams, X1, XX, YY, Z2
 from .propagate import checked_time, entangling_u
 from .qmat import (
     ContractViolationError,
+    Generator4,
     Operator4,
     expm_skew,
     frob_dist,
@@ -236,8 +237,40 @@ def two_step_entangler(p: SystemParams, frame: int) -> Operator4:
     return two_step_product(entangling_u(two_step_time(p), p, frame))
 
 
+def two_step_invariants_closed(t: float, p: SystemParams) -> InvariantPair:
+    """Closed-form invariants of the two-step entangler U(t) e^{-pi X1} U(t).
+
+    Valid for any detuning and independent of the ZZ coupling and of the
+    frame in which the segments are evolved.
+    """
+    d2 = p.delta**2
+    lam2 = d2 + 4.0
+    lam = math.sqrt(lam2)
+    g1 = ((d2 + 8.0 * math.cos(0.5 * lam * t) ** 2 - 4.0) / lam2) ** 2
+    g2 = (
+        3.0 * d2**2
+        + 8.0 * d2 * (1.0 + 2.0 * math.cos(lam * t))
+        + 16.0 * (2.0 + math.cos(2.0 * lam * t))
+    ) / lam2**2
+    return InvariantPair(g1=complex(g1), g2=g2)
+
+
 #: The exchange term XX + YY of the single-step generator, summed once.
 _EXCHANGE = XX + YY
+
+
+def _single_step_generator(delta: float | np.ndarray, omega1: float | np.ndarray) -> Generator4:
+    """The single-step generator -delta Z2 + omega1 X1 + (XX + YY), terms in that order."""
+    return -delta * Z2 + omega1 * X1 + _EXCHANGE
+
+
+def _require_capacitive(p: SystemParams) -> None:
+    """Refuse ``g_tilde != 0``: the single-drive sequence reaches CNOT only without it."""
+    if p.g_tilde != 0.0:
+        raise UnsupportedCouplingError(
+            "single-step sequence requires g_tilde = 0; an additional drive on "
+            "qubit 2 would be needed otherwise"
+        )
 
 
 def single_step_gates(
@@ -251,7 +284,7 @@ def single_step_gates(
     g.
     """
     delta, omega1, t = (np.asarray(a)[..., None, None] for a in (delta, omega1, t))
-    return expm_skew(-t * (-delta * Z2 + omega1 * X1 + _EXCHANGE))
+    return expm_skew(-t * _single_step_generator(delta, omega1))
 
 
 def single_step_u(t: float, p: SystemParams) -> Operator4:
@@ -262,12 +295,41 @@ def single_step_u(t: float, p: SystemParams) -> Operator4:
             only reaches the CNOT class for capacitive coupling).
         ValueError: ``t`` is not finite or is negative.
     """
-    if p.g_tilde != 0.0:
-        raise UnsupportedCouplingError(
-            "single-step sequence requires g_tilde = 0; an additional drive on "
-            "qubit 2 would be needed otherwise"
-        )
+    _require_capacitive(p)
     return single_step_gates(p.delta, p.omega1, checked_time(t))
+
+
+@dataclass(frozen=True)
+class TrajectorySample:
+    """One steering-trajectory sample: time (units of 1/g) and class point."""
+
+    t: float
+    point: WeylPoint
+
+
+def weyl_trajectory(p: SystemParams, t_max: float, n_samples: int) -> list[TrajectorySample]:
+    """Steering trajectory of the single-step evolution through the chamber.
+
+    Samples a uniform time grid from 0 to ``t_max`` (inclusive); the first
+    sample is the origin.  Each gate is a member of ``single_step_gates``,
+    built from its generator one sample at a time, and canonicalized on its
+    own, so apparent kinks can only occur at chamber boundaries; the CLI's
+    default of 2048 samples is fine enough to render the curves smoothly.
+
+    Raises:
+        ContractViolationError: ``n_samples < 2``.
+        UnsupportedCouplingError: ``g_tilde != 0``.
+        ValueError: ``t_max`` is not finite or is negative.
+    """
+    if n_samples < 2:
+        raise ContractViolationError(f"n_samples must be >= 2, got {n_samples}")
+    _require_capacitive(p)
+    gen = _single_step_generator(p.delta, p.omega1)
+    out: list[TrajectorySample] = []
+    for t in np.linspace(0.0, checked_time(t_max), n_samples):
+        point = weyl_coordinates(expm_skew(-t * gen))
+        out.append(TrajectorySample(t=float(t), point=point))
+    return out
 
 
 def fidelity(u: Operator4, target: Operator4) -> float:

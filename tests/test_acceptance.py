@@ -11,7 +11,6 @@ from cnotsteer.equivclass import (
     invariants_from_weyl,
     makhlin_invariants,
     weyl_coordinates,
-    weyl_trajectory,
 )
 from cnotsteer.model import SystemParams
 from cnotsteer.propagate import entangling_u, evolve_stepwise
@@ -26,6 +25,7 @@ from cnotsteer.sequences import (
     two_step_entangler,
     two_step_rotations,
     two_step_time,
+    weyl_trajectory,
 )
 from cnotsteer.verify import run_checks
 

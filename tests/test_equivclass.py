@@ -11,13 +11,19 @@ from cnotsteer.equivclass import (
     cnot_residual,
     invariants_from_weyl,
     makhlin_invariants,
-    two_step_invariants_closed,
     weyl_coordinates,
-    weyl_trajectory,
 )
 from cnotsteer.model import SystemParams
 from cnotsteer.qmat import ContractViolationError, frob_dist, kron2, unitarity_defect
-from cnotsteer.sequences import CNOT, PI_PULSE_X1, euler_u2, single_step_u, two_step_time
+from cnotsteer.sequences import (
+    CNOT,
+    PI_PULSE_X1,
+    euler_u2,
+    single_step_u,
+    two_step_invariants_closed,
+    two_step_time,
+    weyl_trajectory,
+)
 from cnotsteer.propagate import entangling_u
 
 from conftest import random_unitary

@@ -25,6 +25,7 @@ from cnotsteer.sequences import (
     two_step_entangler,
     two_step_rotations,
     two_step_time,
+    weyl_trajectory,
     zyz_angles,
 )
 
@@ -202,6 +203,8 @@ def test_single_step_rejects_zz_coupling():
     p = SystemParams(delta=0.5, omega1=3.0, g_tilde=0.05)
     with pytest.raises(UnsupportedCouplingError):
         single_step_u(1.0, p)
+    with pytest.raises(UnsupportedCouplingError):
+        weyl_trajectory(p, 1.0, 4)
 
 
 def test_resonant_drive_family_reaches_cnot_class():

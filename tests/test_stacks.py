@@ -21,7 +21,6 @@ from cnotsteer.equivclass import (
     makhlin_invariants,
     to_magic,
     weyl_coordinates,
-    weyl_trajectory,
 )
 from cnotsteer.model import XX, YY, ZZ, SystemParams, h_rwa_frame1
 from cnotsteer.propagate import (
@@ -44,6 +43,7 @@ from cnotsteer.sequences import (
     single_step_gates,
     single_step_u,
     two_step_product,
+    weyl_trajectory,
 )
 
 import propagator_oracle
@@ -409,3 +409,17 @@ def test_single_step_gates_take_a_detuning_stack(points):
     for gate, (d, w, time) in zip(gates, points):
         ref = expm_skew(-time * h_rwa_frame1(SystemParams(delta=d, omega1=w)))
         assert gate.tobytes() == ref.tobytes()
+
+
+def test_trajectory_samples_are_members_of_the_single_step_map():
+    # Each sample is the stacked map's gate at its time, and its point the
+    # stacked fold's, bit for bit, at the calibrated recipe of each detuning.
+    deltas = [0.0, 0.5, 1.0, 1.5, 2.0]
+    for delta, cal in zip(deltas, optimize.calibrate_single_step(deltas)):
+        t_max = cal.t_units * HALF_PI
+        samples = weyl_trajectory(SystemParams(delta=delta, omega1=cal.omega1_over_g), t_max, 257)
+        times = np.linspace(0.0, t_max, 257)
+        points = weyl_coordinates(single_step_gates(delta, cal.omega1_over_g, times))
+        assert [s.t for s in samples] == times.tolist()
+        for s, point in zip(samples, points):
+            assert s.point.as_array().tobytes() == point.as_array().tobytes()

@@ -13,11 +13,10 @@ from cnotsteer.equivclass import (
     canonical_class_gate,
     makhlin_invariants,
     weyl_coordinates,
-    weyl_trajectory,
 )
 from cnotsteer.model import SystemParams, h_rwa_frame1
 from cnotsteer.qmat import expm_skew, kron2
-from cnotsteer.sequences import CNOT, euler_u2, two_step_entangler
+from cnotsteer.sequences import CNOT, euler_u2, two_step_entangler, weyl_trajectory
 
 from conftest import random_unitary
 from weyl_oracle import search_weyl_coordinates

@@ -10,20 +10,23 @@ as a root of ``equivclass.cnot_residual``, ``R = m^2 / det U + I``.  R also
 vanishes on the SWAP class, which single-step gates, on the c3 = 0 face,
 never reach.  Each step reads its 32 x 2 forward-difference Jacobian off one
 stacked evaluation at x, x + h e0 and x + h e1.  Beyond the bound the driver
-minimizes ``d^2 = |G1|^2 + |G2 - 1|^2`` instead, for the closest class, by
-damped Newton steps on a central-difference model: a Hessian that is not
-positive definite is shifted, and each step is halved until it stays in the
-search box and lowers d^2.  Both methods start from the resonant solution,
-which keeps them on the lowest branch; only the minimisation checks the box.
+minimizes ``d^2 = |G1|^2 + |G2 - 1|^2`` instead, for the closest class on the
+resonant branch, by damped Newton steps on a central-difference model: each
+step reads it off one stacked evaluation of the 8 points around x, a Hessian
+that is not positive definite is shifted, and each step is halved until it
+stays in the search box and lowers d^2.  Both methods start from the
+resonant solution, which keeps them on the lowest branch; only the
+minimisation checks the box.
 
 ``calibrate_single_step`` also takes a sequence of detunings, as the tables
 do.  Each method's solvers are generators that yield the points they need
-and take back plain numbers (the residuals R of a stencil, or one d^2);
-``_lockstep`` runs all rows of one method together, evaluating every
-pending request of a round in one stacked ``single_step_gates`` call.  One
-last stacked call gives every row its invariants.  The kernels give each
-stack member the bits it gets alone, so each row returns the bits it
-returns when calibrated alone, with the same iteration count and flag.
+and take back plain numbers (the residuals R of a stencil, the d^2 of a
+stencil ring, or one d^2); ``_lockstep`` runs all rows of one method
+together, evaluating every pending request of a round, whatever its size, in
+one stacked ``single_step_gates`` call.  One last stacked call gives every
+row its invariants.  The kernels give each stack member the bits it gets
+alone, so each row returns the bits it returns when calibrated alone, with
+the same iteration count and flag.
 
 The two-step sequence needs no calibration: ``sequences.two_step_time`` is
 its closed-form gate time.
@@ -66,6 +69,10 @@ _NEWTON_STEP = 1e-4
 _NEWTON_TOL = 1e-10
 _HESSIAN_FLOOR = 1e-3
 _NEWTON_MAX_ITERATIONS = 60
+#: Offsets, in units of _NEWTON_STEP, of the eight points around x at which
+#: each Newton step evaluates d^2: the 3 x 3 stencil (i - 1, j - 1) in row
+#: order, without its centre (flat index 4), which is x itself.
+_NEWTON_RING = np.array([(i - 1.0, j - 1.0) for i in range(3) for j in range(3) if (i, j) != (1, 1)])
 
 #: Gauss-Newton controls of the root solve: stop once ||R||_F is at rounding
 #: level; forward-difference step; iteration cap (hitting it clears the
@@ -144,16 +151,19 @@ def _solve_single_step() -> _Solver:
 def _minimize_single_step() -> _Solver:
     """Closest class: damped Newton on d^2 from ``SINGLE_STEP_START``.
 
-    A generator run by ``_lockstep``: each evaluation yields one point and
-    takes back the d^2 of its gate.  Each step reads the gradient and
-    Hessian off the central differences of the 3 x 3 stencil around ``x``
-    (8 new evaluations).  A Hessian that is not positive definite has its
-    spectrum shifted so that its smallest eigenvalue becomes
-    ``_HESSIAN_FLOOR * max(1, |larger eigenvalue|)``.  The step is halved
-    until the trial lies in the search box and lowers d^2, and the loop ends
-    converged once the step, taken or halved, is no larger than
-    ``_NEWTON_TOL`` in every component.  Just beyond g, where d^2 is flat to
-    rounding, that monotone guard is what ends it.
+    A generator run by ``_lockstep``: each Newton step yields the 8 points
+    of the 3 x 3 stencil around ``x`` but its centre (``x + h *
+    _NEWTON_RING``) as one request and takes back their d^2, and each
+    step-halving trial yields one point and takes back one d^2.  The step
+    reads the gradient and Hessian off the central differences of the
+    stencil, whose centre is the d^2 already known at ``x``.  A Hessian
+    that is not positive definite has its spectrum shifted so that its
+    smallest eigenvalue becomes ``_HESSIAN_FLOOR * max(1, |larger
+    eigenvalue|)``.  The step is halved until the trial lies in the search
+    box and lowers d^2, and the loop ends converged once the step, taken or
+    halved, is no larger than ``_NEWTON_TOL`` in every component.  Just
+    beyond g, where d^2 is flat to rounding, that monotone guard is what
+    ends it.
     Returns the point, the number of Newton steps and whether it converged.
     """
     h = _NEWTON_STEP
@@ -161,10 +171,8 @@ def _minimize_single_step() -> _Solver:
     x = np.array(SINGLE_STEP_START)
     fx = yield x
     for iterations in range(_NEWTON_MAX_ITERATIONS):
-        f = np.empty((3, 3))  # f[i, j] = d^2 at x + h * (i - 1, j - 1)
-        for i in range(3):
-            for j in range(3):
-                f[i, j] = fx if i == j == 1 else (yield x + h * np.array([i - 1.0, j - 1.0]))
+        ring = yield x + h * _NEWTON_RING
+        f = np.insert(ring, 4, fx).reshape(3, 3)  # d^2 at x + h * (i - 1, j - 1)
         grad = np.array([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]]) / (2.0 * h)
         cross = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / 4.0
         hess = np.array([
@@ -191,12 +199,15 @@ def _minimize_single_step() -> _Solver:
 def _lockstep(steps: list[_Solver], evaluate: Callable, deltas: list[float]) -> list[tuple]:
     """Run one solver generator per detuning together; return their results in order.
 
-    Each round gathers the pending request of every unfinished solver and
-    evaluates all of them in one stacked ``evaluate(deltas, points)`` call,
-    then sends each solver the numbers of its own member.  A lone request is
-    evaluated without a stack axis, as a solver run alone evaluates it.  The
-    kernels give each stack member the bits it gets alone, so every solver
-    takes the same path and returns the same bits as it would alone.
+    A request is one point of shape ``(2,)`` or several of shape ``(..., 2)``,
+    of any size.  Each round gathers the pending request of every unfinished
+    solver, flattens each to rows of points, concatenates them with each
+    row's detuning repeated over its points, and evaluates them in one
+    ``evaluate(deltas, points)`` call; each solver is sent its own slice of
+    the values, one number for a one-point request.  A lone request is
+    evaluated as it is, as a solver run alone evaluates it.  The kernels give
+    each stack member the bits it gets alone, so every solver takes the same
+    path and returns the same bits as it would alone.
     """
     results = [None] * len(steps)
     pending = {k: next(step) for k, step in enumerate(steps)}
@@ -205,10 +216,15 @@ def _lockstep(steps: list[_Solver], evaluate: Callable, deltas: list[float]) -> 
         if len(rows) == 1:
             replies = [evaluate(deltas[rows[0]], pending[rows[0]])]
         else:
-            x = np.stack([pending[k] for k in rows])
-            # One detuning per row, broadcast over the points of its request.
-            delta = np.array([deltas[k] for k in rows]).reshape((-1,) + (1,) * (x.ndim - 2))
-            replies = evaluate(delta, x)
+            points = [pending[k].reshape(-1, 2) for k in rows]
+            sizes = [len(p) for p in points]
+            # One detuning per row, repeated over the points of its request.
+            values = evaluate(np.repeat([deltas[k] for k in rows], sizes), np.concatenate(points))
+            starts = np.cumsum([0] + sizes)
+            replies = [  # a one-point request takes back one number, as alone
+                values[a] if pending[k].ndim == 1 else values[a:b]
+                for k, a, b in zip(rows, starts, starts[1:])
+            ]
         for k, reply in zip(rows, replies):
             try:
                 pending[k] = steps[k].send(reply)
@@ -226,9 +242,11 @@ def calibrate_single_step(
     For ``|delta| <= SINGLE_STEP_BOUND`` an exact CNOT-class gate exists, and
     it is found as the Gauss-Newton root of the magic-basis residual; the
     achieved distance is at rounding level and ``iterations`` counts
-    Gauss-Newton steps.  Beyond the bound the result is the closest class,
-    the minimum of d^2 in the search box reached by damped Newton steps, and
-    ``iterations`` counts those steps.  Both start from the resonant
+    Gauss-Newton steps.  Beyond the bound the result is the closest class on
+    the resonant branch: the local minimum of d^2 that damped Newton steps
+    reach from the resonant solution, which need not be the smallest d^2 in
+    the search box (at 1.1g another basin, near omega1 = 6.13g, lies lower),
+    and ``iterations`` counts those steps.  Both start from the resonant
     solution.  The invariants are those of the gate at the returned point,
     with the bits of the last evaluation the solver made there.
 

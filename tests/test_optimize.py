@@ -13,7 +13,7 @@ from cnotsteer.optimize import SINGLE_STEP_BOUND, SINGLE_STEP_BOUNDS, calibrate_
 from cnotsteer.qmat import ContractViolationError
 from cnotsteer.sequences import CNOT, fit_local_rotations, single_step_u
 
-from calibration_oracle import minimize_single_step, single_step_d2, solve_single_step
+from calibration_oracle import minimize_single_step, newton_single_step, single_step_d2, solve_single_step
 from nelder_mead import NMOptions, nelder_mead
 from reference_data import TABLE1_SINGLE, TABLE2
 
@@ -251,6 +251,36 @@ def test_single_step_minimum_just_beyond_the_bound(delta):
     assert cal.distance <= 1e-16
 
 
+NEWTON_DELTAS = [d for d in TABLE2 if d > SINGLE_STEP_BOUND] + [1.0000001, 1.00001, -1.5, 2.5, 3.0, 7.4, 8.0]
+
+
+@pytest.mark.parametrize("delta", NEWTON_DELTAS)
+def test_single_step_minimum_matches_the_per_point_oracle(delta):
+    # Each Newton step evaluates its 8-point stencil ring as one request, and
+    # a grid call stacks the requests of all its rows; the point, the step
+    # count and the flag must be those of one evaluation per point.
+    x_ref, iterations_ref, converged_ref = newton_single_step(delta)
+    alone = calibrate_single_step(delta)
+    in_grid = calibrate_single_step(NEWTON_DELTAS)[NEWTON_DELTAS.index(delta)]
+    for cal in (alone, in_grid):
+        x = np.array([cal.omega1_over_g, cal.t_units])
+        assert x.tobytes() == x_ref.tobytes()
+        assert (cal.iterations, cal.converged) == (iterations_ref, converged_ref)
+
+
+def test_single_step_minimum_is_local_not_global():
+    # The minimiser follows the resonant branch.  At 1.1g another basin, far
+    # from it in omega1, lies lower: the result is the local minimum on the
+    # resonant branch, not the smallest d^2 in the search box.
+    cal = calibrate_single_step(1.1)
+    assert (round(cal.omega1_over_g, 3), round(cal.t_units, 3)) == (3.747, 1.233)
+    assert round(cal.distance, 9) == 9.144e-6
+    x, _, _ = minimize_single_step(1.1, start=(6.1, 1.33))
+    assert (round(x[0], 3), round(x[1], 3)) == (6.127, 1.326)
+    assert round(single_step_d2(1.1, x), 9) == 8.601e-6
+    assert single_step_d2(1.1, x) < cal.distance
+
+
 def test_single_step_newton_cap_clears_converged_flag(monkeypatch):
     monkeypatch.setattr(optimize, "_NEWTON_MAX_ITERATIONS", 1)
     assert not calibrate_single_step(1.5).converged
@@ -309,23 +339,49 @@ def test_grid_call_edge_inputs(monkeypatch):
     assert calls == []  # rejected before any search
 
 
-def _gate_calls(monkeypatch, deltas):
+def _gate_call_args(monkeypatch, deltas):
+    """The arguments of each ``single_step_gates`` call that calibrating ``deltas`` makes."""
     calls = _counting_gates(monkeypatch)
     calibrate_single_step(deltas)
     monkeypatch.undo()
-    return len(calls)
+    return calls
 
 
-#: single_step_gates calls of one detuning alone: as counted on the per-row
-#: solvers the lockstep replaced, one per Gauss-Newton step plus the last
-#: stencil, one per point of the minimiser; then one final call that builds
-#: the gate at the returned point for its invariants.
-ALONE_CALLS = {0.0: 2, 0.5: 5, -0.5: 5, 0.9: 7, 1.0: 22, 1.1: 91, 1.5: 55, 2.0: 55, -2.0: 55, 3.0: 108}
+def _gate_calls(monkeypatch, deltas):
+    return len(_gate_call_args(monkeypatch, deltas))
 
 
-def test_one_detuning_makes_as_many_kernel_calls_as_before(monkeypatch):
+def _gate_points(monkeypatch, deltas):
+    """Gates the calibration builds: the broadcast sizes of its ``single_step_gates`` calls."""
+    return sum(np.broadcast(*args).size for args in _gate_call_args(monkeypatch, deltas))
+
+
+#: single_step_gates calls of one detuning alone: one per Gauss-Newton step
+#: plus the last stencil; for the minimiser, the start point, then one call
+#: per Newton step for its 8-point stencil ring and one per step-halving
+#: trial; then one final call that builds the gate at the returned point for
+#: its invariants.
+ALONE_CALLS = {0.0: 2, 0.5: 5, -0.5: 5, 0.9: 7, 1.0: 22, 1.1: 21, 1.5: 13, 2.0: 13, -2.0: 13, 3.0: 45}
+
+
+def test_one_detuning_makes_one_kernel_call_per_solver_request(monkeypatch):
     for delta, calls in ALONE_CALLS.items():
         assert _gate_calls(monkeypatch, delta) == calls, delta
+
+
+#: Gates built for one detuning alone, and for the rows the ``table1`` command
+#: (those within the bound) and the ``table2`` command calibrate.  Stacking
+#: the stencil ring changes how many calls build them, not how many there are.
+POINTS = {1.1: 91, 1.5: 55, 2.0: 55, 3.0: 108}
+GRID_POINTS = {"table1": 197, "table2": 694}
+
+
+def test_stacking_the_ring_evaluates_no_extra_points(monkeypatch):
+    for delta, points in POINTS.items():
+        assert _gate_points(monkeypatch, delta) == points, delta
+    table1 = [d for d in cli._TABLE_GRID if abs(d) <= SINGLE_STEP_BOUND]
+    assert _gate_points(monkeypatch, table1) == GRID_POINTS["table1"]
+    assert _gate_points(monkeypatch, cli._TABLE2_GRID) == GRID_POINTS["table2"]
 
 
 @pytest.mark.parametrize("name", ["table1", "table2", "mixed", "repeated"])
@@ -342,7 +398,7 @@ def test_grid_call_makes_one_kernel_call_per_solver_round(monkeypatch, name):
     assert _gate_calls(monkeypatch, grid) == sum(slowest) + 1
     if name == "table2":
         assert slowest == [rounds[1.0], max(rounds[d] for d in grid if d > 1.0)]
-        assert sum(slowest) == 21 + 90
+        assert sum(slowest) == 21 + 20
 
 
 @pytest.mark.parametrize("name", ["table1", "table2", "mixed", "alone"])

@@ -16,6 +16,10 @@ a header row; cells that have no value (for example the single-step columns
 beyond their detuning bound) are left empty.  This module alone writes
 CSV cells, the JSON layout and the output time units.
 
+The argument parser is built once per process, on the first call of
+``main``, and reused by every later call; each call starts from the
+parser's defaults.
+
 Exit codes: 0 success, 2 domain error (for example detuning out of range),
 3 I/O error, 4 verification failure.  A single-step calibration that stops
 short of its tolerance does not change the exit code or the output files; it
@@ -26,6 +30,7 @@ d^2 it reached.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -282,6 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on its first call, then reused."""
+    return build_parser()
+
+
 def _is_negative_number(token: str) -> bool:
     try:
         float(token)
@@ -308,7 +319,7 @@ def _join_negative_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ContractViolationError as exc:

@@ -11,19 +11,21 @@ vanishes on the SWAP class, which single-step gates, on the c3 = 0 face,
 never reach.  Each step reads its 32 x 2 forward-difference Jacobian off one
 stacked evaluation at x, x + h e0 and x + h e1.  Beyond the bound the driver
 minimizes ``d^2 = |G1|^2 + |G2 - 1|^2`` instead, for the closest class on the
-resonant branch, by damped Newton steps on a central-difference model: each
-step reads it off one stacked evaluation of the 8 points around x, a Hessian
-that is not positive definite is shifted, and each step is halved until it
-stays in the search box and lowers d^2.  Both methods start from the
-resonant solution, which keeps them on the lowest branch; only the
-minimisation checks the box.
+resonant branch, by damped Newton steps on a central-difference model: the
+model is read off one stacked evaluation of the 3 x 3 stencil around x, a
+Hessian that is not positive definite is shifted, and each step is halved
+until it stays in the search box and lowers d^2.  Each trial is evaluated
+with its whole stencil, so an accepted trial's evaluation is already the
+model of the next step.  Both methods start from the resonant solution,
+which keeps them on the lowest branch; only the minimisation checks the
+box.
 
 ``calibrate_single_step`` also takes a sequence of detunings, as the tables
 do.  Each method's solvers are generators that yield the points they need
-and take back plain numbers (the residuals R of a stencil, the d^2 of a
-stencil ring, or one d^2); ``_lockstep`` runs all rows of one method
-together, evaluating every pending request of a round, whatever its size, in
-one stacked ``single_step_gates`` call.  One last stacked call gives every
+and take back plain numbers (the residuals R or the d^2 of a stencil);
+``_lockstep`` runs all rows of one method together, evaluating every pending
+request of a round, whatever its size, in one stacked ``single_step_gates``
+call.  One last stacked call gives every
 row its invariants.  The kernels give each stack member the bits it gets
 alone, so each row returns the bits it returns when calibrated alone, with
 the same iteration count and flag.
@@ -69,10 +71,10 @@ _NEWTON_STEP = 1e-4
 _NEWTON_TOL = 1e-10
 _HESSIAN_FLOOR = 1e-3
 _NEWTON_MAX_ITERATIONS = 60
-#: Offsets, in units of _NEWTON_STEP, of the eight points around x at which
-#: each Newton step evaluates d^2: the 3 x 3 stencil (i - 1, j - 1) in row
-#: order, without its centre (flat index 4), which is x itself.
-_NEWTON_RING = np.array([(i - 1.0, j - 1.0) for i in range(3) for j in range(3) if (i, j) != (1, 1)])
+#: Offsets, in units of _NEWTON_STEP, of the points around x at which the
+#: Newton model evaluates d^2: the 3 x 3 stencil (i - 1, j - 1) in row order,
+#: whose centre (flat index 4) is x + 0.0 == x itself.
+_NEWTON_STENCIL = np.array([(i - 1.0, j - 1.0) for i in range(3) for j in range(3)])
 
 #: Gauss-Newton controls of the root solve: stop once ||R||_F is at rounding
 #: level; forward-difference step; iteration cap (hitting it clears the
@@ -115,10 +117,9 @@ def _residuals(delta_over_g: float | np.ndarray, x: np.ndarray) -> np.ndarray:
     return cnot_residual(_gates(delta_over_g, x))
 
 
-def _distances(delta_over_g: float | np.ndarray, x: np.ndarray) -> float | list[float]:
-    """d^2 of the single-step gate at one point ``x``, or of each in a stack."""
-    inv = makhlin_invariants(_gates(delta_over_g, x))
-    return cnot_distance(inv) if x.ndim == 1 else [cnot_distance(i) for i in inv]
+def _distances(delta_over_g: float | np.ndarray, x: np.ndarray) -> list[float]:
+    """d^2 of the single-step gate at each point of a stack ``x`` of shape ``(n, 2)``."""
+    return [cnot_distance(inv) for inv in makhlin_invariants(_gates(delta_over_g, x))]
 
 
 #: A solver run by ``_lockstep``: it yields points of shape ``(..., 2)``, is
@@ -151,14 +152,14 @@ def _solve_single_step() -> _Solver:
 def _minimize_single_step() -> _Solver:
     """Closest class: damped Newton on d^2 from ``SINGLE_STEP_START``.
 
-    A generator run by ``_lockstep``: each Newton step yields the 8 points
-    of the 3 x 3 stencil around ``x`` but its centre (``x + h *
-    _NEWTON_RING``) as one request and takes back their d^2, and each
-    step-halving trial yields one point and takes back one d^2.  The step
-    reads the gradient and Hessian off the central differences of the
-    stencil, whose centre is the d^2 already known at ``x``.  A Hessian
-    that is not positive definite has its spectrum shifted so that its
-    smallest eigenvalue becomes ``_HESSIAN_FLOOR * max(1, |larger
+    A generator run by ``_lockstep``: the start and each step-halving trial
+    inside the search box yield the 3 x 3 stencil around the point (``x +
+    stencil``) as one request and take back its 9 d^2; a trial is judged by
+    the centre.  An accepted trial's stencil is the next Newton step's
+    model, so a step makes no request of its own.  The step reads the
+    gradient and Hessian off the central differences of the stencil.  A
+    Hessian that is not positive definite has its spectrum shifted so that
+    its smallest eigenvalue becomes ``_HESSIAN_FLOOR * max(1, |larger
     eigenvalue|)``.  The step is halved until the trial lies in the search
     box and lowers d^2, and the loop ends converged once the step, taken or
     halved, is no larger than ``_NEWTON_TOL`` in every component.  Just
@@ -168,11 +169,11 @@ def _minimize_single_step() -> _Solver:
     """
     h = _NEWTON_STEP
     lo, hi = np.array(SINGLE_STEP_BOUNDS).T
+    stencil = h * _NEWTON_STENCIL
     x = np.array(SINGLE_STEP_START)
-    fx = yield x
+    f = np.reshape((yield x + stencil), (3, 3))  # d^2 at x + h * (i - 1, j - 1)
     for iterations in range(_NEWTON_MAX_ITERATIONS):
-        ring = yield x + h * _NEWTON_RING
-        f = np.insert(ring, 4, fx).reshape(3, 3)  # d^2 at x + h * (i - 1, j - 1)
+        fx = f[1, 1]
         grad = np.array([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]]) / (2.0 * h)
         cross = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / 4.0
         hess = np.array([
@@ -186,28 +187,27 @@ def _minimize_single_step() -> _Solver:
         while np.max(np.abs(step)) > _NEWTON_TOL:
             trial = x + step
             if np.all(trial >= lo) and np.all(trial <= hi):
-                f_trial = yield trial
-                if f_trial < fx:
+                f_trial = np.reshape((yield trial + stencil), (3, 3))
+                if f_trial[1, 1] < fx:
                     break
             step = step / 2.0
         else:
             return x, iterations, True
-        x, fx = trial, f_trial
+        x, f = trial, f_trial
     return x, _NEWTON_MAX_ITERATIONS, False
 
 
 def _lockstep(steps: list[_Solver], evaluate: Callable, deltas: list[float]) -> list[tuple]:
     """Run one solver generator per detuning together; return their results in order.
 
-    A request is one point of shape ``(2,)`` or several of shape ``(..., 2)``,
-    of any size.  Each round gathers the pending request of every unfinished
-    solver, flattens each to rows of points, concatenates them with each
-    row's detuning repeated over its points, and evaluates them in one
-    ``evaluate(deltas, points)`` call; each solver is sent its own slice of
-    the values, one number for a one-point request.  A lone request is
-    evaluated as it is, as a solver run alone evaluates it.  The kernels give
-    each stack member the bits it gets alone, so every solver takes the same
-    path and returns the same bits as it would alone.
+    A request is a stack of points of shape ``(..., 2)``, of any size.  Each
+    round gathers the pending request of every unfinished solver, flattens
+    each to rows of points, concatenates them with each row's detuning
+    repeated over its points, and evaluates them in one ``evaluate(deltas,
+    points)`` call; each solver is sent its own slice of the values.  A lone
+    request is evaluated as it is, as a solver run alone evaluates it.  The
+    kernels give each stack member the bits it gets alone, so every solver
+    takes the same path and returns the same bits as it would alone.
     """
     results = [None] * len(steps)
     pending = {k: next(step) for k, step in enumerate(steps)}
@@ -221,10 +221,7 @@ def _lockstep(steps: list[_Solver], evaluate: Callable, deltas: list[float]) -> 
             # One detuning per row, repeated over the points of its request.
             values = evaluate(np.repeat([deltas[k] for k in rows], sizes), np.concatenate(points))
             starts = np.cumsum([0] + sizes)
-            replies = [  # a one-point request takes back one number, as alone
-                values[a] if pending[k].ndim == 1 else values[a:b]
-                for k, a, b in zip(rows, starts, starts[1:])
-            ]
+            replies = [values[a:b] for a, b in zip(starts, starts[1:])]
         for k, reply in zip(rows, replies):
             try:
                 pending[k] = steps[k].send(reply)

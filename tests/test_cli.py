@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cnotsteer.cli as cli
 from cnotsteer.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
@@ -411,3 +416,45 @@ def test_unconverged_calibration_warns_without_changing_outputs(tmp_path, monkey
     for path in (tmp_path / "ok").iterdir():
         assert path.read_bytes() == (tmp_path / "warned" / path.name).read_bytes()
 
+
+def _alone(argv: list[str]) -> str:
+    """Standard output of ``cnotsteer argv`` run in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "cnotsteer.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return done.stdout
+
+
+def test_the_reused_parser_starts_each_call_from_its_defaults(tmp_path, monkeypatch, capsys):
+    # main builds its parser once per process; no value of one call may
+    # carry over into the next.
+    seeds = []
+    real = cli.run_checks
+    monkeypatch.setattr(cli, "run_checks", lambda seed: seeds.append(seed) or real(seed))
+    gates = [
+        ["gate", "--mode", "two-step", "--delta", "0.5", "--frame", "2"],
+        ["gate", "--delta", "0.5"],
+    ]
+    for k, argv in enumerate(gates):
+        assert main([*argv, "--out", str(tmp_path / f"in_process{k}.json")]) == EXIT_OK
+    payload = json.loads((tmp_path / "in_process1.json").read_text())
+    assert (payload["recipe"]["kind"], payload["frame"]) == ("one-step", None)
+    printed = []
+    for argv in (["verify", "--seed", "7"], ["verify"]):
+        assert main(argv) == EXIT_OK
+        printed.append(capsys.readouterr().out)
+    assert seeds == [7, 42]
+    assert printed[0] != printed[1]
+    for k, argv in enumerate(gates):
+        _alone([*argv, "--out", str(tmp_path / f"alone{k}.json")])
+        alone = (tmp_path / f"alone{k}.json").read_bytes()
+        assert (tmp_path / f"in_process{k}.json").read_bytes() == alone, argv
+    assert printed == [_alone(["verify", "--seed", "7"]), _alone(["verify"])]
+    # A bad argument after good calls is still a usage error.
+    for bad in (["gate", "--mode", "three-step", "--delta", "0.5"], ["verify", "--seed", "-1"]):
+        with pytest.raises(SystemExit) as exited:
+            main(bad)
+        assert exited.value.code == 2, bad

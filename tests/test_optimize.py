@@ -357,11 +357,14 @@ def _gate_points(monkeypatch, deltas):
 
 
 #: single_step_gates calls of one detuning alone: one per Gauss-Newton step
-#: plus the last stencil; for the minimiser, the start point, then one call
-#: per Newton step for its 8-point stencil ring and one per step-halving
-#: trial; then one final call that builds the gate at the returned point for
-#: its invariants.
-ALONE_CALLS = {0.0: 2, 0.5: 5, -0.5: 5, 0.9: 7, 1.0: 22, 1.1: 21, 1.5: 13, 2.0: 13, -2.0: 13, 3.0: 45}
+#: plus the last stencil; for the minimiser, one 3 x 3 stencil at the start
+#: and one per step-halving trial inside the search box (an accepted trial's
+#: stencil is the next step's model); then one final call that builds the
+#: gate at the returned point for its invariants.
+ALONE_CALLS = {
+    0.0: 2, 0.5: 5, -0.5: 5, 0.9: 7, 1.0: 22,
+    1.1: 11, 1.2: 9, 1.5: 7, 1.8: 13, 2.0: 7, -2.0: 7, 3.0: 36,
+}
 
 
 def test_one_detuning_makes_one_kernel_call_per_solver_request(monkeypatch):
@@ -370,18 +373,29 @@ def test_one_detuning_makes_one_kernel_call_per_solver_request(monkeypatch):
 
 
 #: Gates built for one detuning alone, and for the rows the ``table1`` command
-#: (those within the bound) and the ``table2`` command calibrate.  Stacking
-#: the stencil ring changes how many calls build them, not how many there are.
-POINTS = {1.1: 91, 1.5: 55, 2.0: 55, 3.0: 108}
-GRID_POINTS = {"table1": 197, "table2": 694}
+#: (those within the bound) and the ``table2`` command calibrate.  A trial
+#: the minimiser rejects costs its 8 off-centre points too, so 3.0g, which
+#: halves often, builds the most.
+POINTS = {1.1: 91, 1.5: 55, 2.0: 55, 3.0: 316}
+GRID_POINTS = {"table1": 197, "table2": 758}
 
 
-def test_stacking_the_ring_evaluates_no_extra_points(monkeypatch):
+def test_calibration_evaluates_the_pinned_number_of_points(monkeypatch):
     for delta, points in POINTS.items():
         assert _gate_points(monkeypatch, delta) == points, delta
     table1 = [d for d in cli._TABLE_GRID if abs(d) <= SINGLE_STEP_BOUND]
     assert _gate_points(monkeypatch, table1) == GRID_POINTS["table1"]
     assert _gate_points(monkeypatch, cli._TABLE2_GRID) == GRID_POINTS["table2"]
+
+
+@pytest.mark.parametrize("name", [*ALONE_CALLS, "table1", "table2"])
+def test_no_point_is_evaluated_twice_in_a_calibration(monkeypatch, name):
+    # An accepted trial's stencil is already the next Newton step's model;
+    # asking for it again would build its 9 gates twice.  The final call
+    # rebuilds each returned point for its invariants and is left out.
+    *solver_calls, _ = _gate_call_args(monkeypatch, GRIDS.get(name, name))
+    points = np.concatenate([np.stack(np.broadcast_arrays(*args), axis=-1).reshape(-1, 3) for args in solver_calls])
+    assert len(np.unique(points, axis=0)) == len(points)
 
 
 @pytest.mark.parametrize("name", ["table1", "table2", "mixed", "repeated"])
@@ -398,7 +412,7 @@ def test_grid_call_makes_one_kernel_call_per_solver_round(monkeypatch, name):
     assert _gate_calls(monkeypatch, grid) == sum(slowest) + 1
     if name == "table2":
         assert slowest == [rounds[1.0], max(rounds[d] for d in grid if d > 1.0)]
-        assert sum(slowest) == 21 + 20
+        assert sum(slowest) == 21 + 12
 
 
 @pytest.mark.parametrize("name", ["table1", "table2", "mixed", "alone"])

@@ -13,6 +13,9 @@ and steering trajectories as CSV/JSON.
 
 Each sequence family has one one-point call: ``entangling_u`` for the
 two-step segments and ``single_step_u`` for the single-step evolution.
+The maps write their generators themselves; ``tests/propagator_oracle.py``
+holds the RWA Hamiltonians and a stepwise integrator, the independent
+reference that tests compare them against (bit for bit for single-step).
 ``calibrate_single_step`` reports T1 in units of pi/2g, found by a root
 solve up to g and by a d^2 minimisation beyond it.
 """
@@ -22,13 +25,12 @@ from .equivclass import (
     WeylPoint,
     canonical_class_gate,
     cnot_distance,
-    invariants_from_weyl,
     makhlin_invariants,
     weyl_coordinates,
 )
-from .model import SystemParams, h_rwa_frame1, h_rwa_frame2
+from .model import SystemParams
 from .optimize import CalibrationResult, calibrate_single_step
-from .propagate import entangling_u, evolve_stepwise
+from .propagate import entangling_u
 from .qmat import ContractViolationError, expm_skew, frob_dist, kron2
 from .sequences import (
     CNOT,
@@ -68,14 +70,10 @@ __all__ = [
     "canonical_class_gate",
     "cnot_distance",
     "entangling_u",
-    "evolve_stepwise",
     "expm_skew",
     "fidelity",
     "fit_local_rotations",
     "frob_dist",
-    "h_rwa_frame1",
-    "h_rwa_frame2",
-    "invariants_from_weyl",
     "kron2",
     "makhlin_invariants",
     "single_step_rotations",

@@ -168,18 +168,6 @@ def makhlin_invariants(u: Operator4) -> InvariantPair | list[InvariantPair]:
     ]
 
 
-def invariants_from_weyl(point: WeylPoint | tuple[float, float, float]) -> InvariantPair:
-    """Invariants of the canonical gate exp(-c1*XX - c2*YY - c3*ZZ)."""
-    c1, c2, c3 = (point.c1, point.c2, point.c3) if isinstance(point, WeylPoint) else point
-    re = (
-        math.cos(c1) ** 2 * math.cos(c2) ** 2 * math.cos(c3) ** 2
-        - math.sin(c1) ** 2 * math.sin(c2) ** 2 * math.sin(c3) ** 2
-    )
-    im = -0.25 * math.sin(2 * c1) * math.sin(2 * c2) * math.sin(2 * c3)
-    g2 = 4.0 * re - math.cos(2 * c1) * math.cos(2 * c2) * math.cos(2 * c3)
-    return InvariantPair(g1=re + 1j * im, g2=g2)
-
-
 def canonical_class_gate(point: WeylPoint | tuple[float, float, float]) -> Operator4:
     """The representative gate exp(-c1*XX - c2*YY - c3*ZZ).
 

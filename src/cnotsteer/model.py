@@ -1,23 +1,20 @@
-"""System parameters and RWA Hamiltonian generators for two coupled qubits.
+"""System parameters and the generator constants the maps use.
 
 The physical setting is a pair of weakly coupled phase qubits, one of them
 driven by a resonant Rabi pulse.  After moving to a rotating frame and
 dropping fast-oscillating terms (rotating-wave approximation), the dynamics
 is generated by skew-Hermitian combinations of the scaled Pauli products
+X_k = (i/2) sigma_k^x, ..., XX = (i/2) sigma_2^x sigma_1^x, ..., in two frames:
 
-    X_k = (i/2) sigma_k^x,   Y_k = (i/2) sigma_k^y,   Z_k = (i/2) sigma_k^z,
-    XX  = (i/2) sigma_2^x sigma_1^x,   ...,   YX = (i/2) sigma_2^y sigma_1^x.
-
-Two frame choices are supported:
-
-* frame 1 -- both qubits rotate at the drive frequency; the generator is
-  time-independent and carries an explicit detuning term ``-delta * Z2``;
+* frame 1 -- both qubits rotate at the drive frequency; the generator
+  ``-delta*Z2 + omega1*X1 + (XX + YY) + g_tilde*ZZ`` is time-independent;
 * frame 2 -- each qubit rotates at its own splitting; the detuning moves
-  into a slowly rotating transverse coupling, and the generator is
-  periodic in time with period ``2*pi/|delta|``.
+  into a transverse coupling rotating with period ``2*pi/|delta|``.
 
-All rates are quoted in units of the transverse coupling ``g``; time is in
-units of ``1/g``.
+The maps write their generators themselves; ``tests/propagator_oracle.py``
+holds the independent reference that tests compare them against (bit for
+bit for single-step).  All rates are in units of the transverse coupling
+``g``; time is in units of ``1/g``.
 """
 
 from __future__ import annotations
@@ -65,36 +62,8 @@ def _scaled_product(a2: np.ndarray, b1: np.ndarray) -> Generator4:
 
 
 X1 = _scaled_product(ID2, SIGMA_X)
-Y1 = _scaled_product(ID2, SIGMA_Y)
-Z1 = _scaled_product(ID2, SIGMA_Z)
-X2 = _scaled_product(SIGMA_X, ID2)
-Y2 = _scaled_product(SIGMA_Y, ID2)
 Z2 = _scaled_product(SIGMA_Z, ID2)
 XX = _scaled_product(SIGMA_X, SIGMA_X)
 YY = _scaled_product(SIGMA_Y, SIGMA_Y)
 ZZ = _scaled_product(SIGMA_Z, SIGMA_Z)
-XY = _scaled_product(SIGMA_X, SIGMA_Y)
-YX = _scaled_product(SIGMA_Y, SIGMA_X)
 
-
-def h_rwa_frame1(p: SystemParams) -> Generator4:
-    """Time-independent frame-1 generator.
-
-    Returns ``-delta*Z2 + omega1*X1 + (XX + YY) + g_tilde*ZZ`` in units of
-    g; the evolution operator over a time ``t`` (units of 1/g) is
-    ``expm_skew(-t * h_rwa_frame1(p))``.
-    """
-    return -p.delta * Z2 + p.omega1 * X1 + (XX + YY) + p.g_tilde * ZZ
-
-
-def h_rwa_frame2(p: SystemParams, t: float) -> Generator4:
-    """Frame-2 generator at time ``t``.
-
-    The detuning appears as a rotating transverse coupling, in units of g:
-    ``omega1*X1 + [(XX+YY)cos(delta t) + (YX-XY)sin(delta t)] + g_tilde*ZZ``.
-    Periodic in ``t`` (units of 1/g) with period ``2*pi/|delta|`` for
-    nonzero detuning.
-    """
-    phase = p.delta * t
-    coupling = (XX + YY) * math.cos(phase) + (YX - XY) * math.sin(phase)
-    return p.omega1 * X1 + coupling + p.g_tilde * ZZ

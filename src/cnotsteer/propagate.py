@@ -19,10 +19,9 @@ g_tilde, t, frame)`` a stack of shape ``(..., 4, 4)``.  Each member of a
 stack gets the bits that one point gets.  ``entangling_u(t, p, frame)`` is
 its one-point call.
 
-``evolve_stepwise`` integrates the time-dependent frame-2 generator directly
-(midpoint product formula).  It is deliberately independent of the closed
-forms above and serves as their numerical cross-check; the error falls off
-as O(steps^-2).
+The closed form is written here, not derived from a generator at run time;
+``tests/propagator_oracle.py`` holds the frame generators and a stepwise
+integrator as the independent reference that tests compare it against.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ import math
 
 import numpy as np
 
-from .model import SystemParams, h_rwa_frame2
-from .qmat import Operator4, expm_skew
+from .model import SystemParams
+from .qmat import Operator4
 
 
 def checked_time(t: float | np.ndarray) -> np.ndarray:
@@ -116,24 +115,3 @@ def entangling_u(t: float, p: SystemParams, frame: int) -> Operator4:
     """
     return undriven_propagators(p.delta, p.g_tilde, t, frame)
 
-
-def evolve_stepwise(p: SystemParams, t: float, steps: int) -> Operator4:
-    """Integrate the frame-2 evolution as a midpoint-rule product formula.
-
-    Splits [0, t] into ``steps`` uniform slices and accumulates
-    exp(-dt * H(t_mid)) in time order.  With the drive off this converges to
-    ``entangling_u(t, p, 2)`` at second order in the step size; with a static
-    generator a single step is already exact.
-
-    Raises:
-        ValueError: ``steps < 1``, or ``t`` is not finite or is negative.
-    """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    checked_time(t)
-    dt = t / steps
-    u = np.eye(4, dtype=complex)
-    for k in range(steps):
-        t_mid = (k + 0.5) * dt
-        u = expm_skew(-dt * h_rwa_frame2(p, t_mid)) @ u
-    return u

@@ -278,10 +278,11 @@ def single_step_gates(
 ) -> Operator4:
     """Single-step evolution exp(-t * [-delta Z2 + omega1 X1 + (XX + YY)]).
 
-    The generator is ``h_rwa_frame1`` at ``g_tilde = 0``, with its terms in
-    that order.  One ``(delta, omega1, t)`` gives one gate; arrays broadcast
-    to a stack of gates, each member with the bits it gets alone.  Units of
-    g.
+    The map writes its generator, the frame-1 one at ``g_tilde = 0``, with
+    its terms in that order; ``tests/propagator_oracle.py`` holds the
+    independent reference that tests compare it against bit for bit.  One
+    ``(delta, omega1, t)`` gives one gate; arrays broadcast to a stack of
+    gates, each member with the bits it gets alone.  Units of g.
     """
     delta, omega1, t = (np.asarray(a)[..., None, None] for a in (delta, omega1, t))
     return expm_skew(-t * _single_step_generator(delta, omega1))

@@ -8,12 +8,11 @@ import pytest
 
 from cnotsteer.equivclass import (
     cnot_distance,
-    invariants_from_weyl,
     makhlin_invariants,
     weyl_coordinates,
 )
 from cnotsteer.model import SystemParams
-from cnotsteer.propagate import entangling_u, evolve_stepwise
+from cnotsteer.propagate import entangling_u
 from cnotsteer.optimize import calibrate_single_step
 from cnotsteer.qmat import frob_dist
 from cnotsteer.sequences import (
@@ -29,6 +28,7 @@ from cnotsteer.sequences import (
 )
 from cnotsteer.verify import run_checks
 
+from propagator_oracle import evolve_stepwise
 from reference_data import (
     ENTANGLER_FRAME1_DELTA1,
     ENTANGLER_FRAME2_DELTA1,
@@ -38,6 +38,7 @@ from reference_data import (
     TABLE1_T2,
     TABLE2,
 )
+from weyl_oracle import invariants_from_weyl
 
 HALF_PI = math.pi / 2.0
 

@@ -9,7 +9,6 @@ from cnotsteer.equivclass import (
     canonical_class_gate,
     cnot_distance,
     cnot_residual,
-    invariants_from_weyl,
     makhlin_invariants,
     weyl_coordinates,
 )
@@ -27,7 +26,7 @@ from cnotsteer.sequences import (
 from cnotsteer.propagate import entangling_u
 
 from conftest import random_unitary
-from weyl_oracle import search_weyl_coordinates
+from weyl_oracle import invariants_from_weyl, search_weyl_coordinates
 
 HALF_PI = math.pi / 2.0
 SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
@@ -99,6 +98,29 @@ def test_closed_form_invariants_special_values():
 
     inv = two_step_invariants_closed(np.pi / (2.0 * np.sqrt(2.0)), SystemParams(delta=2.0))
     assert abs(inv.g1) < 1e-12 and abs(inv.g2 - 1.0) < 1e-12
+
+
+def test_two_step_reaches_cnot_exactly_up_to_two_g():
+    for delta in (0.0, 0.5, 1.0, 1.5, 2.0, -2.0):
+        p = SystemParams(delta=delta)
+        assert cnot_distance(two_step_invariants_closed(two_step_time(p), p)) <= 1e-24, delta
+    # At the bound, T2 is sqrt(2) in units of pi/4g (Table 1's 1.4142).
+    for delta in (2.0, -2.0):
+        t_units = two_step_time(SystemParams(delta=delta)) / (math.pi / 4.0)
+        assert math.isclose(t_units, math.sqrt(2.0), rel_tol=1e-15)
+
+
+def test_two_step_misses_cnot_beyond_two_g():
+    # Beyond 2g, G1 = ((delta^2 - 4 + 8 cos^2(L t / 2)) / L^2)^2 never drops
+    # below ((delta^2 - 4) / L^2)^2, so d^2 >= |G1|^2 has that floor squared.
+    for delta in (2.01, 2.5, 3.0):
+        p = SystemParams(delta=delta)
+        lam2 = delta**2 + 4.0
+        floor = ((delta**2 - 4.0) / lam2) ** 4
+        assert floor > 0.0
+        period = 2.0 * math.pi / math.sqrt(lam2)
+        for t in np.linspace(0.0, period, 4001).tolist():
+            assert cnot_distance(two_step_invariants_closed(t, p)) >= floor, (delta, t)
 
 
 def test_closed_form_agrees_with_assembled_product(rng):

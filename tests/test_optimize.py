@@ -120,6 +120,16 @@ def test_crossover_bounds():
         assert calibrate_single_step(delta).distance > 1e-4
 
 
+def test_single_step_gap_opens_as_the_fourth_power_beyond_g():
+    for cal in calibrate_single_step([0.9, 0.99, 1.0]):
+        assert cal.method == "root solve", cal.delta_over_g
+        assert cal.distance <= 1e-24, cal.delta_over_g
+    # Just past the bound the closest class misses CNOT by d^2 ~ 0.1 (delta - g)^4.
+    for cal in calibrate_single_step([1.01, 1.02, 1.05]):
+        ratio = cal.distance / (cal.delta_over_g - 1.0) ** 4
+        assert 0.08 <= ratio <= 0.13, (cal.delta_over_g, ratio)
+
+
 def test_single_step_bounds_exposed():
     (om_lo, om_hi), (t_lo, t_hi) = SINGLE_STEP_BOUNDS
     assert om_lo < math.sqrt(15.0) < om_hi

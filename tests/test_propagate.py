@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from cnotsteer.model import SystemParams, h_rwa_frame1
-from cnotsteer.propagate import entangling_u, evolve_stepwise, undriven_uv
+from cnotsteer.model import SystemParams
+from cnotsteer.propagate import entangling_u, undriven_uv
 from cnotsteer.qmat import expm_skew, frob_dist, unitarity_defect
 from cnotsteer.sequences import two_step_time
 
+from propagator_oracle import evolve_stepwise, h_rwa_frame1
 from reference_data import ENTANGLER_FRAME1_DELTA1, ENTANGLER_FRAME2_DELTA1
 
 

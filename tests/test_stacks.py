@@ -22,10 +22,9 @@ from cnotsteer.equivclass import (
     to_magic,
     weyl_coordinates,
 )
-from cnotsteer.model import XX, YY, ZZ, SystemParams, h_rwa_frame1
+from cnotsteer.model import XX, YY, ZZ, SystemParams
 from cnotsteer.propagate import (
     entangling_u,
-    evolve_stepwise,
     undriven_propagators,
     undriven_uv,
 )
@@ -48,6 +47,7 @@ from cnotsteer.sequences import (
 
 import propagator_oracle
 from calibration_oracle import single_step_gate, single_step_residual
+from propagator_oracle import evolve_stepwise, h_rwa_frame1
 from conftest import random_skew, random_unitary
 
 pytest.importorskip("hypothesis")

@@ -14,11 +14,12 @@ from cnotsteer.equivclass import (
     makhlin_invariants,
     weyl_coordinates,
 )
-from cnotsteer.model import SystemParams, h_rwa_frame1
+from cnotsteer.model import SystemParams
 from cnotsteer.qmat import expm_skew, kron2
 from cnotsteer.sequences import CNOT, euler_u2, two_step_entangler, weyl_trajectory
 
 from conftest import random_unitary
+from propagator_oracle import h_rwa_frame1
 from weyl_oracle import search_weyl_coordinates
 
 pytest.importorskip("hypothesis")

@@ -5,6 +5,9 @@ the closed-form fold replaced it.  It is kept unchanged as a test oracle: it
 maps the spectral representative onto every class-preserving image inside
 the reduced chamber, scores each image's closed-form invariants against
 ``makhlin_invariants(u)``, and breaks ties lexicographically.
+
+The closed-form invariants of a chamber point, ``invariants_from_weyl``,
+live here too: only this search and the tests use them.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ import math
 import numpy as np
 
 from cnotsteer.equivclass import (
+    InvariantPair,
     WeylPoint,
     _HALF_PI,
     _WEYL_TOL,
     _raw_coordinates,
-    invariants_from_weyl,
     makhlin_invariants,
 )
 from cnotsteer.qmat import Operator4, require_unitary
@@ -28,6 +31,18 @@ from cnotsteer.qmat import Operator4, require_unitary
 # canonical coordinates (together with shifts by pi along each axis).
 _EVEN_SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 _PERMS = tuple(itertools.permutations(range(3)))
+
+
+def invariants_from_weyl(point: WeylPoint | tuple[float, float, float]) -> InvariantPair:
+    """Invariants of the canonical gate exp(-c1*XX - c2*YY - c3*ZZ)."""
+    c1, c2, c3 = (point.c1, point.c2, point.c3) if isinstance(point, WeylPoint) else point
+    re = (
+        math.cos(c1) ** 2 * math.cos(c2) ** 2 * math.cos(c3) ** 2
+        - math.sin(c1) ** 2 * math.sin(c2) ** 2 * math.sin(c3) ** 2
+    )
+    im = -0.25 * math.sin(2 * c1) * math.sin(2 * c2) * math.sin(2 * c3)
+    g2 = 4.0 * re - math.cos(2 * c1) * math.cos(2 * c2) * math.cos(2 * c3)
+    return InvariantPair(g1=re + 1j * im, g2=g2)
 
 
 def _chamber_candidates(c: np.ndarray) -> list[np.ndarray]:

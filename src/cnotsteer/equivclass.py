@@ -44,6 +44,12 @@ Each member gets the bits it would get alone, and every contract holds per
 member: the unitarity tolerance, the G2-reality bound and the chamber
 bounds of ``WeylPoint``.  A stack with a failing member, NaN included, is
 rejected, and the error names the worst member's index and defect.
+
+A stack stays arrays up to the caller: the pairs and points are built at
+the API edge from two private array kernels, ``_invariants`` (G1 and G2)
+and ``_chamber_coordinates`` (the folded points), which callers inside the
+package that need only numbers take directly; ``_cnot_distances`` is the
+d^2 of a stack, with the bits of ``cnot_distance``.
 """
 
 from __future__ import annotations
@@ -128,6 +134,25 @@ def _magic_gram(u: Operator4) -> tuple[np.ndarray, np.ndarray]:
     return ub.swapaxes(-1, -2) @ ub, np.linalg.det(u)
 
 
+def _invariants(u: Operator4) -> tuple[np.ndarray, np.ndarray]:
+    """``(G1, G2)`` of ``makhlin_invariants`` as arrays over the stack axes, G2 real.
+
+    Checks the same contracts, with the same errors.
+    """
+    m, det = _magic_gram(u)
+    # np.power squares each element as a scalar does; ``**`` on an array
+    # takes a vectorized square whose last bit can differ.
+    tr2 = np.power(m.trace(axis1=-2, axis2=-1), 2)
+    g1 = tr2 / (16.0 * det)
+    g2 = (tr2 - (m @ m).trace(axis1=-2, axis2=-1)) / (4.0 * det)
+    # |Im G2| <= 2 tol max(1, |G2|), one comparison per branch of the max.
+    im = abs(g2.imag)
+    bad = worst_failure((im <= 2.0 * UNITARITY_TOL) | (im <= 2.0 * UNITARITY_TOL * abs(g2)), im)
+    if bad is not None:
+        raise ContractViolationError(f"G2 of gate{member_name(bad)} is not real: {g2[bad]!r}")
+    return g1, g2.real
+
+
 def makhlin_invariants(u: Operator4) -> InvariantPair | list[InvariantPair]:
     """Makhlin invariants (G1, G2) of a two-qubit unitary, or of each in a stack.
 
@@ -143,29 +168,19 @@ def makhlin_invariants(u: Operator4) -> InvariantPair | list[InvariantPair]:
     2 * UNITARITY_TOL * max(1, |G2|) accepted here.
 
     One gate gives one pair; a stack gives a list of pairs, one per member.
+    The pairs are built from the arrays of ``_invariants``, which callers
+    inside the package that need only numbers (the d^2 search, ``verify``)
+    take directly.
 
     Raises:
         ContractViolationError: a member is not unitary within
             ``UNITARITY_TOL``, or its G2 is further from real than that defect
             allows.
     """
-    m, det = _magic_gram(u)
-    # np.power squares each element as a scalar does; ``**`` on an array
-    # takes a vectorized square whose last bit can differ.
-    tr2 = np.power(m.trace(axis1=-2, axis2=-1), 2)
-    g1 = tr2 / (16.0 * det)
-    g2 = (tr2 - (m @ m).trace(axis1=-2, axis2=-1)) / (4.0 * det)
-    # |Im G2| <= 2 tol max(1, |G2|), one comparison per branch of the max.
-    im = abs(g2.imag)
-    bad = worst_failure((im <= 2.0 * UNITARITY_TOL) | (im <= 2.0 * UNITARITY_TOL * abs(g2)), im)
-    if bad is not None:
-        raise ContractViolationError(f"G2 of gate{member_name(bad)} is not real: {g2[bad]!r}")
-    if u.ndim == 2:
-        return InvariantPair(g1=complex(g1), g2=float(g2.real))
-    return [
-        InvariantPair(g1=a, g2=b)
-        for a, b in zip(g1.ravel().tolist(), g2.real.ravel().tolist())
-    ]
+    g1, g2 = _invariants(u)
+    if g1.ndim == 0:
+        return InvariantPair(g1=complex(g1), g2=float(g2))
+    return [InvariantPair(g1=a, g2=b) for a, b in zip(g1.ravel().tolist(), g2.ravel().tolist())]
 
 
 def canonical_class_gate(point: WeylPoint | tuple[float, float, float]) -> Operator4:
@@ -180,8 +195,23 @@ def canonical_class_gate(point: WeylPoint | tuple[float, float, float]) -> Opera
 
 
 def cnot_distance(inv: InvariantPair) -> float:
-    """Squared invariant distance d^2 = |G1|^2 + |G2 - 1|^2 to the CNOT class."""
+    """Squared invariant distance d^2 = |G1|^2 + |G2 - 1|^2 to the CNOT class.
+
+    Python scalar arithmetic: ``abs`` of a complex is a hypot and ``** 2`` a
+    ``pow``.  ``_cnot_distances`` gives each member of a stack these bits.
+    """
     return abs(inv.g1) ** 2 + abs(inv.g2 - 1.0) ** 2
+
+
+def _cnot_distances(u: Operator4) -> np.ndarray:
+    """``cnot_distance`` of each gate's invariants, bit for bit, as an array over the stack axes.
+
+    ``np.hypot(g1.real, g1.imag)`` rounds as ``abs`` of a Python complex and
+    ``np.float_power(x, 2.0)`` as ``x ** 2`` of a Python float; ``np.abs`` of a
+    complex array and ``x * x`` do not.
+    """
+    g1, g2 = _invariants(u)
+    return np.float_power(np.hypot(g1.real, g1.imag), 2.0) + np.float_power(abs(g2 - 1.0), 2.0)
 
 
 def cnot_residual(u: Operator4) -> np.ndarray:
@@ -245,6 +275,15 @@ def _weyl_points(c: np.ndarray) -> list[WeylPoint]:
         ) from None
 
 
+def _chamber_coordinates(u: Operator4) -> np.ndarray:
+    """The folded (c1, c2, c3) of ``weyl_coordinates``, shape ``(..., 3)``; checks unitarity."""
+    u = require_unitary(u, what="gate")
+    c = np.mod(_raw_coordinates(u), math.pi)
+    c = np.sort(np.minimum(c, math.pi - c), axis=-1)[..., ::-1]
+    c[np.abs(c - _HALF_PI) <= _WEYL_TOL] = _HALF_PI
+    return c
+
+
 def weyl_coordinates(u: Operator4) -> WeylPoint | list[WeylPoint]:
     """Canonical Weyl-chamber coordinates of the class of ``u``, or of each in a stack.
 
@@ -258,14 +297,13 @@ def weyl_coordinates(u: Operator4) -> WeylPoint | list[WeylPoint]:
     exactly whatever the rounding of the spectrum.
 
     One gate gives one point; a stack gives a list of points, one per member.
+    The points are built, and checked against the chamber bounds, from the
+    array of ``_chamber_coordinates``, which ``verify`` takes directly.
 
     Raises:
         ContractViolationError: a member is not unitary within
             ``UNITARITY_TOL``.
     """
-    u = require_unitary(u, what="gate")
-    c = np.mod(_raw_coordinates(u), math.pi)
-    c = np.sort(np.minimum(c, math.pi - c), axis=-1)[..., ::-1]
-    c[np.abs(c - _HALF_PI) <= _WEYL_TOL] = _HALF_PI
+    c = _chamber_coordinates(u)
     points = _weyl_points(c)
-    return points[0] if u.ndim == 2 else points
+    return points[0] if c.ndim == 1 else points

@@ -42,7 +42,13 @@ from typing import Callable, Generator, Sequence
 
 import numpy as np
 
-from .equivclass import InvariantPair, cnot_distance, cnot_residual, makhlin_invariants
+from .equivclass import (
+    InvariantPair,
+    _cnot_distances,
+    cnot_distance,
+    cnot_residual,
+    makhlin_invariants,
+)
 from .model import SystemParams
 from .sequences import single_step_gates
 
@@ -117,9 +123,9 @@ def _residuals(delta_over_g: float | np.ndarray, x: np.ndarray) -> np.ndarray:
     return cnot_residual(_gates(delta_over_g, x))
 
 
-def _distances(delta_over_g: float | np.ndarray, x: np.ndarray) -> list[float]:
+def _distances(delta_over_g: float | np.ndarray, x: np.ndarray) -> np.ndarray:
     """d^2 of the single-step gate at each point of a stack ``x`` of shape ``(n, 2)``."""
-    return [cnot_distance(inv) for inv in makhlin_invariants(_gates(delta_over_g, x))]
+    return _cnot_distances(_gates(delta_over_g, x))
 
 
 #: A solver run by ``_lockstep``: it yields points of shape ``(..., 2)``, is

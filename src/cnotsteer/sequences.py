@@ -427,6 +427,13 @@ def _kak(u: Operator4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return o1.real, d, v.T
 
 
+#: ``_kak(CNOT)``, factored once: the target of every ``gate`` command.
+_CNOT_KAK = _kak(CNOT)
+for _factor in _CNOT_KAK:
+    _factor.setflags(write=False)
+del _factor
+
+
 def _local_factors(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split the magic-basis SO(4) matrix ``q`` into SU(2) factors (qubit 2, qubit 1).
 
@@ -454,13 +461,15 @@ def fit_local_rotations(u_ent: Operator4, target: Operator4) -> FitResult:
     overlap real.  The result is deterministic, and the distance and
     fidelity are those of ``rotations.realize(u_ent)``.
 
+    The factors of the read-only ``CNOT`` are computed once, at import.
+
     Returns the spec together with the achieved distance and, when the
     radicand is nonnegative, the intrinsic fidelity.
     """
     u_ent = require_unitary(u_ent, what="entangler")
     target = require_unitary(target, what="target")
     o1e, de, o2e = _kak(u_ent)
-    o1t, dt, o2t = _kak(target)
+    o1t, dt, o2t = _CNOT_KAK if target is CNOT else _kak(target)
 
     aligned = _KAK_SIGNS[:, None, :] * de[_KAK_PERMS][None, :, :]
     # Distance of each image to dt after its best phase.  Summing the squared

@@ -1,17 +1,19 @@
 """Self-contained property suite behind the ``verify`` CLI command.
 
-Each check is a generator that draws deterministic random samples and
-yields one deviation per comparison.  A check draws all its samples first,
-in the order a loop over the samples would draw them, then builds all its
-gates in one call to a map over broadcast arrays
-(``propagate.undriven_propagators`` and ``undriven_uv``,
-``sequences.two_step_product`` and ``single_step_gates``, and
-``euler_u2`` with ``kron2`` for the local dressings), and evaluates the
-unitarity defects, invariants or Weyl points of all of them in one stacked
-call; a member of a stack gets the bits it would get alone.  ``run_checks``
-is the one loop that runs them: it takes the worst deviation of each check
-and compares it against the check's tolerance, so a NaN deviation is the
-worst and fails.
+Each check draws deterministic random samples and returns an array of
+deviations, one per comparison, in the order a loop over the samples would
+yield them.  A check draws all its samples first, in the order such a loop
+would draw them, then builds all its gates in one call to a map over
+broadcast arrays (``propagate.undriven_propagators`` and ``undriven_uv``,
+``sequences.two_step_product`` and ``single_step_gates``, and ``euler_u2``
+with ``kron2`` for the local dressings).  It evaluates their unitarity
+defects, invariants or chamber points as stacks, with the array kernels of
+``qmat`` and ``equivclass``, and builds no ``InvariantPair`` or
+``WeylPoint``; a member of a stack gets the bits it would get alone.  Where
+a check compares two gates, it evaluates each side as one stack.
+``run_checks`` is the one loop that runs the checks: it takes the worst
+deviation of each check and compares it against the check's tolerance, so
+a NaN deviation is the worst and fails.
 The suite covers the cross-cutting guarantees of the package: unitarity of
 the propagators, frame independence and ZZ independence of the class
 invariants, invariance under local dressing, Weyl round trips, planarity
@@ -21,17 +23,11 @@ of both sequence families, and normalization of the oscillation amplitudes.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equivclass import (
-    InvariantPair,
-    canonical_class_gate,
-    makhlin_invariants,
-    weyl_coordinates,
-)
+from .equivclass import _chamber_coordinates, _invariants, canonical_class_gate
 from .propagate import undriven_propagators, undriven_uv
 from .qmat import kron2, unitarity_defect
 from .sequences import euler_u2, single_step_gates, two_step_product
@@ -60,8 +56,14 @@ def _haar_unitaries(z: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _invariant_gaps(a: InvariantPair, b: InvariantPair) -> tuple[float, float]:
-    return abs(a.g1 - b.g1), abs(a.g2 - b.g2)
+def _invariant_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``|G1(a) - G1(b)|, |G2(a) - G2(b)|`` of each pair of broadcast gates, pair by pair.
+
+    ``np.hypot`` of the parts is the complex ``abs`` of one pair, bit for bit.
+    """
+    (g1a, g2a), (g1b, g2b) = _invariants(a), _invariants(b)
+    d1 = g1a - g1b
+    return np.stack([np.hypot(d1.real, d1.imag), abs(g2a - g2b)], axis=-1).ravel()
 
 
 def _draw(rng: np.random.Generator, n: int, *bounds: tuple[float, float]) -> np.ndarray:
@@ -74,35 +76,29 @@ def _draw(rng: np.random.Generator, n: int, *bounds: tuple[float, float]) -> np.
     return rng.uniform(lo, hi, size=(n, len(bounds))).T
 
 
-def _unitarity(rng: np.random.Generator) -> Iterator[float]:
+def _unitarity(rng: np.random.Generator) -> np.ndarray:
     t, delta, gtilde = _draw(rng, 100, (0.0, 4.0), (-3.0, 3.0), (0.0, 0.1))
     gates = [undriven_propagators(delta, gtilde, t, frame) for frame in (1, 2)]
-    yield from unitarity_defect(np.stack(gates, axis=1)).ravel()
+    return unitarity_defect(np.stack(gates, axis=1)).ravel()
 
 
-def _frame_equivalence(rng: np.random.Generator) -> Iterator[float]:
+def _frame_equivalence(rng: np.random.Generator) -> np.ndarray:
     t, delta = _draw(rng, 100, (0.0, 3.0), (0.0, 3.0))
-    segments = [undriven_propagators(delta, 0.0, t, frame) for frame in (1, 2)]
-    invs = makhlin_invariants(two_step_product(np.stack(segments, axis=1)))
-    for frame1, frame2 in zip(invs[::2], invs[1::2]):
-        yield from _invariant_gaps(frame1, frame2)
+    frame1, frame2 = (undriven_propagators(delta, 0.0, t, frame) for frame in (1, 2))
+    return _invariant_gaps(two_step_product(frame1), two_step_product(frame2))
 
 
-def _zz_independence(rng: np.random.Generator) -> Iterator[float]:
-    # Per sample: the reference (no ZZ coupling, frame 1), then each coupling
-    # in both frames.
+def _zz_independence(rng: np.random.Generator) -> np.ndarray:
+    # Per sample: each coupling in both frames against the reference (no ZZ
+    # coupling, frame 1).
     t, delta = (a[:, None] for a in _draw(rng, 34, (0.0, 3.0), (0.0, 3.0)))
     frame1 = undriven_propagators(delta, np.array([0.0, 0.05, 0.1]), t, frame=1)
     frame2 = undriven_propagators(delta, np.array([0.05, 0.1]), t, frame=2)
-    order = [frame1[:, 0], frame1[:, 1], frame2[:, 0], frame1[:, 2], frame2[:, 1]]
-    invs = makhlin_invariants(two_step_product(np.stack(order, axis=1)))
-    for k in range(0, len(invs), 5):
-        ref = invs[k]
-        for inv in invs[k + 1 : k + 5]:
-            yield from _invariant_gaps(inv, ref)
+    coupled = np.stack([frame1[:, 1], frame2[:, 0], frame1[:, 2], frame2[:, 1]], axis=1)
+    return _invariant_gaps(two_step_product(coupled), two_step_product(frame1[:, :1]))
 
 
-def _local_invariance(rng: np.random.Generator) -> Iterator[float]:
+def _local_invariance(rng: np.random.Generator) -> np.ndarray:
     # Per sample: a Gaussian matrix (real, then imaginary part), then a
     # global phase and the six angles of each of the two local rotations.
     z, angles = [], []
@@ -113,42 +109,44 @@ def _local_invariance(rng: np.random.Generator) -> Iterator[float]:
     u = _haar_unitaries(z[:, 0] + 1j * z[:, 1])
     phase = np.exp(1j * angles[:, 0])[:, None, None]
     dressed = phase * _random_locals(angles[:, 1:7]) @ u @ _random_locals(angles[:, 7:])
-    invs = makhlin_invariants(np.stack([u, dressed], axis=1))
-    for u_inv, dressed_inv in zip(invs[::2], invs[1::2]):
-        yield from _invariant_gaps(u_inv, dressed_inv)
+    return _invariant_gaps(u, dressed)
 
 
-def _interior_point(rng: np.random.Generator) -> tuple[float, float, float]:
+def _interior_points(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The first ``n`` chamber points at least ``1e-3`` inside every face, ``(n, 3)``.
+
+    Rejection sampling in blocks of ``n`` rows of three uniforms: the same
+    doubles, in the same order, as one draw of three per try.
+    """
     margin = 1e-3
-    while True:
-        c = np.sort(rng.uniform(margin, _HALF_PI - margin, size=3))[::-1]
-        if c[0] - c[1] > margin and c[1] - c[2] > margin:
-            return float(c[0]), float(c[1]), float(c[2])
+    found = np.empty((0, 3))
+    while len(found) < n:
+        c = np.sort(rng.uniform(margin, _HALF_PI - margin, size=(n, 3)), axis=-1)[:, ::-1]
+        inside = (c[:, 0] - c[:, 1] > margin) & (c[:, 1] - c[:, 2] > margin)
+        found = np.concatenate([found, c[inside]])
+    return found[:n]
 
 
-def _weyl_roundtrip(rng: np.random.Generator) -> Iterator[float]:
-    points = [_interior_point(rng) for _ in range(100)]
-    found = weyl_coordinates(canonical_class_gate(np.array(points)))
-    for c, point in zip(points, found):
-        yield from np.abs(point.as_array() - np.array(c))
+def _weyl_roundtrip(rng: np.random.Generator) -> np.ndarray:
+    points = _interior_points(rng, 100)
+    return np.abs(_chamber_coordinates(canonical_class_gate(points)) - points).ravel()
 
 
-def _planarity(rng: np.random.Generator) -> Iterator[float]:
+def _planarity(rng: np.random.Generator) -> np.ndarray:
     # Per sample: a two-step product, then a single-step gate of the same t.
     t, delta2, delta1, omega1 = _draw(rng, 40, (0.0, 3.0), (0.0, 3.0), (0.0, 2.0), (0.5, 8.0))
     two_step = two_step_product(undriven_propagators(delta2, 0.0, t, frame=1))
     gates = [two_step, single_step_gates(delta1, omega1, t)]
-    for point in weyl_coordinates(np.stack(gates, axis=1)):
-        yield point.c3
+    return _chamber_coordinates(np.stack(gates, axis=1))[..., 2].ravel()
 
 
-def _uv_normalization(rng: np.random.Generator) -> Iterator[float]:
+def _uv_normalization(rng: np.random.Generator) -> np.ndarray:
     delta, t = _draw(rng, 200, (-3.0, 3.0), (0.0, 5.0))
     u, v = undriven_uv(delta, t)
-    # Python scalars: abs() and ** round as one point does, np.abs and
-    # np.power of arrays do not.
-    for u_k, v_k in zip(u.tolist(), v.tolist()):
-        yield abs(abs(u_k) ** 2 + v_k**2 - 1.0)
+    # The scalar |u|^2 + v^2 of each point: np.hypot is the complex abs and
+    # np.float_power(., 2.0) is ``** 2``, bit for bit.
+    norm = np.float_power(np.hypot(u.real, u.imag), 2.0) + np.float_power(v, 2.0)
+    return abs(norm - 1.0)
 
 
 #: (name, tolerance, deviations) of every check, in report order.
@@ -171,6 +169,6 @@ def run_checks(seed: int) -> list[CheckResult]:
     """
     results = []
     for k, (name, tol, deviations) in enumerate(_CHECKS, start=1):
-        worst = float(np.max(list(deviations(np.random.default_rng(seed + k)))))
+        worst = float(np.max(deviations(np.random.default_rng(seed + k))))
         results.append(CheckResult(name, worst < tol, worst, tol))
     return results

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import cnotsteer.cli as cli
+import cnotsteer.sequences as sequences
 from cnotsteer.equivclass import canonical_class_gate, makhlin_invariants
 from cnotsteer.model import SystemParams
 from cnotsteer.optimize import calibrate_single_step
@@ -109,6 +111,40 @@ def test_known_figures_beyond_the_single_step_bound():
     for delta, omega, t_units, want in cases:
         u = _single_step_entangler_at(delta, omega, t_units)
         assert fit_local_rotations(u, CNOT).fidelity == pytest.approx(want, abs=1e-11)
+
+
+def test_cnot_factors_are_read_only_and_equal_a_fresh_factoring():
+    for cached, fresh in zip(sequences._CNOT_KAK, sequences._kak(CNOT)):
+        assert not cached.flags.writeable
+        assert cached.tobytes() == fresh.tobytes()
+
+
+#: The detunings of the one-step gate artifacts (``tools/artifacts.py``).
+ARTIFACT_ONE_STEP_DELTAS = [0.5, 0.98, 1.0, 1.01, 1.05, 1.2, 1.5, 1.8, 2.0, 2.5, 3.0]
+
+
+def test_the_cached_cnot_factors_give_the_fit_to_a_copy_of_cnot():
+    # The read-only CNOT takes the factors computed at import; a copy is
+    # factored afresh.  Both fits must agree byte for byte.
+    cals = calibrate_single_step(ARTIFACT_ONE_STEP_DELTAS)
+    entanglers = [
+        _single_step_entangler_at(delta, cal.omega1_over_g, cal.t_units)
+        for delta, cal in zip(ARTIFACT_ONE_STEP_DELTAS, cals)
+    ] + [_two_step_entangler(1.5, frame=1)]
+    for u in entanglers:
+        cached, fresh = fit_local_rotations(u, CNOT), fit_local_rotations(u, CNOT.copy())
+        assert cached.rotations.as_vector().tobytes() == fresh.rotations.as_vector().tobytes()
+        assert cached.gate.tobytes() == fresh.gate.tobytes()
+        assert repr((cached.distance, cached.fidelity)) == repr((fresh.distance, fresh.fidelity))
+
+
+def test_a_one_step_gate_command_factors_only_its_entangler(monkeypatch, tmp_path):
+    factored = []
+    kak = sequences._kak
+    monkeypatch.setattr(sequences, "_kak", lambda u: factored.append(u) or kak(u))
+    out = tmp_path / "gate.json"
+    assert cli.main(["gate", "--mode", "one-step", "--delta", "1.5", "--out", str(out)]) == 0
+    assert len(factored) == 1
 
 
 @PROPERTY

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import cnotsteer.cli as cli
 import cnotsteer.equivclass as equivclass
 import cnotsteer.optimize as optimize
 from cnotsteer.equivclass import (
@@ -423,3 +424,42 @@ def test_trajectory_samples_are_members_of_the_single_step_map():
         assert [s.t for s in samples] == times.tolist()
         for s, point in zip(samples, points):
             assert s.point.as_array().tobytes() == point.as_array().tobytes()
+
+
+def test_stacked_d2_equals_cnot_distance_member_by_member(monkeypatch):
+    # Every gate the table2 calibration evaluates, 4,096 seeded single-step
+    # gates, 4,096 Haar-random gates (whose G1 has a sizeable imaginary part,
+    # unlike the single-step ones), and CNOT, I and SWAP.
+    evaluated = []
+    distances = optimize._distances
+
+    def record(delta, x):
+        evaluated.append(optimize._gates(delta, x).reshape(-1, 4, 4))
+        return distances(delta, x)
+
+    monkeypatch.setattr(optimize, "_distances", record)
+    optimize.calibrate_single_step(cli._TABLE2_GRID)
+    rng = np.random.default_rng(24)
+    delta, omega1, t = rng.uniform((-3.0, 0.5, 0.0), (3.0, 8.0, 4.0), size=(4096, 3)).T
+    haar = np.array([random_unitary(rng) for _ in range(4096)])
+    u = np.concatenate(evaluated + [single_step_gates(delta, omega1, t), haar, np.array(NAMED)])
+    want = np.array([equivclass.cnot_distance(inv) for inv in makhlin_invariants(u)])
+    assert equivclass._cnot_distances(u).tobytes() == want.tobytes()
+    # CNOT's G1 is 0 exactly and its d^2 is at rounding level; I and SWAP lie
+    # beyond 1.
+    identity, cnot, swap = want[-3:]
+    assert makhlin_invariants(CNOT).g1 == 0.0
+    assert 0.0 < cnot < 1e-30
+    assert identity > 1.0 and swap > 1.0
+
+
+def test_the_array_primitives_round_as_the_scalar_d2():
+    # cnot_distance's complex abs and ** 2, against the array functions the
+    # stacked d^2 uses, over magnitudes from 1e-17 to 10.
+    rng = np.random.default_rng(2024)
+    n = 100_000
+    re, im = rng.normal(size=(2, n)) * 10.0 ** rng.uniform(-17.0, 1.0, size=(2, n))
+    scalar_abs = [abs(complex(a, b)) for a, b in zip(re.tolist(), im.tolist())]
+    assert np.hypot(re, im).tobytes() == np.array(scalar_abs).tobytes()
+    x = rng.normal(size=n) * 10.0 ** rng.uniform(-17.0, 1.0, size=n)
+    assert np.float_power(x, 2.0).tobytes() == np.array([v**2 for v in x.tolist()]).tobytes()

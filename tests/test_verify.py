@@ -24,3 +24,16 @@ def test_stacked_checks_yield_the_oracle_deviations(seed):
         got = np.array(list(stacked(np.random.default_rng(seed + k))))
         want = np.array(list(oracle(np.random.default_rng(seed + k))))
         assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("seed", [5, 12])
+def test_interior_points_drawn_in_blocks_are_the_per_try_points(seed):
+    # 3,000 points need more than one block: some tries are rejected.
+    n = 3000
+    got = verify._interior_points(np.random.default_rng(seed), n)
+    rng = np.random.default_rng(seed)
+    want = np.array([verify_oracle._interior_point(rng) for _ in range(n)])
+    assert got.tobytes() == want.tobytes()
+    margin = 1e-3
+    tries = np.random.default_rng(seed).uniform(margin, verify._HALF_PI - margin, size=(n, 3))
+    assert not np.array_equal(np.sort(tries, axis=-1)[:, ::-1], want)

@@ -13,8 +13,9 @@ Output is deterministic: repeated runs with the same flags produce
 byte-identical files.  CSV values are printed with six fixed decimals,
 except the tables' ``delta_over_g`` column, which has two, and always carry
 a header row; cells that have no value (for example the single-step columns
-beyond their detuning bound) are left empty.  This module alone writes
-CSV cells, the JSON layout and the output time units.
+beyond their detuning bound) are left empty.  JSON is written as
+``json.dumps(payload, indent=2)`` writes it.  This module alone writes CSV
+cells, the JSON layout and the output time units.
 
 The argument parser is built once per process, on the first call of
 ``main``, and reused by every later call; each call starts from the
@@ -111,6 +112,44 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(map(_csv_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+#: Stands in for each leaf of a JSON skeleton; no payload string holds a NUL.
+_SLOT = "\x00"
+
+
+def _skeleton(obj: object, leaves: list) -> object:
+    """``obj`` with every leaf replaced by ``_SLOT``; the leaves go to ``leaves`` in order."""
+    if isinstance(obj, dict):
+        return {key: _skeleton(value, leaves) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_skeleton(value, leaves) for value in obj]
+    leaves.append(obj)
+    return _SLOT
+
+
+@functools.lru_cache(maxsize=16)
+def _json_layout(skeleton: str) -> str:
+    """The ``indent=2`` text of a compact JSON skeleton, with one ``%s`` per leaf.
+
+    Every ``gate`` payload has one skeleton, so the cache holds one entry in
+    practice; its bound only keeps other callers' shapes from piling up.
+    """
+    text = json.dumps(json.loads(skeleton), indent=2)
+    return text.replace("%", "%%").replace(json.dumps(_SLOT), "%s")
+
+
+def json_text(payload: object) -> str:
+    """``json.dumps(payload, indent=2)`` and a newline; the package's one JSON writer.
+
+    ``indent`` turns off json's C encoder, so the layout of each payload
+    shape is written once, from a skeleton, and cached; the leaves are
+    encoded by the C encoder in one call, one per line, and filled in.
+    """
+    leaves: list = []
+    skeleton = json.dumps(_skeleton(payload, leaves))
+    encoded = json.dumps(leaves, separators=("\n", ":"))[1:-1].splitlines()
+    return _json_layout(skeleton) % tuple(encoded) + "\n"
 
 
 def matrix_to_json(u: np.ndarray) -> list[list[list[float]]]:
@@ -211,7 +250,7 @@ def cmd_gate(args: argparse.Namespace) -> int:
         "frobenius_distance_to_cnot": fit.distance,
         "fidelity": fit.fidelity,
     }
-    _write(_out_path(args.out), json.dumps(payload, indent=2) + "\n")
+    _write(_out_path(args.out), json_text(payload))
     return EXIT_OK
 
 

@@ -9,11 +9,18 @@ minimum must reach it too, on the same branch.  Its objective,
 
 ``solve_single_step`` is the in-bound Gauss-Newton root solve as it was
 before each step evaluated its three residuals as one stack: one
-single-gate residual per point, x first, then each forward difference.  The
-stacked solve must return the same root, bit for bit, the same iteration
-count and the same flag.  Its per-point gate, ``single_step_gate``, goes
-through ``single_step_u``, and its residual, ``single_step_residual``, is
-formed here, apart from ``equivclass.cnot_residual``.
+single-gate residual per point, x first, then each forward difference, with
+the same doubled-step rule (a step about half the one before is also tried
+doubled, and the point with the smaller ``||R||`` is kept).  The stacked
+solve must return the same root, bit for bit, the same iteration count and
+the same flag.  Its per-point gate, ``single_step_gate``, goes through
+``single_step_u``, and its residual, ``single_step_residual``, is formed
+here, apart from ``equivclass.cnot_residual``.
+
+``fold_point`` locates the single-step fold at delta = +-g, where the two
+exact-CNOT branches of (omega1, T1) merge, without solving at the fold
+itself: just below it, plain Gauss-Newton finds the lower and the upper root
+from starts on either side, and the fold is their midpoint.
 
 ``newton_single_step`` is the damped Newton minimiser of d^2 beyond the bound
 as it was before each step evaluated its 8-point stencil ring as one request:
@@ -37,6 +44,7 @@ from cnotsteer.optimize import (
     _NEWTON_MAX_ITERATIONS,
     _NEWTON_STEP,
     _NEWTON_TOL,
+    _ROOT_DOUBLING,
     _ROOT_MAX_ITERATIONS,
     _ROOT_STEP,
     _ROOT_TOL,
@@ -89,10 +97,20 @@ def single_step_residual(delta_over_g: float, x: np.ndarray) -> np.ndarray:
     return np.concatenate([r.real.ravel(), r.imag.ravel()])
 
 
-def solve_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
-    """Gauss-Newton root of the single-step residual, one point per call."""
-    x = np.array(SINGLE_STEP_START)
+def solve_single_step(
+    delta_over_g: float,
+    start: tuple[float, float] = SINGLE_STEP_START,
+    doubling: tuple[float, float] | None = _ROOT_DOUBLING,
+) -> tuple[np.ndarray, int, bool]:
+    """Gauss-Newton root of the single-step residual, one point per call.
+
+    A step whose size over the previous step's lies inside ``doubling`` is
+    also tried doubled, and the doubled point is kept if its ``||R||`` is
+    smaller; ``doubling=None`` gives plain Gauss-Newton.
+    """
+    x = np.array(start)
     r = single_step_residual(delta_over_g, x)
+    previous = math.inf
     iterations = 0
     while np.linalg.norm(r) > _ROOT_TOL:
         if iterations == _ROOT_MAX_ITERATIONS:
@@ -102,10 +120,46 @@ def solve_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
             xk = x.copy()
             xk[k] += _ROOT_STEP
             jac[:, k] = (single_step_residual(delta_over_g, xk) - r) / _ROOT_STEP
-        x = x - np.linalg.lstsq(jac, r, rcond=None)[0]
+        step = np.linalg.lstsq(jac, r, rcond=None)[0]
+        size = np.linalg.norm(step)
+        doubled = x - 2.0 * step
+        x = x - step
         r = single_step_residual(delta_over_g, x)
+        if doubling is not None and doubling[0] < size / previous < doubling[1]:
+            r_doubled = single_step_residual(delta_over_g, doubled)
+            if np.linalg.norm(r_doubled) < np.linalg.norm(r):
+                x, r = doubled, r_doubled
+        previous = size
         iterations += 1
     return x, iterations, True
+
+
+#: Near the fold, at delta = g - eps, the two roots lie about 1.27 sqrt(eps)
+#: apart in T1, on either side of the fold's T1 = 1.2753711 (omega1 = 3.7781357).
+FOLD_GUESS = (3.7781357, 1.2753711)
+FOLD_EPS = 1e-10
+
+
+def fold_point(sign: float = 1.0, eps: float = FOLD_EPS) -> np.ndarray:
+    """The fold ``(omega1/g, T1)`` at delta = sign * g, T1 in units of pi/2g.
+
+    Plain Gauss-Newton at delta = sign * (1 - eps), started 3 * 1.27 * sqrt(eps)
+    below and above ``FOLD_GUESS`` in T1, converges to the lower and the upper
+    root, which are simple there; the fold is their midpoint, to O(eps).
+    """
+    delta = sign * (1.0 - eps)
+    offset = 3.0 * 1.27 * math.sqrt(eps)
+    roots = []
+    for side in (-1.0, 1.0):
+        start = (FOLD_GUESS[0], FOLD_GUESS[1] + side * offset)
+        x, _, converged = solve_single_step(delta, start, doubling=None)
+        if not converged:
+            raise RuntimeError(f"fold oracle: no root from {start} at delta/g = {delta!r}")
+        roots.append(x)
+    lower, upper = roots
+    if not upper[1] > lower[1]:
+        raise RuntimeError(f"fold oracle: both starts reached one root at delta/g = {delta!r}")
+    return (lower + upper) / 2.0
 
 
 def newton_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:

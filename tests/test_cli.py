@@ -458,3 +458,36 @@ def test_the_reused_parser_starts_each_call_from_its_defaults(tmp_path, monkeypa
         with pytest.raises(SystemExit) as exited:
             main(bad)
         assert exited.value.code == 2, bad
+
+
+def _gate_payloads(monkeypatch, tmp_path):
+    """The payloads ``cmd_gate`` writes for a one-step and both two-step gates."""
+    payloads = []
+    real = cli.json_text
+    monkeypatch.setattr(cli, "json_text", lambda payload: payloads.append(payload) or real(payload))
+    for argv in (["--mode", "one-step", "--delta", "1.5"],
+                 ["--mode", "two-step", "--delta", "0.5", "--frame", "1"],
+                 ["--mode", "two-step", "--delta", "0.5", "--frame", "2"]):
+        assert main(["gate", *argv, "--out", str(tmp_path / "gate.json")]) == EXIT_OK
+    monkeypatch.undo()
+    return payloads
+
+
+def test_json_writer_gives_the_bytes_of_the_indenting_encoder(monkeypatch, tmp_path):
+    one_step, *two_step = _gate_payloads(monkeypatch, tmp_path)
+    assert one_step["frame"] is None and [p["frame"] for p in two_step] == [1, 2]
+    payloads = [one_step, *two_step]
+    for edge in (-0.0, 5e-324, 1e300, 1e-7, -1e-7, math.nan, math.inf, -math.inf):
+        payload = json.loads(json.dumps(one_step))
+        payload["fidelity"] = None
+        payload["class_distance_sq"] = edge
+        payload["recipe"]["euler_angles"][3] = edge
+        payload["gate_matrix"][2][1] = [edge, -edge]
+        payload["invariants"]["g2"] = np.float64(edge)
+        payloads.append(payload)
+    payloads += [
+        {}, [], {"a": {}, "b": [], "c": [[]]}, [1, True, False, None, "x"],
+        {"100% \"quoted\"\n": ["%s %d", "\u00e9\u2028", 0, -7, 2**70], 3: (1.5, (), [None])},
+    ]
+    for payload in payloads:
+        assert cli.json_text(payload) == json.dumps(payload, indent=2) + "\n", payload

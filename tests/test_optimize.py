@@ -13,7 +13,13 @@ from cnotsteer.optimize import SINGLE_STEP_BOUND, SINGLE_STEP_BOUNDS, calibrate_
 from cnotsteer.qmat import ContractViolationError
 from cnotsteer.sequences import CNOT, fit_local_rotations, single_step_u
 
-from calibration_oracle import minimize_single_step, newton_single_step, single_step_d2, solve_single_step
+from calibration_oracle import (
+    fold_point,
+    minimize_single_step,
+    newton_single_step,
+    single_step_d2,
+    solve_single_step,
+)
 from nelder_mead import NMOptions, nelder_mead
 from reference_data import TABLE1_SINGLE, TABLE2
 
@@ -136,16 +142,46 @@ def test_single_step_bounds_exposed():
     assert t_lo < 1.0 < t_hi
 
 
+#: Detunings just below the fold, where the two roots lie ~1.27 sqrt(g - delta)
+#: apart in T1 and a doubled Gauss-Newton step could jump to the upper one.
+NEAR_FOLD = [1.0 - 10.0 ** -k for k in (3, 4, 6, 8, 10)]
+
+
 def test_single_step_root_stays_on_the_lower_branch():
     # The upper branch meets the lower one at the fold delta = g; a jump to
-    # it shows as a T1 above its neighbours (as Nelder-Mead's 1.387 at 0.98g).
-    grid = [calibrate_single_step(float(d)) for d in np.linspace(0.0, SINGLE_STEP_BOUND, 101)]
-    t1 = [cal.t_units for cal in grid]
-    assert all(b > a for a, b in zip(t1, t1[1:]))
-    for cal in grid:
-        assert cal.converged, cal.delta_over_g
-        assert cal.distance < 1e-20, cal.delta_over_g
-        assert cal.iterations <= 25, cal.delta_over_g
+    # it shows as a T1 above its neighbours (as Nelder-Mead's 1.387 at 0.98g),
+    # or, just below the fold, as a T1 above the fold's.
+    magnitudes = sorted([*np.linspace(0.0, SINGLE_STEP_BOUND, 101), *NEAR_FOLD])
+    for sign in (1.0, -1.0):
+        t_fold = fold_point(sign)[1]
+        grid = [calibrate_single_step(sign * float(d)) for d in magnitudes]
+        t1 = [cal.t_units for cal in grid]
+        assert all(b > a for a, b in zip(t1, t1[1:])), sign
+        for cal in grid:
+            assert cal.converged, cal.delta_over_g
+            assert cal.distance < 1e-20, cal.delta_over_g
+            assert cal.iterations <= 25, cal.delta_over_g
+            if abs(cal.delta_over_g) < SINGLE_STEP_BOUND:
+                assert cal.t_units < t_fold, cal.delta_over_g
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_single_step_root_at_the_bound_is_the_fold(sign):
+    # At delta = g the two branches merge and the root is double; the
+    # calibration must still land on the fold, located apart from it as the
+    # midpoint of the two simple roots just below it.
+    cal = calibrate_single_step(sign * SINGLE_STEP_BOUND)
+    omega_fold, t_fold = fold_point(sign)
+    assert abs(cal.t_units - t_fold) <= 1e-7
+    assert abs(cal.omega1_over_g - omega_fold) <= 1e-7
+    assert cal.distance <= 1e-24
+    assert cal.iterations <= 8
+
+
+def test_fold_oracle_is_stable_in_its_offset():
+    # The midpoint is the fold to O(eps): moving 100 times closer to the
+    # fold moves it by less than 1e-8.
+    assert np.max(np.abs(fold_point(1.0, 1e-8) - fold_point(1.0))) < 1e-8
 
 
 def test_single_step_rows_match_paper_to_four_decimals():
@@ -174,7 +210,7 @@ def test_single_step_root_no_worse_than_nelder_mead_oracle(delta):
     assert dressed < 1e-12
 
 
-ROOT_DELTAS = [0.0, 0.3, -0.3, 0.5, 0.9, 0.98, 1.0]
+ROOT_DELTAS = [0.0, 0.3, -0.3, 0.5, 0.9, 0.98, 1.0, -1.0, *NEAR_FOLD]
 
 
 @pytest.mark.parametrize("delta", ROOT_DELTAS)
@@ -367,12 +403,13 @@ def _gate_points(monkeypatch, deltas):
 
 
 #: single_step_gates calls of one detuning alone: one per Gauss-Newton step
-#: plus the last stencil; for the minimiser, one 3 x 3 stencil at the start
+#: plus the last stencil (a step tried doubled near the fold requests both
+#: stencils at once); for the minimiser, one 3 x 3 stencil at the start
 #: and one per step-halving trial inside the search box (an accepted trial's
 #: stencil is the next step's model); then one final call that builds the
 #: gate at the returned point for its invariants.
 ALONE_CALLS = {
-    0.0: 2, 0.5: 5, -0.5: 5, 0.9: 7, 1.0: 22,
+    0.0: 2, 0.5: 5, -0.5: 5, 0.9: 7, 1.0: 9, -1.0: 9,
     1.1: 11, 1.2: 9, 1.5: 7, 1.8: 13, 2.0: 7, -2.0: 7, 3.0: 36,
 }
 
@@ -387,7 +424,7 @@ def test_one_detuning_makes_one_kernel_call_per_solver_request(monkeypatch):
 #: the minimiser rejects costs its 8 off-centre points too, so 3.0g, which
 #: halves often, builds the most.
 POINTS = {1.1: 91, 1.5: 55, 2.0: 55, 3.0: 316}
-GRID_POINTS = {"table1": 197, "table2": 758}
+GRID_POINTS = {"table1": 167, "table2": 728}
 
 
 def test_calibration_evaluates_the_pinned_number_of_points(monkeypatch):
@@ -422,7 +459,7 @@ def test_grid_call_makes_one_kernel_call_per_solver_round(monkeypatch, name):
     assert _gate_calls(monkeypatch, grid) == sum(slowest) + 1
     if name == "table2":
         assert slowest == [rounds[1.0], max(rounds[d] for d in grid if d > 1.0)]
-        assert sum(slowest) == 21 + 12
+        assert sum(slowest) == 8 + 12
 
 
 @pytest.mark.parametrize("name", ["table1", "table2", "mixed", "alone"])

@@ -4,16 +4,17 @@
 
 Runs ``cnotsteer.cli.main`` in-process, from the ``src/`` of the checkout
 this script sits in, for 40 artifacts: ``table1`` and ``table2``; the
-2048-sample trajectory at five detunings from resonance (0) to g; one-step
-gates at eleven detunings, among them 0.98g, just below the single-step
-bound, where the calibration must stay on the lower solution branch, 1.01g
-and 1.05g, just beyond it, where the d^2 minimum lies in the flattest
-valley, and 2.5g and 3.0g, where the minimiser shifts the Hessian and halves
-its steps; two-step gates at the first nine of them and at -g, where the
-signs of the dressing angles flip, in both frames (the two-step sequence
-exits 2 beyond 2g); and the ``verify`` report at two seeds.  Every output
-is deterministic, so two checkouts that should agree byte for byte are
-compared with one ``diff -r`` of their OUTDIRs.
+2048-sample trajectory at five detunings from resonance (0) to the fold at
+g; one-step gates at eleven detunings, among them 0.98g, just below the
+single-step bound, where the calibration must stay on the lower solution
+branch, 1.0g, the fold itself, where the two branches merge and the root
+solve tries doubled steps, 1.01g and 1.05g, just beyond it, where the d^2
+minimum lies in the flattest valley, and 2.5g and 3.0g, where the minimiser
+shifts the Hessian and halves its steps; two-step gates at the first nine of
+them and at -g, where the signs of the dressing angles flip, in both frames
+(the two-step sequence exits 2 beyond 2g); and the ``verify`` report at two
+seeds.  Every output is deterministic, so two checkouts that should agree
+byte for byte are compared with one ``diff -r`` of their OUTDIRs.
 
 The script prints one ``sha256sum``-style line per file, which is the
 manifest ``tests/test_artifacts.py`` checks.

@@ -42,9 +42,7 @@ from .sequences import (
     UnsupportedCouplingError,
     fidelity,
     fit_local_rotations,
-    single_step_rotations,
     single_step_u,
-    two_step_entangler,
     two_step_invariants_closed,
     two_step_rotations,
     two_step_time,
@@ -76,9 +74,7 @@ __all__ = [
     "frob_dist",
     "kron2",
     "makhlin_invariants",
-    "single_step_rotations",
     "single_step_u",
-    "two_step_entangler",
     "two_step_invariants_closed",
     "two_step_rotations",
     "two_step_time",

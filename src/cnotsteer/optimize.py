@@ -29,10 +29,10 @@ do.  Each method's solvers are generators that yield the points they need
 and take back plain numbers (the residuals R or the d^2 of a stencil);
 ``_lockstep`` runs all rows of one method together, evaluating every pending
 request of a round, whatever its size, in one stacked ``single_step_gates``
-call.  One last stacked call gives every
-row its invariants.  The kernels give each stack member the bits it gets
-alone, so each row returns the bits it returns when calibrated alone, with
-the same iteration count and flag.
+call.  One last stacked call, a one-row stack for one detuning, gives
+every row its invariants.  The kernels give each stack member the bits it
+gets alone, so each row returns the bits it returns when calibrated alone,
+with the same iteration count and flag.
 
 The two-step sequence needs no calibration: ``sequences.two_step_time`` is
 its closed-form gate time.
@@ -279,8 +279,8 @@ def calibrate_single_step(
     One detuning gives one result; a sequence of detunings gives a list of
     results, one per detuning in order (an empty sequence gives ``[]``).
     The rows of each method run in lockstep: each solver round makes one
-    stacked kernel call for all of them, and one last call builds every
-    row's gate for its invariants.  Each row gets the bits it gets alone.
+    stacked kernel call for all of them, and one last stacked call builds
+    every row's gate for its invariants.  Each row gets the bits it gets alone.
 
     The sign of the detuning is irrelevant to the class data and to the
     calibrated parameters.
@@ -303,14 +303,11 @@ def calibrate_single_step(
         solved = _lockstep([solver() for _ in rows], evaluate, [deltas[k] for k in rows])
         for k, (x, iterations, converged) in zip(rows, solved):
             found[k] = (x, iterations, converged, method)
-    # Every row's gate at its point in one call.  A stack member gets the bits
-    # it gets alone, and x + 0.0 == x, so each row gets the bits of the last
-    # gate its solver evaluated there.
+    # Every row's gate at its point in one call, a one-row stack for one
+    # detuning.  A stack member gets the bits it gets alone, and x + 0.0 == x,
+    # so each row gets the bits of the last gate its solver evaluated there.
     points = np.array([x for x, *_ in found]).reshape(-1, 2)
-    if one:
-        invariants = [makhlin_invariants(_gates(deltas[0], points[0]))]
-    else:
-        invariants = makhlin_invariants(_gates(np.array(deltas), points))
+    invariants = makhlin_invariants(_gates(np.array(deltas), points))
     results = []
     for delta, (x, iterations, converged, method), inv in zip(deltas, found, invariants):
         p = SystemParams(delta=delta, omega1=float(x[0]))  # and a negative drive after the search

@@ -34,7 +34,7 @@ import numpy as np
 
 from .equivclass import MAGIC_BASIS, InvariantPair, WeylPoint, to_magic, weyl_coordinates
 from .model import SystemParams, X1, XX, YY, Z2
-from .propagate import checked_time, entangling_u
+from .propagate import checked_time
 from .qmat import (
     ContractViolationError,
     Generator4,
@@ -129,15 +129,11 @@ class LocalRotationSpec:
             [*self.post2, *self.post1, *self.pre2, *self.pre1, self.phase], dtype=float
         )
 
-    def post_matrix(self) -> Operator4:
-        return kron2(euler_u2(*self.post2), euler_u2(*self.post1))
-
-    def pre_matrix(self) -> Operator4:
-        return kron2(euler_u2(*self.pre2), euler_u2(*self.pre1))
-
     def realize(self, entangler: Operator4) -> Operator4:
         """Dress ``entangler`` with these rotations and the global phase."""
-        return np.exp(1j * self.phase) * self.post_matrix() @ entangler @ self.pre_matrix()
+        post = kron2(euler_u2(*self.post2), euler_u2(*self.post1))
+        pre = kron2(euler_u2(*self.pre2), euler_u2(*self.pre1))
+        return np.exp(1j * self.phase) * post @ entangler @ pre
 
 
 def _two_step_angles(p: SystemParams) -> tuple[float, float]:
@@ -195,18 +191,6 @@ def two_step_rotations(p: SystemParams, frame: int) -> LocalRotationSpec:
     return _paper_rotations(a, b, c, x1=1.0, phase=math.pi / 4.0)
 
 
-def single_step_rotations(
-    alpha2: float = 0.0, alpha1: float = 0.0, gamma1: float = 0.0
-) -> LocalRotationSpec:
-    """Single-step dressing rotations.
-
-    The form of ``_paper_rotations`` with global phase 5 pi/4,
-    ``(a, b, c) = (alpha2, alpha2, alpha1)`` and ``x1 = -(1 + gamma1)``.
-    Defaults give the resonant rotations.
-    """
-    return _paper_rotations(alpha2, alpha2, alpha1, x1=-(1.0 + gamma1), phase=5.0 * math.pi / 4.0)
-
-
 def two_step_time(p: SystemParams) -> float:
     """Closed-form entangling time of the two-step sequence, in units of 1/g.
 
@@ -230,11 +214,6 @@ def two_step_product(u: Operator4) -> Operator4:
     the bits that it gets alone.
     """
     return u @ PI_PULSE_X1 @ u
-
-
-def two_step_entangler(p: SystemParams, frame: int) -> Operator4:
-    """The entangling core U(t2) e^{-pi X1} U(t2) in the chosen frame."""
-    return two_step_product(entangling_u(two_step_time(p), p, frame))
 
 
 def two_step_invariants_closed(t: float, p: SystemParams) -> InvariantPair:
@@ -403,7 +382,10 @@ def _kak(u: Operator4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     symmetric unitary ``m = U_B^T U_B``: its real and imaginary parts commute,
     so a real combination of them shares their eigenvectors, and the first
     mixing constant that diagonalizes ``m`` is kept (degenerate spectra, as
-    for I, CNOT, SWAP and the c3 = 0 face, need no randomness).
+    for I, CNOT, SWAP and the c3 = 0 face, need no randomness).  When none
+    does, the best of the eight is kept.  That fallback keeps the dressing
+    of gates that pass ``require_unitary`` with a defect near 1e-9 within
+    1e-8 of the target; the first constant alone misses by 1.29e-8.
     """
     ub = to_magic(u / np.linalg.det(u) ** 0.25)
     m = ub.T @ ub

@@ -5,7 +5,8 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from cnotsteer.sequences import LocalRotationSpec
+from cnotsteer.qmat import Operator4, kron2
+from cnotsteer.sequences import LocalRotationSpec, euler_u2
 
 
 @pytest.fixture
@@ -38,3 +39,13 @@ def spec_from_vector(v: Sequence[float]) -> LocalRotationSpec:
         pre1=(v[9], v[10], v[11]),
         phase=v[12],
     )
+
+
+def post_matrix(spec: LocalRotationSpec) -> Operator4:
+    """The rotation ``spec.realize`` applies after the entangler."""
+    return kron2(euler_u2(*spec.post2), euler_u2(*spec.post1))
+
+
+def pre_matrix(spec: LocalRotationSpec) -> Operator4:
+    """The rotation ``spec.realize`` applies before the entangler."""
+    return kron2(euler_u2(*spec.pre2), euler_u2(*spec.pre1))

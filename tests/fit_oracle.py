@@ -4,6 +4,10 @@ This is the bounded Nelder-Mead search over the 13-parameter rotation spec
 that ``sequences.fit_local_rotations`` used before the closed-form KAK
 dressing replaced it.  It is kept unchanged as a test oracle: the closed
 form must reach at least the distance this search reaches.
+
+The paper's single-step dressing, ``single_step_rotations``, lives here too:
+no command dresses with it, as its three angles cannot reach CNOT between 0
+and g.  The search's warm start and the paper-angle checks call it.
 """
 
 from __future__ import annotations
@@ -16,13 +20,21 @@ import numpy as np
 
 from cnotsteer.model import SystemParams
 from cnotsteer.qmat import Operator4, frob_dist, require_unitary
-from cnotsteer.sequences import (
-    LocalRotationSpec,
-    single_step_rotations,
-    two_step_rotations,
-)
+from cnotsteer.sequences import LocalRotationSpec, _paper_rotations, two_step_rotations
 from conftest import spec_from_vector
 from nelder_mead import NMOptions, nelder_mead
+
+
+def single_step_rotations(
+    alpha2: float = 0.0, alpha1: float = 0.0, gamma1: float = 0.0
+) -> LocalRotationSpec:
+    """Single-step dressing rotations.
+
+    The form of ``_paper_rotations`` with global phase 5 pi/4,
+    ``(a, b, c) = (alpha2, alpha2, alpha1)`` and ``x1 = -(1 + gamma1)``.
+    Defaults give the resonant rotations.
+    """
+    return _paper_rotations(alpha2, alpha2, alpha1, x1=-(1.0 + gamma1), phase=5.0 * math.pi / 4.0)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 from cnotsteer.model import SystemParams, X1, XX, YY, Z2, ZZ, _scaled_product
 from cnotsteer.propagate import checked_time
 from cnotsteer.qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, Generator4, Operator4, expm_skew
-from cnotsteer.sequences import PI_PULSE_X1
+from cnotsteer.sequences import PI_PULSE_X1, two_step_time
 
 # The scaled Pauli products that no map uses; model holds the others.
 Y1 = _scaled_product(ID2, SIGMA_Y)
@@ -126,3 +126,8 @@ def entangling_u(t: float, delta: float, g_tilde: float, frame: int) -> np.ndarr
 def two_step_sandwich(t: float, delta: float, g_tilde: float, frame: int) -> np.ndarray:
     u = entangling_u(t, delta, g_tilde, frame)
     return u @ PI_PULSE_X1 @ u
+
+
+def two_step_entangler(p: SystemParams, frame: int) -> np.ndarray:
+    """The two-step entangling core U(t2) e^{-pi X1} U(t2) at ``two_step_time(p)``."""
+    return two_step_sandwich(two_step_time(p), p.delta, p.g_tilde, frame)

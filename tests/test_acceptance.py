@@ -19,16 +19,15 @@ from cnotsteer.sequences import (
     CNOT,
     DetuningOutOfRangeError,
     fit_local_rotations,
-    single_step_rotations,
     single_step_u,
-    two_step_entangler,
     two_step_rotations,
     two_step_time,
     weyl_trajectory,
 )
 from cnotsteer.verify import run_checks
 
-from propagator_oracle import evolve_stepwise
+from fit_oracle import single_step_rotations
+from propagator_oracle import evolve_stepwise, two_step_entangler
 from reference_data import (
     ENTANGLER_FRAME1_DELTA1,
     ENTANGLER_FRAME2_DELTA1,

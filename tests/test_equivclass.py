@@ -254,6 +254,14 @@ def test_trajectory_starts_at_origin_and_reaches_cnot():
     assert all(abs(s.point.c3) < 1e-8 for s in samples)
 
 
+def test_trajectory_of_zero_length_stays_at_the_origin():
+    samples = weyl_trajectory(SystemParams(delta=0.5, omega1=3.0), 0.0, 5)
+    assert len(samples) == 5
+    for s in samples:
+        assert s.t == 0.0
+        assert s.point.as_array().tolist() == [0.0, 0.0, 0.0]
+
+
 def test_trajectory_validates_sample_count():
     with pytest.raises(ValueError):
         weyl_trajectory(SystemParams(), 1.0, n_samples=1)

@@ -17,12 +17,12 @@ from cnotsteer.sequences import (
     LocalRotationSpec,
     fit_local_rotations,
     single_step_u,
-    two_step_entangler,
     two_step_rotations,
 )
 
 from conftest import random_unitary, spec_from_vector
 from fit_oracle import search_local_rotations
+from propagator_oracle import two_step_entangler
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402

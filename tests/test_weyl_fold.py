@@ -16,10 +16,10 @@ from cnotsteer.equivclass import (
 )
 from cnotsteer.model import SystemParams
 from cnotsteer.qmat import expm_skew, kron2
-from cnotsteer.sequences import CNOT, euler_u2, two_step_entangler, weyl_trajectory
+from cnotsteer.sequences import CNOT, euler_u2, weyl_trajectory
 
 from conftest import random_unitary
-from propagator_oracle import h_rwa_frame1
+from propagator_oracle import h_rwa_frame1, two_step_entangler
 from weyl_oracle import search_weyl_coordinates
 
 pytest.importorskip("hypothesis")

@@ -13,7 +13,8 @@ Output is deterministic: repeated runs with the same flags produce
 byte-identical files.  CSV values are printed with six fixed decimals,
 except the tables' ``delta_over_g`` column, which has two, and always carry
 a header row; cells that have no value (for example the single-step columns
-beyond their detuning bound) are left empty.  JSON is written as
+beyond their detuning bound) are left empty, and a NaN prints as ``nan``,
+so a failed value never reads as a blank.  JSON is written as
 ``json.dumps(payload, indent=2)`` writes it.  This module alone writes CSV
 cells, the JSON layout and the output time units.
 
@@ -98,7 +99,7 @@ class _IOFailure(RuntimeError):
 def _csv_cell(value: object) -> str:
     if isinstance(value, str):
         return value
-    if value is None or value != value:  # NaN
+    if value is None:
         return ""
     return f"{value:.6f}"
 
@@ -106,8 +107,8 @@ def _csv_cell(value: object) -> str:
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     """CSV text with a header row; the package's one CSV writer.
 
-    Floats get six fixed decimals, None and NaN an empty cell, and strings
-    are written as given.
+    Floats get six fixed decimals (a NaN prints as ``nan``), None an empty
+    cell, and strings are written as given.
     """
     lines = [",".join(header)]
     lines.extend(",".join(map(_csv_cell, row)) for row in rows)

@@ -11,8 +11,8 @@ equivalence class.  Classes are labelled here in two interchangeable ways:
   ``exp(-c1*XX - c2*YY - c3*ZZ)`` folded into the reduced chamber
   ``pi/2 >= c1 >= c2 >= c3 >= 0``.  CNOT sits at ``(pi/2, 0, 0)``.
 
-The CNOT and SWAP classes are the roots of ``cnot_residual``; it and the
-invariants share one magic-basis ``m = U_B^T U_B`` (``_magic_gram``).
+The CNOT and SWAP classes are the roots of ``cnot_residual``; it, the invariants
+and the coordinates share one magic-basis ``m = U_B^T U_B`` (``_magic_gram``).
 No sequence is built here; the classes the sequences reach are in ``sequences``.
 
 Conventions
@@ -21,8 +21,8 @@ The magic-basis transform is fixed once (module constant ``MAGIC_BASIS``)
 and pinned by the CNOT -> (0, 1) unit test.  Determinant normalization
 makes both labels insensitive to a global phase, so inputs may be U(4).
 
-Coordinates are read off the spectrum of the gate in closed form: a
-spectral representative is folded into the chamber by the class
+Coordinates are read off the spectrum of ``m / sqrt(det U)`` in closed form:
+a spectral representative is folded into the chamber by the class
 symmetries -- shifts by pi, sign flips and permutations of the coordinates
 (Zhang, Vala, Sastry & Whaley, PRA 67, 042313, 2003), so the result is
 a deterministic function of the spectrum.
@@ -64,9 +64,7 @@ from .qmat import (
     UNITARITY_TOL,
     ContractViolationError,
     Operator4,
-    SIGMA_Y,
     expm_skew,
-    kron2,
     member_name,
     require_unitary,
     worst_failure,
@@ -85,7 +83,6 @@ MAGIC_BASIS = (1.0 / np.sqrt(2.0)) * np.array(
 )
 _MAGIC_DAG = MAGIC_BASIS.conj().T
 
-_SYSY = kron2(SIGMA_Y, SIGMA_Y)
 #: Rows pick the pairwise sums (s1 + s2, s1 + s3, s2 + s3) of three phases.
 _COMBINE = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 
@@ -128,7 +125,10 @@ def to_magic(u: np.ndarray) -> np.ndarray:
 
 
 def _magic_gram(u: Operator4) -> tuple[np.ndarray, np.ndarray]:
-    """``m = U_B^T U_B`` in the magic basis and ``det U``, for ``u`` checked unitary."""
+    """``m = U_B^T U_B`` in the magic basis and ``det U``, for ``u`` checked unitary.
+
+    The invariants, ``cnot_residual`` and the Weyl coordinates all start here.
+    """
     u = require_unitary(u, what="gate")
     ub = to_magic(u)
     return ub.swapaxes(-1, -2) @ ub, np.linalg.det(u)
@@ -230,17 +230,17 @@ def cnot_residual(u: Operator4) -> np.ndarray:
     return np.concatenate([r.real, r.imag], axis=-1)
 
 
-def _raw_coordinates(u: np.ndarray) -> np.ndarray:
+def _raw_coordinates(u: Operator4) -> np.ndarray:
     """Some representative (c1, c2, c3) of the class of ``u``, in radians.
 
-    Spectral extraction: the eigenphases of U (sy sy U^T sy sy) / sqrt(det U)
-    are the exponent combinations +/-c1 -/+c2 +/-c3; half-angle bookkeeping
-    on the sorted phases recovers a representative with c3 >= 0.  Works on
-    the last two axes, so a stack of gates gives one row per member.
+    Spectral extraction: the eigenphases of ``m / sqrt(det U)``, with ``m``
+    from ``_magic_gram``, are the exponent combinations +/-c1 -/+c2 +/-c3;
+    half-angle bookkeeping on the sorted phases recovers a representative,
+    which may have c3 < 0 (the fold removes the sign).  Works on the last two
+    axes, so a stack of gates gives one row per member.
     """
-    u_tilde = _SYSY @ u.swapaxes(-1, -2) @ _SYSY
-    root_det = np.sqrt(np.linalg.det(u))[..., None, None]
-    ev = np.linalg.eigvals((u @ u_tilde) / root_det)
+    m, det = _magic_gram(u)
+    ev = np.linalg.eigvals(m / np.sqrt(det)[..., None, None])
     two_s = np.angle(ev) / math.pi
     two_s[two_s <= -0.5] += 2.0
     s = np.sort(two_s / 2.0, axis=-1)[..., ::-1]
@@ -249,11 +249,7 @@ def _raw_coordinates(u: np.ndarray) -> np.ndarray:
     n = np.rint(s.sum(axis=-1)).astype(int)[..., None]
     k = np.arange(4)
     s = np.take_along_axis(s - (k < n), (k + n) % 4, axis=-1)
-    c = s[..., :3] @ _COMBINE.T
-    flip = c[..., 2] < 0
-    c[flip, 0] = 1.0 - c[flip, 0]
-    c[flip, 2] = -c[flip, 2]
-    return c * math.pi
+    return (s[..., :3] @ _COMBINE.T) * math.pi
 
 
 def _weyl_points(c: np.ndarray) -> list[WeylPoint]:
@@ -276,8 +272,10 @@ def _weyl_points(c: np.ndarray) -> list[WeylPoint]:
 
 
 def _chamber_coordinates(u: Operator4) -> np.ndarray:
-    """The folded (c1, c2, c3) of ``weyl_coordinates``, shape ``(..., 3)``; checks unitarity."""
-    u = require_unitary(u, what="gate")
+    """The folded (c1, c2, c3) of ``weyl_coordinates``, shape ``(..., 3)``; checks unitarity.
+
+    The check is ``_magic_gram``'s, the one the invariants make.
+    """
     c = np.mod(_raw_coordinates(u), math.pi)
     c = np.sort(np.minimum(c, math.pi - c), axis=-1)[..., ::-1]
     c[np.abs(c - _HALF_PI) <= _WEYL_TOL] = _HALF_PI

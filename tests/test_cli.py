@@ -491,3 +491,8 @@ def test_json_writer_gives_the_bytes_of_the_indenting_encoder(monkeypatch, tmp_p
     ]
     for payload in payloads:
         assert cli.json_text(payload) == json.dumps(payload, indent=2) + "\n", payload
+
+
+def test_csv_blank_is_none_and_nan_prints_as_nan():
+    # An empty cell means "no value"; a NaN is a failure and must show.
+    assert cli.csv_text(["a", "b", "c"], [[None, math.nan, 0.5]]) == "a,b,c\n,nan,0.500000\n"

@@ -1,7 +1,9 @@
 """Closed-form chamber fold (``weyl_coordinates``) against the reference
 search it replaced, on random gates, chamber faces and the package's own
-entanglers and trajectories; and both class labels' invariance under local
-dressing at named gates and chamber faces."""
+entanglers and trajectories; the Gram-matrix coordinates against the
+sigma_y-transposed extraction they replaced, and across the sqrt(det U)
+branch cut; and both class labels' invariance under local dressing at named
+gates and chamber faces."""
 
 import math
 
@@ -10,17 +12,19 @@ import pytest
 
 from cnotsteer.equivclass import (
     _WEYL_TOL,
+    _chamber_coordinates,
     canonical_class_gate,
     makhlin_invariants,
     weyl_coordinates,
 )
 from cnotsteer.model import SystemParams
+from cnotsteer.optimize import calibrate_single_step
 from cnotsteer.qmat import expm_skew, kron2
-from cnotsteer.sequences import CNOT, euler_u2, weyl_trajectory
+from cnotsteer.sequences import CNOT, euler_u2, single_step_gates, weyl_trajectory
 
 from conftest import random_unitary
 from propagator_oracle import h_rwa_frame1, two_step_entangler
-from weyl_oracle import search_weyl_coordinates
+from weyl_oracle import folded_coordinates, search_weyl_coordinates
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -138,3 +142,47 @@ def test_trajectory_samples_including_t0():
         u = expm_skew(-s.t * gen)
         ref = search_weyl_coordinates(u).as_array()
         assert np.max(np.abs(s.point.as_array() - ref)) <= 1e-12
+
+
+def _assert_matches_retired_extraction(stack):
+    # The eigenphases of m / sqrt(det U) from the invariants' Gram matrix
+    # against those of U (sy sy U^T sy sy) / sqrt(det U), both folded alike.
+    err = np.max(np.abs(_chamber_coordinates(stack) - folded_coordinates(stack)))
+    assert err <= 1e-14, err
+
+
+def test_gram_coordinates_match_the_retired_extraction_on_haar_gates():
+    rng = np.random.default_rng(27)
+    _assert_matches_retired_extraction(np.array([random_unitary(rng) for _ in range(2000)]))
+
+
+def test_gram_coordinates_match_the_retired_extraction_on_chamber_faces():
+    c = np.sort(np.random.default_rng(28).uniform(0.0, HALF_PI, size=(4, 500, 3)), axis=-1)
+    c = c[..., ::-1].copy()
+    c[0, :, 2] = 0.0  # c3 = 0
+    c[1, :, 0] = HALF_PI  # c1 = pi/2
+    c[2, :, 1] = c[2, :, 0]  # c1 = c2
+    c[3, :, 2] = c[3, :, 1]  # c2 = c3
+    _assert_matches_retired_extraction(canonical_class_gate(c))
+
+
+def test_gram_coordinates_match_the_retired_extraction_on_the_artifact_trajectories():
+    # The CLI's 2048-sample trajectories, from resonance to the fold.
+    deltas = [0.0, 0.3, 0.5, 0.8, 1.0]
+    for delta, cal in zip(deltas, calibrate_single_step(deltas)):
+        t = np.linspace(0.0, cal.t_units * HALF_PI, 2048)
+        _assert_matches_retired_extraction(single_step_gates(delta, cal.omega1_over_g, t))
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [np.eye(4, dtype=complex), CNOT, SWAP, single_step_gates(0.5, 3.0, 1.0)],
+    ids=["I", "CNOT", "SWAP", "single-step"],
+)
+def test_global_phase_sweep_across_the_sqrt_det_branch_cut(gate):
+    # det(e^{i theta} U) = e^{4 i theta} det U, so sqrt(det) changes sign
+    # four times over the sweep; the chamber point must not move.
+    theta = np.linspace(-math.pi, math.pi, 4001)
+    got = _chamber_coordinates(np.exp(1j * theta)[:, None, None] * gate)
+    err = np.max(np.abs(got - _chamber_coordinates(gate)))
+    assert err <= 1e-14, err

@@ -6,6 +6,16 @@ maps the spectral representative onto every class-preserving image inside
 the reduced chamber, scores each image's closed-form invariants against
 ``makhlin_invariants(u)``, and breaks ties lexicographically.
 
+The search starts from the package's spectral representative
+(``equivclass._raw_coordinates``), so that it checks the fold alone: at a
+point on the fold's pi/2 snap threshold, an independent representative that
+differs in its last bit can land on the other side of the threshold, and the
+two answers then differ by ``_WEYL_TOL`` for no fault of the fold.  The
+representative itself is checked against ``raw_coordinates``, the extraction
+``equivclass`` used before its coordinates came from the invariants'
+magic-basis Gram matrix, kept here unchanged; ``folded_coordinates`` folds it
+as ``equivclass._chamber_coordinates`` does.
+
 The closed-form invariants of a chamber point, ``invariants_from_weyl``,
 live here too: only this search and the tests use them.
 """
@@ -25,12 +35,50 @@ from cnotsteer.equivclass import (
     _raw_coordinates,
     makhlin_invariants,
 )
-from cnotsteer.qmat import Operator4, require_unitary
+from cnotsteer.qmat import SIGMA_Y, Operator4, kron2, require_unitary
 
 # Even sign changes and permutations generate the class symmetries of the
 # canonical coordinates (together with shifts by pi along each axis).
 _EVEN_SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 _PERMS = tuple(itertools.permutations(range(3)))
+
+_SYSY = kron2(SIGMA_Y, SIGMA_Y)
+#: Rows pick the pairwise sums (s1 + s2, s1 + s3, s2 + s3) of three phases.
+_COMBINE = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+
+
+def raw_coordinates(u: np.ndarray) -> np.ndarray:
+    """Some representative (c1, c2, c3) of the class of ``u``, in radians.
+
+    Spectral extraction: the eigenphases of U (sy sy U^T sy sy) / sqrt(det U)
+    are the exponent combinations +/-c1 -/+c2 +/-c3; half-angle bookkeeping
+    on the sorted phases recovers a representative with c3 >= 0.  Works on
+    the last two axes, so a stack of gates gives one row per member.
+    """
+    u_tilde = _SYSY @ u.swapaxes(-1, -2) @ _SYSY
+    root_det = np.sqrt(np.linalg.det(u))[..., None, None]
+    ev = np.linalg.eigvals((u @ u_tilde) / root_det)
+    two_s = np.angle(ev) / math.pi
+    two_s[two_s <= -0.5] += 2.0
+    s = np.sort(two_s / 2.0, axis=-1)[..., ::-1]
+    # The phases sum to an integer n: take 1 off the n largest, then rotate
+    # them to the end.
+    n = np.rint(s.sum(axis=-1)).astype(int)[..., None]
+    k = np.arange(4)
+    s = np.take_along_axis(s - (k < n), (k + n) % 4, axis=-1)
+    c = s[..., :3] @ _COMBINE.T
+    flip = c[..., 2] < 0
+    c[flip, 0] = 1.0 - c[flip, 0]
+    c[flip, 2] = -c[flip, 2]
+    return c * math.pi
+
+
+def folded_coordinates(u: np.ndarray) -> np.ndarray:
+    """``raw_coordinates`` folded into the chamber by the package's own fold."""
+    c = np.mod(raw_coordinates(u), math.pi)
+    c = np.sort(np.minimum(c, math.pi - c), axis=-1)[..., ::-1]
+    c[np.abs(c - _HALF_PI) <= _WEYL_TOL] = _HALF_PI
+    return c
 
 
 def invariants_from_weyl(point: WeylPoint | tuple[float, float, float]) -> InvariantPair:

@@ -19,10 +19,13 @@ the closest class on the resonant branch, by damped Newton steps on a
 central-difference model: the model is read off one stacked evaluation of
 the 3 x 3 stencil around x, a Hessian that is not positive definite is
 shifted, and each step is halved until it stays in the search box and
-lowers d^2.  Each trial is evaluated with its whole stencil, so an accepted
-trial's evaluation is already the model of the next step.  Both methods
-start from the resonant solution, which keeps them on the lowest branch;
-only the minimisation checks the box.
+lowers d^2.  The model's central differences place the minimum only to
+O(h^2), so the search stops once a step, taken or halved, is no larger than
+h^2 in every component: a finer step cannot bring the point closer to the
+true minimum.  Each trial is evaluated with its whole stencil, so an
+accepted trial's evaluation is already the model of the next step.  Both
+methods start from the resonant solution, which keeps them on the lowest
+branch; only the minimisation checks the box.
 
 ``calibrate_single_step`` also takes a sequence of detunings, as the tables
 do.  Each method's solvers are generators that yield the points they need
@@ -72,13 +75,14 @@ SINGLE_STEP_BOUND = 1.0
 SINGLE_STEP_BOUNDS = ((0.5, 8.0), (0.5, 2.5))
 SINGLE_STEP_START = (math.sqrt(15.0), 1.0)
 
-#: Damped Newton on d^2 beyond the bound: central-difference step (the bias
-#: of the minimum it finds goes as its square: ~1e-8 at 1.1-2g, 5e-7 at 3g);
-#: stop once every step component is below _NEWTON_TOL; floor of the shifted
-#: Hessian spectrum, relative to its larger eigenvalue; iteration cap
-#: (hitting it clears the converged flag).
+#: Damped Newton on d^2 beyond the bound: central-difference step h (the
+#: bias of the minimum it finds goes as h^2: ~1.5e-8 at 1.05-2g, 2.7e-7 at
+#: 3g); stop once every step component is at most _NEWTON_TOL = h^2, the
+#: bias scale, as finer steps only halve toward a point the model misplaces;
+#: floor of the shifted Hessian spectrum, relative to its larger eigenvalue;
+#: iteration cap (hitting it clears the converged flag).
 _NEWTON_STEP = 1e-4
-_NEWTON_TOL = 1e-10
+_NEWTON_TOL = _NEWTON_STEP ** 2
 _HESSIAN_FLOOR = 1e-3
 _NEWTON_MAX_ITERATIONS = 60
 #: Offsets, in units of _NEWTON_STEP, of the points around x at which the

@@ -38,7 +38,6 @@ from .sequences import (
     FidelityUndefinedError,
     FitResult,
     LocalRotationSpec,
-    TrajectorySample,
     UnsupportedCouplingError,
     fidelity,
     fit_local_rotations,
@@ -61,7 +60,6 @@ __all__ = [
     "InvariantPair",
     "LocalRotationSpec",
     "SystemParams",
-    "TrajectorySample",
     "UnsupportedCouplingError",
     "WeylPoint",
     "calibrate_single_step",

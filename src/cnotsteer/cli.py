@@ -156,7 +156,7 @@ def json_text(payload: object) -> str:
 def matrix_to_json(u: np.ndarray) -> list[list[list[float]]]:
     """4x4 matrix as nested lists of [re, im] pairs."""
     u = np.asarray(u, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in u]
+    return np.stack((u.real, u.imag), axis=-1).tolist()
 
 
 def matrix_from_json(rows: Iterable[Iterable[Sequence[float]]]) -> np.ndarray:
@@ -263,8 +263,8 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     """
     cal = _calibrate_single_step(args.delta)
     p = SystemParams(delta=args.delta, omega1=cal.omega1_over_g)
-    samples = weyl_trajectory(p, cal.t_units * math.pi / 2.0, args.samples)
-    rows = ([v / _HALF_PI for v in (s.t, s.point.c1, s.point.c2, s.point.c3)] for s in samples)
+    t, c = weyl_trajectory(p, cal.t_units * math.pi / 2.0, args.samples)
+    rows = (np.column_stack((t, c)) / _HALF_PI).tolist()
     _write(_out_path(args.out), csv_text(["t", "c1", "c2", "c3"], rows))
     return EXIT_OK
 

@@ -252,23 +252,21 @@ def _raw_coordinates(u: Operator4) -> np.ndarray:
     return (s[..., :3] @ _COMBINE.T) * math.pi
 
 
-def _weyl_points(c: np.ndarray) -> list[WeylPoint]:
-    """One ``WeylPoint`` per row of ``c``, whose trailing axis is (c1, c2, c3).
+def _require_chamber(c: np.ndarray) -> None:
+    """Refuse a point, or rows of points, outside the chamber by more than ``_WEYL_TOL``.
 
     Raises:
         ValueError: a row lies outside the chamber (or has a NaN); the error
             names the worst row and how far out it lies.
     """
-    try:
-        return [WeylPoint(*row) for row in c.reshape(-1, 3).tolist()]
-    except ValueError:
-        c1, c2, c3 = np.moveaxis(c, -1, 0)
-        excess = np.max([-c3, c3 - c2, c2 - c1, c1 - _HALF_PI], axis=0) - _WEYL_TOL
-        bad = worst_failure(excess <= 0.0, excess)
+    c1, c2, c3 = np.moveaxis(c, -1, 0)
+    excess = np.max([-c3, c3 - c2, c2 - c1, c1 - _HALF_PI], axis=0) - _WEYL_TOL
+    bad = worst_failure(excess <= 0.0, excess)
+    if bad is not None:
         raise ValueError(
             f"Weyl point{member_name(bad)} {c[bad].tolist()} is outside the chamber "
             f"by {excess[bad]:.3e}"
-        ) from None
+        )
 
 
 def _chamber_coordinates(u: Operator4) -> np.ndarray:
@@ -301,7 +299,13 @@ def weyl_coordinates(u: Operator4) -> WeylPoint | list[WeylPoint]:
     Raises:
         ContractViolationError: a member is not unitary within
             ``UNITARITY_TOL``.
+        ValueError: a point lies outside the chamber (or has a NaN); the
+            error names the worst member and how far out it lies.
     """
     c = _chamber_coordinates(u)
-    points = _weyl_points(c)
+    try:
+        points = [WeylPoint(*row) for row in c.reshape(-1, 3).tolist()]
+    except ValueError:
+        _require_chamber(c)
+        raise
     return points[0] if c.ndim == 1 else points

@@ -32,12 +32,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .equivclass import MAGIC_BASIS, InvariantPair, WeylPoint, to_magic, weyl_coordinates
+from .equivclass import MAGIC_BASIS, InvariantPair, _chamber_coordinates, _require_chamber, to_magic
 from .model import SystemParams, X1, XX, YY, Z2
 from .propagate import checked_time
 from .qmat import (
     ContractViolationError,
-    Generator4,
     Operator4,
     expm_skew,
     frob_dist,
@@ -238,11 +237,6 @@ def two_step_invariants_closed(t: float, p: SystemParams) -> InvariantPair:
 _EXCHANGE = XX + YY
 
 
-def _single_step_generator(delta: float | np.ndarray, omega1: float | np.ndarray) -> Generator4:
-    """The single-step generator -delta Z2 + omega1 X1 + (XX + YY), terms in that order."""
-    return -delta * Z2 + omega1 * X1 + _EXCHANGE
-
-
 def _require_capacitive(p: SystemParams) -> None:
     """Refuse ``g_tilde != 0``: the single-drive sequence reaches CNOT only without it."""
     if p.g_tilde != 0.0:
@@ -264,7 +258,7 @@ def single_step_gates(
     gates, each member with the bits it gets alone.  Units of g.
     """
     delta, omega1, t = (np.asarray(a)[..., None, None] for a in (delta, omega1, t))
-    return expm_skew(-t * _single_step_generator(delta, omega1))
+    return expm_skew(-t * (-delta * Z2 + omega1 * X1 + _EXCHANGE))
 
 
 def single_step_u(t: float, p: SystemParams) -> Operator4:
@@ -279,37 +273,30 @@ def single_step_u(t: float, p: SystemParams) -> Operator4:
     return single_step_gates(p.delta, p.omega1, checked_time(t))
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    """One steering-trajectory sample: time (units of 1/g) and class point."""
-
-    t: float
-    point: WeylPoint
-
-
-def weyl_trajectory(p: SystemParams, t_max: float, n_samples: int) -> list[TrajectorySample]:
+def weyl_trajectory(p: SystemParams, t_max: float, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Steering trajectory of the single-step evolution through the chamber.
 
-    Samples a uniform time grid from 0 to ``t_max`` (inclusive); the first
-    sample is the origin.  Each gate is a member of ``single_step_gates``,
-    built from its generator one sample at a time, and canonicalized on its
-    own, so apparent kinks can only occur at chamber boundaries; the CLI's
-    default of 2048 samples is fine enough to render the curves smoothly.
+    Returns ``(t, c)``: the uniform time grid ``np.linspace(0, t_max,
+    n_samples)`` and an ``(n_samples, 3)`` array of chamber points, one row
+    per time, the first at the origin.  Each row is the fold of the
+    ``single_step_gates`` member at its time, taken one sample at a time, so
+    apparent kinks can only occur at chamber boundaries; the CLI's default of
+    2048 samples is fine enough to render the curves smoothly.
 
     Raises:
         ContractViolationError: ``n_samples < 2``.
         UnsupportedCouplingError: ``g_tilde != 0``.
-        ValueError: ``t_max`` is not finite or is negative.
+        ValueError: ``t_max`` is not finite or is negative, or a sample lies
+            outside the chamber (or has a NaN); the error names the worst
+            sample and how far out it lies.
     """
     if n_samples < 2:
         raise ContractViolationError(f"n_samples must be >= 2, got {n_samples}")
     _require_capacitive(p)
-    gen = _single_step_generator(p.delta, p.omega1)
-    out: list[TrajectorySample] = []
-    for t in np.linspace(0.0, checked_time(t_max), n_samples):
-        point = weyl_coordinates(expm_skew(-t * gen))
-        out.append(TrajectorySample(t=float(t), point=point))
-    return out
+    t = np.linspace(0.0, checked_time(t_max), n_samples)
+    c = np.array([_chamber_coordinates(single_step_gates(p.delta, p.omega1, tk)) for tk in t])
+    _require_chamber(c)
+    return t, c
 
 
 def fidelity(u: Operator4, target: Operator4) -> float:

@@ -164,13 +164,13 @@ def test_criterion_08_property_suite():
 def test_criterion_09_trajectory_endpoints(single_step_table):
     cal1 = single_step_table[1.0]
     p1 = SystemParams(delta=1.0, omega1=cal1.omega1_over_g)
-    end1 = weyl_trajectory(p1, cal1.t_units * HALF_PI, n_samples=33)[-1].point
-    err1 = max(abs(end1.c1 - HALF_PI), abs(end1.c2), abs(end1.c3))
+    _, c1 = weyl_trajectory(p1, cal1.t_units * HALF_PI, n_samples=33)
+    err1 = max(abs(c1[-1, 0] - HALF_PI), abs(c1[-1, 1]), abs(c1[-1, 2]))
 
     cal15 = single_step_table[1.5]
     p15 = SystemParams(delta=1.5, omega1=cal15.omega1_over_g)
-    end15 = weyl_trajectory(p15, cal15.t_units * HALF_PI, n_samples=33)[-1].point
-    inv15 = invariants_from_weyl(end15)
+    _, c15 = weyl_trajectory(p15, cal15.t_units * HALF_PI, n_samples=33)
+    inv15 = invariants_from_weyl(tuple(c15[-1]))
     err15 = max(abs(inv15.g1 - 0.0476), abs(inv15.g2 - 0.9898))
 
     ok = err1 < 2e-3 and err15 < 2e-3

@@ -246,20 +246,18 @@ def test_cnot_distance_values():
 
 def test_trajectory_starts_at_origin_and_reaches_cnot():
     p = SystemParams(delta=1.0, omega1=3.7781)
-    samples = weyl_trajectory(p, 1.2753 * HALF_PI, n_samples=65)
-    assert np.max(np.abs(samples[0].point.as_array())) < 1e-12
-    end = samples[-1].point
-    assert abs(end.c1 - HALF_PI) < 2e-3
-    assert abs(end.c2) < 2e-3
-    assert all(abs(s.point.c3) < 1e-8 for s in samples)
+    t, c = weyl_trajectory(p, 1.2753 * HALF_PI, n_samples=65)
+    assert t.shape == (65,) and c.shape == (65, 3)
+    assert np.max(np.abs(c[0])) < 1e-12
+    assert abs(c[-1, 0] - HALF_PI) < 2e-3
+    assert abs(c[-1, 1]) < 2e-3
+    assert np.all(np.abs(c[:, 2]) < 1e-8)
 
 
 def test_trajectory_of_zero_length_stays_at_the_origin():
-    samples = weyl_trajectory(SystemParams(delta=0.5, omega1=3.0), 0.0, 5)
-    assert len(samples) == 5
-    for s in samples:
-        assert s.t == 0.0
-        assert s.point.as_array().tolist() == [0.0, 0.0, 0.0]
+    t, c = weyl_trajectory(SystemParams(delta=0.5, omega1=3.0), 0.0, 5)
+    assert t.tolist() == [0.0] * 5
+    assert c.tolist() == [[0.0, 0.0, 0.0]] * 5
 
 
 def test_trajectory_validates_sample_count():

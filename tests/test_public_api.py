@@ -41,7 +41,6 @@ def test_exported_names_are_pinned():
         "InvariantPair",
         "LocalRotationSpec",
         "SystemParams",
-        "TrajectorySample",
         "UnsupportedCouplingError",
         "WeylPoint",
         "__version__",

@@ -1,8 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import cnotsteer.cli as cli
+import cnotsteer.sequences as sequences
 from cnotsteer.equivclass import cnot_distance, makhlin_invariants
 from cnotsteer.model import SystemParams, Z2, X1
 from cnotsteer.qmat import (
@@ -205,6 +208,43 @@ def test_single_step_rejects_zz_coupling():
         single_step_u(1.0, p)
     with pytest.raises(UnsupportedCouplingError):
         weyl_trajectory(p, 1.0, 4)
+
+
+def test_every_single_step_gate_comes_from_the_one_map(monkeypatch, tmp_path):
+    # The trajectory and the one-step gate, calibration included, build
+    # every single-step evolution through single_step_gates.
+    callers = []
+
+    def traced(g):
+        callers.append(sys._getframe(1).f_code)
+        return expm_skew(g)
+
+    monkeypatch.setattr(sequences, "expm_skew", traced)
+    commands = [
+        ["trajectory", "--delta", "1.0", "--samples", "16", "--out", str(tmp_path / "traj.csv")],
+        ["gate", "--mode", "one-step", "--delta", "1.5", "--out", str(tmp_path / "gate.json")],
+    ]
+    counts = []
+    for argv in commands:
+        before = len(callers)
+        assert cli.main(argv) == cli.EXIT_OK
+        counts.append(len(callers) - before)
+    assert counts[0] >= 16 and counts[1] > 0
+    assert set(callers) == {sequences.single_step_gates.__code__}
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_trajectory_names_a_sample_outside_the_chamber(monkeypatch, k):
+    real = sequences._chamber_coordinates
+    calls = []
+
+    def with_nan_row(u):
+        calls.append(None)
+        return np.full(3, np.nan) if len(calls) == k + 1 else real(u)
+
+    monkeypatch.setattr(sequences, "_chamber_coordinates", with_nan_row)
+    with pytest.raises(ValueError, match=rf"^Weyl point {k} .* outside the chamber by nan$"):
+        weyl_trajectory(SystemParams(delta=1.0, omega1=3.7781), 2.0, 5)
 
 
 def test_resonant_drive_family_reaches_cnot_class():

@@ -418,12 +418,11 @@ def test_trajectory_samples_are_members_of_the_single_step_map():
     deltas = [0.0, 0.5, 1.0, 1.5, 2.0]
     for delta, cal in zip(deltas, optimize.calibrate_single_step(deltas)):
         t_max = cal.t_units * HALF_PI
-        samples = weyl_trajectory(SystemParams(delta=delta, omega1=cal.omega1_over_g), t_max, 257)
+        t, c = weyl_trajectory(SystemParams(delta=delta, omega1=cal.omega1_over_g), t_max, 257)
         times = np.linspace(0.0, t_max, 257)
-        points = weyl_coordinates(single_step_gates(delta, cal.omega1_over_g, times))
-        assert [s.t for s in samples] == times.tolist()
-        for s, point in zip(samples, points):
-            assert s.point.as_array().tobytes() == point.as_array().tobytes()
+        points = equivclass._chamber_coordinates(single_step_gates(delta, cal.omega1_over_g, times))
+        assert t.tobytes() == times.tobytes()
+        assert c.shape == (257, 3) and c.tobytes() == points.tobytes()
 
 
 def test_stacked_d2_equals_cnot_distance_member_by_member(monkeypatch):

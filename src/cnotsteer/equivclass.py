@@ -42,7 +42,8 @@ One gate gives one array, pair or point; a stack gives an array of the same
 stack shape, or a list of pairs or points in C order of the stack axes.
 Each member gets the bits it would get alone, and every contract holds per
 member: the unitarity tolerance, the G2-reality bound and the chamber
-bounds of ``WeylPoint``.  A stack with a failing member, NaN included, is
+bounds.  The chamber bounds are ``_require_chamber``'s, the one check that
+``WeylPoint`` makes too.  A stack with a failing member, NaN included, is
 rejected, and the error names the worst member's index and defect.
 
 A stack stays arrays up to the caller: the pairs and points are built at
@@ -100,20 +101,19 @@ class InvariantPair:
 
 @dataclass(frozen=True)
 class WeylPoint:
-    """Canonical class coordinates, pi/2 >= c1 >= c2 >= c3 >= 0 (radians)."""
+    """Canonical class coordinates, pi/2 >= c1 >= c2 >= c3 >= 0 (radians).
+
+    The bounds, each with ``_WEYL_TOL`` of slack, are ``_require_chamber``'s.
+    A point outside them raises ``ValueError("Weyl point [c1, c2, c3] is
+    outside the chamber by <excess>")``; a NaN reads ``by nan``.
+    """
 
     c1: float
     c2: float
     c3: float
 
     def __post_init__(self) -> None:
-        ok = (
-            -_WEYL_TOL <= self.c3 <= self.c2 + _WEYL_TOL
-            and self.c2 <= self.c1 + _WEYL_TOL
-            and self.c1 <= _HALF_PI + _WEYL_TOL
-        )
-        if not ok:
-            raise ValueError(f"({self.c1}, {self.c2}, {self.c3}) is outside the chamber")
+        _require_chamber(np.array((self.c1, self.c2, self.c3)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.c1, self.c2, self.c3])
@@ -293,8 +293,9 @@ def weyl_coordinates(u: Operator4) -> WeylPoint | list[WeylPoint]:
     exactly whatever the rounding of the spectrum.
 
     One gate gives one point; a stack gives a list of points, one per member.
-    The points are built, and checked against the chamber bounds, from the
-    array of ``_chamber_coordinates``, which ``verify`` takes directly.
+    The array of ``_chamber_coordinates``, which ``verify`` takes directly, is
+    checked against the chamber bounds once, as a stack, and the points are
+    then built from it.
 
     Raises:
         ContractViolationError: a member is not unitary within
@@ -303,9 +304,6 @@ def weyl_coordinates(u: Operator4) -> WeylPoint | list[WeylPoint]:
             error names the worst member and how far out it lies.
     """
     c = _chamber_coordinates(u)
-    try:
-        points = [WeylPoint(*row) for row in c.reshape(-1, 3).tolist()]
-    except ValueError:
-        _require_chamber(c)
-        raise
+    _require_chamber(c)
+    points = [WeylPoint(*row) for row in c.reshape(-1, 3).tolist()]
     return points[0] if c.ndim == 1 else points

@@ -115,13 +115,17 @@ class LocalRotationSpec:
     Each of ``post2, post1, pre2, pre1`` is a z-y-z Euler triple (radians)
     realized by ``euler_u2``; the dressed gate is
     ``e^{i phase} (post2 (x) post1) U (pre2 (x) pre1)``.
+
+    Angles may be arrays (a triple as one of shape ``(3, ...)``): ``realize``
+    broadcasts them with the entangler's stack axes, as ``euler_u2`` and
+    ``kron2`` do, and each member gets the bits of its own spec.
     """
 
-    post2: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    post1: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    pre2: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    pre1: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    phase: float = 0.0
+    post2: tuple[float, float, float] | np.ndarray = (0.0, 0.0, 0.0)
+    post1: tuple[float, float, float] | np.ndarray = (0.0, 0.0, 0.0)
+    pre2: tuple[float, float, float] | np.ndarray = (0.0, 0.0, 0.0)
+    pre1: tuple[float, float, float] | np.ndarray = (0.0, 0.0, 0.0)
+    phase: float | np.ndarray = 0.0
 
     def as_vector(self) -> np.ndarray:
         return np.array(
@@ -129,10 +133,10 @@ class LocalRotationSpec:
         )
 
     def realize(self, entangler: Operator4) -> Operator4:
-        """Dress ``entangler`` with these rotations and the global phase."""
+        """Dress ``entangler``, or each gate of a stack, with these rotations and the phase."""
         post = kron2(euler_u2(*self.post2), euler_u2(*self.post1))
         pre = kron2(euler_u2(*self.pre2), euler_u2(*self.pre1))
-        return np.exp(1j * self.phase) * post @ entangler @ pre
+        return np.exp(1j * np.asarray(self.phase))[..., None, None] * post @ entangler @ pre
 
 
 def _two_step_angles(p: SystemParams) -> tuple[float, float]:
@@ -422,13 +426,14 @@ def fit_local_rotations(u_ent: Operator4, target: Operator4) -> FitResult:
 
     Both gates are written in KAK form ``K1 A K2`` through the magic basis
     (Kraus & Cirac, PRA 63, 062309 (2001); Zhang, Vala, Sastry & Whaley,
-    PRA 67, 042313 (2003)), with ``A`` diagonal there.  Of the Weyl-group
-    images of the entangler's ``A`` (24 permutations times 8 even sign
-    patterns of its spectrum), the one with the largest trace overlap with
-    the target's ``A``, that is the one closest to it after a global phase,
-    fixes the pre and post rotations; the global phase then makes that
-    overlap real.  The result is deterministic, and the distance and
-    fidelity are those of ``rotations.realize(u_ent)``.
+    PRA 67, 042313 (2003)), with ``A`` diagonal there.  Each Weyl-group
+    image of the entangler's ``A`` (24 permutations times 8 even sign
+    patterns of its spectrum) is scored by its summed squared residual to
+    the target's ``A`` after that image's best global phase, and the first
+    image within a relative ``_KAK_TIE`` of the smallest score fixes the pre
+    and post rotations; the global phase then makes the trace overlap of the
+    dressed gate with the target real.  The result is deterministic, and the
+    distance and fidelity are those of ``rotations.realize(u_ent)``.
 
     The factors of the read-only ``CNOT`` are computed once, at import.
 

@@ -5,10 +5,10 @@ deviations, one per comparison, in the order a loop over the samples would
 yield them.  A check draws all its samples first, in the order such a loop
 would draw them, then builds all its gates in one call to a map over
 broadcast arrays (``propagate.undriven_propagators`` and ``undriven_uv``,
-``sequences.two_step_product`` and ``single_step_gates``, and ``euler_u2``
-with ``kron2`` for the local dressings).  It evaluates their unitarity
-defects, invariants or chamber points as stacks, with the array kernels of
-``qmat`` and ``equivclass``, and builds no ``InvariantPair`` or
+``sequences.two_step_product`` and ``single_step_gates``, and
+``LocalRotationSpec.realize`` for the local dressings).  It evaluates their
+unitarity defects, invariants or chamber points as stacks, with the array
+kernels of ``qmat`` and ``equivclass``, and builds no ``InvariantPair`` or
 ``WeylPoint``; a member of a stack gets the bits it would get alone.  Where
 a check compares two gates, it evaluates each side as one stack.
 ``run_checks`` is the one loop that runs the checks: it takes the worst
@@ -29,8 +29,8 @@ import numpy as np
 
 from .equivclass import _chamber_coordinates, _invariants, canonical_class_gate
 from .propagate import undriven_propagators, undriven_uv
-from .qmat import kron2, unitarity_defect
-from .sequences import euler_u2, single_step_gates, two_step_product
+from .qmat import unitarity_defect
+from .sequences import LocalRotationSpec, single_step_gates, two_step_product
 
 _HALF_PI = math.pi / 2.0
 
@@ -41,12 +41,6 @@ class CheckResult:
     passed: bool
     worst: float
     tolerance: float
-
-
-def _random_locals(angles: np.ndarray) -> np.ndarray:
-    """Local rotations ``kron2(euler_u2(*a[:3]), euler_u2(*a[3:]))`` for angles ``(..., 6)``."""
-    a = np.moveaxis(angles, -1, 0)
-    return kron2(euler_u2(*a[:3]), euler_u2(*a[3:]))
 
 
 def _haar_unitaries(z: np.ndarray) -> np.ndarray:
@@ -107,8 +101,8 @@ def _local_invariance(rng: np.random.Generator) -> np.ndarray:
         angles.append(rng.uniform(-math.pi, math.pi, size=13))
     z, angles = np.array(z), np.array(angles)
     u = _haar_unitaries(z[:, 0] + 1j * z[:, 1])
-    phase = np.exp(1j * angles[:, 0])[:, None, None]
-    dressed = phase * _random_locals(angles[:, 1:7]) @ u @ _random_locals(angles[:, 7:])
+    a = angles.T
+    dressed = LocalRotationSpec(a[1:4], a[4:7], a[7:10], a[10:13], phase=a[0]).realize(u)
     return _invariant_gaps(u, dressed)
 
 

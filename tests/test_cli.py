@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -496,3 +497,14 @@ def test_json_writer_gives_the_bytes_of_the_indenting_encoder(monkeypatch, tmp_p
 def test_csv_blank_is_none_and_nan_prints_as_nan():
     # An empty cell means "no value"; a NaN is a failure and must show.
     assert cli.csv_text(["a", "b", "c"], [[None, math.nan, 0.5]]) == "a,b,c\n,nan,0.500000\n"
+
+
+def test_console_script_is_cli_main():
+    # Tier-1 imports the package from src/, so a broken entry point would
+    # pass every other test; the installed ``cnotsteer`` script calls it.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"cnotsteer": "cnotsteer.cli:main"}
+    module, _, name = scripts["cnotsteer"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main

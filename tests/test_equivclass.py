@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from cnotsteer.equivclass import (
+    _WEYL_TOL,
     InvariantPair,
     WeylPoint,
+    _require_chamber,
     canonical_class_gate,
     cnot_distance,
     cnot_residual,
@@ -168,6 +170,57 @@ def test_weyl_point_validation():
         WeylPoint(c1=0.2, c2=0.7, c3=0.1)  # violates ordering
     with pytest.raises(ValueError):
         WeylPoint(c1=2.0, c2=0.1, c3=0.0)  # c1 > pi/2
+
+
+def _refused(check, *args) -> bool:
+    try:
+        check(*args)
+    except ValueError:
+        return True
+    return False
+
+
+def _face_probes(rng, n=200, ulps=3):
+    """Points within +-``ulps`` ulp of each tolerance face, ``n`` seeded points per face.
+
+    The faces are -tol <= c3, c3 <= c2 + tol, c2 <= c1 + tol and
+    c1 <= pi/2 + tol; the other two coordinates lie inside the chamber.
+    """
+    probes = []
+    for face in range(4):
+        for _ in range(n):
+            c1 = rng.uniform(0.1, HALF_PI)
+            c2 = rng.uniform(0.0, c1)
+            c3 = rng.uniform(0.0, c2)
+            if face == 0:
+                c3 = -_WEYL_TOL
+            elif face == 1:
+                c3 = c2 + _WEYL_TOL
+            elif face == 2:
+                c2, c3 = c1 + _WEYL_TOL, rng.uniform(0.0, c1)
+            else:
+                c1 = HALF_PI + _WEYL_TOL
+            c = [c1, c2, c3]
+            axis = (2, 2, 1, 0)[face]  # the coordinate on the face
+            for k in range(-ulps, ulps + 1):
+                probe = list(c)
+                for _ in range(abs(k)):
+                    probe[axis] = math.nextafter(probe[axis], math.copysign(math.inf, k))
+                probes.append(tuple(probe))
+    return probes
+
+
+def test_weyl_point_refuses_exactly_what_the_chamber_check_refuses():
+    # c2 <= c1 + _WEYL_TOL holds in floating point, but the excess
+    # (c2 - c1) - _WEYL_TOL rounds to 8.3e-17: the two forms of the bound
+    # disagree here, and both checks must refuse the point.
+    edge = (1.4688083285730271, 1.4688083295730272, 0.0035094968672881844)
+    assert _refused(_require_chamber, np.array(edge)) and _refused(WeylPoint, *edge)
+    probes = _face_probes(np.random.default_rng(20261019))
+    verdicts = [_refused(_require_chamber, np.array(c)) for c in probes]
+    assert 0 < sum(verdicts) < len(probes)
+    disagree = [c for c, v in zip(probes, verdicts) if _refused(WeylPoint, *c) != v]
+    assert not disagree, (len(disagree), disagree[:3])
 
 
 def test_weyl_coordinates_of_named_gates():

@@ -39,6 +39,7 @@ from cnotsteer.qmat import (
 )
 from cnotsteer.sequences import (
     CNOT,
+    LocalRotationSpec,
     euler_u2,
     single_step_gates,
     single_step_u,
@@ -49,7 +50,7 @@ from cnotsteer.sequences import (
 import propagator_oracle
 from calibration_oracle import single_step_gate, single_step_residual
 from propagator_oracle import evolve_stepwise, h_rwa_frame1
-from conftest import random_skew, random_unitary
+from conftest import random_skew, random_unitary, spec_from_vector
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -398,6 +399,21 @@ def test_local_dressings_give_each_member_its_own_bits(left, right):
         assert a2[k].tobytes() == alone[0].tobytes()
         assert dressings[k].tobytes() == kron2(*alone).tobytes()
         assert dressings[k].tobytes() == np.kron(*alone).tobytes()
+
+
+def test_one_stacked_realize_dresses_each_gate_as_its_own_spec_does(rng):
+    # 50 (spec, gate) pairs: the spec of angle arrays against each spec of
+    # Python floats alone, then one spec of floats over the whole stack.
+    v = rng.uniform(-math.pi, math.pi, size=(50, 13))
+    gates = np.array([random_unitary(rng) for _ in v])
+    a = v.T
+    dressed = LocalRotationSpec(a[0:3], a[3:6], a[6:9], a[9:12], phase=a[12]).realize(gates)
+    assert dressed.shape == gates.shape
+    for k, gate in enumerate(gates):
+        assert dressed[k].tobytes() == spec_from_vector(v[k]).realize(gate).tobytes()
+    one = spec_from_vector(v[0])
+    for gate, member in zip(gates, one.realize(gates)):
+        assert member.tobytes() == one.realize(gate).tobytes()
 
 
 @PROPERTY

@@ -21,8 +21,6 @@ solve up to g and by a d^2 minimisation beyond it.
 """
 
 from .equivclass import (
-    InvariantPair,
-    WeylPoint,
     canonical_class_gate,
     cnot_distance,
     makhlin_invariants,
@@ -57,11 +55,9 @@ __all__ = [
     "DetuningOutOfRangeError",
     "FidelityUndefinedError",
     "FitResult",
-    "InvariantPair",
     "LocalRotationSpec",
     "SystemParams",
     "UnsupportedCouplingError",
-    "WeylPoint",
     "calibrate_single_step",
     "canonical_class_gate",
     "cnot_distance",

@@ -206,8 +206,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
     """Closest-to-CNOT single-step parameters for detunings 1.0-2.0."""
     rows = []
     for delta, cal in zip(_TABLE2_GRID, _calibrate_single_step(_TABLE2_GRID)):
-        inv = cal.invariants
-        rows.append([f"{delta:.2f}", cal.t_units, cal.omega1_over_g, inv.g1.real, inv.g2])
+        rows.append([f"{delta:.2f}", cal.t_units, cal.omega1_over_g, cal.g1.real, cal.g2])
     _write(_out_path(args.out), csv_text(["delta_over_g", "T1", "omega1_over_g", "G1", "G2"], rows))
     return EXIT_OK
 
@@ -221,16 +220,17 @@ def cmd_gate(args: argparse.Namespace) -> int:
         segment = entangling_u(two_step_time(p), p, args.frame)
         entangler = two_step_product(segment)
         fit = FitResult.of(two_step_rotations(p, args.frame), entangler, CNOT)
-        inv = makhlin_invariants(entangler)
+        g1, g2 = makhlin_invariants(entangler)
+        g1, g2, d2 = g1.item(), g2.item(), cnot_distance(g1, g2).item()
     else:
         cal = _calibrate_single_step(delta)
         p = SystemParams(delta=delta, omega1=cal.omega1_over_g)
         unit, t_value = "pi/2g", cal.t_units
         entangler = segment = single_step_u(cal.t_units * math.pi / 2.0, p)
         fit = fit_local_rotations(entangler, CNOT)
-        inv = cal.invariants
+        g1, g2, d2 = cal.g1, cal.g2, cal.distance
 
-    weyl = weyl_coordinates(entangler)
+    c1, c2, c3 = weyl_coordinates(entangler).tolist()
     payload = {
         "recipe": {
             "kind": args.mode,
@@ -245,9 +245,9 @@ def cmd_gate(args: argparse.Namespace) -> int:
         "frame": args.frame if args.mode == "two-step" else None,
         "entangling_matrix": matrix_to_json(segment),
         "gate_matrix": matrix_to_json(fit.gate),
-        "invariants": {"g1_re": inv.g1.real, "g1_im": inv.g1.imag, "g2": inv.g2},
-        "class_distance_sq": cnot_distance(inv),
-        "weyl_point": {"c1": weyl.c1, "c2": weyl.c2, "c3": weyl.c3},
+        "invariants": {"g1_re": g1.real, "g1_im": g1.imag, "g2": g2},
+        "class_distance_sq": d2,
+        "weyl_point": {"c1": c1, "c2": c2, "c3": c3},
         "frobenius_distance_to_cnot": fit.distance,
         "fidelity": fit.fidelity,
     }

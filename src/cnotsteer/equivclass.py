@@ -36,27 +36,24 @@ package, which stay on the c3 = 0 face -- are represented exactly.
 Stacks
 ------
 ``to_magic``, ``makhlin_invariants``, ``cnot_residual`` and
-``weyl_coordinates`` take one gate or a stack of shape ``(..., 4, 4)``, and
-``canonical_class_gate`` takes one point or points of shape ``(..., 3)``.
-One gate gives one array, pair or point; a stack gives an array of the same
-stack shape, or a list of pairs or points in C order of the stack axes.
-Each member gets the bits it would get alone, and every contract holds per
-member: the unitarity tolerance, the G2-reality bound and the chamber
-bounds.  The chamber bounds are ``_require_chamber``'s, the one check that
-``WeylPoint`` makes too.  A stack with a failing member, NaN included, is
-rejected, and the error names the worst member's index and defect.
-
-A stack stays arrays up to the caller: the pairs and points are built at
-the API edge from two private array kernels, ``_invariants`` (G1 and G2)
-and ``_chamber_coordinates`` (the folded points), which callers inside the
-package that need only numbers take directly; ``_cnot_distances`` is the
-d^2 of a stack, with the bits of ``cnot_distance``.
+``weyl_coordinates`` take one gate or a stack of shape ``(..., 4, 4)``;
+``canonical_class_gate`` takes one point or points of shape ``(..., 3)``,
+and ``cnot_distance`` takes invariants of any shape.  Results are arrays
+over the stack axes: ``makhlin_invariants`` gives ``(G1, G2)``,
+``weyl_coordinates`` gives points of shape ``(..., 3)``, and one gate gives
+0-d invariants and a point of shape ``(3,)``.  Each member gets the bits
+it would get alone, and every contract holds per member: the unitarity
+tolerance, the G2-reality bound and the chamber bounds.  The chamber bounds
+are ``_require_chamber``'s, the package's one chamber check, which
+``weyl_coordinates`` makes once per call.  A stack with a failing member,
+NaN included, is rejected, and the error names the worst member's index and
+defect.  Callers that report a class (``cli``, ``CalibrationResult``) take
+Python numbers off the arrays with ``.item()`` or ``.tolist()``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,34 +88,6 @@ _WEYL_TOL = 1e-9
 _HALF_PI = math.pi / 2
 
 
-@dataclass(frozen=True)
-class InvariantPair:
-    """Makhlin invariants of a local equivalence class."""
-
-    g1: complex
-    g2: float
-
-
-@dataclass(frozen=True)
-class WeylPoint:
-    """Canonical class coordinates, pi/2 >= c1 >= c2 >= c3 >= 0 (radians).
-
-    The bounds, each with ``_WEYL_TOL`` of slack, are ``_require_chamber``'s.
-    A point outside them raises ``ValueError("Weyl point [c1, c2, c3] is
-    outside the chamber by <excess>")``; a NaN reads ``by nan``.
-    """
-
-    c1: float
-    c2: float
-    c3: float
-
-    def __post_init__(self) -> None:
-        _require_chamber(np.array((self.c1, self.c2, self.c3)))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.c3])
-
-
 def to_magic(u: np.ndarray) -> np.ndarray:
     """Rewrite a computational-basis matrix, or each in a stack, in the magic basis."""
     return _MAGIC_DAG @ u @ MAGIC_BASIS
@@ -134,10 +103,27 @@ def _magic_gram(u: Operator4) -> tuple[np.ndarray, np.ndarray]:
     return ub.swapaxes(-1, -2) @ ub, np.linalg.det(u)
 
 
-def _invariants(u: Operator4) -> tuple[np.ndarray, np.ndarray]:
-    """``(G1, G2)`` of ``makhlin_invariants`` as arrays over the stack axes, G2 real.
+def makhlin_invariants(u: Operator4) -> tuple[np.ndarray, np.ndarray]:
+    """Makhlin invariants (G1, G2) of a two-qubit unitary, or of each in a stack.
 
-    Checks the same contracts, with the same errors.
+    Forms ``m = U_B^T U_B`` in the magic basis and evaluates
+
+        G1 = tr(m)^2 / (16 det U),
+        G2 = (tr(m)^2 - tr(m^2)) / (4 det U).
+
+    Both are unchanged under left/right multiplication by single-qubit
+    rotations and under global phases.  G2 is real for unitary input; a
+    unitarity defect e moves it off the real axis by at most
+    sqrt(3) * e * max(1, |G2|) to first order, inside the
+    2 * UNITARITY_TOL * max(1, |G2|) accepted here.
+
+    Returns G1 (complex) and G2 (real) as arrays over the stack axes, 0-d
+    for one gate.
+
+    Raises:
+        ContractViolationError: a member is not unitary within
+            ``UNITARITY_TOL``, or its G2 is further from real than that defect
+            allows.
     """
     m, det = _magic_gram(u)
     # np.power squares each element as a scalar does; ``**`` on an array
@@ -153,64 +139,24 @@ def _invariants(u: Operator4) -> tuple[np.ndarray, np.ndarray]:
     return g1, g2.real
 
 
-def makhlin_invariants(u: Operator4) -> InvariantPair | list[InvariantPair]:
-    """Makhlin invariants (G1, G2) of a two-qubit unitary, or of each in a stack.
-
-    Forms ``m = U_B^T U_B`` in the magic basis and evaluates
-
-        G1 = tr(m)^2 / (16 det U),
-        G2 = (tr(m)^2 - tr(m^2)) / (4 det U).
-
-    Both are unchanged under left/right multiplication by single-qubit
-    rotations and under global phases.  G2 is real for unitary input; a
-    unitarity defect e moves it off the real axis by at most
-    sqrt(3) * e * max(1, |G2|) to first order, inside the
-    2 * UNITARITY_TOL * max(1, |G2|) accepted here.
-
-    One gate gives one pair; a stack gives a list of pairs, one per member.
-    The pairs are built from the arrays of ``_invariants``, which callers
-    inside the package that need only numbers (the d^2 search, ``verify``)
-    take directly.
-
-    Raises:
-        ContractViolationError: a member is not unitary within
-            ``UNITARITY_TOL``, or its G2 is further from real than that defect
-            allows.
-    """
-    g1, g2 = _invariants(u)
-    if g1.ndim == 0:
-        return InvariantPair(g1=complex(g1), g2=float(g2))
-    return [InvariantPair(g1=a, g2=b) for a, b in zip(g1.ravel().tolist(), g2.ravel().tolist())]
-
-
-def canonical_class_gate(point: WeylPoint | tuple[float, float, float]) -> Operator4:
+def canonical_class_gate(point: np.ndarray | tuple[float, float, float]) -> Operator4:
     """The representative gate exp(-c1*XX - c2*YY - c3*ZZ).
 
     Points given as an array of shape ``(..., 3)`` give a stack of gates.
     """
-    if isinstance(point, WeylPoint):
-        point = point.as_array()
     c1, c2, c3 = np.moveaxis(np.asarray(point, dtype=float), -1, 0)[..., None, None]
     return expm_skew(-(c1 * XX + c2 * YY + c3 * ZZ))
 
 
-def cnot_distance(inv: InvariantPair) -> float:
-    """Squared invariant distance d^2 = |G1|^2 + |G2 - 1|^2 to the CNOT class.
+def cnot_distance(g1: np.ndarray | complex, g2: np.ndarray | float) -> np.ndarray:
+    """Squared invariant distance d^2 = |G1|^2 + |G2 - 1|^2 to the CNOT class, elementwise.
 
-    Python scalar arithmetic: ``abs`` of a complex is a hypot and ``** 2`` a
-    ``pow``.  ``_cnot_distances`` gives each member of a stack these bits.
+    Takes ``makhlin_invariants``' arrays (``cnot_distance(*makhlin_invariants(u))``)
+    and gives each member the bits of the Python scalar ``abs(g1) ** 2 +
+    abs(g2 - 1.0) ** 2``: ``np.hypot(g1.real, g1.imag)`` rounds as ``abs`` of
+    a Python complex and ``np.float_power(x, 2.0)`` as ``x ** 2`` of a Python
+    float; ``np.abs`` of a complex array and ``x * x`` do not.
     """
-    return abs(inv.g1) ** 2 + abs(inv.g2 - 1.0) ** 2
-
-
-def _cnot_distances(u: Operator4) -> np.ndarray:
-    """``cnot_distance`` of each gate's invariants, bit for bit, as an array over the stack axes.
-
-    ``np.hypot(g1.real, g1.imag)`` rounds as ``abs`` of a Python complex and
-    ``np.float_power(x, 2.0)`` as ``x ** 2`` of a Python float; ``np.abs`` of a
-    complex array and ``x * x`` do not.
-    """
-    g1, g2 = _invariants(u)
     return np.float_power(np.hypot(g1.real, g1.imag), 2.0) + np.float_power(abs(g2 - 1.0), 2.0)
 
 
@@ -280,7 +226,7 @@ def _chamber_coordinates(u: Operator4) -> np.ndarray:
     return c
 
 
-def weyl_coordinates(u: Operator4) -> WeylPoint | list[WeylPoint]:
+def weyl_coordinates(u: Operator4) -> np.ndarray:
     """Canonical Weyl-chamber coordinates of the class of ``u``, or of each in a stack.
 
     Folds the spectral representative into the reduced chamber with the
@@ -292,10 +238,9 @@ def weyl_coordinates(u: Operator4) -> WeylPoint | list[WeylPoint]:
     so that a class on the c1 = pi/2 face, CNOT's among them, reads pi/2
     exactly whatever the rounding of the spectrum.
 
-    One gate gives one point; a stack gives a list of points, one per member.
-    The array of ``_chamber_coordinates``, which ``verify`` takes directly, is
-    checked against the chamber bounds once, as a stack, and the points are
-    then built from it.
+    Returns the points ``(c1, c2, c3)``, pi/2 >= c1 >= c2 >= c3 >= 0 in
+    radians, as an array of shape ``(..., 3)``, ``(3,)`` for one gate.  They
+    are checked against the chamber bounds once, as a stack.
 
     Raises:
         ContractViolationError: a member is not unitary within
@@ -305,5 +250,4 @@ def weyl_coordinates(u: Operator4) -> WeylPoint | list[WeylPoint]:
     """
     c = _chamber_coordinates(u)
     _require_chamber(c)
-    points = [WeylPoint(*row) for row in c.reshape(-1, 3).tolist()]
-    return points[0] if c.ndim == 1 else points
+    return c

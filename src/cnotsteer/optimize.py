@@ -33,9 +33,9 @@ and take back plain numbers (the residuals R or the d^2 of a stencil);
 ``_lockstep`` runs all rows of one method together, evaluating every pending
 request of a round, whatever its size, in one stacked ``single_step_gates``
 call.  One last stacked call, a one-row stack for one detuning, gives
-every row its invariants.  The kernels give each stack member the bits it
-gets alone, so each row returns the bits it returns when calibrated alone,
-with the same iteration count and flag.
+every row its invariants and d^2.  The kernels give each stack member the
+bits it gets alone, so each row returns the bits it returns when calibrated
+alone, with the same iteration count and flag.
 
 The two-step sequence needs no calibration: ``sequences.two_step_time`` is
 its closed-form gate time.
@@ -49,13 +49,7 @@ from typing import Callable, Generator, Sequence
 
 import numpy as np
 
-from .equivclass import (
-    InvariantPair,
-    _cnot_distances,
-    cnot_distance,
-    cnot_residual,
-    makhlin_invariants,
-)
+from .equivclass import cnot_distance, cnot_residual, makhlin_invariants
 from .model import SystemParams
 from .sequences import single_step_gates
 
@@ -110,15 +104,17 @@ _ROOT_STENCIL = np.array([[0.0, 0.0], [_ROOT_STEP, 0.0], [0.0, _ROOT_STEP]])
 class CalibrationResult:
     """Calibrated gate parameters and the achieved class data.
 
-    ``t_units`` is the single-step gate time T1 in units of pi/2g.
-    ``method`` names how the parameters were found: ``"root solve"`` or
-    ``"d^2 minimisation"``.
+    ``t_units`` is the single-step gate time T1 in units of pi/2g.  ``g1``
+    (complex), ``g2`` and ``distance`` are the Makhlin invariants and d^2 of
+    the gate at the returned point, as Python numbers.  ``method`` names how
+    the parameters were found: ``"root solve"`` or ``"d^2 minimisation"``.
     """
 
     delta_over_g: float
     t_units: float
     omega1_over_g: float
-    invariants: InvariantPair
+    g1: complex
+    g2: float
     distance: float
     iterations: int
     converged: bool
@@ -137,7 +133,7 @@ def _residuals(delta_over_g: float | np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _distances(delta_over_g: float | np.ndarray, x: np.ndarray) -> np.ndarray:
     """d^2 of the single-step gate at each point of a stack ``x`` of shape ``(n, 2)``."""
-    return _cnot_distances(_gates(delta_over_g, x))
+    return cnot_distance(*makhlin_invariants(_gates(delta_over_g, x)))
 
 
 #: A solver run by ``_lockstep``: it yields points of shape ``(..., 2)``, is
@@ -277,14 +273,15 @@ def calibrate_single_step(
     reach from the resonant solution, which need not be the smallest d^2 in
     the search box (at 1.1g another basin, near omega1 = 6.13g, lies lower),
     and ``iterations`` counts those steps.  Both start from the resonant
-    solution.  The invariants are those of the gate at the returned point,
-    with the bits of the last evaluation the solver made there.
+    solution.  The invariants and d^2 are those of the gate at the returned
+    point, with the bits of the last evaluation the solver made there.
 
     One detuning gives one result; a sequence of detunings gives a list of
     results, one per detuning in order (an empty sequence gives ``[]``).
     The rows of each method run in lockstep: each solver round makes one
     stacked kernel call for all of them, and one last stacked call builds
-    every row's gate for its invariants.  Each row gets the bits it gets alone.
+    every row's gate for its invariants and d^2.  Each row gets the bits it
+    gets alone.
 
     The sign of the detuning is irrelevant to the class data and to the
     calibrated parameters.
@@ -311,13 +308,14 @@ def calibrate_single_step(
     # detuning.  A stack member gets the bits it gets alone, and x + 0.0 == x,
     # so each row gets the bits of the last gate its solver evaluated there.
     points = np.array([x for x, *_ in found]).reshape(-1, 2)
-    invariants = makhlin_invariants(_gates(np.array(deltas), points))
+    g1, g2 = makhlin_invariants(_gates(np.array(deltas), points))
+    class_data = zip(g1.tolist(), g2.tolist(), cnot_distance(g1, g2).tolist())
     results = []
-    for delta, (x, iterations, converged, method), inv in zip(deltas, found, invariants):
+    for delta, (x, iterations, converged, method), (g1_k, g2_k, d2) in zip(deltas, found, class_data):
         p = SystemParams(delta=delta, omega1=float(x[0]))  # and a negative drive after the search
         results.append(CalibrationResult(
             delta_over_g=delta, t_units=float(x[1]), omega1_over_g=p.omega1,
-            invariants=inv, distance=cnot_distance(inv),
+            g1=g1_k, g2=g2_k, distance=d2,
             iterations=iterations, converged=converged, method=method,
         ))
     return results[0] if one else results

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .equivclass import MAGIC_BASIS, InvariantPair, _chamber_coordinates, _require_chamber, to_magic
+from .equivclass import MAGIC_BASIS, _chamber_coordinates, _require_chamber, to_magic
 from .model import SystemParams, X1, XX, YY, Z2
 from .propagate import checked_time
 from .qmat import (
@@ -219,8 +219,8 @@ def two_step_product(u: Operator4) -> Operator4:
     return u @ PI_PULSE_X1 @ u
 
 
-def two_step_invariants_closed(t: float, p: SystemParams) -> InvariantPair:
-    """Closed-form invariants of the two-step entangler U(t) e^{-pi X1} U(t).
+def two_step_invariants_closed(t: float, p: SystemParams) -> tuple[complex, float]:
+    """Closed-form invariants ``(G1, G2)`` of the two-step entangler U(t) e^{-pi X1} U(t).
 
     Valid for any detuning and independent of the ZZ coupling and of the
     frame in which the segments are evolved.
@@ -234,7 +234,7 @@ def two_step_invariants_closed(t: float, p: SystemParams) -> InvariantPair:
         + 8.0 * d2 * (1.0 + 2.0 * math.cos(lam * t))
         + 16.0 * (2.0 + math.cos(2.0 * lam * t))
     ) / lam2**2
-    return InvariantPair(g1=complex(g1), g2=g2)
+    return complex(g1), g2
 
 
 #: The exchange term XX + YY of the single-step generator, summed once.

@@ -7,10 +7,12 @@ would draw them, then builds all its gates in one call to a map over
 broadcast arrays (``propagate.undriven_propagators`` and ``undriven_uv``,
 ``sequences.two_step_product`` and ``single_step_gates``, and
 ``LocalRotationSpec.realize`` for the local dressings).  It evaluates their
-unitarity defects, invariants or chamber points as stacks, with the array
-kernels of ``qmat`` and ``equivclass``, and builds no ``InvariantPair`` or
-``WeylPoint``; a member of a stack gets the bits it would get alone.  Where
-a check compares two gates, it evaluates each side as one stack.
+unitarity defects, invariants or chamber points as stacks: the arrays of
+``qmat.unitarity_defect``, ``equivclass.makhlin_invariants`` and
+``equivclass._chamber_coordinates``, the fold of ``weyl_coordinates``
+without its chamber check, so that a point off the chamber is a deviation
+and not an error.  A member of a stack gets the bits it would get alone.
+Where a check compares two gates, it evaluates each side as one stack.
 ``run_checks`` is the one loop that runs the checks: it takes the worst
 deviation of each check and compares it against the check's tolerance, so
 a NaN deviation is the worst and fails.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equivclass import _chamber_coordinates, _invariants, canonical_class_gate
+from .equivclass import _chamber_coordinates, canonical_class_gate, makhlin_invariants
 from .propagate import undriven_propagators, undriven_uv
 from .qmat import unitarity_defect
 from .sequences import LocalRotationSpec, single_step_gates, two_step_product
@@ -55,7 +57,7 @@ def _invariant_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     ``np.hypot`` of the parts is the complex ``abs`` of one pair, bit for bit.
     """
-    (g1a, g2a), (g1b, g2b) = _invariants(a), _invariants(b)
+    (g1a, g2a), (g1b, g2b) = makhlin_invariants(a), makhlin_invariants(b)
     d1 = g1a - g1b
     return np.stack([np.hypot(d1.real, d1.imag), abs(g2a - g2b)], axis=-1).ravel()
 

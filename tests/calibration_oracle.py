@@ -93,7 +93,7 @@ def single_step_gate(delta_over_g: float, x: np.ndarray) -> np.ndarray:
 
 def single_step_d2(delta_over_g: float, x: np.ndarray) -> float:
     """d^2 = |G1|^2 + |G2 - 1|^2 of the single-step gate at ``x = (omega1/g, T1)``."""
-    return cnot_distance(makhlin_invariants(single_step_gate(delta_over_g, x)))
+    return float(cnot_distance(*makhlin_invariants(single_step_gate(delta_over_g, x))))
 
 
 def single_step_residual(delta_over_g: float, x: np.ndarray) -> np.ndarray:

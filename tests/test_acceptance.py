@@ -82,11 +82,10 @@ def test_criterion_03_large_detuning_calibration(single_step_table):
     worst_t = worst_om = worst_g1 = worst_g2 = 0.0
     for delta, (t_ref, om_ref, g1_ref, g2_ref) in TABLE2.items():
         cal = single_step_table[delta]
-        assert cal.invariants is not None
         worst_t = max(worst_t, abs(cal.t_units - t_ref))
         worst_om = max(worst_om, abs(cal.omega1_over_g - om_ref))
-        worst_g1 = max(worst_g1, abs(cal.invariants.g1.real - g1_ref))
-        worst_g2 = max(worst_g2, abs(cal.invariants.g2 - g2_ref))
+        worst_g1 = max(worst_g1, abs(cal.g1.real - g1_ref))
+        worst_g2 = max(worst_g2, abs(cal.g2 - g2_ref))
     ok = worst_t < 5e-3 and worst_om < 5e-3 and worst_g1 < 2e-3 and worst_g2 < 2e-3
     _report(3, ok, f"11 closest-class rows: worst |dT1| = {worst_t:.2e}, "
                    f"|dOmega| = {worst_om:.2e}, |dG1| = {worst_g1:.2e}, |dG2| = {worst_g2:.2e}")
@@ -170,8 +169,8 @@ def test_criterion_09_trajectory_endpoints(single_step_table):
     cal15 = single_step_table[1.5]
     p15 = SystemParams(delta=1.5, omega1=cal15.omega1_over_g)
     _, c15 = weyl_trajectory(p15, cal15.t_units * HALF_PI, n_samples=33)
-    inv15 = invariants_from_weyl(tuple(c15[-1]))
-    err15 = max(abs(inv15.g1 - 0.0476), abs(inv15.g2 - 0.9898))
+    g1, g2 = invariants_from_weyl(c15[-1])
+    err15 = max(abs(g1 - 0.0476), abs(g2 - 0.9898))
 
     ok = err1 < 2e-3 and err15 < 2e-3
     _report(9, ok, f"delta = g endpoint off CNOT by {err1:.2e}; "

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import cnotsteer.equivclass as equivclass
 from cnotsteer.equivclass import (
     _WEYL_TOL,
-    InvariantPair,
-    WeylPoint,
     _require_chamber,
     canonical_class_gate,
     cnot_distance,
@@ -53,15 +52,18 @@ def _interior_point(rng, margin=1e-3):
 
 
 def test_invariants_of_cnot():
-    inv = makhlin_invariants(CNOT)
-    assert abs(inv.g1) < 1e-12
-    assert abs(inv.g2 - 1.0) < 1e-12
+    g1, g2 = makhlin_invariants(CNOT)
+    assert abs(g1) < 1e-12
+    assert abs(g2 - 1.0) < 1e-12
+    # One gate gives 0-d arrays, G2 real, and a 0-d d^2.
+    assert (g1.ndim, g1.dtype, g2.ndim, g2.dtype) == (0, complex, 0, float)
+    assert cnot_distance(g1, g2).ndim == 0
 
 
 def test_invariants_of_identity():
-    inv = makhlin_invariants(np.eye(4, dtype=complex))
-    assert abs(inv.g1 - 1.0) < 1e-12
-    assert abs(inv.g2 - 3.0) < 1e-12
+    g1, g2 = makhlin_invariants(np.eye(4, dtype=complex))
+    assert abs(g1 - 1.0) < 1e-12
+    assert abs(g2 - 3.0) < 1e-12
 
 
 def test_invariants_reject_non_unitary():
@@ -79,33 +81,32 @@ def test_invariants_of_gates_unitary_only_to_the_input_tolerance(rng):
         v = u + 1.5e-9 * e / np.linalg.norm(e)
         assert 5e-10 < unitarity_defect(v) < 5e-9
         w, _, vh = np.linalg.svd(v)
-        a, b = makhlin_invariants(v), makhlin_invariants(w @ vh)
-        assert isinstance(a.g2, float)
-        assert abs(a.g1 - b.g1) < 1e-8 and abs(a.g2 - b.g2) < 1e-8
+        (g1a, g2a), (g1b, g2b) = makhlin_invariants(v), makhlin_invariants(w @ vh)
+        assert g2a.dtype == float
+        assert abs(g1a - g1b) < 1e-8 and abs(g2a - g2b) < 1e-8
 
 
 def test_two_step_sandwich_reaches_cnot_class_at_delta_one():
     p = SystemParams(delta=1.0)
-    inv = makhlin_invariants(_sandwich(two_step_time(p), p))
-    assert cnot_distance(inv) < 1e-10
+    assert cnot_distance(*makhlin_invariants(_sandwich(two_step_time(p), p))) < 1e-10
 
 
 def test_closed_form_invariants_special_values():
     p0 = SystemParams(delta=0.7)
-    inv = two_step_invariants_closed(0.0, p0)
-    assert abs(inv.g1 - 1.0) < 1e-12 and abs(inv.g2 - 3.0) < 1e-12
+    g1, g2 = two_step_invariants_closed(0.0, p0)
+    assert abs(g1 - 1.0) < 1e-12 and abs(g2 - 3.0) < 1e-12
 
-    inv = two_step_invariants_closed(np.pi / 4.0, SystemParams(delta=0.0))
-    assert abs(inv.g1) < 1e-12 and abs(inv.g2 - 1.0) < 1e-12
+    g1, g2 = two_step_invariants_closed(np.pi / 4.0, SystemParams(delta=0.0))
+    assert abs(g1) < 1e-12 and abs(g2 - 1.0) < 1e-12
 
-    inv = two_step_invariants_closed(np.pi / (2.0 * np.sqrt(2.0)), SystemParams(delta=2.0))
-    assert abs(inv.g1) < 1e-12 and abs(inv.g2 - 1.0) < 1e-12
+    g1, g2 = two_step_invariants_closed(np.pi / (2.0 * np.sqrt(2.0)), SystemParams(delta=2.0))
+    assert abs(g1) < 1e-12 and abs(g2 - 1.0) < 1e-12
 
 
 def test_two_step_reaches_cnot_exactly_up_to_two_g():
     for delta in (0.0, 0.5, 1.0, 1.5, 2.0, -2.0):
         p = SystemParams(delta=delta)
-        assert cnot_distance(two_step_invariants_closed(two_step_time(p), p)) <= 1e-24, delta
+        assert cnot_distance(*two_step_invariants_closed(two_step_time(p), p)) <= 1e-24, delta
     # At the bound, T2 is sqrt(2) in units of pi/4g (Table 1's 1.4142).
     for delta in (2.0, -2.0):
         t_units = two_step_time(SystemParams(delta=delta)) / (math.pi / 4.0)
@@ -122,7 +123,7 @@ def test_two_step_misses_cnot_beyond_two_g():
         assert floor > 0.0
         period = 2.0 * math.pi / math.sqrt(lam2)
         for t in np.linspace(0.0, period, 4001).tolist():
-            assert cnot_distance(two_step_invariants_closed(t, p)) >= floor, (delta, t)
+            assert cnot_distance(*two_step_invariants_closed(t, p)) >= floor, (delta, t)
 
 
 def test_closed_form_agrees_with_assembled_product(rng):
@@ -141,17 +142,17 @@ def test_closed_form_agrees_with_assembled_product(rng):
         p = SystemParams(delta=delta, g_tilde=gtilde)
         closed = two_step_invariants_closed(t, p)
         direct = makhlin_invariants(_sandwich(t, p, frame=frame))
-        assert abs(closed.g1 - direct.g1) < 1e-9
-        assert abs(closed.g2 - direct.g2) < 1e-9
+        assert abs(closed[0] - direct[0]) < 1e-9
+        assert abs(closed[1] - direct[1]) < 1e-9
 
 
 def test_frame_independence_of_sandwich_invariants(rng):
     for _ in range(25):
         t = rng.uniform(0.0, 3.0)
         p = SystemParams(delta=rng.uniform(0.0, 3.0))
-        a = makhlin_invariants(_sandwich(t, p, frame=1))
-        b = makhlin_invariants(_sandwich(t, p, frame=2))
-        assert abs(a.g1 - b.g1) < 1e-10 and abs(a.g2 - b.g2) < 1e-10
+        g1a, g2a = makhlin_invariants(_sandwich(t, p, frame=1))
+        g1b, g2b = makhlin_invariants(_sandwich(t, p, frame=2))
+        assert abs(g1a - g1b) < 1e-10 and abs(g2a - g2b) < 1e-10
 
 
 def test_local_dressing_invariance(rng):
@@ -159,75 +160,45 @@ def test_local_dressing_invariance(rng):
         u = random_unitary(rng)
         phase = np.exp(1j * rng.uniform(-np.pi, np.pi))
         dressed = phase * _random_local(rng) @ u @ _random_local(rng)
-        a, b = makhlin_invariants(u), makhlin_invariants(dressed)
-        assert abs(a.g1 - b.g1) < 1e-10
-        assert abs(a.g2 - b.g2) < 1e-10
+        (g1a, g2a), (g1b, g2b) = makhlin_invariants(u), makhlin_invariants(dressed)
+        assert abs(g1a - g1b) < 1e-10
+        assert abs(g2a - g2b) < 1e-10
 
 
 def test_weyl_point_validation():
-    WeylPoint(c1=1.2, c2=0.7, c3=0.1)
+    _require_chamber(np.array([1.2, 0.7, 0.1]))
     with pytest.raises(ValueError):
-        WeylPoint(c1=0.2, c2=0.7, c3=0.1)  # violates ordering
+        _require_chamber(np.array([0.2, 0.7, 0.1]))  # violates ordering
     with pytest.raises(ValueError):
-        WeylPoint(c1=2.0, c2=0.1, c3=0.0)  # c1 > pi/2
-
-
-def _refused(check, *args) -> bool:
-    try:
-        check(*args)
-    except ValueError:
-        return True
-    return False
-
-
-def _face_probes(rng, n=200, ulps=3):
-    """Points within +-``ulps`` ulp of each tolerance face, ``n`` seeded points per face.
-
-    The faces are -tol <= c3, c3 <= c2 + tol, c2 <= c1 + tol and
-    c1 <= pi/2 + tol; the other two coordinates lie inside the chamber.
-    """
-    probes = []
-    for face in range(4):
-        for _ in range(n):
-            c1 = rng.uniform(0.1, HALF_PI)
-            c2 = rng.uniform(0.0, c1)
-            c3 = rng.uniform(0.0, c2)
-            if face == 0:
-                c3 = -_WEYL_TOL
-            elif face == 1:
-                c3 = c2 + _WEYL_TOL
-            elif face == 2:
-                c2, c3 = c1 + _WEYL_TOL, rng.uniform(0.0, c1)
-            else:
-                c1 = HALF_PI + _WEYL_TOL
-            c = [c1, c2, c3]
-            axis = (2, 2, 1, 0)[face]  # the coordinate on the face
-            for k in range(-ulps, ulps + 1):
-                probe = list(c)
-                for _ in range(abs(k)):
-                    probe[axis] = math.nextafter(probe[axis], math.copysign(math.inf, k))
-                probes.append(tuple(probe))
-    return probes
-
-
-def test_weyl_point_refuses_exactly_what_the_chamber_check_refuses():
+        _require_chamber(np.array([2.0, 0.1, 0.0]))  # c1 > pi/2
     # c2 <= c1 + _WEYL_TOL holds in floating point, but the excess
-    # (c2 - c1) - _WEYL_TOL rounds to 8.3e-17: the two forms of the bound
-    # disagree here, and both checks must refuse the point.
-    edge = (1.4688083285730271, 1.4688083295730272, 0.0035094968672881844)
-    assert _refused(_require_chamber, np.array(edge)) and _refused(WeylPoint, *edge)
-    probes = _face_probes(np.random.default_rng(20261019))
-    verdicts = [_refused(_require_chamber, np.array(c)) for c in probes]
-    assert 0 < sum(verdicts) < len(probes)
-    disagree = [c for c, v in zip(probes, verdicts) if _refused(WeylPoint, *c) != v]
-    assert not disagree, (len(disagree), disagree[:3])
+    # (c2 - c1) - _WEYL_TOL rounds to 8.274e-17: the check goes by the excess.
+    edge = np.array([1.4688083285730271, 1.4688083295730272, 0.0035094968672881844])
+    assert edge[1] <= edge[0] + _WEYL_TOL
+    with pytest.raises(ValueError, match=r"outside the chamber by 8\.274e-17$"):
+        _require_chamber(edge)
+
+
+def test_weyl_coordinates_checks_the_chamber_once_per_call(monkeypatch, rng):
+    calls = []
+    check = equivclass._require_chamber
+
+    def counted(c):
+        calls.append(c.shape)
+        check(c)
+
+    monkeypatch.setattr(equivclass, "_require_chamber", counted)
+    weyl_coordinates(CNOT)
+    assert calls == [(3,)]
+    weyl_coordinates(np.array([random_unitary(rng) for _ in range(5)]))
+    assert calls == [(3,), (5, 3)]
 
 
 def test_weyl_coordinates_of_named_gates():
-    c = weyl_coordinates(CNOT)
-    assert abs(c.c1 - HALF_PI) < 1e-12 and abs(c.c2) < 1e-12 and abs(c.c3) < 1e-12
-    c = weyl_coordinates(np.eye(4, dtype=complex))
-    assert np.max(np.abs(c.as_array())) < 1e-12
+    assert weyl_coordinates(CNOT).shape == (3,)
+    c1, c2, c3 = weyl_coordinates(CNOT)
+    assert abs(c1 - HALF_PI) < 1e-12 and abs(c2) < 1e-12 and abs(c3) < 1e-12
+    assert np.max(np.abs(weyl_coordinates(np.eye(4, dtype=complex)))) < 1e-12
     # det = -1 for CNOT, SWAP and CZ; the reference search must agree on all.
     named = [
         (np.eye(4, dtype=complex), (0.0, 0.0, 0.0)),
@@ -238,9 +209,9 @@ def test_weyl_coordinates_of_named_gates():
         (-1j * SWAP @ CNOT, (HALF_PI, HALF_PI, 0.0)),
     ]
     for gate, expected in named:
-        got = weyl_coordinates(gate).as_array()
+        got = weyl_coordinates(gate)
         assert np.max(np.abs(got - expected)) < 1e-12
-        assert np.max(np.abs(got - search_weyl_coordinates(gate).as_array())) < 1e-12
+        assert np.max(np.abs(got - search_weyl_coordinates(gate))) < 1e-12
 
 
 def test_weyl_reject_non_unitary():
@@ -253,7 +224,7 @@ def test_weyl_round_trip_interior(rng):
     for _ in range(50):
         c = _interior_point(rng)
         got = weyl_coordinates(canonical_class_gate(tuple(c)))
-        assert np.max(np.abs(got.as_array() - c)) < 1e-8
+        assert np.max(np.abs(got - c)) < 1e-8
 
 
 def test_weyl_invariant_consistency_random_unitaries(rng):
@@ -262,10 +233,10 @@ def test_weyl_invariant_consistency_random_unitaries(rng):
     n_exact = 0
     for _ in range(100):
         u = random_unitary(rng)
-        target = makhlin_invariants(u)
-        inv = invariants_from_weyl(weyl_coordinates(u))
-        err_exact = abs(inv.g1 - target.g1) + abs(inv.g2 - target.g2)
-        err_mirror = abs(np.conj(inv.g1) - target.g1) + abs(inv.g2 - target.g2)
+        g1, g2 = makhlin_invariants(u)
+        w1, w2 = invariants_from_weyl(weyl_coordinates(u))
+        err_exact = abs(w1 - g1) + abs(w2 - g2)
+        err_mirror = abs(np.conj(w1) - g1) + abs(w2 - g2)
         if err_exact < 1e-8:
             n_exact += 1
         assert min(err_exact, err_mirror) < 1e-8
@@ -275,26 +246,31 @@ def test_weyl_invariant_consistency_random_unitaries(rng):
 def test_weyl_matches_invariants_from_closed_form(rng):
     for _ in range(30):
         c = _interior_point(rng)
-        inv = invariants_from_weyl((c[0], c[1], c[2]))
-        direct = makhlin_invariants(canonical_class_gate(tuple(c)))
-        assert abs(inv.g1 - direct.g1) < 1e-12
-        assert abs(inv.g2 - direct.g2) < 1e-12
+        w1, w2 = invariants_from_weyl((c[0], c[1], c[2]))
+        g1, g2 = makhlin_invariants(canonical_class_gate(tuple(c)))
+        assert abs(w1 - g1) < 1e-12
+        assert abs(w2 - g2) < 1e-12
 
 
 def test_single_step_table_point_at_delta_15():
     p = SystemParams(delta=1.5, omega1=3.7152)
     point = weyl_coordinates(single_step_u(1.0961 * HALF_PI, p))
-    assert abs(point.c3) < 1e-8
-    inv = invariants_from_weyl(point)
-    assert abs(inv.g1 - 0.0476) < 2e-3
-    assert abs(inv.g2 - 0.9898) < 2e-3
+    assert abs(point[2]) < 1e-8
+    g1, g2 = invariants_from_weyl(point)
+    assert abs(g1 - 0.0476) < 2e-3
+    assert abs(g2 - 0.9898) < 2e-3
 
 
 def test_cnot_distance_values():
-    assert cnot_distance(InvariantPair(g1=0.0 + 0.0j, g2=1.0)) == 0.0
-    assert abs(cnot_distance(InvariantPair(g1=1.0 + 0.0j, g2=3.0)) - 5.0) < 1e-12
-    d2 = cnot_distance(InvariantPair(g1=0.1118 + 0.0j, g2=0.9754))
+    assert cnot_distance(0.0 + 0.0j, 1.0) == 0.0
+    assert abs(cnot_distance(1.0 + 0.0j, 3.0) - 5.0) < 1e-12
+    d2 = cnot_distance(0.1118 + 0.0j, 0.9754)
     assert abs(d2 - (0.1118**2 + 0.0246**2)) < 1e-12
+    # Elementwise over arrays of any shape.
+    g1 = np.array([[0.0, 1.0], [0.1118, 0.0]], dtype=complex)
+    g2 = np.array([[1.0, 3.0], [0.9754, 1.0]])
+    d2 = cnot_distance(g1, g2)
+    assert d2.shape == (2, 2) and d2[0, 0] == 0.0 and abs(d2[0, 1] - 5.0) < 1e-12
 
 
 def test_trajectory_starts_at_origin_and_reaches_cnot():

@@ -201,8 +201,8 @@ def test_gates_unitary_only_to_the_input_tolerance(rng):
 @given(unitaries(), unitaries())
 def test_dressed_gate_keeps_the_entangler_class(u, target):
     dressed = fit_local_rotations(u, target).rotations.realize(u)
-    a, b = makhlin_invariants(u), makhlin_invariants(dressed)
-    assert abs(a.g1 - b.g1) < 1e-10 and abs(a.g2 - b.g2) < 1e-10
+    (g1a, g2a), (g1b, g2b) = makhlin_invariants(u), makhlin_invariants(dressed)
+    assert abs(g1a - g1b) < 1e-10 and abs(g2a - g2b) < 1e-10
 
 
 _OPTIMALITY_CASES = {

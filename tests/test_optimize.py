@@ -89,9 +89,8 @@ def test_calibrate_single_step_resonant():
     assert abs(cal.omega1_over_g - math.sqrt(15.0)) < 5e-3
     assert cal.distance < 1e-10
     assert cal.converged
-    from cnotsteer.equivclass import cnot_distance
-
-    assert abs(cal.distance - cnot_distance(cal.invariants)) < 1e-12
+    assert (type(cal.g1), type(cal.g2), type(cal.distance)) == (complex, float, float)
+    assert abs(cal.distance - cnot_distance(cal.g1, cal.g2)) < 1e-12
 
 
 def test_calibrate_single_step_at_bound():
@@ -107,9 +106,8 @@ def test_calibrate_single_step_beyond_bound():
     t_ref, om_ref, g1_ref, g2_ref = TABLE2[1.5]
     assert abs(cal.t_units - t_ref) < 5e-3
     assert abs(cal.omega1_over_g - om_ref) < 5e-3
-    assert cal.invariants is not None
-    assert abs(cal.invariants.g1.real - g1_ref) < 2e-3
-    assert abs(cal.invariants.g2 - g2_ref) < 2e-3
+    assert abs(cal.g1.real - g1_ref) < 2e-3
+    assert abs(cal.g2 - g2_ref) < 2e-3
     assert cal.distance > 1e-4
 
 
@@ -117,9 +115,8 @@ def test_calibration_symmetric_in_detuning_sign():
     plus = calibrate_single_step(0.8)
     minus = calibrate_single_step(-0.8)
     assert abs(plus.distance - minus.distance) < 1e-9
-    assert plus.invariants is not None and minus.invariants is not None
-    assert abs(plus.invariants.g1 - minus.invariants.g1) < 1e-9
-    assert abs(plus.invariants.g2 - minus.invariants.g2) < 1e-9
+    assert abs(plus.g1 - minus.g1) < 1e-9
+    assert abs(plus.g2 - minus.g2) < 1e-9
 
 
 def test_crossover_bounds():
@@ -199,7 +196,7 @@ def test_single_step_rows_match_paper_to_four_decimals():
 def _dressed_quality(delta, omega, t_units):
     p = SystemParams(delta=delta, omega1=float(omega))
     u = single_step_u(float(t_units) * math.pi / 2.0, p)
-    return cnot_distance(makhlin_invariants(u)), fit_local_rotations(u, CNOT).distance
+    return cnot_distance(*makhlin_invariants(u)), fit_local_rotations(u, CNOT).distance
 
 
 @pytest.mark.parametrize("delta", [0.5, 0.9, 0.98, 1.0])
@@ -376,8 +373,7 @@ def test_single_step_newton_cap_clears_converged_flag(monkeypatch):
 
 def _bits(cal):
     """Everything a calibration reports, as bytes where it is a number."""
-    inv = cal.invariants
-    numbers = (cal.delta_over_g, cal.t_units, cal.omega1_over_g, inv.g1, inv.g2, cal.distance)
+    numbers = (cal.delta_over_g, cal.t_units, cal.omega1_over_g, cal.g1, cal.g2, cal.distance)
     return [np.asarray(v).tobytes() for v in numbers] + [cal.iterations, cal.converged, cal.method]
 
 
@@ -514,7 +510,7 @@ def test_invariants_are_those_of_the_gate_at_the_returned_point(name):
         found = calibrate_single_step(GRIDS[name])
     for cal in found:
         p = SystemParams(delta=cal.delta_over_g, omega1=cal.omega1_over_g)
-        inv = makhlin_invariants(single_step_u(cal.t_units * math.pi / 2.0, p))
-        got = (cal.invariants.g1, cal.invariants.g2, cal.distance)
-        want = (inv.g1, inv.g2, cnot_distance(inv))
+        g1, g2 = makhlin_invariants(single_step_u(cal.t_units * math.pi / 2.0, p))
+        got = (cal.g1, cal.g2, cal.distance)
+        want = (g1, g2, cnot_distance(g1, g2))
         assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want], cal.delta_over_g

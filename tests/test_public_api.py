@@ -38,11 +38,9 @@ def test_exported_names_are_pinned():
         "DetuningOutOfRangeError",
         "FidelityUndefinedError",
         "FitResult",
-        "InvariantPair",
         "LocalRotationSpec",
         "SystemParams",
         "UnsupportedCouplingError",
-        "WeylPoint",
         "__version__",
         "calibrate_single_step",
         "canonical_class_gate",

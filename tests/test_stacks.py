@@ -18,6 +18,7 @@ import cnotsteer.equivclass as equivclass
 import cnotsteer.optimize as optimize
 from cnotsteer.equivclass import (
     canonical_class_gate,
+    cnot_distance,
     cnot_residual,
     makhlin_invariants,
     to_magic,
@@ -110,12 +111,13 @@ generator_stacks = st.lists(generator(), min_size=1, max_size=6).map(np.array)
 
 
 def _bits(value) -> bytes:
-    """The bytes of a value: an array, a float, or the fields of a pair or point."""
-    if isinstance(value, equivclass.InvariantPair):
-        value = [value.g1.real, value.g1.imag, value.g2]
-    elif isinstance(value, equivclass.WeylPoint):
-        value = value.as_array()
+    """The bytes of a value: an array or a float."""
     return np.asarray(value, dtype=float if not np.iscomplexobj(value) else complex).tobytes()
+
+
+def _invariant_rows(u):
+    """``(G1, G2)`` of each member side by side, as one complex row per member."""
+    return np.stack(makhlin_invariants(u), axis=-1)
 
 
 def _assert_members_alone(kernel, stack):
@@ -132,7 +134,7 @@ def test_gate_kernels_give_each_member_its_own_bits(stack):
         unitarity_defect,
         lambda u: require_unitary(u, what="gate"),
         to_magic,
-        makhlin_invariants,
+        _invariant_rows,
         cnot_residual,
         weyl_coordinates,
     ):
@@ -149,9 +151,9 @@ def test_generator_kernels_give_each_member_its_own_bits(stack):
 def test_named_gates_in_one_stack():
     # I, CNOT and SWAP have degenerate magic-basis spectra.
     stack = np.array(NAMED)
-    for kernel in (unitarity_defect, to_magic, makhlin_invariants, cnot_residual, weyl_coordinates):
+    for kernel in (unitarity_defect, to_magic, _invariant_rows, cnot_residual, weyl_coordinates):
         _assert_members_alone(kernel, stack)
-    assert [p.as_array().tolist() for p in weyl_coordinates(stack)] == [
+    assert weyl_coordinates(stack).tolist() == [
         [0.0, 0.0, 0.0],
         [HALF_PI, 0.0, 0.0],
         [HALF_PI, HALF_PI, HALF_PI],
@@ -164,9 +166,10 @@ def test_stack_axes_are_kept():
     assert unitarity_defect(stack).shape == (2, 3)
     assert expm_skew(np.zeros((2, 3, 4, 4))).shape == (2, 3, 4, 4)
     flat = stack.reshape(6, 4, 4)
-    # Pairs and points come in C order of the stack axes.
-    assert makhlin_invariants(stack) == makhlin_invariants(flat)
-    assert weyl_coordinates(stack) == weyl_coordinates(flat)
+    for got, want in zip(makhlin_invariants(stack), makhlin_invariants(flat)):
+        assert got.shape == (2, 3) and got.tobytes() == want.tobytes()
+    c = weyl_coordinates(stack)
+    assert c.shape == (2, 3, 3) and c.tobytes() == weyl_coordinates(flat).tobytes()
 
 
 def test_empty_stack_gives_empty_results():
@@ -177,8 +180,8 @@ def test_empty_stack_gives_empty_results():
     assert expm_skew(empty).shape == (0, 4, 4)
     assert to_magic(empty).shape == (0, 4, 4)
     assert cnot_residual(empty).shape == (0, 32)
-    assert makhlin_invariants(empty) == []
-    assert weyl_coordinates(empty) == []
+    assert [g.shape for g in makhlin_invariants(empty)] == [(0,), (0,)]
+    assert weyl_coordinates(empty).shape == (0, 3)
 
 
 def _gates(n=5, seed=3):
@@ -458,19 +461,21 @@ def test_stacked_d2_equals_cnot_distance_member_by_member(monkeypatch):
     delta, omega1, t = rng.uniform((-3.0, 0.5, 0.0), (3.0, 8.0, 4.0), size=(4096, 3)).T
     haar = np.array([random_unitary(rng) for _ in range(4096)])
     u = np.concatenate(evaluated + [single_step_gates(delta, omega1, t), haar, np.array(NAMED)])
-    want = np.array([equivclass.cnot_distance(inv) for inv in makhlin_invariants(u)])
-    assert equivclass._cnot_distances(u).tobytes() == want.tobytes()
+    # The bit reference is the Python scalar d^2 of each member's invariants.
+    g1, g2 = makhlin_invariants(u)
+    want = np.array([abs(a.item()) ** 2 + abs(b.item() - 1.0) ** 2 for a, b in zip(g1, g2)])
+    assert cnot_distance(g1, g2).tobytes() == want.tobytes()
     # CNOT's G1 is 0 exactly and its d^2 is at rounding level; I and SWAP lie
     # beyond 1.
     identity, cnot, swap = want[-3:]
-    assert makhlin_invariants(CNOT).g1 == 0.0
+    assert makhlin_invariants(CNOT)[0] == 0.0
     assert 0.0 < cnot < 1e-30
     assert identity > 1.0 and swap > 1.0
 
 
 def test_the_array_primitives_round_as_the_scalar_d2():
-    # cnot_distance's complex abs and ** 2, against the array functions the
-    # stacked d^2 uses, over magnitudes from 1e-17 to 10.
+    # The scalar d^2's complex abs and ** 2, against the array functions
+    # cnot_distance uses, over magnitudes from 1e-17 to 10.
     rng = np.random.default_rng(2024)
     n = 100_000
     re, im = rng.normal(size=(2, n)) * 10.0 ** rng.uniform(-17.0, 1.0, size=(2, n))

@@ -28,8 +28,6 @@ import math
 import numpy as np
 
 from cnotsteer.equivclass import (
-    InvariantPair,
-    WeylPoint,
     _HALF_PI,
     _WEYL_TOL,
     _raw_coordinates,
@@ -81,16 +79,16 @@ def folded_coordinates(u: np.ndarray) -> np.ndarray:
     return c
 
 
-def invariants_from_weyl(point: WeylPoint | tuple[float, float, float]) -> InvariantPair:
-    """Invariants of the canonical gate exp(-c1*XX - c2*YY - c3*ZZ)."""
-    c1, c2, c3 = (point.c1, point.c2, point.c3) if isinstance(point, WeylPoint) else point
+def invariants_from_weyl(point: np.ndarray | tuple[float, float, float]) -> tuple[complex, float]:
+    """Invariants ``(G1, G2)`` of the canonical gate exp(-c1*XX - c2*YY - c3*ZZ)."""
+    c1, c2, c3 = (float(c) for c in point)
     re = (
         math.cos(c1) ** 2 * math.cos(c2) ** 2 * math.cos(c3) ** 2
         - math.sin(c1) ** 2 * math.sin(c2) ** 2 * math.sin(c3) ** 2
     )
     im = -0.25 * math.sin(2 * c1) * math.sin(2 * c2) * math.sin(2 * c3)
     g2 = 4.0 * re - math.cos(2 * c1) * math.cos(2 * c2) * math.cos(2 * c3)
-    return InvariantPair(g1=re + 1j * im, g2=g2)
+    return re + 1j * im, g2
 
 
 def _chamber_candidates(c: np.ndarray) -> list[np.ndarray]:
@@ -114,18 +112,19 @@ def _chamber_candidates(c: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def search_weyl_coordinates(u: Operator4) -> WeylPoint:
+def search_weyl_coordinates(u: Operator4) -> np.ndarray:
     """Canonical Weyl-chamber coordinates of the class of ``u``, by search.
 
     Extracts the eigenphases of the magic-basis symmetric product, then
     canonicalizes with the class symmetries (coordinate permutations, even
     sign changes, shifts by pi).  Among the candidates inside the chamber
     the one whose closed-form invariants best match ``makhlin_invariants(u)``
-    is returned, with lexicographic tie-breaking; mirror-image classes
-    therefore come back as their conjugate representative.
+    is returned as an array ``(c1, c2, c3)``, with lexicographic
+    tie-breaking; mirror-image classes therefore come back as their
+    conjugate representative.
     """
     u = require_unitary(u, what="gate")
-    target = makhlin_invariants(u)
+    g1, g2 = (x.item() for x in makhlin_invariants(u))
     raw = _raw_coordinates(u)
     best: np.ndarray | None = None
     best_err = math.inf
@@ -134,11 +133,11 @@ def search_weyl_coordinates(u: Operator4) -> WeylPoint:
         if mirrored:
             base[2] = -base[2]
         for cand in _chamber_candidates(base):
-            inv = invariants_from_weyl((cand[0], cand[1], cand[2]))
-            err = abs(inv.g1 - target.g1) + abs(inv.g2 - target.g2)
+            w1, w2 = invariants_from_weyl((cand[0], cand[1], cand[2]))
+            err = abs(w1 - g1) + abs(w2 - g2)
             if err < best_err - 1e-12:
                 best, best_err = cand, err
             elif err < best_err + 1e-12 and best is not None and tuple(cand) > tuple(best):
                 best = cand
     assert best is not None, "canonicalization produced no chamber candidate"
-    return WeylPoint(c1=float(best[0]), c2=float(best[1]), c3=float(best[2]))
+    return np.array([float(best[0]), float(best[1]), float(best[2])])

@@ -33,8 +33,6 @@ from .qmat import ContractViolationError, expm_skew, frob_dist, kron2
 from .sequences import (
     CNOT,
     DetuningOutOfRangeError,
-    FidelityUndefinedError,
-    FitResult,
     LocalRotationSpec,
     UnsupportedCouplingError,
     fidelity,
@@ -53,8 +51,6 @@ __all__ = [
     "CalibrationResult",
     "ContractViolationError",
     "DetuningOutOfRangeError",
-    "FidelityUndefinedError",
-    "FitResult",
     "LocalRotationSpec",
     "SystemParams",
     "UnsupportedCouplingError",

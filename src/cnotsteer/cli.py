@@ -16,7 +16,10 @@ a header row; cells that have no value (for example the single-step columns
 beyond their detuning bound) are left empty, and a NaN prints as ``nan``,
 so a failed value never reads as a blank.  JSON is written as
 ``json.dumps(payload, indent=2)`` writes it.  This module alone writes CSV
-cells, the JSON layout and the output time units.
+cells, the JSON layout and the output time units.  ``gate`` dresses its
+entangler with the ``LocalRotationSpec`` it reports and scores that gate
+itself; its ``fidelity`` is null where the gate lies farther than 1 from
+CNOT in Frobenius distance, as the fidelity is undefined there.
 
 The argument parser is built once per process, on the first call of
 ``main``, and reused by every later call; each call starts from the
@@ -50,10 +53,10 @@ from .optimize import (
     calibrate_single_step,
 )
 from .propagate import entangling_u
-from .qmat import ContractViolationError
+from .qmat import ContractViolationError, frob_dist
 from .sequences import (
     CNOT,
-    FitResult,
+    fidelity,
     fit_local_rotations,
     single_step_u,
     two_step_product,
@@ -219,7 +222,7 @@ def cmd_gate(args: argparse.Namespace) -> int:
         unit, t_value = "pi/4g", _t2_value(p)
         segment = entangling_u(two_step_time(p), p, args.frame)
         entangler = two_step_product(segment)
-        fit = FitResult.of(two_step_rotations(p, args.frame), entangler, CNOT)
+        rotations = two_step_rotations(p, args.frame)
         g1, g2 = makhlin_invariants(entangler)
         g1, g2, d2 = g1.item(), g2.item(), cnot_distance(g1, g2).item()
     else:
@@ -227,9 +230,10 @@ def cmd_gate(args: argparse.Namespace) -> int:
         p = SystemParams(delta=delta, omega1=cal.omega1_over_g)
         unit, t_value = "pi/2g", cal.t_units
         entangler = segment = single_step_u(cal.t_units * math.pi / 2.0, p)
-        fit = fit_local_rotations(entangler, CNOT)
+        rotations = fit_local_rotations(entangler, CNOT)
         g1, g2, d2 = cal.g1, cal.g2, cal.distance
 
+    gate = rotations.realize(entangler)
     c1, c2, c3 = weyl_coordinates(entangler).tolist()
     payload = {
         "recipe": {
@@ -239,17 +243,17 @@ def cmd_gate(args: argparse.Namespace) -> int:
             "omega1_over_g": p.omega1,
             "t_units": unit,
             "t_value": t_value,
-            "euler_angles": [float(a) for a in fit.rotations.as_vector()[:12]],
-            "global_phase": float(fit.rotations.phase),
+            "euler_angles": [float(a) for a in rotations.as_vector()[:12]],
+            "global_phase": float(rotations.phase),
         },
         "frame": args.frame if args.mode == "two-step" else None,
         "entangling_matrix": matrix_to_json(segment),
-        "gate_matrix": matrix_to_json(fit.gate),
+        "gate_matrix": matrix_to_json(gate),
         "invariants": {"g1_re": g1.real, "g1_im": g1.imag, "g2": g2},
         "class_distance_sq": d2,
         "weyl_point": {"c1": c1, "c2": c2, "c3": c3},
-        "frobenius_distance_to_cnot": fit.distance,
-        "fidelity": fit.fidelity,
+        "frobenius_distance_to_cnot": frob_dist(gate, CNOT),
+        "fidelity": fidelity(gate, CNOT),
     }
     _write(_out_path(args.out), json_text(payload))
     return EXIT_OK

@@ -21,14 +21,16 @@ closed-form rotations, ``two_step_rotations``.  One-step gates take the
 dressing closest to the target, ``fit_local_rotations``, computed in closed
 form from the KAK (Cartan) decomposition read off the magic basis (Kraus &
 Cirac, PRA 63, 062309 (2001); Zhang, Vala, Sastry & Whaley, PRA 67, 042313
-(2003)).
+(2003)).  Both return a ``LocalRotationSpec`` and nothing else: the caller
+dresses with its ``realize`` and scores the gate with ``frob_dist`` and
+``fidelity``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,10 +53,6 @@ class DetuningOutOfRangeError(ContractViolationError):
 
 class UnsupportedCouplingError(ContractViolationError):
     """The sequence does not support a nonzero longitudinal coupling."""
-
-
-class FidelityUndefinedError(ContractViolationError):
-    """The intrinsic fidelity formula is only meaningful near the target."""
 
 
 #: Canonical controlled-NOT: control = qubit 2, target = qubit 1.
@@ -303,43 +301,17 @@ def weyl_trajectory(p: SystemParams, t_max: float, n_samples: int) -> tuple[np.n
     return t, c
 
 
-def fidelity(u: Operator4, target: Operator4) -> float:
-    """Intrinsic fidelity F = sqrt(1 - tr[(U - T)^dag (U - T)]).
+def fidelity(u: Operator4, target: Operator4) -> float | None:
+    """Intrinsic fidelity F = sqrt(1 - tr[(U - T)^dag (U - T)]), or None.
 
-    Only meaningful for gates close to the target (the radicand must stay
-    nonnegative); the trace is the squared Frobenius distance.
-
-    Raises:
-        FidelityUndefinedError: the radicand is negative.
+    The trace is the squared Frobenius distance, so F is defined only for
+    gates within distance 1 of the target; farther out the radicand is
+    negative and the result is None, which a ``gate`` JSON writes as null.
     """
     u = require_unitary(u, what="gate")
     target = require_unitary(target, what="target")
     radicand = 1.0 - frob_dist(u, target) ** 2
-    if radicand < 0.0:
-        raise FidelityUndefinedError(
-            f"1 - ||U - T||_F^2 = {radicand:.4f} < 0; gate is too far from target"
-        )
-    return math.sqrt(radicand)
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Outcome of the local dressing of an entangler."""
-
-    rotations: LocalRotationSpec
-    gate: Operator4 = field(compare=False, repr=False)  # the dressed gate that was scored
-    distance: float  # Frobenius distance of the dressed gate to the target
-    fidelity: float | None  # None when the intrinsic fidelity is undefined
-
-    @classmethod
-    def of(cls, rotations: LocalRotationSpec, entangler: Operator4, target: Operator4) -> FitResult:
-        """``rotations.realize(entangler)`` and its figures against ``target``."""
-        gate = rotations.realize(entangler)
-        try:
-            fid = fidelity(gate, target)
-        except FidelityUndefinedError:
-            fid = None
-        return cls(rotations=rotations, gate=gate, distance=frob_dist(gate, target), fidelity=fid)
+    return math.sqrt(radicand) if radicand >= 0.0 else None
 
 
 # Mixing constants c for eigh(Re m + c Im m).  Each pair of distinct
@@ -421,7 +393,7 @@ def _local_factors(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a / np.sqrt(np.linalg.det(a)), b / np.sqrt(np.linalg.det(b))
 
 
-def fit_local_rotations(u_ent: Operator4, target: Operator4) -> FitResult:
+def fit_local_rotations(u_ent: Operator4, target: Operator4) -> LocalRotationSpec:
     """Closest local dressing of ``u_ent`` to ``target``, in closed form.
 
     Both gates are written in KAK form ``K1 A K2`` through the magic basis
@@ -432,13 +404,10 @@ def fit_local_rotations(u_ent: Operator4, target: Operator4) -> FitResult:
     the target's ``A`` after that image's best global phase, and the first
     image within a relative ``_KAK_TIE`` of the smallest score fixes the pre
     and post rotations; the global phase then makes the trace overlap of the
-    dressed gate with the target real.  The result is deterministic, and the
-    distance and fidelity are those of ``rotations.realize(u_ent)``.
+    dressed gate with the target real.  The result is deterministic; the
+    dressed gate is ``fit_local_rotations(u_ent, target).realize(u_ent)``.
 
     The factors of the read-only ``CNOT`` are computed once, at import.
-
-    Returns the spec together with the achieved distance and, when the
-    radicand is nonnegative, the intrinsic fidelity.
     """
     u_ent = require_unitary(u_ent, what="entangler")
     target = require_unitary(target, what="target")
@@ -464,4 +433,4 @@ def fit_local_rotations(u_ent: Operator4, target: Operator4) -> FitResult:
 
     spec = LocalRotationSpec(*map(zyz_angles, (post2, post1, pre2, pre1)))
     overlap_phase = float(np.angle(np.trace(target.conj().T @ spec.realize(u_ent))))
-    return FitResult.of(replace(spec, phase=-overlap_phase), u_ent, target)
+    return replace(spec, phase=-overlap_phase)

@@ -18,6 +18,7 @@ from cnotsteer.qmat import frob_dist
 from cnotsteer.sequences import (
     CNOT,
     DetuningOutOfRangeError,
+    fidelity,
     fit_local_rotations,
     single_step_u,
     two_step_rotations,
@@ -107,10 +108,10 @@ def test_criterion_05_fidelity_at_delta_15(single_step_table):
     cal = single_step_table[1.5]
     p = SystemParams(delta=1.5, omega1=cal.omega1_over_g)
     u = single_step_u(cal.t_units * HALF_PI, p)
-    fit = fit_local_rotations(u, CNOT)
-    ok = fit.fidelity is not None and abs(fit.fidelity - FIDELITY_DELTA15) < 1e-3
+    fid = fidelity(fit_local_rotations(u, CNOT).realize(u), CNOT)
+    ok = fid is not None and abs(fid - FIDELITY_DELTA15) < 1e-3
     _report(5, ok, f"optimized delta = 1.5g gate fidelity = "
-                   f"{fit.fidelity:.4f} (reference {FIDELITY_DELTA15})")
+                   f"{fid:.4f} (reference {FIDELITY_DELTA15})")
 
 
 def test_criterion_06_exact_cnot_assembly(single_step_table):
@@ -122,21 +123,25 @@ def test_criterion_06_exact_cnot_assembly(single_step_table):
 
     # delta = g: closed-form rotation dressing, both sequences
     p1 = SystemParams(delta=1.0)
-    fit_two = fit_local_rotations(two_step_entangler(p1, frame=1), CNOT)
+    u_two = two_step_entangler(p1, frame=1)
+    gate_two = fit_local_rotations(u_two, CNOT).realize(u_two)
     cal = single_step_table[1.0]
     p1s = SystemParams(delta=1.0, omega1=cal.omega1_over_g)
-    fit_one = fit_local_rotations(single_step_u(cal.t_units * HALF_PI, p1s), CNOT)
+    u_one = single_step_u(cal.t_units * HALF_PI, p1s)
+    gate_one = fit_local_rotations(u_one, CNOT).realize(u_one)
+    fit_d_two, fit_d_one = frob_dist(gate_two, CNOT), frob_dist(gate_one, CNOT)
+    fid_two, fid_one = fidelity(gate_two, CNOT), fidelity(gate_one, CNOT)
 
     ok = (
         d_two < 1e-10
         and d_one < 1e-10
-        and fit_two.distance < 1e-3
-        and fit_one.distance < 1e-3
-        and fit_two.fidelity is not None and 1.0 - fit_two.fidelity < 1e-6
-        and fit_one.fidelity is not None and 1.0 - fit_one.fidelity < 1e-6
+        and fit_d_two < 1e-3
+        and fit_d_one < 1e-3
+        and fid_two is not None and 1.0 - fid_two < 1e-6
+        and fid_one is not None and 1.0 - fid_one < 1e-6
     )
     _report(6, ok, f"resonant analytic: {d_two:.1e} / {d_one:.1e}; "
-                   f"delta = g fitted: {fit_two.distance:.1e} / {fit_one.distance:.1e}")
+                   f"delta = g fitted: {fit_d_two:.1e} / {fit_d_one:.1e}")
 
 
 def test_criterion_07_crossover_bounds(single_step_table):

@@ -222,7 +222,23 @@ def test_gate_recipe_replays_to_the_gate_matrix(tmp_path, argv):
     spec = spec_from_vector([*recipe["euler_angles"], recipe["global_phase"]])
     segment = matrix_from_json(payload["entangling_matrix"])
     entangler = segment @ PI_PULSE_X1 @ segment if recipe["kind"] == "two-step" else segment
-    assert frob_dist(spec.realize(entangler), matrix_from_json(payload["gate_matrix"])) <= 1e-14
+    # Bit for bit: the reported gate is the reported recipe's dressing.
+    assert spec.realize(entangler).tobytes() == matrix_from_json(payload["gate_matrix"]).tobytes()
+
+
+def test_gate_fidelity_is_null_exactly_beyond_distance_one(tmp_path):
+    # At 5.5g the one-step dressing misses CNOT by 1.0391, where the
+    # fidelity's radicand is negative; at 1.5g it is defined.
+    nulls = 0
+    for delta in ("1.5", "5.5"):
+        payload = _gate(tmp_path, "--mode", "one-step", "--delta", delta)
+        d, fid = payload["frobenius_distance_to_cnot"], payload["fidelity"]
+        assert (fid is None) == (d > 1.0), delta
+        if fid is None:
+            nulls += 1
+        else:
+            assert fid == math.sqrt(1.0 - d**2), delta
+    assert nulls >= 1
 
 
 @pytest.mark.parametrize(

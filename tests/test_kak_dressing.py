@@ -15,6 +15,7 @@ from cnotsteer.qmat import expm_skew, frob_dist
 from cnotsteer.sequences import (
     CNOT,
     LocalRotationSpec,
+    fidelity,
     fit_local_rotations,
     single_step_u,
     two_step_rotations,
@@ -68,6 +69,11 @@ def _two_step_entangler(delta: float, frame: int) -> np.ndarray:
     return two_step_entangler(SystemParams(delta=delta), frame=frame)
 
 
+def _dressed(u: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``u`` dressed with its closed-form fit to ``target``."""
+    return fit_local_rotations(u, target).realize(u)
+
+
 @pytest.mark.parametrize(
     "kind, delta, frame",
     [("one-step", d, None) for d in (0.5, 0.9, 1.0, 1.2, 1.5, 1.8, 2.0)]
@@ -75,17 +81,15 @@ def _two_step_entangler(delta: float, frame: int) -> np.ndarray:
 )
 def test_closed_form_matches_reference_search(kind, delta, frame):
     u = _single_step_entangler(delta) if kind == "one-step" else _two_step_entangler(delta, frame)
-    closed = fit_local_rotations(u, CNOT)
+    gate = _dressed(u, CNOT)
+    distance, fid = frob_dist(gate, CNOT), fidelity(gate, CNOT)
     # No random restarts, and only the first warm start: at every point here
     # the second one halves the search's speed and ends within 4e-15 of it.
     oracle = search_local_rotations(u, CNOT, n_restarts=0, warm_starts=(two_step_rotations(SystemParams(), 1),))
-    assert closed.distance <= oracle.distance + 1e-12
-    assert (closed.fidelity is None) == (oracle.fidelity is None)
-    if closed.fidelity is not None:
-        assert abs(closed.fidelity - oracle.fidelity) <= 1e-12
-    # the reported gate and figures are those of the realized gate
-    assert closed.gate.tobytes() == closed.rotations.realize(u).tobytes()
-    assert closed.distance == frob_dist(closed.rotations.realize(u), CNOT)
+    assert distance <= oracle.distance + 1e-12
+    assert (fid is None) == (oracle.fidelity is None)
+    if fid is not None:
+        assert abs(fid - oracle.fidelity) <= 1e-12
 
 
 @pytest.mark.parametrize("delta", [0.0, 1.0, 2.0, -2.0])
@@ -94,10 +98,9 @@ def test_two_step_gates_reach_cnot_exactly(delta, frame):
     # Every two-step entangler is in the CNOT class.  A dressing at distance
     # <= 1e-12 is within 1e-12 of any search result, since none can go
     # below 0; the search itself runs at delta = g above.
-    u = _two_step_entangler(delta, frame)
-    fit = fit_local_rotations(u, CNOT)
-    assert fit.distance <= 1e-12
-    assert fit.fidelity == 1.0
+    gate = _dressed(_two_step_entangler(delta, frame), CNOT)
+    assert frob_dist(gate, CNOT) <= 1e-12
+    assert fidelity(gate, CNOT) == 1.0
 
 
 def test_known_figures_beyond_the_single_step_bound():
@@ -110,7 +113,7 @@ def test_known_figures_beyond_the_single_step_bound():
     )
     for delta, omega, t_units, want in cases:
         u = _single_step_entangler_at(delta, omega, t_units)
-        assert fit_local_rotations(u, CNOT).fidelity == pytest.approx(want, abs=1e-11)
+        assert fidelity(_dressed(u, CNOT), CNOT) == pytest.approx(want, abs=1e-11)
 
 
 def test_cnot_factors_are_read_only_and_equal_a_fresh_factoring():
@@ -132,10 +135,14 @@ def test_the_cached_cnot_factors_give_the_fit_to_a_copy_of_cnot():
         for delta, cal in zip(ARTIFACT_ONE_STEP_DELTAS, cals)
     ] + [_two_step_entangler(1.5, frame=1)]
     for u in entanglers:
-        cached, fresh = fit_local_rotations(u, CNOT), fit_local_rotations(u, CNOT.copy())
-        assert cached.rotations.as_vector().tobytes() == fresh.rotations.as_vector().tobytes()
-        assert cached.gate.tobytes() == fresh.gate.tobytes()
-        assert repr((cached.distance, cached.fidelity)) == repr((fresh.distance, fresh.fidelity))
+        fresh_cnot = CNOT.copy()
+        cached, fresh = fit_local_rotations(u, CNOT), fit_local_rotations(u, fresh_cnot)
+        assert cached.as_vector().tobytes() == fresh.as_vector().tobytes()
+        cached_gate, fresh_gate = cached.realize(u), fresh.realize(u)
+        assert cached_gate.tobytes() == fresh_gate.tobytes()
+        assert repr((frob_dist(cached_gate, CNOT), fidelity(cached_gate, CNOT))) == repr(
+            (frob_dist(fresh_gate, fresh_cnot), fidelity(fresh_gate, fresh_cnot))
+        )
 
 
 def test_a_one_step_gate_command_factors_only_its_entangler(monkeypatch, tmp_path):
@@ -151,21 +158,22 @@ def test_a_one_step_gate_command_factors_only_its_entangler(monkeypatch, tmp_pat
 @given(unitaries(), specs)
 def test_undoes_any_local_dressing(u, spec):
     target = spec.realize(u)
-    assert fit_local_rotations(u, target).distance <= 1e-10
+    assert frob_dist(_dressed(u, target), target) <= 1e-10
 
 
 @PROPERTY
 @given(st.sampled_from([np.eye(4, dtype=complex), CNOT, SWAP, np.diag([1, 1, 1, -1]) @ CNOT]), specs)
 def test_named_gates_with_degenerate_spectra(gate, spec):
     dressed = spec.realize(gate)
-    assert fit_local_rotations(gate, dressed).distance <= 1e-10
-    assert fit_local_rotations(dressed, gate).distance <= 1e-10
+    assert frob_dist(_dressed(gate, dressed), dressed) <= 1e-10
+    assert frob_dist(_dressed(dressed, gate), gate) <= 1e-10
 
 
 @PROPERTY
 @given(face_points(), specs)
 def test_c3_face_points(gate, spec):
-    assert fit_local_rotations(gate, spec.realize(gate)).distance <= 1e-10
+    target = spec.realize(gate)
+    assert frob_dist(_dressed(gate, target), target) <= 1e-10
 
 
 def test_tells_apart_images_closer_than_the_overlap_resolves():
@@ -173,7 +181,7 @@ def test_tells_apart_images_closer_than_the_overlap_resolves():
     # rounding, but lies 2e-8 away.
     gate = canonical_class_gate((1e-8, 0.0, 0.0))
     dressed = LocalRotationSpec(phase=1.0).realize(gate)
-    assert fit_local_rotations(gate, dressed).distance <= 1e-15
+    assert frob_dist(_dressed(gate, dressed), dressed) <= 1e-15
 
 
 @pytest.mark.parametrize("delta", [1.2, 1.5, 2.0])
@@ -184,7 +192,7 @@ def test_dressing_beyond_the_bound_is_stable_under_rounding(delta, rng):
     gates = []
     for nudge in rng.uniform(-1e-12, 1e-12, size=(20, 2)):
         u = _single_step_entangler_at(delta, cal.omega1_over_g + nudge[0], cal.t_units + nudge[1])
-        gates.append(fit_local_rotations(u, CNOT).rotations.realize(u))
+        gates.append(_dressed(u, CNOT))
     assert max(frob_dist(g, gates[0]) for g in gates) <= 1e-9
 
 
@@ -194,13 +202,13 @@ def test_gates_unitary_only_to_the_input_tolerance(rng):
     for _ in range(20):
         u = random_unitary(rng) + 3e-10 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         target = spec_from_vector(rng.uniform(-3, 3, size=13)).realize(u)
-        assert fit_local_rotations(u, target).distance <= 1e-8
+        assert frob_dist(_dressed(u, target), target) <= 1e-8
 
 
 @PROPERTY
 @given(unitaries(), unitaries())
 def test_dressed_gate_keeps_the_entangler_class(u, target):
-    dressed = fit_local_rotations(u, target).rotations.realize(u)
+    dressed = _dressed(u, target)
     (g1a, g2a), (g1b, g2b) = makhlin_invariants(u), makhlin_invariants(dressed)
     assert abs(g1a - g1b) < 1e-10 and abs(g2a - g2b) < 1e-10
 
@@ -216,9 +224,9 @@ _OPTIMALITY_CASES = {
 @pytest.mark.parametrize("case", list(_OPTIMALITY_CASES))
 def test_local_rotations_never_lower_the_distance(case, rng):
     u, target = _OPTIMALITY_CASES[case](rng)
-    fit = fit_local_rotations(u, target)
-    x = fit.rotations.as_vector()
+    spec = fit_local_rotations(u, target)
+    distance, x = frob_dist(spec.realize(u), target), spec.as_vector()
     for scale in (1e-2, 1e-4):
         for _ in range(50):
             moved = spec_from_vector(x + scale * rng.normal(size=13))
-            assert frob_dist(moved.realize(u), target) >= fit.distance - 1e-12
+            assert frob_dist(moved.realize(u), target) >= distance - 1e-12

@@ -11,7 +11,7 @@ import cnotsteer.optimize as optimize
 from cnotsteer.equivclass import cnot_distance, makhlin_invariants
 from cnotsteer.model import SystemParams
 from cnotsteer.optimize import SINGLE_STEP_BOUND, SINGLE_STEP_BOUNDS, calibrate_single_step
-from cnotsteer.qmat import ContractViolationError
+from cnotsteer.qmat import ContractViolationError, frob_dist
 from cnotsteer.sequences import CNOT, fit_local_rotations, single_step_u
 
 from calibration_oracle import (
@@ -196,7 +196,7 @@ def test_single_step_rows_match_paper_to_four_decimals():
 def _dressed_quality(delta, omega, t_units):
     p = SystemParams(delta=delta, omega1=float(omega))
     u = single_step_u(float(t_units) * math.pi / 2.0, p)
-    return cnot_distance(*makhlin_invariants(u)), fit_local_rotations(u, CNOT).distance
+    return cnot_distance(*makhlin_invariants(u)), frob_dist(fit_local_rotations(u, CNOT).realize(u), CNOT)
 
 
 @pytest.mark.parametrize("delta", [0.5, 0.9, 0.98, 1.0])

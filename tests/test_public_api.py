@@ -36,8 +36,6 @@ def test_exported_names_are_pinned():
         "CalibrationResult",
         "ContractViolationError",
         "DetuningOutOfRangeError",
-        "FidelityUndefinedError",
-        "FitResult",
         "LocalRotationSpec",
         "SystemParams",
         "UnsupportedCouplingError",

@@ -14,9 +14,9 @@ byte-identical files.  CSV values are printed with six fixed decimals,
 except the tables' ``delta_over_g`` column, which has two, and always carry
 a header row; cells that have no value (for example the single-step columns
 beyond their detuning bound) are left empty, and a NaN prints as ``nan``,
-so a failed value never reads as a blank.  JSON is written as
-``json.dumps(payload, indent=2)`` writes it.  This module alone writes CSV
-cells, the JSON layout and the output time units.  ``gate`` dresses its
+so a failed value never reads as a blank.  JSON is written by
+``json.dumps(payload, indent=2)``.  This module alone writes CSV cells, the
+JSON layout and the output time units.  ``gate`` dresses its
 entangler with the ``LocalRotationSpec`` it reports and scores that gate
 itself; its ``fidelity`` is null where the gate lies farther than 1 from
 CNOT in Frobenius distance, as the fidelity is undefined there.
@@ -118,42 +118,9 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: Stands in for each leaf of a JSON skeleton; no payload string holds a NUL.
-_SLOT = "\x00"
-
-
-def _skeleton(obj: object, leaves: list) -> object:
-    """``obj`` with every leaf replaced by ``_SLOT``; the leaves go to ``leaves`` in order."""
-    if isinstance(obj, dict):
-        return {key: _skeleton(value, leaves) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_skeleton(value, leaves) for value in obj]
-    leaves.append(obj)
-    return _SLOT
-
-
-@functools.lru_cache(maxsize=16)
-def _json_layout(skeleton: str) -> str:
-    """The ``indent=2`` text of a compact JSON skeleton, with one ``%s`` per leaf.
-
-    Every ``gate`` payload has one skeleton, so the cache holds one entry in
-    practice; its bound only keeps other callers' shapes from piling up.
-    """
-    text = json.dumps(json.loads(skeleton), indent=2)
-    return text.replace("%", "%%").replace(json.dumps(_SLOT), "%s")
-
-
 def json_text(payload: object) -> str:
-    """``json.dumps(payload, indent=2)`` and a newline; the package's one JSON writer.
-
-    ``indent`` turns off json's C encoder, so the layout of each payload
-    shape is written once, from a skeleton, and cached; the leaves are
-    encoded by the C encoder in one call, one per line, and filled in.
-    """
-    leaves: list = []
-    skeleton = json.dumps(_skeleton(payload, leaves))
-    encoded = json.dumps(leaves, separators=("\n", ":"))[1:-1].splitlines()
-    return _json_layout(skeleton) % tuple(encoded) + "\n"
+    """``json.dumps(payload, indent=2)`` and a newline; the package's one JSON writer."""
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def matrix_to_json(u: np.ndarray) -> list[list[list[float]]]:

@@ -505,6 +505,7 @@ def test_json_writer_gives_the_bytes_of_the_indenting_encoder(monkeypatch, tmp_p
     payloads += [
         {}, [], {"a": {}, "b": [], "c": [[]]}, [1, True, False, None, "x"],
         {"100% \"quoted\"\n": ["%s %d", "\u00e9\u2028", 0, -7, 2**70], 3: (1.5, (), [None])},
+        {"\x00": 1.0},
     ]
     for payload in payloads:
         assert cli.json_text(payload) == json.dumps(payload, indent=2) + "\n", payload

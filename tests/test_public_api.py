@@ -11,10 +11,13 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import cnotsteer
 from cnotsteer import cli, model
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 #: Exported functions that no command calls.  ROADMAP item 2 reads the
 #: two-step bound off ``two_step_invariants_closed``.
@@ -57,6 +60,12 @@ def test_exported_names_are_pinned():
         "weyl_coordinates",
         "weyl_trajectory",
     ]
+
+
+def test_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    assert cnotsteer.__version__ == project["version"]
 
 
 def test_model_defines_only_the_params_and_the_generators_the_maps_use():

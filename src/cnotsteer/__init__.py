@@ -11,11 +11,9 @@ entangler closest to the canonical CNOT, and evaluates the intrinsic gate
 fidelity.  A CLI (``cnotsteer``) regenerates the reference tables, gates,
 and steering trajectories as CSV/JSON.
 
-Each sequence family has one one-point call: ``entangling_u`` for the
-two-step segments and ``single_step_u`` for the single-step evolution.
-The maps write their generators themselves; ``tests/propagator_oracle.py``
-holds the RWA Hamiltonians and a stepwise integrator, the independent
-reference that tests compare them against (bit for bit for single-step).
+Each sequence family has one one-point call, in ``sequences``:
+``entangling_u`` for the two-step segments and ``single_step_u`` for the
+single-step evolution.
 ``calibrate_single_step`` reports T1 in units of pi/2g, found by a root
 solve up to g and by a d^2 minimisation beyond it.
 """
@@ -28,13 +26,13 @@ from .equivclass import (
 )
 from .model import SystemParams
 from .optimize import CalibrationResult, calibrate_single_step
-from .propagate import entangling_u
 from .qmat import ContractViolationError, expm_skew, frob_dist, kron2
 from .sequences import (
     CNOT,
     DetuningOutOfRangeError,
     LocalRotationSpec,
     UnsupportedCouplingError,
+    entangling_u,
     fidelity,
     fit_local_rotations,
     single_step_u,

@@ -25,8 +25,9 @@ The argument parser is built once per process, on the first call of
 ``main``, and reused by every later call; each call starts from the
 parser's defaults.
 
-Exit codes: 0 success, 2 domain error (for example detuning out of range),
-3 I/O error, 4 verification failure.  A single-step calibration that stops
+Exit codes: 0 success, 2 domain error (for example detuning out of range)
+or a request too large to allocate (for example a huge ``--samples``), 3
+I/O error, 4 verification failure.  A single-step calibration that stops
 short of its tolerance does not change the exit code or the output files; it
 prints a ``warning:`` line to stderr with the detuning, the method and the
 d^2 it reached.
@@ -52,10 +53,10 @@ from .optimize import (
     CalibrationResult,
     calibrate_single_step,
 )
-from .propagate import entangling_u
 from .qmat import ContractViolationError, frob_dist
 from .sequences import (
     CNOT,
+    entangling_u,
     fidelity,
     fit_local_rotations,
     single_step_u,
@@ -333,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except ContractViolationError as exc:
+    except (ContractViolationError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except _IOFailure as exc:

@@ -11,10 +11,8 @@ X_k = (i/2) sigma_k^x, ..., XX = (i/2) sigma_2^x sigma_1^x, ..., in two frames:
 * frame 2 -- each qubit rotates at its own splitting; the detuning moves
   into a transverse coupling rotating with period ``2*pi/|delta|``.
 
-The maps write their generators themselves; ``tests/propagator_oracle.py``
-holds the independent reference that tests compare them against (bit for
-bit for single-step).  All rates are in units of the transverse coupling
-``g``; time is in units of ``1/g``.
+All rates are in units of the transverse coupling ``g``; time is in units
+of ``1/g``.
 """
 
 from __future__ import annotations

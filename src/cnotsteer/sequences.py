@@ -6,13 +6,28 @@ Two sequence families generate the controlled-NOT class:
   qubit 1, entangle again, then dress with local rotations:
   ``e^{i pi/4} R_post [U(t2) e^{-pi X1} U(t2)] R_pre``.  The required
   entangling time has a closed form and exists for ``|delta| <= 2g``.  The
-  segments are ``propagate.entangling_u``, and ``two_step_product`` forms
-  the product of one segment or of a stack.
+  segments are ``entangling_u``, and ``two_step_product`` forms the product
+  of one segment or of a stack.
 * **single-step** -- one continuous evolution under drive plus coupling,
   ``e^{i 5 pi/4} R_post U(t1) R_pre``, with ``(omega1, t1)`` calibrated
   numerically; an exact CNOT requires ``|delta| <= g`` and capacitive
   (``g_tilde = 0``) coupling.  Its one gate map is ``single_step_gates``,
   with the one-point call ``single_step_u`` and the path ``weyl_trajectory``.
+
+With the drive off, the frame-1 generator on the block {|01>, |10>} is a
+static two-level problem, so a two-step segment has a closed form built from
+
+    u = cos(L t / 2) + (i delta / L) sin(L t / 2),
+    v = (2 g / L) sin(L t / 2),          L = sqrt(delta^2 + 4 g^2),
+
+with |u|^2 + v^2 = 1 (checked by ``verify``, not on return), times
+exp(-t * g_tilde * ZZ); the frame-2 segment is exp(-delta t Z2) U1(t).  It
+is written once, as the maps ``undriven_uv`` and ``undriven_propagators``,
+with the one-point call ``entangling_u``.  Every map here writes its closed
+form or generator itself and gives each member of a stack the bits that one
+point gets; ``tests/propagator_oracle.py`` holds the RWA generators of both
+frames and a stepwise integrator, the independent reference that tests
+compare the maps against (bit for bit for single-step).
 
 Local rotations are parameterized per qubit as z-y-z Euler triples on each
 side of the entangler plus one global phase (13 parameters total), which
@@ -36,7 +51,6 @@ import numpy as np
 
 from .equivclass import MAGIC_BASIS, _chamber_coordinates, _require_chamber, to_magic
 from .model import SystemParams, X1, XX, YY, Z2
-from .propagate import checked_time
 from .qmat import (
     ContractViolationError,
     Operator4,
@@ -217,6 +231,88 @@ def two_step_product(u: Operator4) -> Operator4:
     return u @ PI_PULSE_X1 @ u
 
 
+def checked_time(t: float | np.ndarray) -> np.ndarray:
+    """``t`` as a float array: the one check of every evolution time.
+
+    Raises:
+        ValueError: a time is not finite, or is negative.
+    """
+    t = np.asarray(t, dtype=float)
+    finite = np.isfinite(t)
+    if not finite.all():
+        raise ValueError(f"time must be finite, got {t[~finite][0]}")
+    if (t < 0).any():
+        raise ValueError(f"time must be >= 0, got {t.min()}")
+    return t
+
+
+def undriven_uv(
+    delta: float | np.ndarray, t: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes (u, v) of the single-excitation block at broadcast ``delta`` and ``t``.
+
+    Returns complex u and real v arrays of the broadcast shape; each member
+    gets the bits that one point gets.  L is taken point by point with
+    ``math.hypot``: ``np.hypot`` rounds differently in ~0.6 % of inputs.
+
+    Raises:
+        ValueError: a time is not finite, or is negative.
+    """
+    delta, t = np.asarray(delta, dtype=float), checked_time(t)
+    lam = np.array([math.hypot(d, 2.0) for d in delta.ravel().tolist()]).reshape(delta.shape)
+    half = 0.5 * lam * t
+    sin = np.sin(half)
+    return np.cos(half) + 1j * (delta / lam) * sin, (2.0 / lam) * sin
+
+
+def undriven_propagators(
+    delta: float | np.ndarray, g_tilde: float | np.ndarray, t: float | np.ndarray, frame: int
+) -> np.ndarray:
+    """Entangling propagators (drive off) at broadcast ``(delta, g_tilde, t)``.
+
+    The frame-1 propagator has the corners exp(+/- i delta t / 2) and the
+    central block [[u, -iv], [-iv, u*]], times the diagonal of
+    exp(-t * g_tilde * ZZ).  Frame 2 multiplies it by exp(-delta t Z2), the
+    phase exp(-/+ i delta t / 2) on the rows where qubit 2 is |0> / |1>.
+    Returns shape ``(..., 4, 4)``; each member gets the bits that one point
+    gets.
+
+    Raises:
+        ValueError: ``frame`` is not 1 or 2, or a time is not finite or is
+            negative.
+    """
+    if frame not in (1, 2):
+        raise ValueError(f"frame must be 1 or 2, got {frame}")
+    delta, t = np.asarray(delta, dtype=float), np.asarray(t, dtype=float)
+    u, v = undriven_uv(delta, t)
+    corner = np.exp(0.5j * delta * t)
+    m = np.zeros(u.shape + (16,), dtype=complex)  # the entries, row by row
+    m[..., 0] = corner
+    m[..., 5] = u
+    m[..., 6] = m[..., 9] = -1j * v
+    m[..., 10] = u.conj()
+    m[..., 15] = corner.conj()
+    zz = np.exp(-0.5j * np.asarray(g_tilde, dtype=float) * t)[..., None]
+    m = _row_factors(zz, zz.conj(), zz.conj(), zz) * m.reshape(u.shape + (4, 4))
+    if frame == 2:
+        row = np.exp(-0.5j * delta * t)[..., None]
+        m = _row_factors(row, row, row.conj(), row.conj()) * m
+    return m
+
+
+def _row_factors(*rows: np.ndarray) -> np.ndarray:
+    """Factors of shape ``(..., 4, 1)`` for the four rows, each given as ``(..., 1)``."""
+    return np.concatenate(rows, axis=-1)[..., None]
+
+
+def entangling_u(t: float, p: SystemParams, frame: int) -> Operator4:
+    """Entangling propagator (drive off) for duration ``t`` in frame 1 or frame 2.
+
+    One point of ``undriven_propagators``; ``p.omega1`` is ignored.
+    """
+    return undriven_propagators(p.delta, p.g_tilde, t, frame)
+
+
 def two_step_invariants_closed(t: float, p: SystemParams) -> tuple[complex, float]:
     """Closed-form invariants ``(G1, G2)`` of the two-step entangler U(t) e^{-pi X1} U(t).
 
@@ -254,10 +350,9 @@ def single_step_gates(
     """Single-step evolution exp(-t * [-delta Z2 + omega1 X1 + (XX + YY)]).
 
     The map writes its generator, the frame-1 one at ``g_tilde = 0``, with
-    its terms in that order; ``tests/propagator_oracle.py`` holds the
-    independent reference that tests compare it against bit for bit.  One
-    ``(delta, omega1, t)`` gives one gate; arrays broadcast to a stack of
-    gates, each member with the bits it gets alone.  Units of g.
+    its terms in that order.  One ``(delta, omega1, t)`` gives one gate;
+    arrays broadcast to a stack of gates, each member with the bits it gets
+    alone.  Units of g.
     """
     delta, omega1, t = (np.asarray(a)[..., None, None] for a in (delta, omega1, t))
     return expm_skew(-t * (-delta * Z2 + omega1 * X1 + _EXCHANGE))

@@ -4,8 +4,8 @@ Each check draws deterministic random samples and returns an array of
 deviations, one per comparison, in the order a loop over the samples would
 yield them.  A check draws all its samples first, in the order such a loop
 would draw them, then builds all its gates in one call to a map over
-broadcast arrays (``propagate.undriven_propagators`` and ``undriven_uv``,
-``sequences.two_step_product`` and ``single_step_gates``, and
+broadcast arrays (``sequences.undriven_propagators``, ``undriven_uv``,
+``two_step_product`` and ``single_step_gates``, and
 ``LocalRotationSpec.realize`` for the local dressings).  It evaluates their
 unitarity defects, invariants or chamber points as stacks: the arrays of
 ``qmat.unitarity_defect``, ``equivclass.makhlin_invariants`` and
@@ -30,9 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equivclass import _chamber_coordinates, canonical_class_gate, makhlin_invariants
-from .propagate import undriven_propagators, undriven_uv
 from .qmat import unitarity_defect
-from .sequences import LocalRotationSpec, single_step_gates, two_step_product
+from .sequences import (
+    LocalRotationSpec,
+    single_step_gates,
+    two_step_product,
+    undriven_propagators,
+    undriven_uv,
+)
 
 _HALF_PI = math.pi / 2.0
 

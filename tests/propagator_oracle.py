@@ -1,6 +1,6 @@
 """Independent reference for the propagators and the single-step map.
 
-The closed forms below are those of ``cnotsteer.propagate`` as they were
+The closed forms below are those of ``cnotsteer.sequences`` as they were
 before they became maps over broadcast arrays: one point per call, (u, v) in
 Python scalars through ``math``, and each matrix assembled from a nested
 list.  They share no code with the maps, so a stack built by
@@ -26,9 +26,8 @@ import math
 import numpy as np
 
 from cnotsteer.model import SystemParams, X1, XX, YY, Z2, ZZ, _scaled_product
-from cnotsteer.propagate import checked_time
 from cnotsteer.qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, Generator4, Operator4, expm_skew
-from cnotsteer.sequences import PI_PULSE_X1, two_step_time
+from cnotsteer.sequences import PI_PULSE_X1, checked_time, two_step_time
 
 # The scaled Pauli products that no map uses; model holds the others.
 Y1 = _scaled_product(ID2, SIGMA_Y)

@@ -12,12 +12,12 @@ from cnotsteer.equivclass import (
     weyl_coordinates,
 )
 from cnotsteer.model import SystemParams
-from cnotsteer.propagate import entangling_u
 from cnotsteer.optimize import calibrate_single_step
 from cnotsteer.qmat import frob_dist
 from cnotsteer.sequences import (
     CNOT,
     DetuningOutOfRangeError,
+    entangling_u,
     fidelity,
     fit_local_rotations,
     single_step_u,

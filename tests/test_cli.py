@@ -292,6 +292,25 @@ def test_trajectory_rejects_single_sample(tmp_path):
     assert rc == EXIT_DOMAIN
 
 
+def test_trajectory_too_large_to_allocate_is_a_bad_option(tmp_path, capsys):
+    # numpy refuses the 7.11 PiB time grid before it touches memory.
+    out = tmp_path / "never.csv"
+    rc = main(["trajectory", "--delta", "0.5", "--samples", str(10**15), "--out", str(out)])
+    assert rc == EXIT_DOMAIN
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+
+def test_one_step_gate_ignores_frame(tmp_path):
+    # --frame picks the two-step segments' frame; a one-step gate has none.
+    default, framed = tmp_path / "default.json", tmp_path / "framed.json"
+    assert main(["gate", "--mode", "one-step", "--delta", "0.5", "--out", str(default)]) == EXIT_OK
+    argv = ["gate", "--mode", "one-step", "--delta", "0.5", "--frame", "2", "--out", str(framed)]
+    assert main(argv) == EXIT_OK
+    assert framed.read_bytes() == default.read_bytes()
+    assert json.loads(framed.read_text())["frame"] is None
+
+
 def test_outputs_are_reproducible(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):

@@ -18,13 +18,13 @@ from cnotsteer.qmat import ContractViolationError, frob_dist, kron2, unitarity_d
 from cnotsteer.sequences import (
     CNOT,
     PI_PULSE_X1,
+    entangling_u,
     euler_u2,
     single_step_u,
     two_step_invariants_closed,
     two_step_time,
     weyl_trajectory,
 )
-from cnotsteer.propagate import entangling_u
 
 from conftest import random_unitary
 from weyl_oracle import invariants_from_weyl, search_weyl_coordinates

@@ -1,8 +1,8 @@
 """The package's modules form layers: each imports only from the ones below it.
 
 From the bottom up: ``qmat`` (matrices), ``model`` (generators),
-``equivclass`` (class algebra), ``propagate`` (undriven evolution),
-``sequences`` (gate families), ``optimize`` (calibration), ``verify``
+``equivclass`` (class algebra), ``sequences`` (gate families, the
+undriven two-step segment included), ``optimize`` (calibration), ``verify``
 (property suite) and ``cli``.  The package's ``__init__`` re-exports them
 all and sits above every layer.
 """
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import cnotsteer
 
-LAYERS = ["qmat", "model", "equivclass", "propagate", "sequences", "optimize", "verify", "cli"]
+LAYERS = ["qmat", "model", "equivclass", "sequences", "optimize", "verify", "cli"]
 PACKAGE = Path(cnotsteer.__file__).parent
 
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from cnotsteer.model import SystemParams
-from cnotsteer.propagate import entangling_u, undriven_uv
 from cnotsteer.qmat import expm_skew, frob_dist, unitarity_defect
-from cnotsteer.sequences import two_step_time
+from cnotsteer.sequences import entangling_u, two_step_time, undriven_uv
 
 from propagator_oracle import evolve_stepwise, h_rwa_frame1
 from reference_data import ENTANGLER_FRAME1_DELTA1, ENTANGLER_FRAME2_DELTA1

@@ -25,11 +25,6 @@ from cnotsteer.equivclass import (
     weyl_coordinates,
 )
 from cnotsteer.model import XX, YY, ZZ, SystemParams
-from cnotsteer.propagate import (
-    entangling_u,
-    undriven_propagators,
-    undriven_uv,
-)
 from cnotsteer.qmat import (
     ContractViolationError,
     expm_skew,
@@ -41,10 +36,13 @@ from cnotsteer.qmat import (
 from cnotsteer.sequences import (
     CNOT,
     LocalRotationSpec,
+    entangling_u,
     euler_u2,
     single_step_gates,
     single_step_u,
     two_step_product,
+    undriven_propagators,
+    undriven_uv,
     weyl_trajectory,
 )
 

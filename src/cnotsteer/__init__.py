@@ -24,13 +24,13 @@ from .equivclass import (
     makhlin_invariants,
     weyl_coordinates,
 )
-from .model import SystemParams
 from .optimize import CalibrationResult, calibrate_single_step
 from .qmat import ContractViolationError, expm_skew, frob_dist, kron2
 from .sequences import (
     CNOT,
     DetuningOutOfRangeError,
     LocalRotationSpec,
+    SystemParams,
     UnsupportedCouplingError,
     entangling_u,
     fidelity,

@@ -47,7 +47,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .equivclass import cnot_distance, makhlin_invariants, weyl_coordinates
-from .model import SystemParams
 from .optimize import (
     SINGLE_STEP_BOUND,
     CalibrationResult,
@@ -56,6 +55,7 @@ from .optimize import (
 from .qmat import ContractViolationError, frob_dist
 from .sequences import (
     CNOT,
+    SystemParams,
     entangling_u,
     fidelity,
     fit_local_rotations,

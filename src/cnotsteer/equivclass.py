@@ -57,9 +57,11 @@ import math
 
 import numpy as np
 
-from .model import XX, YY, ZZ
 from .qmat import (
     UNITARITY_TOL,
+    XX,
+    YY,
+    ZZ,
     ContractViolationError,
     Operator4,
     expm_skew,

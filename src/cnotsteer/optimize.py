@@ -50,8 +50,7 @@ from typing import Callable, Generator, Sequence
 import numpy as np
 
 from .equivclass import cnot_distance, cnot_residual, makhlin_invariants
-from .model import SystemParams
-from .sequences import single_step_gates
+from .sequences import SystemParams, single_step_gates
 
 __all__ = [
     "CalibrationResult",

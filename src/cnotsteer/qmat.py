@@ -6,7 +6,10 @@ A two-qubit operator that factors as ``A`` on qubit 2 and ``B`` on qubit 1
 is therefore ``kron2(A, B) = np.kron(A, B)``.
 
 Gates are plain complex ndarrays ("Operator4"); Lie-algebra elements are
-skew-Hermitian ndarrays ("Generator4").  Matrix exponentials of generators
+skew-Hermitian ndarrays ("Generator4").  The read-only generators ``X1``,
+``Z2``, ``XX``, ``YY`` and ``ZZ`` are the scaled Pauli products that the
+sequences' generators are built from, e.g. ``X1 = (i/2) sigma_1^x`` and
+``XX = (i/2) sigma_2^x sigma_1^x``.  Matrix exponentials of generators
 are computed through the eigendecomposition of the associated Hermitian
 matrix, which keeps the result unitary to rounding.
 
@@ -60,6 +63,20 @@ def kron2(a2: np.ndarray, b1: np.ndarray) -> Operator4:
     b1 = np.asarray(b1, dtype=complex)
     k = a2[..., :, None, :, None] * b1[..., None, :, None, :]
     return k.reshape(k.shape[:-4] + (4, 4))
+
+
+def _scaled_product(a2: np.ndarray, b1: np.ndarray) -> Generator4:
+    """Read-only (i/2) a2 (x) b1, with ``a2`` on qubit 2 and ``b1`` on qubit 1."""
+    m = 0.5j * kron2(a2, b1)
+    m.setflags(write=False)
+    return m
+
+
+X1 = _scaled_product(ID2, SIGMA_X)
+Z2 = _scaled_product(SIGMA_Z, ID2)
+XX = _scaled_product(SIGMA_X, SIGMA_X)
+YY = _scaled_product(SIGMA_Y, SIGMA_Y)
+ZZ = _scaled_product(SIGMA_Z, SIGMA_Z)
 
 
 def frob_dist(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,5 +1,19 @@
 """CNOT control sequences: assembly, local rotations, and gate fidelity.
 
+The physical setting is a pair of weakly coupled phase qubits, one of them
+driven by a resonant Rabi pulse.  After moving to a rotating frame and
+dropping fast-oscillating terms (rotating-wave approximation), the dynamics
+is generated by skew-Hermitian combinations of ``qmat``'s scaled Pauli
+products in two frames:
+
+* frame 1 -- both qubits rotate at the drive frequency; the generator
+  ``-delta*Z2 + omega1*X1 + (XX + YY) + g_tilde*ZZ`` is time-independent;
+* frame 2 -- each qubit rotates at its own splitting; the detuning moves
+  into a transverse coupling rotating with period ``2*pi/|delta|``.
+
+All rates are in units of the transverse coupling ``g``, as
+``SystemParams`` holds them; time is in units of ``1/g``.
+
 Two sequence families generate the controlled-NOT class:
 
 * **two-step** -- entangle with the drive off, apply a local pi pulse on
@@ -50,8 +64,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .equivclass import MAGIC_BASIS, _chamber_coordinates, _require_chamber, to_magic
-from .model import SystemParams, X1, XX, YY, Z2
 from .qmat import (
+    X1,
+    XX,
+    YY,
+    Z2,
     ContractViolationError,
     Operator4,
     expm_skew,
@@ -59,6 +76,33 @@ from .qmat import (
     kron2,
     require_unitary,
 )
+
+
+@dataclass(frozen=True)
+class SystemParams:
+    """Rates of the coupled pair in units of the transverse coupling ``g``.
+
+    ``g`` itself is the unit, so it has no field.  All rates are finite.
+
+    Attributes:
+        delta: qubit-qubit detuning over g, signed.
+        omega1: Rabi amplitude of the drive on qubit 1 over g, >= 0.
+        g_tilde: longitudinal ZZ coupling over g, >= 0 (zero for capacitive
+            coupling).
+    """
+
+    delta: float = 0.0
+    omega1: float = 0.0
+    g_tilde: float = 0.0
+
+    def __post_init__(self) -> None:
+        # Each comparison is false for NaN, so these also reject NaN rates.
+        if not math.isfinite(self.delta):
+            raise ContractViolationError(f"detuning delta must be finite, got {self.delta}")
+        if not 0.0 <= self.omega1 < math.inf:
+            raise ContractViolationError(f"drive omega1 must be finite and >= 0, got {self.omega1}")
+        if not 0.0 <= self.g_tilde < math.inf:
+            raise ContractViolationError(f"g_tilde must be finite and >= 0, got {self.g_tilde}")
 
 
 class DetuningOutOfRangeError(ContractViolationError):
@@ -376,9 +420,12 @@ def weyl_trajectory(p: SystemParams, t_max: float, n_samples: int) -> tuple[np.n
     Returns ``(t, c)``: the uniform time grid ``np.linspace(0, t_max,
     n_samples)`` and an ``(n_samples, 3)`` array of chamber points, one row
     per time, the first at the origin.  Each row is the fold of the
-    ``single_step_gates`` member at its time, taken one sample at a time, so
-    apparent kinks can only occur at chamber boundaries; the CLI's default of
-    2048 samples is fine enough to render the curves smoothly.
+    ``single_step_gates`` member at its time into the chamber, so apparent
+    kinks come from the fold, where the path meets a chamber boundary, and
+    not from the sampling; the CLI's default of 2048 samples is fine enough
+    to render the curves smoothly.  The gates are made one sample at a time,
+    a loop that stays until ROADMAP item 4 stacks them within the
+    benchmark's memory bound.
 
     Raises:
         ContractViolationError: ``n_samples < 2``.

@@ -46,7 +46,6 @@ from dataclasses import replace
 import numpy as np
 
 from cnotsteer.equivclass import cnot_distance, makhlin_invariants, to_magic
-from cnotsteer.model import SystemParams
 from cnotsteer.optimize import (
     _HESSIAN_FLOOR,
     _NEWTON_MAX_ITERATIONS,
@@ -60,7 +59,7 @@ from cnotsteer.optimize import (
     SINGLE_STEP_START,
 )
 from cnotsteer.qmat import require_unitary
-from cnotsteer.sequences import single_step_u
+from cnotsteer.sequences import SystemParams, single_step_u
 from nelder_mead import NMOptions, nelder_mead
 
 _SEARCH = NMOptions(bounds=SINGLE_STEP_BOUNDS)

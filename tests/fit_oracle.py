@@ -18,9 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from cnotsteer.model import SystemParams
 from cnotsteer.qmat import Operator4, frob_dist, require_unitary
-from cnotsteer.sequences import LocalRotationSpec, _paper_rotations, two_step_rotations
+from cnotsteer.sequences import LocalRotationSpec, SystemParams, _paper_rotations, two_step_rotations
 from conftest import spec_from_vector
 from nelder_mead import NMOptions, nelder_mead
 

@@ -25,11 +25,24 @@ import math
 
 import numpy as np
 
-from cnotsteer.model import SystemParams, X1, XX, YY, Z2, ZZ, _scaled_product
-from cnotsteer.qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, Generator4, Operator4, expm_skew
-from cnotsteer.sequences import PI_PULSE_X1, checked_time, two_step_time
+from cnotsteer.qmat import (
+    ID2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    X1,
+    XX,
+    YY,
+    Z2,
+    ZZ,
+    Generator4,
+    Operator4,
+    _scaled_product,
+    expm_skew,
+)
+from cnotsteer.sequences import PI_PULSE_X1, SystemParams, checked_time, two_step_time
 
-# The scaled Pauli products that no map uses; model holds the others.
+# The scaled Pauli products that no map uses; qmat holds the others.
 Y1 = _scaled_product(ID2, SIGMA_Y)
 Z1 = _scaled_product(ID2, SIGMA_Z)
 X2 = _scaled_product(SIGMA_X, ID2)

@@ -11,12 +11,12 @@ from cnotsteer.equivclass import (
     makhlin_invariants,
     weyl_coordinates,
 )
-from cnotsteer.model import SystemParams
 from cnotsteer.optimize import calibrate_single_step
 from cnotsteer.qmat import frob_dist
 from cnotsteer.sequences import (
     CNOT,
     DetuningOutOfRangeError,
+    SystemParams,
     entangling_u,
     fidelity,
     fit_local_rotations,

@@ -19,10 +19,9 @@ from cnotsteer.cli import (
     matrix_from_json,
     matrix_to_json,
 )
-from cnotsteer.model import SystemParams
 from cnotsteer.optimize import calibrate_single_step
 from cnotsteer.qmat import frob_dist
-from cnotsteer.sequences import PI_PULSE_X1, two_step_rotations, two_step_time
+from cnotsteer.sequences import PI_PULSE_X1, SystemParams, two_step_rotations, two_step_time
 
 from conftest import random_unitary, spec_from_vector
 from reference_data import (
@@ -285,6 +284,18 @@ def test_trajectory_csv_format(tmp_path):
         for f in fields:
             assert len(f.split(".")[1]) == 6
 
+
+@pytest.mark.parametrize("delta", ["0.5", "1.5", "3.0"])
+def test_trajectory_ends_at_the_one_step_gate(tmp_path, delta):
+    # The last sample is the calibrated gate, beyond the single-step bound
+    # too: its t cell is the gate's T1 and its c cells its Weyl point.
+    out = tmp_path / "traj.csv"
+    assert main(["trajectory", "--delta", delta, "--samples", "5", "--out", str(out)]) == EXIT_OK
+    _, rows = _rows(out)
+    gate = _gate(tmp_path, "--mode", "one-step", "--delta", delta)
+    point = [gate["weyl_point"][k] / (math.pi / 2.0) for k in ("c1", "c2", "c3")]
+    want = [gate["recipe"]["t_value"], *point]
+    assert [float(cell) for cell in rows[-1]] == [float(f"{x:.6f}") for x in want]
 
 def test_trajectory_rejects_single_sample(tmp_path):
     rc = main(["trajectory", "--delta", "0.5", "--samples", "1",

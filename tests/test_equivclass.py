@@ -13,11 +13,11 @@ from cnotsteer.equivclass import (
     makhlin_invariants,
     weyl_coordinates,
 )
-from cnotsteer.model import SystemParams
 from cnotsteer.qmat import ContractViolationError, frob_dist, kron2, unitarity_defect
 from cnotsteer.sequences import (
     CNOT,
     PI_PULSE_X1,
+    SystemParams,
     entangling_u,
     euler_u2,
     single_step_u,

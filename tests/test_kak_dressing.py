@@ -8,13 +8,13 @@ import pytest
 
 import cnotsteer.cli as cli
 import cnotsteer.sequences as sequences
-from cnotsteer.equivclass import canonical_class_gate, makhlin_invariants
-from cnotsteer.model import SystemParams
+from cnotsteer.equivclass import MAGIC_BASIS, canonical_class_gate, makhlin_invariants
 from cnotsteer.optimize import calibrate_single_step
 from cnotsteer.qmat import expm_skew, frob_dist
 from cnotsteer.sequences import (
     CNOT,
     LocalRotationSpec,
+    SystemParams,
     fidelity,
     fit_local_rotations,
     single_step_u,
@@ -203,6 +203,30 @@ def test_gates_unitary_only_to_the_input_tolerance(rng):
         u = random_unitary(rng) + 3e-10 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         target = spec_from_vector(rng.uniform(-3, 3, size=13)).realize(u)
         assert frob_dist(_dressed(u, target), target) <= 1e-8
+
+
+def _random_so4(rng: np.random.Generator) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)))
+    q = q * np.sign(np.diagonal(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7])
+def test_near_degenerate_magic_spectrum(eps, rng):
+    # m = U_B^T U_B has the spectrum exp(i phi) for phi = (a, pi - a, c,
+    # -pi - c): two pairs with equal imaginary parts, and with a = pi/2 -
+    # eps/2 the first pair's real parts differ by ~eps, so eigh(Re m) alone
+    # nearly ties them.
+    a = HALF_PI - eps / 2.0
+    for _ in range(30):
+        c = rng.uniform(-math.pi, math.pi)
+        phi = np.array([a, math.pi - a, c, -math.pi - c])
+        ub = _random_so4(rng) @ np.diag(np.exp(0.5j * phi)) @ _random_so4(rng)
+        u = MAGIC_BASIS @ ub @ MAGIC_BASIS.conj().T
+        target = spec_from_vector(rng.uniform(-3, 3, size=13)).realize(u)
+        assert frob_dist(_dressed(u, target), target) <= 1e-10
 
 
 @PROPERTY

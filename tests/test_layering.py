@@ -1,10 +1,10 @@
 """The package's modules form layers: each imports only from the ones below it.
 
-From the bottom up: ``qmat`` (matrices), ``model`` (generators),
-``equivclass`` (class algebra), ``sequences`` (gate families, the
-undriven two-step segment included), ``optimize`` (calibration), ``verify``
-(property suite) and ``cli``.  The package's ``__init__`` re-exports them
-all and sits above every layer.
+From the bottom up: ``qmat`` (matrices and the generators' Pauli
+products), ``equivclass`` (class algebra), ``sequences`` (the rates and the
+gate families, the undriven two-step segment included), ``optimize``
+(calibration), ``verify`` (property suite) and ``cli``.  The package's
+``__init__`` re-exports them all and sits above every layer.
 """
 
 import ast
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import cnotsteer
 
-LAYERS = ["qmat", "model", "equivclass", "sequences", "optimize", "verify", "cli"]
+LAYERS = ["qmat", "equivclass", "sequences", "optimize", "verify", "cli"]
 PACKAGE = Path(cnotsteer.__file__).parent
 
 

@@ -4,19 +4,24 @@ import math
 import numpy as np
 import pytest
 
-from cnotsteer import model
-from cnotsteer.model import SystemParams, XX, YY, ZZ, X1, Z2
+from cnotsteer import qmat
 from cnotsteer.qmat import (
     ContractViolationError,
     ID2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    X1,
+    XX,
+    YY,
+    Z2,
+    ZZ,
     expm_skew,
     frob_dist,
     kron2,
     skewness_defect,
 )
+from cnotsteer.sequences import SystemParams
 
 import propagator_oracle
 from propagator_oracle import XY, YX, Z1, h_rwa_frame1, h_rwa_frame2
@@ -36,7 +41,7 @@ def test_generator_definitions_against_kron():
             expected = 0.5j * (kron2(ID2, sigma) if label[1] == "1" else kron2(sigma, ID2))
         else:  # two-qubit product, e.g. "XY" acts as sigma^x on qubit 2, sigma^y on qubit 1
             expected = 0.5j * kron2(_PAULI[label[0]], _PAULI[label[1]])
-        generator = getattr(model if hasattr(model, label) else propagator_oracle, label)
+        generator = getattr(qmat if hasattr(qmat, label) else propagator_oracle, label)
         assert frob_dist(generator, expected) == 0.0
         assert skewness_defect(generator) < 1e-15
 

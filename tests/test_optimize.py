@@ -9,10 +9,9 @@ import pytest
 import cnotsteer.cli as cli
 import cnotsteer.optimize as optimize
 from cnotsteer.equivclass import cnot_distance, makhlin_invariants
-from cnotsteer.model import SystemParams
 from cnotsteer.optimize import SINGLE_STEP_BOUND, SINGLE_STEP_BOUNDS, calibrate_single_step
 from cnotsteer.qmat import ContractViolationError, frob_dist
-from cnotsteer.sequences import CNOT, fit_local_rotations, single_step_u
+from cnotsteer.sequences import CNOT, SystemParams, fit_local_rotations, single_step_u
 
 from calibration_oracle import (
     RICHARDSON_STEP,

@@ -1,9 +1,8 @@
 """The package's public surface: every exported name resolves, and the
-exported names and ``model``'s own names are pinned, so that adding or
-removing one is a deliberate edit here.  The commands call every exported
-function, bar the pinned exceptions, and the README's quick start runs."""
+exported names are pinned, so that adding or removing one is a deliberate
+edit here.  The commands call every exported function, bar the pinned
+exceptions, and the README's quick start runs."""
 
-import ast
 import contextlib
 import inspect
 import io
@@ -14,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cnotsteer
-from cnotsteer import cli, model
+from cnotsteer import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PYPROJECT = README.with_name("pyproject.toml")
@@ -66,19 +65,6 @@ def test_version_is_the_project_version():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
     assert cnotsteer.__version__ == project["version"]
-
-
-def test_model_defines_only_the_params_and_the_generators_the_maps_use():
-    # Names bound at the top level of model.py itself, imports excluded.
-    tree = ast.parse(Path(model.__file__).read_text(encoding="utf-8"))
-    defined = set()
-    for node in tree.body:
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-            defined.add(node.name)
-        elif isinstance(node, ast.Assign):
-            defined.update(target.id for target in node.targets if isinstance(target, ast.Name))
-    public = {name for name in defined if not name.startswith("_")}
-    assert public == {"SystemParams", "X1", "Z2", "XX", "YY", "ZZ"}
 
 
 def test_the_commands_call_every_exported_function(tmp_path):

@@ -7,12 +7,14 @@ from cnotsteer.qmat import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    X1,
+    XX,
+    YY,
     expm_skew,
     frob_dist,
     kron2,
     unitarity_defect,
 )
-from cnotsteer.model import X1, XX, YY
 from cnotsteer.sequences import CNOT
 
 from conftest import random_skew

@@ -7,8 +7,9 @@ import pytest
 import cnotsteer.cli as cli
 import cnotsteer.sequences as sequences
 from cnotsteer.equivclass import cnot_distance, makhlin_invariants
-from cnotsteer.model import SystemParams, Z2, X1
 from cnotsteer.qmat import (
+    X1,
+    Z2,
     ContractViolationError,
     expm_skew,
     frob_dist,
@@ -17,6 +18,7 @@ from cnotsteer.qmat import (
 from cnotsteer.sequences import (
     CNOT,
     DetuningOutOfRangeError,
+    SystemParams,
     UnsupportedCouplingError,
     euler_u2,
     fidelity,

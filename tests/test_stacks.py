@@ -24,8 +24,10 @@ from cnotsteer.equivclass import (
     to_magic,
     weyl_coordinates,
 )
-from cnotsteer.model import XX, YY, ZZ, SystemParams
 from cnotsteer.qmat import (
+    XX,
+    YY,
+    ZZ,
     ContractViolationError,
     expm_skew,
     kron2,
@@ -36,6 +38,7 @@ from cnotsteer.qmat import (
 from cnotsteer.sequences import (
     CNOT,
     LocalRotationSpec,
+    SystemParams,
     entangling_u,
     euler_u2,
     single_step_gates,

@@ -17,10 +17,9 @@ from cnotsteer.equivclass import (
     makhlin_invariants,
     weyl_coordinates,
 )
-from cnotsteer.model import SystemParams
 from cnotsteer.optimize import calibrate_single_step
 from cnotsteer.qmat import expm_skew, kron2
-from cnotsteer.sequences import CNOT, euler_u2, single_step_gates, weyl_trajectory
+from cnotsteer.sequences import CNOT, SystemParams, euler_u2, single_step_gates, weyl_trajectory
 
 from conftest import random_unitary
 from propagator_oracle import h_rwa_frame1, two_step_entangler

@@ -18,9 +18,8 @@ from collections.abc import Iterator
 import numpy as np
 
 from cnotsteer.equivclass import canonical_class_gate, makhlin_invariants, weyl_coordinates
-from cnotsteer.model import SystemParams
 from cnotsteer.qmat import kron2, unitarity_defect
-from cnotsteer.sequences import euler_u2, single_step_u
+from cnotsteer.sequences import SystemParams, euler_u2, single_step_u
 from cnotsteer.verify import CheckResult
 
 from propagator_oracle import (

@@ -37,6 +37,18 @@ every row its invariants and d^2.  The kernels give each stack member the
 bits it gets alone, so each row returns the bits it returns when calibrated
 alone, with the same iteration count and flag.
 
+The solvers do their step arithmetic on Python floats, taken off each reply
+with ``.tolist()`` or ``r.dot(r)``: the residual norms and step sizes, the
+choice of trial, the nine stencil cells, the gradient and Hessian entries,
+and the stopping and box tests.  numpy does only ``lstsq`` (on the Jacobian
+``((reply[1:] - r) / h).T``), ``eigvalsh`` and ``solve``, whose bits come
+from LAPACK.  A Python float operation rounds as numpy's elementwise float64
+operation does (IEEE-754 round to nearest, nothing fused),
+``math.sqrt(r.dot(r))`` is what ``np.linalg.norm`` computes for a 1-D real
+array, and on finite values the comparisons decide as ``np.argmin`` and
+``np.max`` do; the kernels' contracts keep NaN out.  So every request keeps
+the bits of the same steps written in numpy, at less cost per row.
+
 The two-step sequence needs no calibration: ``sequences.two_step_time`` is
 its closed-form gate time.
 """
@@ -156,23 +168,32 @@ def _solve_single_step() -> _Solver:
     that lie close together just below the fold.  Returns the root (the centre of the last
     stencil kept), the iteration count and whether ``||R||_F <= _ROOT_TOL``
     was reached.
+
+    The step arithmetic runs on Python floats and numpy does only the
+    ``lstsq``; ``||R||_F`` is ``math.sqrt(r.dot(r))``, the bits of
+    ``np.linalg.norm``.
     """
     low, high = _ROOT_DOUBLING
-    trials = np.array([SINGLE_STEP_START])
+    trials = [SINGLE_STEP_START]
     previous = math.inf
     iterations = 0
     while True:
-        replies = np.reshape((yield trials[:, None] + _ROOT_STENCIL), (len(trials), 3, -1))
-        norms = [np.linalg.norm(reply[0]) for reply in replies]
-        best = int(np.argmin(norms))
-        x, (r, *shifted) = trials[best], replies[best]
+        replies = np.reshape((yield np.array(trials)[:, None] + _ROOT_STENCIL), (len(trials), 3, -1))
+        norms = [math.sqrt(reply[0].dot(reply[0])) for reply in replies]
+        best = norms.index(min(norms))
+        (x0, x1), reply = trials[best], replies[best]
+        r = reply[0]
         converged = not norms[best] > _ROOT_TOL
         if converged or iterations == _ROOT_MAX_ITERATIONS:
-            return x, iterations, converged
-        jac = np.stack([(r_k - r) / _ROOT_STEP for r_k in shifted], axis=1)
-        step = np.linalg.lstsq(jac, r, rcond=None)[0]
-        size = np.linalg.norm(step)
-        trials = np.array([x - step, x - 2.0 * step] if low < size / previous < high else [x - step])
+            return np.array((x0, x1)), iterations, converged
+        step = np.linalg.lstsq(((reply[1:] - r) / _ROOT_STEP).T, r, rcond=None)[0]
+        size = math.sqrt(step.dot(step))
+        s0, s1 = step.tolist()
+        trials = [(x0 - s0, x1 - s1)]
+        # After a zero step numpy's ratio is inf or nan, which never doubles;
+        # a Python float division by zero would raise.
+        if previous > 0.0 and low < size / previous < high:
+            trials.append((x0 - 2.0 * s0, x1 - 2.0 * s1))
         previous = size
         iterations += 1
 
@@ -194,35 +215,40 @@ def _minimize_single_step() -> _Solver:
     beyond g, where d^2 is flat to rounding, that monotone guard is what
     ends it.
     Returns the point, the number of Newton steps and whether it converged.
+
+    The 9 d^2 of a reply are Python floats, at flat index ``3 i + j``, and so
+    are the gradient, Hessian entries and step; numpy does only the
+    ``eigvalsh`` and the ``solve``.  The shift adds to the diagonal alone,
+    which is what adding ``shift * eye(2)`` does: d^2 >= +0.0 and exact
+    cancellation rounds to +0.0, so the cross term is never -0.0.
     """
     h = _NEWTON_STEP
-    lo, hi = np.array(SINGLE_STEP_BOUNDS).T
+    (lo0, hi0), (lo1, hi1) = SINGLE_STEP_BOUNDS
     stencil = h * _NEWTON_STENCIL
-    x = np.array(SINGLE_STEP_START)
-    f = np.reshape((yield x + stencil), (3, 3))  # d^2 at x + h * (i - 1, j - 1)
+    x0, x1 = SINGLE_STEP_START
+    f = (yield np.array((x0, x1)) + stencil).tolist()  # d^2 at x + h * (i - 1, j - 1)
     for iterations in range(_NEWTON_MAX_ITERATIONS):
-        fx = f[1, 1]
-        grad = np.array([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]]) / (2.0 * h)
-        cross = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / 4.0
-        hess = np.array([
-            [f[2, 1] - 2.0 * fx + f[0, 1], cross],
-            [cross, f[1, 2] - 2.0 * fx + f[1, 0]],
-        ]) / (h * h)
-        low, high = np.linalg.eigvalsh(hess)
+        fx = f[4]
+        grad = [(f[7] - f[1]) / (2.0 * h), (f[5] - f[3]) / (2.0 * h)]
+        cross = (f[8] - f[6] - f[2] + f[0]) / 4.0 / (h * h)
+        h00 = (f[7] - 2.0 * fx + f[1]) / (h * h)
+        h11 = (f[5] - 2.0 * fx + f[3]) / (h * h)
+        low, high = np.linalg.eigvalsh([[h00, cross], [cross, h11]]).tolist()
         if low <= 0.0:
-            hess += (_HESSIAN_FLOOR * max(1.0, abs(high)) - low) * np.eye(2)
-        step = -np.linalg.solve(hess, grad)
-        while np.max(np.abs(step)) > _NEWTON_TOL:
-            trial = x + step
-            if np.all(trial >= lo) and np.all(trial <= hi):
-                f_trial = np.reshape((yield trial + stencil), (3, 3))
-                if f_trial[1, 1] < fx:
+            shift = _HESSIAN_FLOOR * max(1.0, abs(high)) - low
+            h00, h11 = h00 + shift, h11 + shift
+        s0, s1 = (-np.linalg.solve([[h00, cross], [cross, h11]], grad)).tolist()
+        while max(abs(s0), abs(s1)) > _NEWTON_TOL:
+            t0, t1 = x0 + s0, x1 + s1
+            if lo0 <= t0 <= hi0 and lo1 <= t1 <= hi1:
+                f_trial = (yield np.array((t0, t1)) + stencil).tolist()
+                if f_trial[4] < fx:
                     break
-            step = step / 2.0
+            s0, s1 = s0 / 2.0, s1 / 2.0
         else:
-            return x, iterations, True
-        x, f = trial, f_trial
-    return x, _NEWTON_MAX_ITERATIONS, False
+            return np.array((x0, x1)), iterations, True
+        x0, x1, f = t0, t1, f_trial
+    return np.array((x0, x1)), _NEWTON_MAX_ITERATIONS, False
 
 
 def _lockstep(steps: list[_Solver], evaluate: Callable, deltas: list[float]) -> list[tuple]:

@@ -397,6 +397,22 @@ def test_grid_call_gives_each_row_the_bits_it_gets_alone(name):
         assert _bits(cal) == _bits(calibrate_single_step(delta)), delta
 
 
+def test_iteration_caps_inside_a_grid(monkeypatch):
+    # With lower caps some rows of each method stop at the cap while the
+    # others converge; each row keeps the bits, count and flag it gets alone.
+    monkeypatch.setattr(optimize, "_ROOT_MAX_ITERATIONS", 4)
+    monkeypatch.setattr(optimize, "_NEWTON_MAX_ITERATIONS", 6)
+    grid = [0.0, 0.9, 1.5, 0.3, 1.05, 1.0, 3.0, 1.8, -0.5, 0.98, 1.1, 2.0]
+    found = calibrate_single_step(grid)
+    for delta, cal in zip(grid, found):
+        assert _bits(cal) == _bits(calibrate_single_step(delta)), delta
+    for method, cap in (("root solve", 4), ("d^2 minimisation", 6)):
+        rows = [cal for cal in found if cal.method == method]
+        assert {cal.converged for cal in rows} == {True, False}, method
+        assert all(cal.iterations == cap for cal in rows if not cal.converged), method
+        assert all(cal.iterations < cap for cal in rows if cal.converged), method
+
+
 def test_mixed_grid_interleaves_both_methods():
     inside = [abs(d) <= SINGLE_STEP_BOUND for d in _MIXED]
     assert sum(a != b for a, b in zip(inside, inside[1:])) > 20

@@ -30,14 +30,15 @@ or a request too large to allocate (for example a huge ``--samples``), 3
 I/O error, 4 verification failure.  A single-step calibration that stops
 short of its tolerance does not change the exit code or the output files; it
 prints a ``warning:`` line to stderr with the detuning, the method and the
-d^2 it reached.
+d^2 it reached.  So does a single-step detuning so large that the float
+phases delta*t keep no digits within ``qmat.UNITARITY_TOL`` (from about
+3e7 g).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -52,7 +53,7 @@ from .optimize import (
     CalibrationResult,
     calibrate_single_step,
 )
-from .qmat import ContractViolationError, frob_dist
+from .qmat import UNITARITY_TOL, ContractViolationError, frob_dist
 from .sequences import (
     CNOT,
     SystemParams,
@@ -65,7 +66,10 @@ from .sequences import (
     two_step_time,
     weyl_trajectory,
 )
-from .verify import run_checks
+
+# json and .verify are imported inside json_text and cmd_verify, the only
+# code that uses them, so that a one-shot CLI run does not start up by
+# loading modules its command never runs.
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -121,6 +125,8 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
 
 def json_text(payload: object) -> str:
     """``json.dumps(payload, indent=2)`` and a newline; the package's one JSON writer."""
+    import json
+
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -140,13 +146,25 @@ def _t2_value(p: SystemParams) -> float:
 
 
 def _calibrate_single_step(delta: float | list[float]) -> CalibrationResult | list[CalibrationResult]:
-    """``calibrate_single_step``, with a stderr warning for each row that did not converge."""
+    """``calibrate_single_step``, with a stderr warning for each row that did not converge.
+
+    A row also warns when its detuning phase delta*t is so large that one
+    float ulp of it exceeds ``UNITARITY_TOL``: its gate phases carry no
+    digits there, whatever d^2 the calibration reports.
+    """
     cal = calibrate_single_step(delta)
     for row in cal if isinstance(cal, list) else [cal]:
         if not row.converged:
             print(
                 f"warning: single-step calibration at delta/g = {row.delta_over_g:g} did not converge "
                 f"({row.method}, {row.iterations} iterations, d^2 = {row.distance:.3e})",
+                file=sys.stderr,
+            )
+        phase_ulp = abs(row.delta_over_g) * row.t_units * _HALF_PI * sys.float_info.epsilon
+        if phase_ulp > UNITARITY_TOL:
+            print(
+                f"warning: single-step detuning delta/g = {row.delta_over_g:g} is too large for float "
+                f"phases (|delta| t eps = {phase_ulp:.1e} > {UNITARITY_TOL:g})",
                 file=sys.stderr,
             )
     return cal
@@ -243,6 +261,8 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the property suite and report one line per check."""
+    from .verify import run_checks
+
     results = run_checks(seed=args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -22,6 +22,8 @@ artifacts = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(artifacts)
 
 
-def test_artifacts_match_the_manifest(tmp_path):
+def test_artifacts_match_the_manifest(tmp_path, capsys):
     artifacts.write_artifacts(tmp_path)
+    # No reference input is unconverged or too detuned for float phases.
+    assert "warning:" not in capsys.readouterr().err
     assert artifacts.manifest(tmp_path) == MANIFEST.read_text(encoding="utf-8")

@@ -370,11 +370,11 @@ def test_verify_rejects_a_negative_seed(seed, capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    import cnotsteer.cli as cli
+    import cnotsteer.verify as verify
     from cnotsteer.verify import CheckResult
 
     monkeypatch.setattr(
-        cli, "run_checks",
+        verify, "run_checks",
         lambda seed: [CheckResult("stub", False, worst=1.0, tolerance=1e-9)],
     )
     assert main(["verify"]) == 4
@@ -411,12 +411,12 @@ def test_verify_reports_failures_of_the_package(name, replacement, failed, monke
 def test_plain_value_error_is_not_a_domain_error(monkeypatch):
     # Only the package's deliberate rejections exit 2; a ValueError from a
     # bug (numpy's LinAlgError among them) must surface.
-    import cnotsteer.cli as cli
+    import cnotsteer.verify as verify
 
     def broken(seed):
         raise ValueError("a bug, not a domain error")
 
-    monkeypatch.setattr(cli, "run_checks", broken)
+    monkeypatch.setattr(verify, "run_checks", broken)
     with pytest.raises(ValueError, match="a bug"):
         main(["verify"])
 
@@ -464,23 +464,54 @@ def test_unconverged_calibration_warns_without_changing_outputs(tmp_path, monkey
         assert path.read_bytes() == (tmp_path / "warned" / path.name).read_bytes()
 
 
-def _alone(argv: list[str]) -> str:
-    """Standard output of ``cnotsteer argv`` run in a fresh interpreter."""
+@pytest.mark.parametrize("argv, warns", [
+    (["gate", "--mode", "one-step", "--delta", "1e10"], True),
+    (["trajectory", "--delta", "1e10", "--samples", "4"], True),
+    (["gate", "--mode", "one-step", "--delta", "1e7"], False),
+    (["trajectory", "--delta", "1e7", "--samples", "4"], False),
+], ids=["gate-1e10", "trajectory-1e10", "gate-1e7", "trajectory-1e7"])
+def test_detuning_too_large_for_float_phases_warns_without_changing_outputs(
+    argv, warns, tmp_path, monkeypatch, capsys,
+):
+    # At 1e10 g one ulp of the phase delta*t is 3.5e-6, far above the
+    # unitarity tolerance, so the gate's phases carry no digits; at 1e7 g it
+    # is 3.5e-9.  The warning changes neither the exit code nor the file.
+    assert main([*argv, "--out", str(tmp_path / "warned")]) == EXIT_OK
+    err = capsys.readouterr().err
+    if warns:
+        assert err.startswith("warning: single-step detuning delta/g = 1e+10 is too large for float phases ")
+        assert err.count("\n") == 1, err
+    else:
+        assert err == ""
+    monkeypatch.setattr(cli, "UNITARITY_TOL", math.inf)
+    assert main([*argv, "--out", str(tmp_path / "quiet")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "warned").read_bytes() == (tmp_path / "quiet").read_bytes()
+
+
+def _fresh_interpreter(*args: str) -> str:
+    """Standard output of ``python args`` with this checkout's ``src/`` on the path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-m", "cnotsteer.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return done.stdout
+
+
+def _alone(argv: list[str]) -> str:
+    """Standard output of ``cnotsteer argv`` run in a fresh interpreter."""
+    return _fresh_interpreter("-m", "cnotsteer.cli", *argv)
 
 
 def test_the_reused_parser_starts_each_call_from_its_defaults(tmp_path, monkeypatch, capsys):
     # main builds its parser once per process; no value of one call may
     # carry over into the next.
+    import cnotsteer.verify as verify
+
     seeds = []
-    real = cli.run_checks
-    monkeypatch.setattr(cli, "run_checks", lambda seed: seeds.append(seed) or real(seed))
+    real = verify.run_checks
+    monkeypatch.setattr(verify, "run_checks", lambda seed: seeds.append(seed) or real(seed))
     gates = [
         ["gate", "--mode", "two-step", "--delta", "0.5", "--frame", "2"],
         ["gate", "--delta", "0.5"],
@@ -505,6 +536,25 @@ def test_the_reused_parser_starts_each_call_from_its_defaults(tmp_path, monkeypa
         with pytest.raises(SystemExit) as exited:
             main(bad)
         assert exited.value.code == 2, bad
+
+
+_STARTUP_PROBE = """
+import sys
+from cnotsteer import cli
+cli.build_parser()
+code = cli.main(["table1", "--out", sys.argv[1]])
+print(code, *(name in sys.modules for name in ("cnotsteer.verify", "json")))
+code = cli.main(["verify"])
+print(code, "cnotsteer.verify" in sys.modules)
+"""
+
+
+def test_start_up_loads_only_what_the_command_runs(tmp_path):
+    # A one-shot run pays for every module it imports, so the parser and
+    # table1 must not load the verification suite or the JSON encoder.
+    lines = _fresh_interpreter("-c", _STARTUP_PROBE, str(tmp_path / "table1.csv")).strip().split("\n")
+    assert lines[0] == f"{EXIT_OK} False False", "(exit code, verify loaded, json loaded): " + lines[0]
+    assert lines[-1] == f"{EXIT_OK} True"
 
 
 def _gate_payloads(monkeypatch, tmp_path):

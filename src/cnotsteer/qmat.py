@@ -106,7 +106,7 @@ def worst_failure(ok: np.ndarray, excess: np.ndarray) -> tuple[int, ...] | None:
     member fails where ``ok`` is false; the failures are ranked by
     ``excess``, a NaN first.
     """
-    if ok if ok.ndim == 0 else ok.all():
+    if ok.all():
         return None
     rank = np.where(ok, -np.inf, np.where(np.isnan(excess), np.inf, excess))
     return tuple(int(i) for i in np.unravel_index(np.argmax(rank), np.shape(ok)))

@@ -63,7 +63,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equivclass import MAGIC_BASIS, _chamber_coordinates, _require_chamber, to_magic
+from .equivclass import MAGIC_BASIS, _MAGIC_DAG, _chamber_coordinates, _require_chamber, to_magic
 from .qmat import (
     X1,
     XX,
@@ -152,7 +152,7 @@ def euler_u2(
 def zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
     """Invert ``euler_u2`` for an SU(2) matrix (det must be 1)."""
     u = np.asarray(u, dtype=complex)
-    det = np.linalg.det(u)
+    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     if abs(det - 1.0) > 1e-10:
         raise ValueError(f"zyz extraction requires det = 1, got {det!r}")
     if abs(u[0, 0]) < 1e-12:
@@ -473,9 +473,12 @@ _KAK_MIX = (
 _KAK_TOL = 1e-10
 _KAK_TIE = 1e-12
 # The Weyl-group images of a magic-basis spectrum: every permutation of the
-# four entries, times every sign pattern with an even number of flips.
+# four entries, times every sign pattern with an even number of flips.  The
+# rotations negate each odd permutation's last row, so dressings stay in SO(4).
 _KAK_PERMS = np.array(list(itertools.permutations(range(4))))
 _KAK_SIGNS = np.array([s for s in itertools.product((1, -1), repeat=4) if math.prod(s) == 1])
+_KAK_ROTATIONS = np.eye(4)[_KAK_PERMS]
+_KAK_ROTATIONS[:, 3] *= np.linalg.det(_KAK_ROTATIONS)[:, None]
 
 
 def _kak(u: Operator4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -509,7 +512,7 @@ def _kak(u: Operator4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d = np.sqrt(spectrum)
     o1 = ub @ v / d
     # det(o1) = 1 / prod(d) = +-1; one square-root sign fixes it.
-    if np.linalg.det(o1).real < 0.0:
+    if np.prod(d).real < 0.0:
         d[0], o1[:, 0] = -d[0], -o1[:, 0]
     return o1.real, d, v.T
 
@@ -528,7 +531,7 @@ def _local_factors(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rearrangement ``M[(i,k),(j,l)] = a[i,k] b[j,l]`` has rank one and is read
     off its largest entry.
     """
-    k = MAGIC_BASIS @ q @ MAGIC_BASIS.conj().T
+    k = MAGIC_BASIS @ q @ _MAGIC_DAG
     m = k.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     r, c = np.unravel_index(np.argmax(np.abs(m)), m.shape)
     a, b = m[:, c].reshape(2, 2), (m[r, :] / m[r, c]).reshape(2, 2)
@@ -566,12 +569,9 @@ def fit_local_rotations(u_ent: Operator4, target: Operator4) -> LocalRotationSpe
     # relative _KAK_TIE of the best keeps the choice off the last bits.
     tied = np.flatnonzero(residual <= residual.min() * (1.0 + _KAK_TIE))
     i_sign, i_perm = np.unravel_index(tied[0], residual.shape)
-    perm = np.eye(4)[_KAK_PERMS[i_perm]]
-    # Both sides stay in SO(4): the det(perm) sign on one axis cancels
-    # between them, and the sign pattern is even.
-    fix = np.diag([1.0, 1.0, 1.0, np.linalg.det(perm)])
-    post2, post1 = _local_factors(o1t @ np.diag(_KAK_SIGNS[i_sign]) @ fix @ perm @ o1e.T)
-    pre2, pre1 = _local_factors(o2e.T @ perm.T @ fix @ o2t)
+    rot = _KAK_ROTATIONS[i_perm]
+    post2, post1 = _local_factors(o1t @ np.diag(_KAK_SIGNS[i_sign]) @ rot @ o1e.T)
+    pre2, pre1 = _local_factors(o2e.T @ rot.T @ o2t)
 
     spec = LocalRotationSpec(*map(zyz_angles, (post2, post1, pre2, pre1)))
     overlap_phase = float(np.angle(np.trace(target.conj().T @ spec.realize(u_ent))))

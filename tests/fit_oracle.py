@@ -8,18 +8,35 @@ form must reach at least the distance this search reaches.
 The paper's single-step dressing, ``single_step_rotations``, lives here too:
 no command dresses with it, as its three angles cannot reach CNOT between 0
 and g.  The search's warm start and the paper-angle checks call it.
+
+``closed_form_reference`` is the closed-form dressing with every sign made
+per call: a permutation matrix and ``fix = diag(1, 1, 1, det(perm))``,
+``det(o1)`` for the SO(4) sign of the KAK factors, and a LAPACK ``det`` for
+the det = 1 check of each Euler extraction.  The package reads these signs
+off structure built at import, and its fit must give the reference's bytes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from cnotsteer.equivclass import MAGIC_BASIS, to_magic
 from cnotsteer.qmat import Operator4, frob_dist, require_unitary
-from cnotsteer.sequences import LocalRotationSpec, SystemParams, _paper_rotations, two_step_rotations
+from cnotsteer.sequences import (
+    _KAK_MIX,
+    _KAK_PERMS,
+    _KAK_SIGNS,
+    _KAK_TIE,
+    _KAK_TOL,
+    LocalRotationSpec,
+    SystemParams,
+    _paper_rotations,
+    two_step_rotations,
+)
 from conftest import spec_from_vector
 from nelder_mead import NMOptions, nelder_mead
 
@@ -114,3 +131,72 @@ def search_local_rotations(
         restarts_used=used,
         history=tuple(history),
     )
+
+
+def _zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
+    """``sequences.zyz_angles`` with its det = 1 check through LAPACK."""
+    u = np.asarray(u, dtype=complex)
+    det = np.linalg.det(u)
+    if abs(det - 1.0) > 1e-10:
+        raise ValueError(f"zyz extraction requires det = 1, got {det!r}")
+    if abs(u[0, 0]) < 1e-12:
+        half_diff = float(np.angle(u[1, 0]))
+        return half_diff, math.pi, -half_diff
+    y = 2.0 * math.atan2(abs(u[1, 0]), abs(u[0, 0]))
+    z_sum = -2.0 * float(np.angle(u[0, 0]))
+    z_diff = 2.0 * float(np.angle(u[1, 0])) if abs(u[1, 0]) > 1e-12 else 0.0
+    return 0.5 * (z_sum + z_diff), y, 0.5 * (z_sum - z_diff)
+
+
+def _kak(u: Operator4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``sequences._kak`` with the SO(4) sign read off ``det(o1)``."""
+    ub = to_magic(u / np.linalg.det(u) ** 0.25)
+    m = ub.T @ ub
+    best = None
+    for c in _KAK_MIX:
+        v = np.linalg.eigh(m.real + c * m.imag)[1]
+        mv = v.T @ m @ v
+        off = float(np.linalg.norm(mv - np.diag(np.diag(mv))))
+        if best is None or off < best[0]:
+            best = (off, v, np.diag(mv))
+        if off < _KAK_TOL:
+            break
+    _, v, spectrum = best
+    if np.linalg.det(v) < 0.0:
+        v[:, 0] = -v[:, 0]
+    d = np.sqrt(spectrum)
+    o1 = ub @ v / d
+    if np.linalg.det(o1).real < 0.0:
+        d[0], o1[:, 0] = -d[0], -o1[:, 0]
+    return o1.real, d, v.T
+
+
+def _local_factors(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sequences._local_factors`` with the magic basis's adjoint made per call."""
+    k = MAGIC_BASIS @ q @ MAGIC_BASIS.conj().T
+    m = k.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    r, c = np.unravel_index(np.argmax(np.abs(m)), m.shape)
+    a, b = m[:, c].reshape(2, 2), (m[r, :] / m[r, c]).reshape(2, 2)
+    return a / np.sqrt(np.linalg.det(a)), b / np.sqrt(np.linalg.det(b))
+
+
+def closed_form_reference(u_ent: Operator4, target: Operator4) -> LocalRotationSpec:
+    """``sequences.fit_local_rotations`` with the per-call sign bookkeeping."""
+    u_ent = require_unitary(u_ent, what="entangler")
+    target = require_unitary(target, what="target")
+    o1e, de, o2e = _kak(u_ent)
+    o1t, dt, o2t = _kak(target)
+
+    aligned = _KAK_SIGNS[:, None, :] * de[_KAK_PERMS][None, :, :]
+    best_phase = np.exp(-1j * np.angle(aligned @ dt.conj()))
+    residual = np.sum(np.abs(best_phase[..., None] * aligned - dt) ** 2, axis=-1)
+    tied = np.flatnonzero(residual <= residual.min() * (1.0 + _KAK_TIE))
+    i_sign, i_perm = np.unravel_index(tied[0], residual.shape)
+    perm = np.eye(4)[_KAK_PERMS[i_perm]]
+    fix = np.diag([1.0, 1.0, 1.0, np.linalg.det(perm)])
+    post2, post1 = _local_factors(o1t @ np.diag(_KAK_SIGNS[i_sign]) @ fix @ perm @ o1e.T)
+    pre2, pre1 = _local_factors(o2e.T @ perm.T @ fix @ o2t)
+
+    spec = LocalRotationSpec(*map(_zyz_angles, (post2, post1, pre2, pre1)))
+    overlap_phase = float(np.angle(np.trace(target.conj().T @ spec.realize(u_ent))))
+    return replace(spec, phase=-overlap_phase)

@@ -22,7 +22,7 @@ from cnotsteer.sequences import (
 )
 
 from conftest import random_unitary, spec_from_vector
-from fit_oracle import search_local_rotations
+from fit_oracle import closed_form_reference, search_local_rotations
 from propagator_oracle import two_step_entangler
 
 pytest.importorskip("hypothesis")
@@ -31,6 +31,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 HALF_PI = math.pi / 2.0
 SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+#: Gates with degenerate magic-basis spectra: I, CNOT, SWAP and CZ CNOT.
+NAMED_GATES = [np.eye(4, dtype=complex), CNOT, SWAP, np.diag([1, 1, 1, -1]) @ CNOT]
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -126,15 +128,18 @@ def test_cnot_factors_are_read_only_and_equal_a_fresh_factoring():
 ARTIFACT_ONE_STEP_DELTAS = [0.5, 0.98, 1.0, 1.01, 1.05, 1.2, 1.5, 1.8, 2.0, 2.5, 3.0]
 
 
+def _artifact_one_step_entanglers() -> list[np.ndarray]:
+    cals = calibrate_single_step(ARTIFACT_ONE_STEP_DELTAS)
+    return [
+        _single_step_entangler_at(delta, cal.omega1_over_g, cal.t_units)
+        for delta, cal in zip(ARTIFACT_ONE_STEP_DELTAS, cals)
+    ]
+
+
 def test_the_cached_cnot_factors_give_the_fit_to_a_copy_of_cnot():
     # The read-only CNOT takes the factors computed at import; a copy is
     # factored afresh.  Both fits must agree byte for byte.
-    cals = calibrate_single_step(ARTIFACT_ONE_STEP_DELTAS)
-    entanglers = [
-        _single_step_entangler_at(delta, cal.omega1_over_g, cal.t_units)
-        for delta, cal in zip(ARTIFACT_ONE_STEP_DELTAS, cals)
-    ] + [_two_step_entangler(1.5, frame=1)]
-    for u in entanglers:
+    for u in _artifact_one_step_entanglers() + [_two_step_entangler(1.5, frame=1)]:
         fresh_cnot = CNOT.copy()
         cached, fresh = fit_local_rotations(u, CNOT), fit_local_rotations(u, fresh_cnot)
         assert cached.as_vector().tobytes() == fresh.as_vector().tobytes()
@@ -143,6 +148,24 @@ def test_the_cached_cnot_factors_give_the_fit_to_a_copy_of_cnot():
         assert repr((frob_dist(cached_gate, CNOT), fidelity(cached_gate, CNOT))) == repr(
             (frob_dist(fresh_gate, fresh_cnot), fidelity(fresh_gate, fresh_cnot))
         )
+
+
+@pytest.mark.parametrize("target", [CNOT, SWAP], ids=["CNOT", "SWAP"])
+def test_artifact_entanglers_give_the_bytes_of_the_per_call_sign_reference(target):
+    for delta, u in zip(ARTIFACT_ONE_STEP_DELTAS, _artifact_one_step_entanglers()):
+        got, want = fit_local_rotations(u, target), closed_form_reference(u, target)
+        assert got.as_vector().tobytes() == want.as_vector().tobytes(), delta
+
+
+def test_a_one_step_dressing_makes_six_determinant_calls(monkeypatch):
+    # Five feed values (det(u) in _kak and four in _local_factors); det(v)
+    # decides the one sign that no structure fixes.
+    u = _single_step_entangler(1.5)
+    calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a) or det(a))
+    fit_local_rotations(u, CNOT)
+    assert len(calls) == 6
 
 
 def test_a_one_step_gate_command_factors_only_its_entangler(monkeypatch, tmp_path):
@@ -162,7 +185,7 @@ def test_undoes_any_local_dressing(u, spec):
 
 
 @PROPERTY
-@given(st.sampled_from([np.eye(4, dtype=complex), CNOT, SWAP, np.diag([1, 1, 1, -1]) @ CNOT]), specs)
+@given(st.sampled_from(NAMED_GATES), specs)
 def test_named_gates_with_degenerate_spectra(gate, spec):
     dressed = spec.realize(gate)
     assert frob_dist(_dressed(gate, dressed), dressed) <= 1e-10
@@ -174,6 +197,21 @@ def test_named_gates_with_degenerate_spectra(gate, spec):
 def test_c3_face_points(gate, spec):
     target = spec.realize(gate)
     assert frob_dist(_dressed(gate, target), target) <= 1e-10
+
+
+#: Haar gates, and named gates and c3 = 0 face points under local dressings.
+dressing_inputs = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda seed: random_unitary(np.random.default_rng(seed))),
+    st.builds(LocalRotationSpec.realize, specs, st.sampled_from(NAMED_GATES)),
+    st.builds(LocalRotationSpec.realize, specs, face_points()),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dressing_inputs, st.sampled_from([CNOT, SWAP]))
+def test_gives_the_bytes_of_the_per_call_sign_reference(u, target):
+    got, want = fit_local_rotations(u, target), closed_form_reference(u, target)
+    assert got.as_vector().tobytes() == want.as_vector().tobytes()
 
 
 def test_tells_apart_images_closer_than_the_overlap_resolves():

@@ -1,12 +1,8 @@
-import dataclasses
-import math
-
 import numpy as np
 import pytest
 
 from cnotsteer import qmat
 from cnotsteer.qmat import (
-    ContractViolationError,
     ID2,
     SIGMA_X,
     SIGMA_Y,
@@ -104,18 +100,3 @@ def test_frame2_periodicity():
     period = 2.0 * np.pi / abs(p.delta)
     for t in (0.0, 0.45, 1.8):
         assert frob_dist(h_rwa_frame2(p, t + period), h_rwa_frame2(p, t)) < 1e-12
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        SystemParams(g_tilde=-0.1)
-    with pytest.raises(ValueError):
-        SystemParams(omega1=-1.0)
-    for rate in ("delta", "omega1", "g_tilde"):
-        for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ContractViolationError):
-                SystemParams(**{rate: value})
-
-
-def test_params_are_rates_in_units_of_g():
-    assert [f.name for f in dataclasses.fields(SystemParams)] == ["delta", "omega1", "g_tilde"]

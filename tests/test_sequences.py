@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -43,6 +44,21 @@ from reference_data import (
 )
 
 HALF_PI = math.pi / 2.0
+
+
+def test_params_validation():
+    with pytest.raises(ValueError):
+        SystemParams(g_tilde=-0.1)
+    with pytest.raises(ValueError):
+        SystemParams(omega1=-1.0)
+    for rate in ("delta", "omega1", "g_tilde"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ContractViolationError):
+                SystemParams(**{rate: value})
+
+
+def test_params_are_rates_in_units_of_g():
+    assert [f.name for f in dataclasses.fields(SystemParams)] == ["delta", "omega1", "g_tilde"]
 
 
 def test_canonical_cnot_properties():

@@ -42,7 +42,6 @@ import functools
 import math
 import os
 import sys
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -84,18 +83,24 @@ _TABLE2_GRID = [round(1.0 + 0.1 * k, 1) for k in range(11)]  # 1.0 .. 2.0
 _HALF_PI = math.pi / 2.0
 
 
-def _out_path(arg: str) -> Path:
-    path = Path(arg)
+def _out_path(arg: str) -> str:
     outdir = os.environ.get(OUTDIR_ENV)
-    if outdir and not path.is_absolute():
-        path = Path(outdir) / path
-    return path
+    if outdir and not os.path.isabs(arg):
+        arg = os.path.join(outdir, arg)
+    # A trailing slash still names the file, as it did when paths went
+    # through pathlib; otherwise _write would make it as a directory.
+    return arg.rstrip("/") or arg
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: str, text: str) -> None:
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        parent = os.path.dirname(path)
+        # makedirs on an existing directory raises and catches FileExistsError,
+        # so it runs only for a missing one; exist_ok covers one made meanwhile.
+        if parent and not os.path.isdir(parent):
+            os.makedirs(parent, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
     except OSError as exc:
         raise _IOFailure(f"cannot write {path}: {exc}") from exc
 

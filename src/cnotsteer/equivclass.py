@@ -64,6 +64,7 @@ from .qmat import (
     ZZ,
     ContractViolationError,
     Operator4,
+    _identity,
     expm_skew,
     member_name,
     require_unitary,
@@ -174,7 +175,7 @@ def cnot_residual(u: Operator4) -> np.ndarray:
         ContractViolationError: a member is not unitary within ``UNITARITY_TOL``.
     """
     m, det = _magic_gram(u)
-    r = (m @ m / det[..., None, None] + np.eye(4)).reshape(m.shape[:-2] + (16,))
+    r = (m @ m / det[..., None, None] + _identity(4)).reshape(m.shape[:-2] + (16,))
     return np.concatenate([r.real, r.imag], axis=-1)
 
 

@@ -55,6 +55,7 @@ its closed-form gate time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Generator, Sequence
@@ -107,7 +108,8 @@ _ROOT_STEP = 1e-7
 _ROOT_MAX_ITERATIONS = 50
 _ROOT_DOUBLING = (0.4, 0.6)
 #: Offsets of the points at which each Gauss-Newton step evaluates the
-#: residual: x itself, then x + h e0 and x + h e1.
+#: residual: x itself, then x + h e0 and x + h e1.  ``_solve_single_step``
+#: adds them to x on Python floats, with the bits of ``x + _ROOT_STENCIL``.
 _ROOT_STENCIL = np.array([[0.0, 0.0], [_ROOT_STEP, 0.0], [0.0, _ROOT_STEP]])
 
 
@@ -178,7 +180,11 @@ def _solve_single_step() -> _Solver:
     previous = math.inf
     iterations = 0
     while True:
-        replies = np.reshape((yield np.array(trials)[:, None] + _ROOT_STENCIL), (len(trials), 3, -1))
+        request = np.array([
+            ((x0 + 0.0, x1 + 0.0), (x0 + _ROOT_STEP, x1 + 0.0), (x0 + 0.0, x1 + _ROOT_STEP))
+            for x0, x1 in trials
+        ])
+        replies = (yield request).reshape(len(trials), 3, -1)
         norms = [math.sqrt(reply[0].dot(reply[0])) for reply in replies]
         best = norms.index(min(norms))
         (x0, x1), reply = trials[best], replies[best]
@@ -274,7 +280,7 @@ def _lockstep(steps: list[_Solver], evaluate: Callable, deltas: list[float]) -> 
             sizes = [len(p) for p in points]
             # One detuning per row, repeated over the points of its request.
             values = evaluate(np.repeat([deltas[k] for k in rows], sizes), np.concatenate(points))
-            starts = np.cumsum([0] + sizes)
+            starts = list(itertools.accumulate(sizes, initial=0))
             replies = [values[a:b] for a, b in zip(starts, starts[1:])]
         for k, reply in zip(rows, replies):
             try:

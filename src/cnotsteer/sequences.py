@@ -517,8 +517,8 @@ def _kak(u: Operator4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return o1.real, d, v.T
 
 
-#: ``_kak(CNOT)``, factored once: the target of every ``gate`` command.
-_CNOT_KAK = _kak(CNOT)
+#: ``_kak(CNOT)``, checked and factored once: the target of every ``gate`` command.
+_CNOT_KAK = _kak(require_unitary(CNOT, what="target"))
 for _factor in _CNOT_KAK:
     _factor.setflags(write=False)
 del _factor
@@ -552,12 +552,15 @@ def fit_local_rotations(u_ent: Operator4, target: Operator4) -> LocalRotationSpe
     dressed gate with the target real.  The result is deterministic; the
     dressed gate is ``fit_local_rotations(u_ent, target).realize(u_ent)``.
 
-    The factors of the read-only ``CNOT`` are computed once, at import.
+    The read-only ``CNOT`` is checked and factored once, at import.
     """
     u_ent = require_unitary(u_ent, what="entangler")
-    target = require_unitary(target, what="target")
+    if target is CNOT:
+        o1t, dt, o2t = _CNOT_KAK
+    else:
+        target = require_unitary(target, what="target")
+        o1t, dt, o2t = _kak(target)
     o1e, de, o2e = _kak(u_ent)
-    o1t, dt, o2t = _CNOT_KAK if target is CNOT else _kak(target)
 
     aligned = _KAK_SIGNS[:, None, :] * de[_KAK_PERMS][None, :, :]
     # Distance of each image to dt after its best phase.  Summing the squared

@@ -334,10 +334,32 @@ def test_outputs_are_reproducible(tmp_path):
     assert ta.read_bytes() == tb.read_bytes()
 
 
-def test_outdir_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("CNOTSTEER_OUTDIR", str(tmp_path / "results"))
-    assert main(["trajectory", "--delta", "0.5", "--samples", "5", "--out", "t.csv"]) == EXIT_OK
-    assert (tmp_path / "results" / "t.csv").exists()
+@pytest.mark.parametrize("case", ["absolute-out", "nested-relative-out", "second-run", "trailing-slash"])
+def test_outdir_env_var(case, tmp_path, monkeypatch):
+    outdir = tmp_path / "results"
+    monkeypatch.setenv("CNOTSTEER_OUTDIR", str(outdir))
+    argv = ["trajectory", "--delta", "0.5", "--samples", "5", "--out"]
+    if case == "absolute-out":
+        # An absolute --out ignores the variable.
+        out = tmp_path / "elsewhere" / "t.csv"
+        assert main(argv + [str(out)]) == EXIT_OK
+        assert out.exists() and not outdir.exists()
+    elif case == "nested-relative-out":
+        # A relative --out goes under the variable; missing directories are made.
+        assert main(argv + [os.path.join("a", "b", "t.csv")]) == EXIT_OK
+        assert (outdir / "a" / "b" / "t.csv").exists()
+    elif case == "trailing-slash":
+        # A trailing slash names the file, not a directory to make.
+        assert main(argv + ["t.csv/"]) == EXIT_OK
+        assert (outdir / "t.csv").is_file()
+    else:
+        # A second run replaces the whole file, a longer one included, with the same bytes.
+        out = outdir / "t.csv"
+        assert main(argv + ["t.csv"]) == EXIT_OK
+        first = out.read_bytes()
+        out.write_bytes(b"x" * (2 * len(first)))
+        assert main(argv + ["t.csv"]) == EXIT_OK
+        assert out.read_bytes() == first
 
 
 def test_io_failure_exit_code(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import cnotsteer.cli as cli
+import cnotsteer.qmat as qmat
 import cnotsteer.sequences as sequences
 from cnotsteer.equivclass import MAGIC_BASIS, canonical_class_gate, makhlin_invariants
 from cnotsteer.optimize import calibrate_single_step
@@ -166,6 +167,16 @@ def test_a_one_step_dressing_makes_six_determinant_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a) or det(a))
     fit_local_rotations(u, CNOT)
     assert len(calls) == 6
+
+
+def test_a_one_step_dressing_checks_only_its_entangler(monkeypatch):
+    # The read-only CNOT target was checked once, at import.
+    u = _single_step_entangler(1.5)
+    calls = []
+    defect = qmat.unitarity_defect
+    monkeypatch.setattr(qmat, "unitarity_defect", lambda a: calls.append(a) or defect(a))
+    fit_local_rotations(u, CNOT)
+    assert len(calls) == 1
 
 
 def test_a_one_step_gate_command_factors_only_its_entangler(monkeypatch, tmp_path):

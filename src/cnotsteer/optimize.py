@@ -40,9 +40,17 @@ alone, with the same iteration count and flag.
 The solvers do their step arithmetic on Python floats, taken off each reply
 with ``.tolist()`` or ``r.dot(r)``: the residual norms and step sizes, the
 choice of trial, the nine stencil cells, the gradient and Hessian entries,
-and the stopping and box tests.  numpy does only ``lstsq`` (on the Jacobian
-``((reply[1:] - r) / h).T``), ``eigvalsh`` and ``solve``, whose bits come
-from LAPACK.  A Python float operation rounds as numpy's elementwise float64
+the steps themselves, and the stopping and box tests.  Both steps have two
+unknowns and are taken in closed form, with no LAPACK call: the
+Gauss-Newton step from the 2 x 2 Gram of the Jacobian's columns, which one
+matrix product of the reply rows gives (``_least_squares_step``), and the
+Newton step from the explicit inverse of the 2 x 2 Hessian
+(``_newton_step``).  ``eigvalsh`` runs only for a Hessian that is not
+plainly positive definite (``_plainly_positive_definite``), to decide and
+size its shift.  Every Hessian on a 0.01g grid up to 2g is, and one or
+two are not at 2.5, 3.0, 5.0, 7.4 and 8.0g.  So numpy does only the
+stacked kernels and that product on every row of ``table1`` and
+``table2``.  A Python float operation rounds as numpy's elementwise float64
 operation does (IEEE-754 round to nearest, nothing fused),
 ``math.sqrt(r.dot(r))`` is what ``np.linalg.norm`` computes for a 1-D real
 array, and on finite values the comparisons decide as ``np.argmin`` and
@@ -107,10 +115,16 @@ _ROOT_TOL = 1e-12
 _ROOT_STEP = 1e-7
 _ROOT_MAX_ITERATIONS = 50
 _ROOT_DOUBLING = (0.4, 0.6)
-#: Offsets of the points at which each Gauss-Newton step evaluates the
-#: residual: x itself, then x + h e0 and x + h e1.  ``_solve_single_step``
-#: adds them to x on Python floats, with the bits of ``x + _ROOT_STENCIL``.
-_ROOT_STENCIL = np.array([[0.0, 0.0], [_ROOT_STEP, 0.0], [0.0, _ROOT_STEP]])
+#: Jacobian columns whose Gram determinant is at most _PARALLEL times the
+#: product of their squared norms are parallel to rounding (sin^2 of their
+#: angle at most 1e-12), or one of them is zero: the Gauss-Newton step is
+#: then lstsq's minimum-norm one.
+_PARALLEL = 1e-12
+#: A symmetric 2 x 2 Hessian with h00 > 0 and a determinant above
+#: _DEFINITE_MARGIN times its squared trace is positive definite by a margin
+#: no rounding of its eigenvalues can cross, so the minimiser takes it
+#: unshifted without calling eigvalsh.
+_DEFINITE_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -149,6 +163,51 @@ def _distances(delta_over_g: float | np.ndarray, x: np.ndarray) -> np.ndarray:
     return cnot_distance(*makhlin_invariants(_gates(delta_over_g, x)))
 
 
+def _least_squares_step(system: np.ndarray) -> tuple[float, float]:
+    """Least-squares solution s of ``J s = R``, as Python floats.
+
+    ``system`` has shape ``(3, n)``: R, then the two columns of the n x 2
+    Jacobian J.  One product gives the Gram ``J^T J`` and ``J^T R``, and
+    Cramer's rule solves the 2 x 2 normal equations.  That form is invariant
+    under scaling either column, so it keeps its accuracy where J is
+    ill-conditioned through one column shrinking, as at the fold; its error
+    grows as 1/sin^2 of the columns' angle, and the root solve's columns lie
+    about 45 degrees apart or more.  Where the columns are parallel to rounding or
+    one is zero, s is the minimum-norm solution ``J^T R / ||J||_F^2`` (zero
+    for J = 0), as ``lstsq(rcond=None)`` gives.
+    """
+    (p, a, b), (q, _, c) = (system[1:] @ system.T).tolist()
+    det = a * c - b * b
+    if det > _PARALLEL * a * c:
+        return (c * p - b * q) / det, (a * q - b * p) / det
+    norm = a + c
+    return (p / norm, q / norm) if norm > 0.0 else (0.0, 0.0)
+
+
+def _plainly_positive_definite(h00: float, cross: float, h11: float) -> bool:
+    """Whether ``[[h00, cross], [cross, h11]]`` is positive definite beyond rounding.
+
+    True only where its determinant exceeds ``_DEFINITE_MARGIN`` times its
+    squared trace, which leaves its smaller eigenvalue at least about 1e-12
+    times its trace: far above the rounding of ``eigvalsh``, whose smaller
+    eigenvalue is then positive too.  False says nothing; ``eigvalsh``
+    decides.  Products, not powers: a Python float power raises on
+    overflow.
+    """
+    trace = h00 + h11
+    return h00 > 0.0 and h00 * h11 - cross * cross > _DEFINITE_MARGIN * trace * trace
+
+
+def _newton_step(h00: float, cross: float, h11: float, g0: float, g1: float) -> tuple[float, float]:
+    """``-H^-1 g`` for ``H = [[h00, cross], [cross, h11]]``, by its explicit inverse.
+
+    Cramer's rule, which is forward stable for 2 x 2 systems (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, section 1.10.1).
+    """
+    det = h00 * h11 - cross * cross
+    return (cross * g1 - h11 * g0) / det, (cross * g0 - h00 * g1) / det
+
+
 #: A solver run by ``_lockstep``: it yields points of shape ``(..., 2)``, is
 #: sent their residuals R or d^2, and returns the point it found, its
 #: iteration count and its converged flag.
@@ -171,9 +230,9 @@ def _solve_single_step() -> _Solver:
     stencil kept), the iteration count and whether ``||R||_F <= _ROOT_TOL``
     was reached.
 
-    The step arithmetic runs on Python floats and numpy does only the
-    ``lstsq``; ``||R||_F`` is ``math.sqrt(r.dot(r))``, the bits of
-    ``np.linalg.norm``.
+    The step arithmetic runs on Python floats, and the step is
+    ``_least_squares_step``'s closed form; ``||R||_F`` is
+    ``math.sqrt(r.dot(r))``, the bits of ``np.linalg.norm``.
     """
     low, high = _ROOT_DOUBLING
     trials = [SINGLE_STEP_START]
@@ -188,13 +247,14 @@ def _solve_single_step() -> _Solver:
         norms = [math.sqrt(reply[0].dot(reply[0])) for reply in replies]
         best = norms.index(min(norms))
         (x0, x1), reply = trials[best], replies[best]
-        r = reply[0]
         converged = not norms[best] > _ROOT_TOL
         if converged or iterations == _ROOT_MAX_ITERATIONS:
             return np.array((x0, x1)), iterations, converged
-        step = np.linalg.lstsq(((reply[1:] - r) / _ROOT_STEP).T, r, rcond=None)[0]
-        size = math.sqrt(step.dot(step))
-        s0, s1 = step.tolist()
+        system = reply - reply[0]  # the rows R(x + h e_k) - R become J's columns
+        system[0] = reply[0]
+        system[1:] /= _ROOT_STEP
+        s0, s1 = _least_squares_step(system)
+        size = math.sqrt(s0 * s0 + s1 * s1)
         trials = [(x0 - s0, x1 - s1)]
         # After a zero step numpy's ratio is inf or nan, which never doubles;
         # a Python float division by zero would raise.
@@ -223,10 +283,13 @@ def _minimize_single_step() -> _Solver:
     Returns the point, the number of Newton steps and whether it converged.
 
     The 9 d^2 of a reply are Python floats, at flat index ``3 i + j``, and so
-    are the gradient, Hessian entries and step; numpy does only the
-    ``eigvalsh`` and the ``solve``.  The shift adds to the diagonal alone,
-    which is what adding ``shift * eye(2)`` does: d^2 >= +0.0 and exact
-    cancellation rounds to +0.0, so the cross term is never -0.0.
+    are the gradient, Hessian entries and step.  The step is
+    ``_newton_step``'s explicit inverse, and ``eigvalsh`` runs only where
+    ``_plainly_positive_definite`` fails; where it holds, ``eigvalsh``'s
+    smaller eigenvalue would be positive too, so no shift is skipped.  The
+    shift adds to the diagonal alone, which is what adding ``shift *
+    eye(2)`` does: d^2 >= +0.0 and exact cancellation rounds to +0.0, so the
+    cross term is never -0.0.
     """
     h = _NEWTON_STEP
     (lo0, hi0), (lo1, hi1) = SINGLE_STEP_BOUNDS
@@ -235,15 +298,16 @@ def _minimize_single_step() -> _Solver:
     f = (yield np.array((x0, x1)) + stencil).tolist()  # d^2 at x + h * (i - 1, j - 1)
     for iterations in range(_NEWTON_MAX_ITERATIONS):
         fx = f[4]
-        grad = [(f[7] - f[1]) / (2.0 * h), (f[5] - f[3]) / (2.0 * h)]
+        g0, g1 = (f[7] - f[1]) / (2.0 * h), (f[5] - f[3]) / (2.0 * h)
         cross = (f[8] - f[6] - f[2] + f[0]) / 4.0 / (h * h)
         h00 = (f[7] - 2.0 * fx + f[1]) / (h * h)
         h11 = (f[5] - 2.0 * fx + f[3]) / (h * h)
-        low, high = np.linalg.eigvalsh([[h00, cross], [cross, h11]]).tolist()
-        if low <= 0.0:
-            shift = _HESSIAN_FLOOR * max(1.0, abs(high)) - low
-            h00, h11 = h00 + shift, h11 + shift
-        s0, s1 = (-np.linalg.solve([[h00, cross], [cross, h11]], grad)).tolist()
+        if not _plainly_positive_definite(h00, cross, h11):
+            low, high = np.linalg.eigvalsh([[h00, cross], [cross, h11]]).tolist()
+            if low <= 0.0:
+                shift = _HESSIAN_FLOOR * max(1.0, abs(high)) - low
+                h00, h11 = h00 + shift, h11 + shift
+        s0, s1 = _newton_step(h00, cross, h11, g0, g1)
         while max(abs(s0), abs(s1)) > _NEWTON_TOL:
             t0, t1 = x0 + s0, x1 + s1
             if lo0 <= t0 <= hi0 and lo1 <= t1 <= hi1:

@@ -15,7 +15,10 @@ doubled, and the point with the smaller ``||R||`` is kept).  The stacked
 solve must return the same root, bit for bit, the same iteration count and
 the same flag.  Its per-point gate, ``single_step_gate``, goes through
 ``single_step_u``, and its residual, ``single_step_residual``, is formed
-here, apart from ``equivclass.cnot_residual``.
+here, apart from ``equivclass.cnot_residual``.  Its step is the package's
+closed form, ``optimize._least_squares_step``, taken on the three per-point
+residuals, so that the bits compared are those of the stacking; the closed
+form is held to ``numpy.linalg.lstsq`` apart, in ``test_solver_steps.py``.
 
 ``fold_point`` locates the single-step fold at delta = +-g, where the two
 exact-CNOT branches of (omega1, T1) merge, without solving at the fold
@@ -26,7 +29,10 @@ from starts on either side, and the fold is their midpoint.
 as it was before each step evaluated its 8-point stencil ring as one request:
 the same loop, with one ``single_step_d2`` call per point, the stencil filled
 point by point in (i, j) order.  The minimiser must return the same point,
-bit for bit, the same iteration count and the same flag.
+bit for bit, the same iteration count and the same flag.  Like the package,
+it calls ``eigvalsh`` only where ``optimize._plainly_positive_definite``
+fails and takes the step from ``optimize._newton_step``, the explicit 2 x 2
+inverse; ``test_solver_steps.py`` holds both to ``numpy.linalg``.
 
 ``richardson_minimum`` is a reference for where that minimum truly lies.
 The minimiser's central differences at step h = ``_NEWTON_STEP`` place it
@@ -57,12 +63,19 @@ from cnotsteer.optimize import (
     _ROOT_TOL,
     SINGLE_STEP_BOUNDS,
     SINGLE_STEP_START,
+    _least_squares_step,
+    _newton_step,
+    _plainly_positive_definite,
 )
 from cnotsteer.qmat import require_unitary
 from cnotsteer.sequences import SystemParams, single_step_u
 from nelder_mead import NMOptions, nelder_mead
 
 _SEARCH = NMOptions(bounds=SINGLE_STEP_BOUNDS)
+
+#: Offsets of the points at which each Gauss-Newton step evaluates the
+#: residual: x itself, then x + h e0 and x + h e1.
+ROOT_STENCIL = np.array([[0.0, 0.0], [_ROOT_STEP, 0.0], [0.0, _ROOT_STEP]])
 
 #: Initial-simplex edges for the polish passes that resolve flat basins.
 _POLISH_EDGES = (0.002, 0.0001)
@@ -122,13 +135,9 @@ def solve_single_step(
     while np.linalg.norm(r) > _ROOT_TOL:
         if iterations == _ROOT_MAX_ITERATIONS:
             return x, iterations, False
-        jac = np.empty((r.size, 2))
-        for k in range(2):
-            xk = x.copy()
-            xk[k] += _ROOT_STEP
-            jac[:, k] = (single_step_residual(delta_over_g, xk) - r) / _ROOT_STEP
-        step = np.linalg.lstsq(jac, r, rcond=None)[0]
-        size = np.linalg.norm(step)
+        jac = [(single_step_residual(delta_over_g, xk) - r) / _ROOT_STEP for xk in x + ROOT_STENCIL[1:]]
+        step = np.array(_least_squares_step(np.stack([r, *jac])))
+        size = np.sqrt(np.sum(step * step))
         doubled = x - 2.0 * step
         x = x - step
         r = single_step_residual(delta_over_g, x)
@@ -191,10 +200,13 @@ def newton_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
     fx = single_step_d2(delta_over_g, x)
     for iterations in range(_NEWTON_MAX_ITERATIONS):
         grad, hess = _central_model(delta_over_g, x, fx, _NEWTON_STEP)
-        low, high = np.linalg.eigvalsh(hess)
-        if low <= 0.0:
-            hess += (_HESSIAN_FLOOR * max(1.0, abs(high)) - low) * np.eye(2)
-        step = -np.linalg.solve(hess, grad)
+        (h00, cross), (_, h11) = hess.tolist()
+        if not _plainly_positive_definite(h00, cross, h11):
+            low, high = np.linalg.eigvalsh(hess)
+            if low <= 0.0:
+                hess += (_HESSIAN_FLOOR * max(1.0, abs(high)) - low) * np.eye(2)
+                (h00, cross), (_, h11) = hess.tolist()
+        step = np.array(_newton_step(h00, cross, h11, *grad.tolist()))
         while np.max(np.abs(step)) > _NEWTON_TOL:
             trial = x + step
             if np.all(trial >= lo) and np.all(trial <= hi):

@@ -16,7 +16,6 @@ from cnotsteer.cli import (
     EXIT_OK,
     EXIT_VERIFY,
     main,
-    matrix_from_json,
     matrix_to_json,
 )
 from cnotsteer.optimize import calibrate_single_step
@@ -31,6 +30,11 @@ from reference_data import (
     TABLE1_T2,
     TABLE2,
 )
+
+
+def matrix_from_json(rows):
+    """The complex matrix that ``cli.matrix_to_json`` wrote as [re, im] pairs."""
+    return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
 def _rows(path):

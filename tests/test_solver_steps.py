@@ -1,15 +1,23 @@
-"""The calibration solvers' step arithmetic keeps its bits on any reply.
+"""The calibration solvers' step arithmetic keeps its bits on any reply, and
+their closed-form steps hold to ``numpy.linalg``.
 
 ``optimize._solve_single_step`` and ``optimize._minimize_single_step`` do
-their elementwise step arithmetic on Python floats and leave only ``lstsq``,
-``eigvalsh`` and ``solve`` to numpy.  Each generator here is driven by hand
-with Hypothesis-drawn replies, side by side with a test-local copy of the
-same solver written with numpy arithmetic throughout, and every request it
-yields, every return value and every error must have the reference's bits.
-The per-point oracle tests in ``test_optimize.py`` see only the replies that
-real detunings produce; these draws also give rank-deficient Jacobians,
-zero and overflowing steps, flat stencils and Hessians that are not positive
-definite.
+their step arithmetic on Python floats.  Each generator here is driven by
+hand with Hypothesis-drawn replies, side by side with a test-local copy of
+the same solver written with numpy arithmetic throughout, and every request
+it yields, every return value and every error must have the reference's
+bits.  The copies take their steps from the package's closed forms, as the
+solvers do: ``_least_squares_step`` for the Gauss-Newton step,
+``_plainly_positive_definite`` to decide whether ``eigvalsh`` runs, and
+``_newton_step`` for the Newton step.  The per-point oracle tests in
+``test_optimize.py`` see only the replies that real detunings produce; these
+draws also give rank-deficient Jacobians, zero and overflowing steps, flat
+stencils and Hessians that are not positive definite.
+
+The closed forms themselves are held to LAPACK, through ``numpy.linalg``'s
+``lstsq``, ``eigvalsh`` and ``solve``, on drawn systems: the root solve's
+Jacobians and the minimiser's Hessians, well and badly conditioned, and
+singular.
 """
 
 import math
@@ -18,11 +26,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import cnotsteer.cli as cli
 import cnotsteer.optimize as optimize
-from cnotsteer.optimize import SINGLE_STEP_BOUNDS, SINGLE_STEP_START
+from cnotsteer.optimize import SINGLE_STEP_BOUND, SINGLE_STEP_BOUNDS, SINGLE_STEP_START, calibrate_single_step
+
+from calibration_oracle import ROOT_STENCIL
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
@@ -39,16 +50,16 @@ def numpy_solve_single_step():
     previous = math.inf
     iterations = 0
     while True:
-        replies = np.reshape((yield trials[:, None] + optimize._ROOT_STENCIL), (len(trials), 3, -1))
+        replies = np.reshape((yield trials[:, None] + ROOT_STENCIL), (len(trials), 3, -1))
         norms = [np.linalg.norm(reply[0]) for reply in replies]
         best = int(np.argmin(norms))
         x, (r, *shifted) = trials[best], replies[best]
         converged = not norms[best] > optimize._ROOT_TOL
         if converged or iterations == optimize._ROOT_MAX_ITERATIONS:
             return x, iterations, converged
-        jac = np.stack([(r_k - r) / optimize._ROOT_STEP for r_k in shifted], axis=1)
-        step = np.linalg.lstsq(jac, r, rcond=None)[0]
-        size = np.linalg.norm(step)
+        jac = [(r_k - r) / optimize._ROOT_STEP for r_k in shifted]
+        step = np.array(optimize._least_squares_step(np.stack([r, *jac])))
+        size = np.sqrt(np.sum(step * step))
         trials = np.array([x - step, x - 2.0 * step] if low < size / previous < high else [x - step])
         previous = size
         iterations += 1
@@ -69,10 +80,13 @@ def numpy_minimize_single_step():
             [f[2, 1] - 2.0 * fx + f[0, 1], cross],
             [cross, f[1, 2] - 2.0 * fx + f[1, 0]],
         ]) / (h * h)
-        low, high = np.linalg.eigvalsh(hess)
-        if low <= 0.0:
-            hess += (optimize._HESSIAN_FLOOR * max(1.0, abs(high)) - low) * np.eye(2)
-        step = -np.linalg.solve(hess, grad)
+        (h00, cross), (_, h11) = hess.tolist()
+        if not optimize._plainly_positive_definite(h00, cross, h11):
+            low, high = np.linalg.eigvalsh(hess)
+            if low <= 0.0:
+                hess += (optimize._HESSIAN_FLOOR * max(1.0, abs(high)) - low) * np.eye(2)
+                (h00, cross), (_, h11) = hess.tolist()
+        step = np.array(optimize._newton_step(h00, cross, h11, *grad.tolist()))
         while np.max(np.abs(step)) > optimize._NEWTON_TOL:
             trial = x + step
             if np.all(trial >= lo) and np.all(trial <= hi):
@@ -101,8 +115,8 @@ def _send(solver, reply):
         return "request", solver.send(reply)
     except StopIteration as done:
         return "return", done.value
-    except np.linalg.LinAlgError as error:
-        return "error", str(error)
+    except (np.linalg.LinAlgError, ZeroDivisionError) as error:
+        return "error", repr(error)
 
 
 def _drive(solver, reference, reply_for):
@@ -192,3 +206,142 @@ def test_minimisation_steps_keep_their_bits(curvature, data, cap):
 
     with mock.patch.object(optimize, "_NEWTON_MAX_ITERATIONS", cap):
         _drive(optimize._minimize_single_step(), numpy_minimize_single_step(), reply_for)
+
+
+def _unit_pair(seed):
+    """Two orthonormal vectors of length 32."""
+    return np.linalg.qr(np.random.default_rng(seed).normal(size=(32, 2)))[0].T
+
+
+@st.composite
+def residuals(draw, jt):
+    """R for the Jacobian columns ``jt``: from consistent (R = J x) to any, at any scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fitted, other = jt.T @ rng.normal(size=2), rng.normal(size=32)
+    mix = draw(st.sampled_from([0.0, 1e-6, 0.5, 1.0]))
+    r = (1.0 - mix) * fitted / np.linalg.norm(fitted) + mix * other / np.linalg.norm(other)
+    return 10.0 ** draw(st.floats(-8.0, 8.0)) * r
+
+
+#: The least-squares step is held to lstsq where the two columns lie at least
+#: arccos(0.9), about 26 degrees, apart; the root solve's lie about 45 degrees
+#: apart or more (``test_root_solve_jacobians_lie_where_the_step_is_held``).
+COLUMN_COSINE = 0.9
+
+
+@PROPERTY
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), cosine=st.floats(-COLUMN_COSINE, COLUMN_COSINE),
+       scale=st.floats(-3.0, 3.0), ratio=st.floats(0.0, 6.0), small_first=st.booleans())
+def test_least_squares_step_holds_to_lstsq(data, seed, cosine, scale, ratio, small_first):
+    # kappa(J) up to 1e6, through the ratio of the column norms, as near the
+    # fold.  Each coefficient is compared in units of its column, |J_k| |s_k -
+    # lstsq_k| <= 1e-12 |R|: there both forms are accurate to rounding, while
+    # lstsq's own coefficient of a column 1e-6 the other's carries an error
+    # of ~kappa * eps relative to the whole step, ~1e-10 against a
+    # 50-digit solution.
+    u, v = _unit_pair(seed)
+    jt = 10.0 ** scale * np.array([u, 10.0 ** -ratio * (cosine * u + math.sqrt(1.0 - cosine * cosine) * v)])
+    if small_first:
+        jt = jt[::-1]
+    assume(np.linalg.cond(jt.T) <= 1e6)
+    r = data.draw(residuals(jt))
+    s = np.array(optimize._least_squares_step(np.vstack([r, jt])))
+    want = np.linalg.lstsq(jt.T, r, rcond=None)[0]
+    assert np.all(np.linalg.norm(jt, axis=1) * np.abs(s - want) <= 1e-12 * np.linalg.norm(r)), (s, want)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), sine=st.floats(-5.4, -2.0), scale=st.floats(-3.0, 3.0),
+       x=st.tuples(*[st.floats(0.1, 10.0) | st.floats(-10.0, -0.1)] * 2))
+def test_least_squares_step_is_full_rank_on_nearly_parallel_columns(seed, sine, scale, x):
+    # Columns 1e-2 to 4e-6 rad apart, kappa(J) up to 1e6: still the full-rank
+    # step, not the minimum-norm one, though the Gram form's accuracy falls
+    # there as eps kappa^2 (2e-6 at kappa = 2e5, where lstsq keeps ~1e-12).
+    u, v = _unit_pair(seed)
+    sin = 10.0 ** sine
+    jt = 10.0 ** scale * np.array([u, math.sqrt(1.0 - sin * sin) * u + sin * v])
+    kappa = np.linalg.cond(jt.T)
+    assume(kappa <= 1e6)
+    r = jt.T @ np.array(x)
+    s = np.array(optimize._least_squares_step(np.vstack([r, jt])))
+    want = np.linalg.lstsq(jt.T, r, rcond=None)[0]
+    assert np.linalg.norm(s - want) <= 1e-15 * kappa * kappa * np.linalg.norm(want), (s, want, kappa)
+
+
+@PROPERTY
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), scale=st.floats(-3.0, 3.0),
+       kind=st.sampled_from(["first zero", "second zero", "both zero", "parallel"]),
+       factor=st.sampled_from([1.0, -1.0, 2.0, 3.0]) | st.floats(-1e3, 1e3).filter(lambda f: abs(f) >= 1e-3))
+def test_least_squares_step_is_lstsqs_minimum_norm_step_on_dependent_columns(data, seed, scale, kind,
+                                                                             factor):
+    # lstsq(rcond=None) drops a singular value below 32 eps of the largest and
+    # returns the minimum-norm solution; a bare Gram inverse would give NaN.
+    column = 10.0 ** scale * _unit_pair(seed)[0]
+    jt = {
+        "first zero": np.array([0.0 * column, column]),
+        "second zero": np.array([column, 0.0 * column]),
+        "both zero": np.zeros((2, 32)),
+        "parallel": np.array([column, factor * column]),
+    }[kind]
+    r = data.draw(residuals(np.array([column, column])))
+    s = np.array(optimize._least_squares_step(np.vstack([r, jt])))
+    want = np.linalg.lstsq(jt.T, r, rcond=None)[0]
+    assert np.all(np.isfinite(s))
+    if kind == "both zero":
+        assert s.tolist() == want.tolist() == [0.0, 0.0]
+    else:
+        # The minimum-norm step has size |R| / |J|_F at most.
+        assert np.linalg.norm(s - want) <= 1e-12 * np.linalg.norm(r) / np.linalg.norm(jt), (s, want)
+
+
+def test_root_solve_jacobians_lie_where_the_step_is_held(monkeypatch):
+    # The Gram form loses accuracy as the Jacobian's columns turn parallel.
+    # On every step of Table 1's rows, of -g and of the detunings just below
+    # the fold, they stay within the angles drawn above (|cos| <= 0.71 is
+    # measured), and the step is within 1e-12 of lstsq's in the plain
+    # relative norm.
+    systems = []
+    real = optimize._least_squares_step
+    monkeypatch.setattr(optimize, "_least_squares_step", lambda s: systems.append(s) or real(s))
+    table1 = [d for d in cli._TABLE_GRID if abs(d) <= SINGLE_STEP_BOUND]
+    calibrate_single_step([*table1, -1.0, *(1.0 - 10.0 ** -k for k in (3, 4, 6, 8, 10))])
+    assert len(systems) > 50
+    for system in systems:
+        r, j0, j1 = system
+        assert abs(j0 @ j1) <= COLUMN_COSINE * np.linalg.norm(j0) * np.linalg.norm(j1)
+        want = np.linalg.lstsq(system[1:].T, r, rcond=None)[0]
+        assert np.linalg.norm(np.array(real(system)) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@st.composite
+def symmetric_2x2(draw, max_condition=1e17):
+    """(h00, cross, h11) of a spectrum of any signs and scales 1e-20-1e20, condition up to ``max_condition``."""
+    sign = st.sampled_from([1.0, -1.0])
+    larger = draw(sign) * 10.0 ** draw(st.floats(-20.0, 20.0))
+    smaller = larger * draw(sign) * 10.0 ** -draw(st.floats(0.0, math.log10(max_condition)))
+    angle = draw(st.floats(0.0, math.pi))
+    c, s = math.cos(angle), math.sin(angle)
+    return larger * c * c + smaller * s * s, (larger - smaller) * c * s, larger * s * s + smaller * c * c
+
+
+@PROPERTY
+@given(hessian=st.one_of(
+    symmetric_2x2(),
+    st.tuples(*[st.floats(-1e20, 1e20, allow_nan=False)] * 3),
+    st.tuples(*[st.sampled_from([0.0, 1.0, -1.0, 1e-300, 5e-324, 1e150])] * 3),
+))
+def test_plainly_positive_definite_never_contradicts_eigvalsh(hessian):
+    h00, cross, h11 = hessian
+    if optimize._plainly_positive_definite(h00, cross, h11):
+        assert np.linalg.eigvalsh([[h00, cross], [cross, h11]])[0] > 0.0
+
+
+@PROPERTY
+@given(hessian=symmetric_2x2(max_condition=1e10), gradient=st.tuples(*[st.floats(-1e3, 1e3)] * 2))
+def test_newton_step_holds_to_solve(hessian, gradient):
+    h00, cross, h11 = hessian
+    matrix = np.array([[h00, cross], [cross, h11]])
+    kappa = np.linalg.cond(matrix)
+    want = -np.linalg.solve(matrix, gradient)
+    s = np.array(optimize._newton_step(h00, cross, h11, *gradient))
+    assert np.linalg.norm(s - want) <= 1e-12 * kappa * np.linalg.norm(want), (s, want, kappa)

@@ -36,7 +36,6 @@ from .sequences import (
     fidelity,
     fit_local_rotations,
     single_step_u,
-    two_step_invariants_closed,
     two_step_rotations,
     two_step_time,
     weyl_trajectory,
@@ -63,7 +62,6 @@ __all__ = [
     "kron2",
     "makhlin_invariants",
     "single_step_u",
-    "two_step_invariants_closed",
     "two_step_rotations",
     "two_step_time",
     "weyl_coordinates",

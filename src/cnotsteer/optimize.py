@@ -40,22 +40,21 @@ alone, with the same iteration count and flag.
 The solvers do their step arithmetic on Python floats, taken off each reply
 with ``.tolist()`` or ``r.dot(r)``: the residual norms and step sizes, the
 choice of trial, the nine stencil cells, the gradient and Hessian entries,
-the steps themselves, and the stopping and box tests.  Both steps have two
-unknowns and are taken in closed form, with no LAPACK call: the
-Gauss-Newton step from the 2 x 2 Gram of the Jacobian's columns, which one
-matrix product of the reply rows gives (``_least_squares_step``), and the
-Newton step from the explicit inverse of the 2 x 2 Hessian
-(``_newton_step``).  ``eigvalsh`` runs only for a Hessian that is not
-plainly positive definite (``_plainly_positive_definite``), to decide and
-size its shift.  Every Hessian on a 0.01g grid up to 2g is, and one or
-two are not at 2.5, 3.0, 5.0, 7.4 and 8.0g.  So numpy does only the
-stacked kernels and that product on every row of ``table1`` and
-``table2``.  A Python float operation rounds as numpy's elementwise float64
-operation does (IEEE-754 round to nearest, nothing fused),
-``math.sqrt(r.dot(r))`` is what ``np.linalg.norm`` computes for a 1-D real
-array, and on finite values the comparisons decide as ``np.argmin`` and
-``np.max`` do; the kernels' contracts keep NaN out.  So every request keeps
-the bits of the same steps written in numpy, at less cost per row.
+the Hessian's eigenvalues, the steps themselves, and the stopping and box
+tests.  Each step has two unknowns and is taken in closed form, with no
+LAPACK call: the Gauss-Newton step from the 2 x 2 Gram of the Jacobian's
+columns, which one matrix product of the reply rows gives
+(``_least_squares_step``), and the Newton step from the explicit inverse
+of the 2 x 2 Hessian (``_newton_step``).  The Hessian's eigenvalues, which
+decide and size its shift, are the closed form of a symmetric 2 x 2
+matrix (``_spectrum``).  So numpy does only the stacked kernels and that
+product, and ``optimize`` makes no ``numpy.linalg`` call.  A Python float
+operation rounds as numpy's elementwise float64 operation does (IEEE-754
+round to nearest, nothing fused), ``math.sqrt(r.dot(r))`` is what
+``np.linalg.norm`` computes for a 1-D real array, and on finite values the
+comparisons decide as ``np.argmin`` and ``np.max`` do; the kernels'
+contracts keep NaN out.  So every request keeps the bits of the same steps
+written in numpy, at less cost per row.
 
 The two-step sequence needs no calibration: ``sequences.two_step_time`` is
 its closed-form gate time.
@@ -120,11 +119,6 @@ _ROOT_DOUBLING = (0.4, 0.6)
 #: angle at most 1e-12), or one of them is zero: the Gauss-Newton step is
 #: then lstsq's minimum-norm one.
 _PARALLEL = 1e-12
-#: A symmetric 2 x 2 Hessian with h00 > 0 and a determinant above
-#: _DEFINITE_MARGIN times its squared trace is positive definite by a margin
-#: no rounding of its eigenvalues can cross, so the minimiser takes it
-#: unshifted without calling eigvalsh.
-_DEFINITE_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -184,18 +178,17 @@ def _least_squares_step(system: np.ndarray) -> tuple[float, float]:
     return (p / norm, q / norm) if norm > 0.0 else (0.0, 0.0)
 
 
-def _plainly_positive_definite(h00: float, cross: float, h11: float) -> bool:
-    """Whether ``[[h00, cross], [cross, h11]]`` is positive definite beyond rounding.
+def _spectrum(h00: float, cross: float, h11: float) -> tuple[float, float]:
+    """Eigenvalues ``(low, high)`` of ``[[h00, cross], [cross, h11]]``, in closed form.
 
-    True only where its determinant exceeds ``_DEFINITE_MARGIN`` times its
-    squared trace, which leaves its smaller eigenvalue at least about 1e-12
-    times its trace: far above the rounding of ``eigvalsh``, whose smaller
-    eigenvalue is then positive too.  False says nothing; ``eigvalsh``
-    decides.  Products, not powers: a Python float power raises on
-    overflow.
+    ``mean -+ hypot(half_diff, cross)``.  Each entry is halved before it is
+    added or subtracted, which is exact above the subnormal range, so that
+    entries near the largest float do not overflow.  Both eigenvalues are accurate to a few ulps of
+    the larger magnitude, as ``eigvalsh``'s are.
     """
-    trace = h00 + h11
-    return h00 > 0.0 and h00 * h11 - cross * cross > _DEFINITE_MARGIN * trace * trace
+    mean = 0.5 * h00 + 0.5 * h11
+    radius = math.hypot(0.5 * h00 - 0.5 * h11, cross)
+    return mean - radius, mean + radius
 
 
 def _newton_step(h00: float, cross: float, h11: float, g0: float, g1: float) -> tuple[float, float]:
@@ -283,13 +276,11 @@ def _minimize_single_step() -> _Solver:
     Returns the point, the number of Newton steps and whether it converged.
 
     The 9 d^2 of a reply are Python floats, at flat index ``3 i + j``, and so
-    are the gradient, Hessian entries and step.  The step is
-    ``_newton_step``'s explicit inverse, and ``eigvalsh`` runs only where
-    ``_plainly_positive_definite`` fails; where it holds, ``eigvalsh``'s
-    smaller eigenvalue would be positive too, so no shift is skipped.  The
-    shift adds to the diagonal alone, which is what adding ``shift *
-    eye(2)`` does: d^2 >= +0.0 and exact cancellation rounds to +0.0, so the
-    cross term is never -0.0.
+    are the gradient, Hessian entries, eigenvalues and step.  The
+    eigenvalues are ``_spectrum``'s closed form, on every step, and the step
+    is ``_newton_step``'s explicit inverse.  The shift adds to the diagonal
+    alone, which is what adding ``shift * eye(2)`` does: d^2 >= +0.0 and
+    exact cancellation rounds to +0.0, so the cross term is never -0.0.
     """
     h = _NEWTON_STEP
     (lo0, hi0), (lo1, hi1) = SINGLE_STEP_BOUNDS
@@ -302,11 +293,10 @@ def _minimize_single_step() -> _Solver:
         cross = (f[8] - f[6] - f[2] + f[0]) / 4.0 / (h * h)
         h00 = (f[7] - 2.0 * fx + f[1]) / (h * h)
         h11 = (f[5] - 2.0 * fx + f[3]) / (h * h)
-        if not _plainly_positive_definite(h00, cross, h11):
-            low, high = np.linalg.eigvalsh([[h00, cross], [cross, h11]]).tolist()
-            if low <= 0.0:
-                shift = _HESSIAN_FLOOR * max(1.0, abs(high)) - low
-                h00, h11 = h00 + shift, h11 + shift
+        low, high = _spectrum(h00, cross, h11)
+        if low <= 0.0:
+            shift = _HESSIAN_FLOOR * max(1.0, abs(high)) - low
+            h00, h11 = h00 + shift, h11 + shift
         s0, s1 = _newton_step(h00, cross, h11, g0, g1)
         while max(abs(s0), abs(s1)) > _NEWTON_TOL:
             t0, t1 = x0 + s0, x1 + s1

@@ -357,24 +357,6 @@ def entangling_u(t: float, p: SystemParams, frame: int) -> Operator4:
     return undriven_propagators(p.delta, p.g_tilde, t, frame)
 
 
-def two_step_invariants_closed(t: float, p: SystemParams) -> tuple[complex, float]:
-    """Closed-form invariants ``(G1, G2)`` of the two-step entangler U(t) e^{-pi X1} U(t).
-
-    Valid for any detuning and independent of the ZZ coupling and of the
-    frame in which the segments are evolved.
-    """
-    d2 = p.delta**2
-    lam2 = d2 + 4.0
-    lam = math.sqrt(lam2)
-    g1 = ((d2 + 8.0 * math.cos(0.5 * lam * t) ** 2 - 4.0) / lam2) ** 2
-    g2 = (
-        3.0 * d2**2
-        + 8.0 * d2 * (1.0 + 2.0 * math.cos(lam * t))
-        + 16.0 * (2.0 + math.cos(2.0 * lam * t))
-    ) / lam2**2
-    return complex(g1), g2
-
-
 #: The exchange term XX + YY of the single-step generator, summed once.
 _EXCHANGE = XX + YY
 

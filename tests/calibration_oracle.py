@@ -7,34 +7,29 @@ solve must reach at least the d^2 it reaches, and beyond the bound the Newton
 minimum must reach it too, on the same branch.  Its objective,
 ``single_step_d2``, is built from public calls.
 
-``solve_single_step`` is the in-bound Gauss-Newton root solve as it was
-before each step evaluated its three residuals as one stack: one
-single-gate residual per point, x first, then each forward difference, with
-the same doubled-step rule (a step about half the one before is also tried
-doubled, and the point with the smaller ``||R||`` is kept).  The stacked
-solve must return the same root, bit for bit, the same iteration count and
-the same flag.  Its per-point gate, ``single_step_gate``, goes through
-``single_step_u``, and its residual, ``single_step_residual``, is formed
-here, apart from ``equivclass.cnot_residual``.  Its step is the package's
-closed form, ``optimize._least_squares_step``, taken on the three per-point
-residuals, so that the bits compared are those of the stacking; the closed
-form is held to ``numpy.linalg.lstsq`` apart, in ``test_solver_steps.py``.
+``numpy_solve_single_step`` and ``numpy_minimize_single_step`` are the one
+numpy reference of each package solver: ``optimize._solve_single_step``
+(the in-bound Gauss-Newton root solve) and ``optimize._minimize_single_step``
+(damped Newton on d^2 beyond the bound), as generators with the same
+protocol, written with numpy elementwise arithmetic where the package uses
+Python floats.  They take the steps and the Hessian's spectrum from the
+package's closed forms (``_least_squares_step``, ``_newton_step`` and
+``_spectrum``), which ``test_solver_steps.py`` holds to ``numpy.linalg``,
+and read ``optimize``'s constants when they run, so that a patched cap
+holds for both.  ``test_solver_steps.py`` drives them with drawn replies.
+``solve_single_step`` and ``newton_single_step`` drive them with one
+evaluation per point, through ``single_step_residual`` and
+``single_step_d2``; the stacked calibration must return the same point, bit
+for bit, the same iteration count and the same flag.  The per-point gate,
+``single_step_gate``, goes through ``single_step_u``, and the residual is
+formed here, apart from ``equivclass.cnot_residual``.
 
 ``fold_point`` locates the single-step fold at delta = +-g, where the two
 exact-CNOT branches of (omega1, T1) merge, without solving at the fold
 itself: just below it, plain Gauss-Newton finds the lower and the upper root
 from starts on either side, and the fold is their midpoint.
 
-``newton_single_step`` is the damped Newton minimiser of d^2 beyond the bound
-as it was before each step evaluated its 8-point stencil ring as one request:
-the same loop, with one ``single_step_d2`` call per point, the stencil filled
-point by point in (i, j) order.  The minimiser must return the same point,
-bit for bit, the same iteration count and the same flag.  Like the package,
-it calls ``eigvalsh`` only where ``optimize._plainly_positive_definite``
-fails and takes the step from ``optimize._newton_step``, the explicit 2 x 2
-inverse; ``test_solver_steps.py`` holds both to ``numpy.linalg``.
-
-``richardson_minimum`` is a reference for where that minimum truly lies.
+``richardson_minimum`` is a reference for where the Newton minimum truly lies.
 The minimiser's central differences at step h = ``_NEWTON_STEP`` place it
 O(h^2), about 1e-8, off; Newton steps on derivatives extrapolated from two
 central differences are O(h^4) accurate, so the reference does not share
@@ -51,22 +46,9 @@ from dataclasses import replace
 
 import numpy as np
 
+import cnotsteer.optimize as optimize
 from cnotsteer.equivclass import cnot_distance, makhlin_invariants, to_magic
-from cnotsteer.optimize import (
-    _HESSIAN_FLOOR,
-    _NEWTON_MAX_ITERATIONS,
-    _NEWTON_STEP,
-    _NEWTON_TOL,
-    _ROOT_DOUBLING,
-    _ROOT_MAX_ITERATIONS,
-    _ROOT_STEP,
-    _ROOT_TOL,
-    SINGLE_STEP_BOUNDS,
-    SINGLE_STEP_START,
-    _least_squares_step,
-    _newton_step,
-    _plainly_positive_definite,
-)
+from cnotsteer.optimize import SINGLE_STEP_BOUNDS, SINGLE_STEP_START
 from cnotsteer.qmat import require_unitary
 from cnotsteer.sequences import SystemParams, single_step_u
 from nelder_mead import NMOptions, nelder_mead
@@ -75,7 +57,7 @@ _SEARCH = NMOptions(bounds=SINGLE_STEP_BOUNDS)
 
 #: Offsets of the points at which each Gauss-Newton step evaluates the
 #: residual: x itself, then x + h e0 and x + h e1.
-ROOT_STENCIL = np.array([[0.0, 0.0], [_ROOT_STEP, 0.0], [0.0, _ROOT_STEP]])
+ROOT_STENCIL = np.array([[0.0, 0.0], [optimize._ROOT_STEP, 0.0], [0.0, optimize._ROOT_STEP]])
 
 #: Initial-simplex edges for the polish passes that resolve flat basins.
 _POLISH_EDGES = (0.002, 0.0001)
@@ -117,37 +99,94 @@ def single_step_residual(delta_over_g: float, x: np.ndarray) -> np.ndarray:
     return np.concatenate([r.real.ravel(), r.imag.ravel()])
 
 
-def solve_single_step(
-    delta_over_g: float,
-    start: tuple[float, float] = SINGLE_STEP_START,
-    doubling: tuple[float, float] | None = _ROOT_DOUBLING,
-) -> tuple[np.ndarray, int, bool]:
-    """Gauss-Newton root of the single-step residual, one point per call.
+def numpy_solve_single_step(start=SINGLE_STEP_START, doubling=True):
+    """``optimize._solve_single_step`` with numpy elementwise arithmetic, from ``start``.
 
-    A step whose size over the previous step's lies inside ``doubling`` is
-    also tried doubled, and the doubled point is kept if its ``||R||`` is
-    smaller; ``doubling=None`` gives plain Gauss-Newton.
+    With ``doubling=False`` no step is tried doubled: plain Gauss-Newton.
     """
-    x = np.array(start)
-    r = single_step_residual(delta_over_g, x)
+    low, high = optimize._ROOT_DOUBLING
+    trials = np.array([start])
     previous = math.inf
     iterations = 0
-    while np.linalg.norm(r) > _ROOT_TOL:
-        if iterations == _ROOT_MAX_ITERATIONS:
-            return x, iterations, False
-        jac = [(single_step_residual(delta_over_g, xk) - r) / _ROOT_STEP for xk in x + ROOT_STENCIL[1:]]
-        step = np.array(_least_squares_step(np.stack([r, *jac])))
+    while True:
+        replies = np.reshape((yield trials[:, None] + ROOT_STENCIL), (len(trials), 3, -1))
+        norms = [np.linalg.norm(reply[0]) for reply in replies]
+        best = int(np.argmin(norms))
+        x, (r, *shifted) = trials[best], replies[best]
+        converged = not norms[best] > optimize._ROOT_TOL
+        if converged or iterations == optimize._ROOT_MAX_ITERATIONS:
+            return x, iterations, converged
+        jac = [(r_k - r) / optimize._ROOT_STEP for r_k in shifted]
+        step = np.array(optimize._least_squares_step(np.stack([r, *jac])))
         size = np.sqrt(np.sum(step * step))
-        doubled = x - 2.0 * step
-        x = x - step
-        r = single_step_residual(delta_over_g, x)
-        if doubling is not None and doubling[0] < size / previous < doubling[1]:
-            r_doubled = single_step_residual(delta_over_g, doubled)
-            if np.linalg.norm(r_doubled) < np.linalg.norm(r):
-                x, r = doubled, r_doubled
+        doubled = doubling and low < size / previous < high
+        trials = np.array([x - step, x - 2.0 * step] if doubled else [x - step])
         previous = size
         iterations += 1
-    return x, iterations, True
+
+
+def _central_model(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of d^2 from central differences, ``f[i, j]`` at ``x + h * (i - 1, j - 1)``."""
+    fx = f[1, 1]
+    grad = np.array([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]]) / (2.0 * h)
+    cross = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / 4.0
+    hess = np.array([
+        [f[2, 1] - 2.0 * fx + f[0, 1], cross],
+        [cross, f[1, 2] - 2.0 * fx + f[1, 0]],
+    ]) / (h * h)
+    return grad, hess
+
+
+def numpy_minimize_single_step():
+    """``optimize._minimize_single_step`` with numpy elementwise arithmetic."""
+    h = optimize._NEWTON_STEP
+    lo, hi = np.array(SINGLE_STEP_BOUNDS).T
+    stencil = h * optimize._NEWTON_STENCIL
+    x = np.array(SINGLE_STEP_START)
+    f = np.reshape((yield x + stencil), (3, 3))
+    for iterations in range(optimize._NEWTON_MAX_ITERATIONS):
+        grad, hess = _central_model(f, h)
+        (h00, cross), (_, h11) = hess.tolist()
+        low, high = optimize._spectrum(h00, cross, h11)
+        if low <= 0.0:
+            hess += (optimize._HESSIAN_FLOOR * max(1.0, abs(high)) - low) * np.eye(2)
+            (h00, cross), (_, h11) = hess.tolist()
+        step = np.array(optimize._newton_step(h00, cross, h11, *grad.tolist()))
+        while np.max(np.abs(step)) > optimize._NEWTON_TOL:
+            trial = x + step
+            if np.all(trial >= lo) and np.all(trial <= hi):
+                f_trial = np.reshape((yield trial + stencil), (3, 3))
+                if f_trial[1, 1] < f[1, 1]:
+                    break
+            step = step / 2.0
+        else:
+            return x, iterations, True
+        x, f = trial, f_trial
+    return x, optimize._NEWTON_MAX_ITERATIONS, False
+
+
+def _per_point(solver, evaluate):
+    """Run a reference solver to its result, evaluating one point per call."""
+    reply = None
+    while True:
+        try:
+            request = solver.send(reply)
+        except StopIteration as done:
+            return done.value
+        reply = np.array([evaluate(x) for x in request.reshape(-1, 2)])
+
+
+def solve_single_step(
+    delta_over_g: float, start: tuple[float, float] = SINGLE_STEP_START, doubling: bool = True
+) -> tuple[np.ndarray, int, bool]:
+    """Gauss-Newton root of the single-step residual, one ``single_step_residual`` per point."""
+    residual = functools.partial(single_step_residual, delta_over_g)
+    return _per_point(numpy_solve_single_step(start, doubling), residual)
+
+
+def newton_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
+    """Damped Newton on d^2 from ``SINGLE_STEP_START``, one ``single_step_d2`` per point."""
+    return _per_point(numpy_minimize_single_step(), functools.partial(single_step_d2, delta_over_g))
 
 
 #: Near the fold, at delta = g - eps, the two roots lie about 1.27 sqrt(eps)
@@ -168,7 +207,7 @@ def fold_point(sign: float = 1.0, eps: float = FOLD_EPS) -> np.ndarray:
     roots = []
     for side in (-1.0, 1.0):
         start = (FOLD_GUESS[0], FOLD_GUESS[1] + side * offset)
-        x, _, converged = solve_single_step(delta, start, doubling=None)
+        x, _, converged = solve_single_step(delta, start, doubling=False)
         if not converged:
             raise RuntimeError(f"fold oracle: no root from {start} at delta/g = {delta!r}")
         roots.append(x)
@@ -178,46 +217,9 @@ def fold_point(sign: float = 1.0, eps: float = FOLD_EPS) -> np.ndarray:
     return (lower + upper) / 2.0
 
 
-def _central_model(delta_over_g: float, x: np.ndarray, fx: float, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of d^2 at ``x`` from central differences with step ``h``."""
-    f = np.empty((3, 3))  # f[i, j] = d^2 at x + h * (i - 1, j - 1)
-    for i in range(3):
-        for j in range(3):
-            f[i, j] = fx if i == j == 1 else single_step_d2(delta_over_g, x + h * np.array([i - 1.0, j - 1.0]))
-    grad = np.array([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]]) / (2.0 * h)
-    cross = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / 4.0
-    hess = np.array([
-        [f[2, 1] - 2.0 * fx + f[0, 1], cross],
-        [cross, f[1, 2] - 2.0 * fx + f[1, 0]],
-    ]) / (h * h)
-    return grad, hess
-
-
-def newton_single_step(delta_over_g: float) -> tuple[np.ndarray, int, bool]:
-    """Damped Newton on d^2 from ``SINGLE_STEP_START``, one point per call."""
-    lo, hi = np.array(SINGLE_STEP_BOUNDS).T
-    x = np.array(SINGLE_STEP_START)
-    fx = single_step_d2(delta_over_g, x)
-    for iterations in range(_NEWTON_MAX_ITERATIONS):
-        grad, hess = _central_model(delta_over_g, x, fx, _NEWTON_STEP)
-        (h00, cross), (_, h11) = hess.tolist()
-        if not _plainly_positive_definite(h00, cross, h11):
-            low, high = np.linalg.eigvalsh(hess)
-            if low <= 0.0:
-                hess += (_HESSIAN_FLOOR * max(1.0, abs(high)) - low) * np.eye(2)
-                (h00, cross), (_, h11) = hess.tolist()
-        step = np.array(_newton_step(h00, cross, h11, *grad.tolist()))
-        while np.max(np.abs(step)) > _NEWTON_TOL:
-            trial = x + step
-            if np.all(trial >= lo) and np.all(trial <= hi):
-                f_trial = single_step_d2(delta_over_g, trial)
-                if f_trial < fx:
-                    break
-            step = step / 2.0
-        else:
-            return x, iterations, True
-        x, fx = trial, f_trial
-    return x, _NEWTON_MAX_ITERATIONS, False
+def _d2_stencil(delta_over_g: float, x: np.ndarray, h: float) -> np.ndarray:
+    """d^2 at ``x + h * (i - 1, j - 1)``, as ``f[i, j]``."""
+    return np.reshape([single_step_d2(delta_over_g, p) for p in x + h * optimize._NEWTON_STENCIL], (3, 3))
 
 
 #: Richardson reference minimum: the smaller central-difference step (the
@@ -242,8 +244,7 @@ def richardson_minimum(delta_over_g: float, start: np.ndarray, h: float = RICHAR
     """
     x = np.array(start, dtype=float)
     for _ in range(_RICHARDSON_MAX_ITERATIONS):
-        fx = single_step_d2(delta_over_g, x)
-        (g1, h1), (g2, h2) = (_central_model(delta_over_g, x, fx, s) for s in (h, 2.0 * h))
+        (g1, h1), (g2, h2) = (_central_model(_d2_stencil(delta_over_g, x, s), s) for s in (h, 2.0 * h))
         step = -np.linalg.solve((4.0 * h1 - h2) / 3.0, (4.0 * g1 - g2) / 3.0)
         x = x + step
         if np.max(np.abs(step)) <= _RICHARDSON_TOL:

@@ -17,6 +17,9 @@ its exponential.
 (midpoint product formula).  It is deliberately independent of the closed
 forms and serves as their numerical cross-check; the error falls off as
 O(steps^-2).
+
+``two_step_invariants_closed`` gives the Makhlin invariants of the two-step
+entangler in closed form, for any detuning, apart from any propagator.
 """
 
 from __future__ import annotations
@@ -143,3 +146,21 @@ def two_step_sandwich(t: float, delta: float, g_tilde: float, frame: int) -> np.
 def two_step_entangler(p: SystemParams, frame: int) -> np.ndarray:
     """The two-step entangling core U(t2) e^{-pi X1} U(t2) at ``two_step_time(p)``."""
     return two_step_sandwich(two_step_time(p), p.delta, p.g_tilde, frame)
+
+
+def two_step_invariants_closed(t: float, p: SystemParams) -> tuple[complex, float]:
+    """Closed-form invariants ``(G1, G2)`` of the two-step entangler U(t) e^{-pi X1} U(t).
+
+    Valid for any detuning and independent of the ZZ coupling and of the
+    frame in which the segments are evolved.
+    """
+    d2 = p.delta**2
+    lam2 = d2 + 4.0
+    lam = math.sqrt(lam2)
+    g1 = ((d2 + 8.0 * math.cos(0.5 * lam * t) ** 2 - 4.0) / lam2) ** 2
+    g2 = (
+        3.0 * d2**2
+        + 8.0 * d2 * (1.0 + 2.0 * math.cos(lam * t))
+        + 16.0 * (2.0 + math.cos(2.0 * lam * t))
+    ) / lam2**2
+    return complex(g1), g2

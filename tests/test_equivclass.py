@@ -21,12 +21,12 @@ from cnotsteer.sequences import (
     entangling_u,
     euler_u2,
     single_step_u,
-    two_step_invariants_closed,
     two_step_time,
     weyl_trajectory,
 )
 
 from conftest import random_unitary
+from propagator_oracle import two_step_invariants_closed
 from weyl_oracle import invariants_from_weyl, search_weyl_coordinates
 
 HALF_PI = math.pi / 2.0

@@ -514,19 +514,23 @@ def _linalg_calls(monkeypatch, deltas):
     return calls
 
 
-#: numpy.linalg calls of one detuning alone: an eigvalsh for each Hessian
-#: that is not plainly positive definite (two at 7.4g), and nothing else.
-LINALG_CALLS = {2.5: 1, 3.0: 1, 5.0: 1, 7.4: 2, 8.0: 1}
+#: Hessians of one detuning alone that are not positive definite and are
+#: shifted (two at 7.4g); none are on Table 1's and Table 2's grids or at
+#: 1.2, 1.5 and 1.8g.
+SHIFTED_HESSIANS = {2.5: 1, 3.0: 1, 5.0: 1, 7.4: 2, 8.0: 1}
 
 
-def test_solvers_call_numpy_linalg_only_on_indefinite_hessians(monkeypatch):
+def test_solvers_make_no_numpy_linalg_call(monkeypatch):
+    # Every step and every Hessian spectrum is a closed form on Python
+    # floats, on positive definite Hessians and on shifted ones alike.
     table1 = [d for d in cli._TABLE_GRID if abs(d) <= SINGLE_STEP_BOUND]
-    for deltas in (table1, cli._TABLE2_GRID, 1.2, 1.5, 1.8):
+    real = optimize._spectrum
+    for deltas, shifted in [(table1, 0), (cli._TABLE2_GRID, 0), (1.2, 0), (1.5, 0), (1.8, 0),
+                            *SHIFTED_HESSIANS.items()]:
+        lows = []
+        monkeypatch.setattr(optimize, "_spectrum", lambda *h: lows.append((found := real(*h))[0]) or found)
         assert _linalg_calls(monkeypatch, deltas) == [], deltas
-    for delta, count in LINALG_CALLS.items():
-        calls = _linalg_calls(monkeypatch, delta)
-        assert len(calls) == count, delta
-        assert all(name == "eigvalsh" and low <= 0.0 for name, (low, _) in calls), (delta, calls)
+        assert sum(low <= 0.0 for low in lows) == shifted, deltas
 
 
 @pytest.mark.parametrize("name", [*ALONE_CALLS, "table1", "table2"])

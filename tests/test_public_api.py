@@ -18,9 +18,8 @@ from cnotsteer import cli
 README = Path(__file__).resolve().parents[1] / "README.md"
 PYPROJECT = README.with_name("pyproject.toml")
 
-#: Exported functions that no command calls.  ROADMAP item 2 reads the
-#: two-step bound off ``two_step_invariants_closed``.
-UNCALLED_BY_COMMANDS = {"two_step_invariants_closed"}
+#: Exported functions that no command calls.
+UNCALLED_BY_COMMANDS = set()
 
 
 def test_every_exported_name_is_an_attribute_of_the_package():
@@ -53,7 +52,6 @@ def test_exported_names_are_pinned():
         "kron2",
         "makhlin_invariants",
         "single_step_u",
-        "two_step_invariants_closed",
         "two_step_rotations",
         "two_step_time",
         "weyl_coordinates",

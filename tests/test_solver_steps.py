@@ -1,26 +1,29 @@
 """The calibration solvers' step arithmetic keeps its bits on any reply, and
-their closed-form steps hold to ``numpy.linalg``.
+their closed forms hold to ``numpy.linalg``.
 
 ``optimize._solve_single_step`` and ``optimize._minimize_single_step`` do
 their step arithmetic on Python floats.  Each generator here is driven by
-hand with Hypothesis-drawn replies, side by side with a test-local copy of
-the same solver written with numpy arithmetic throughout, and every request
-it yields, every return value and every error must have the reference's
-bits.  The copies take their steps from the package's closed forms, as the
+hand with Hypothesis-drawn replies, side by side with its numpy reference
+in ``calibration_oracle`` (``numpy_solve_single_step`` and
+``numpy_minimize_single_step``, the same solver written with numpy
+arithmetic throughout), and every request it yields, every return value and
+every error must have the reference's bits.  The references take their
+steps and the Hessian's spectrum from the package's closed forms, as the
 solvers do: ``_least_squares_step`` for the Gauss-Newton step,
-``_plainly_positive_definite`` to decide whether ``eigvalsh`` runs, and
+``_spectrum`` for the eigenvalues that decide and size the shift, and
 ``_newton_step`` for the Newton step.  The per-point oracle tests in
-``test_optimize.py`` see only the replies that real detunings produce; these
-draws also give rank-deficient Jacobians, zero and overflowing steps, flat
-stencils and Hessians that are not positive definite.
+``test_optimize.py`` drive the same references with real detunings' replies;
+these draws also give rank-deficient Jacobians, zero and overflowing steps,
+flat stencils and Hessians that are not positive definite.
 
 The closed forms themselves are held to LAPACK, through ``numpy.linalg``'s
 ``lstsq``, ``eigvalsh`` and ``solve``, on drawn systems: the root solve's
 Jacobians and the minimiser's Hessians, well and badly conditioned, and
-singular.
+singular, up to entries near the largest float.
 """
 
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -28,9 +31,9 @@ import pytest
 
 import cnotsteer.cli as cli
 import cnotsteer.optimize as optimize
-from cnotsteer.optimize import SINGLE_STEP_BOUND, SINGLE_STEP_BOUNDS, SINGLE_STEP_START, calibrate_single_step
+from cnotsteer.optimize import SINGLE_STEP_BOUND, calibrate_single_step
 
-from calibration_oracle import ROOT_STENCIL
+from calibration_oracle import numpy_minimize_single_step, numpy_solve_single_step
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
@@ -41,63 +44,6 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 #: Requests driven per example before both generators are closed.
 MAX_REQUESTS = 40
-
-
-def numpy_solve_single_step():
-    """``optimize._solve_single_step`` with numpy elementwise arithmetic: the reference."""
-    low, high = optimize._ROOT_DOUBLING
-    trials = np.array([SINGLE_STEP_START])
-    previous = math.inf
-    iterations = 0
-    while True:
-        replies = np.reshape((yield trials[:, None] + ROOT_STENCIL), (len(trials), 3, -1))
-        norms = [np.linalg.norm(reply[0]) for reply in replies]
-        best = int(np.argmin(norms))
-        x, (r, *shifted) = trials[best], replies[best]
-        converged = not norms[best] > optimize._ROOT_TOL
-        if converged or iterations == optimize._ROOT_MAX_ITERATIONS:
-            return x, iterations, converged
-        jac = [(r_k - r) / optimize._ROOT_STEP for r_k in shifted]
-        step = np.array(optimize._least_squares_step(np.stack([r, *jac])))
-        size = np.sqrt(np.sum(step * step))
-        trials = np.array([x - step, x - 2.0 * step] if low < size / previous < high else [x - step])
-        previous = size
-        iterations += 1
-
-
-def numpy_minimize_single_step():
-    """``optimize._minimize_single_step`` with numpy elementwise arithmetic: the reference."""
-    h = optimize._NEWTON_STEP
-    lo, hi = np.array(SINGLE_STEP_BOUNDS).T
-    stencil = h * optimize._NEWTON_STENCIL
-    x = np.array(SINGLE_STEP_START)
-    f = np.reshape((yield x + stencil), (3, 3))
-    for iterations in range(optimize._NEWTON_MAX_ITERATIONS):
-        fx = f[1, 1]
-        grad = np.array([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]]) / (2.0 * h)
-        cross = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / 4.0
-        hess = np.array([
-            [f[2, 1] - 2.0 * fx + f[0, 1], cross],
-            [cross, f[1, 2] - 2.0 * fx + f[1, 0]],
-        ]) / (h * h)
-        (h00, cross), (_, h11) = hess.tolist()
-        if not optimize._plainly_positive_definite(h00, cross, h11):
-            low, high = np.linalg.eigvalsh(hess)
-            if low <= 0.0:
-                hess += (optimize._HESSIAN_FLOOR * max(1.0, abs(high)) - low) * np.eye(2)
-                (h00, cross), (_, h11) = hess.tolist()
-        step = np.array(optimize._newton_step(h00, cross, h11, *grad.tolist()))
-        while np.max(np.abs(step)) > optimize._NEWTON_TOL:
-            trial = x + step
-            if np.all(trial >= lo) and np.all(trial <= hi):
-                f_trial = np.reshape((yield trial + stencil), (3, 3))
-                if f_trial[1, 1] < fx:
-                    break
-            step = step / 2.0
-        else:
-            return x, iterations, True
-        x, f = trial, f_trial
-    return x, optimize._NEWTON_MAX_ITERATIONS, False
 
 
 def _bits(value):
@@ -115,7 +61,7 @@ def _send(solver, reply):
         return "request", solver.send(reply)
     except StopIteration as done:
         return "return", done.value
-    except (np.linalg.LinAlgError, ZeroDivisionError) as error:
+    except ZeroDivisionError as error:
         return "error", repr(error)
 
 
@@ -314,26 +260,46 @@ def test_root_solve_jacobians_lie_where_the_step_is_held(monkeypatch):
 
 
 @st.composite
-def symmetric_2x2(draw, max_condition=1e17):
-    """(h00, cross, h11) of a spectrum of any signs and scales 1e-20-1e20, condition up to ``max_condition``."""
+def symmetric_2x2(draw, max_condition=1e17, max_exponent=20.0):
+    """(h00, cross, h11) of a spectrum of any signs, scales 10^+-max_exponent, condition up to max_condition."""
     sign = st.sampled_from([1.0, -1.0])
-    larger = draw(sign) * 10.0 ** draw(st.floats(-20.0, 20.0))
+    larger = draw(sign) * 10.0 ** draw(st.floats(-max_exponent, max_exponent))
     smaller = larger * draw(sign) * 10.0 ** -draw(st.floats(0.0, math.log10(max_condition)))
     angle = draw(st.floats(0.0, math.pi))
     c, s = math.cos(angle), math.sin(angle)
     return larger * c * c + smaller * s * s, (larger - smaller) * c * s, larger * s * s + smaller * c * c
 
 
+#: (h00, cross, h11) = 2^e (p^2, p q, q^2): exactly singular, every entry exact.
+singular_2x2 = st.builds(lambda p, q, e: (p * p * 2.0 ** e, p * q * 2.0 ** e, q * q * 2.0 ** e),
+                         st.integers(-2**26, 2**26), st.integers(-2**26, 2**26), st.integers(-600, 600))
+
+#: The closed-form spectrum lies within SPECTRUM_TOL times the larger
+#: eigenvalue magnitude of eigvalsh's (2.5 eps is the largest seen over 10^5
+#: draws of these kinds with entries spanning 1e+-300), plus four of the
+#: smallest subnormal, 5e-324, the rounding of entries below the normal range.
+SPECTRUM_TOL = 4.0 * np.finfo(float).eps
+
+
 @PROPERTY
 @given(hessian=st.one_of(
-    symmetric_2x2(),
-    st.tuples(*[st.floats(-1e20, 1e20, allow_nan=False)] * 3),
-    st.tuples(*[st.sampled_from([0.0, 1.0, -1.0, 1e-300, 5e-324, 1e150])] * 3),
+    symmetric_2x2(max_exponent=300.0),
+    singular_2x2,
+    st.tuples(*[st.floats(-1e308, 1e308)] * 3),
+    st.tuples(*[st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 5e-324, 1e150, 1e308, -1e308])] * 3),
 ))
-def test_plainly_positive_definite_never_contradicts_eigvalsh(hessian):
+def test_spectrum_holds_to_eigvalsh(hessian):
+    # The minimiser shifts a Hessian whose smaller eigenvalue is <= 0; where
+    # that eigenvalue stands clear of rounding the closed form decides as
+    # eigvalsh does.  An eigenvalue beyond the largest float is inf in both.
     h00, cross, h11 = hessian
-    if optimize._plainly_positive_definite(h00, cross, h11):
-        assert np.linalg.eigvalsh([[h00, cross], [cross, h11]])[0] > 0.0
+    low, high = optimize._spectrum(h00, cross, h11)
+    want = np.linalg.eigvalsh([[h00, cross], [cross, h11]]).tolist()
+    tol = SPECTRUM_TOL * min(max(map(abs, want)), sys.float_info.max) + 4.0 * 5e-324
+    for got, ref in zip((low, high), want):
+        assert got == ref or abs(got - ref) <= tol, (got, want)
+    if abs(low) > tol:
+        assert (low <= 0.0) == (want[0] <= 0.0), (low, want)
 
 
 @PROPERTY

@@ -28,33 +28,36 @@ methods start from the resonant solution, which keeps them on the lowest
 branch; only the minimisation checks the box.
 
 ``calibrate_single_step`` also takes a sequence of detunings, as the tables
-do.  Each method's solvers are generators that yield the points they need
-and take back plain numbers (the residuals R or the d^2 of a stencil);
-``_lockstep`` runs all rows of one method together, evaluating every pending
-request of a round, whatever its size, in one stacked ``single_step_gates``
-call.  One last stacked call, a one-row stack for one detuning, gives
-every row its invariants and d^2.  The kernels give each stack member the
-bits it gets alone, so each row returns the bits it returns when calibrated
-alone, with the same iteration count and flag.
+do.  Each method's solvers are generators that yield the centres they need,
+tuples of Python floats, one per trial (two for a doubled root step), and
+take back one row of Python floats per centre.  Each round is one array
+program: ``_lockstep`` gathers the pending centres of all rows of one
+method, and its round function (``_root_round`` or ``_distance_round``)
+builds their stencils in one broadcast, evaluates them in one stacked
+``single_step_gates`` call and reduces the reply in one pass, to the
+``||R||^2``, ``J^T R`` and ``J^T J`` or the nine d^2 of each stencil.  One
+last stacked call, a one-row stack for one detuning, gives every row its
+invariants and d^2.  The kernels give each stack member the bits it gets
+alone, and so does the reduction (``np.vecdot`` gives each row the bits of
+``ndarray.dot``, a stacked product each slice those of its 2-D product), so
+each row returns the bits, iteration count and flag it gets alone.
 
-The solvers do their step arithmetic on Python floats, taken off each reply
-with ``.tolist()`` or ``r.dot(r)``: the residual norms and step sizes, the
-choice of trial, the nine stencil cells, the gradient and Hessian entries,
-the Hessian's eigenvalues, the steps themselves, and the stopping and box
-tests.  Each step has two unknowns and is taken in closed form, with no
-LAPACK call: the Gauss-Newton step from the 2 x 2 Gram of the Jacobian's
-columns, which one matrix product of the reply rows gives
-(``_least_squares_step``), and the Newton step from the explicit inverse
-of the 2 x 2 Hessian (``_newton_step``).  The Hessian's eigenvalues, which
-decide and size its shift, are the closed form of a symmetric 2 x 2
-matrix (``_spectrum``).  So numpy does only the stacked kernels and that
-product, and ``optimize`` makes no ``numpy.linalg`` call.  A Python float
-operation rounds as numpy's elementwise float64 operation does (IEEE-754
-round to nearest, nothing fused), ``math.sqrt(r.dot(r))`` is what
-``np.linalg.norm`` computes for a 1-D real array, and on finite values the
-comparisons decide as ``np.argmin`` and ``np.max`` do; the kernels'
-contracts keep NaN out.  So every request keeps the bits of the same steps
-written in numpy, at less cost per row.
+The solvers call numpy only to build the point they return, and step on
+Python floats: the residual norms and step sizes, the choice of trial, the
+gradient and Hessian entries, the Hessian's eigenvalues, the steps
+themselves, and the stopping and box tests.  Each step has two unknowns and
+is taken in closed form, with no LAPACK call: the Gauss-Newton step from the
+2 x 2 Gram of the Jacobian's columns (``_least_squares_step``), and the
+Newton step from the explicit inverse of the 2 x 2 Hessian
+(``_newton_step``).  The Hessian's eigenvalues, which decide and size its
+shift, are the closed form of a symmetric 2 x 2 matrix (``_spectrum``).  So
+numpy does only the rounds, and ``optimize`` makes no ``numpy.linalg``
+call.  A Python float operation rounds as numpy's elementwise float64
+operation does (IEEE-754 round to nearest, nothing fused),
+``math.sqrt(r.dot(r))`` is what ``np.linalg.norm`` computes for a 1-D real
+array, and on finite values the comparisons decide as ``np.argmin`` and
+``np.max`` do; the kernels' contracts keep NaN out.  So every request keeps
+the bits of the same steps written in numpy, at less cost per row.
 
 The two-step sequence needs no calibration: ``sequences.two_step_time`` is
 its closed-form gate time.
@@ -62,7 +65,6 @@ its closed-form gate time.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Generator, Sequence
@@ -98,10 +100,10 @@ _NEWTON_STEP = 1e-4
 _NEWTON_TOL = _NEWTON_STEP ** 2
 _HESSIAN_FLOOR = 1e-3
 _NEWTON_MAX_ITERATIONS = 60
-#: Offsets, in units of _NEWTON_STEP, of the points around x at which the
-#: Newton model evaluates d^2: the 3 x 3 stencil (i - 1, j - 1) in row order,
-#: whose centre (flat index 4) is x + 0.0 == x itself.
-_NEWTON_STENCIL = np.array([(i - 1.0, j - 1.0) for i in range(3) for j in range(3)])
+#: Offsets of the points around x at which the Newton model evaluates d^2:
+#: the 3 x 3 stencil h (i - 1, j - 1) in row order, whose centre (flat index
+#: 4) is x + 0.0 == x itself.
+_NEWTON_STENCIL = _NEWTON_STEP * np.array([(i - 1.0, j - 1.0) for i in range(3) for j in range(3)])
 
 #: Gauss-Newton controls of the root solve: stop once ||R||_F is at rounding
 #: level; forward-difference step; iteration cap (hitting it clears the
@@ -114,6 +116,9 @@ _ROOT_TOL = 1e-12
 _ROOT_STEP = 1e-7
 _ROOT_MAX_ITERATIONS = 50
 _ROOT_DOUBLING = (0.4, 0.6)
+#: Offsets of the points at which each Gauss-Newton step evaluates the
+#: residual: x itself (x + 0.0 == x), then x + h e0 and x + h e1.
+_ROOT_STENCIL = np.array([(0.0, 0.0), (_ROOT_STEP, 0.0), (0.0, _ROOT_STEP)])
 #: Jacobian columns whose Gram determinant is at most _PARALLEL times the
 #: product of their squared norms are parallel to rounding (sin^2 of their
 #: angle at most 1e-12), or one of them is zero: the Gauss-Newton step is
@@ -148,29 +153,52 @@ def _gates(delta_over_g: float | np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _residuals(delta_over_g: float | np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Residuals R at root-solve stencils ``x`` of shape ``(..., 3, 2)``: ``(..., 3, 32)``."""
+    """Residuals R at points ``x`` of shape ``(..., 2)``: ``(..., 32)``."""
     return cnot_residual(_gates(delta_over_g, x))
 
 
 def _distances(delta_over_g: float | np.ndarray, x: np.ndarray) -> np.ndarray:
-    """d^2 of the single-step gate at each point of a stack ``x`` of shape ``(n, 2)``."""
+    """d^2 of the single-step gate at each point of ``x``, of shape ``(..., 2)``."""
     return cnot_distance(*makhlin_invariants(_gates(delta_over_g, x)))
 
 
-def _least_squares_step(system: np.ndarray) -> tuple[float, float]:
-    """Least-squares solution s of ``J s = R``, as Python floats.
+def _stencils(deltas: float | list[float], centres: list, stencil: np.ndarray) -> tuple:
+    """Detunings and points of all centres' stencils, one flat stack; ``deltas``: per centre, or one for all."""
+    points = (np.array(centres)[:, None, :] + stencil).reshape(-1, 2)
+    return (np.repeat(deltas, len(stencil)) if isinstance(deltas, list) else deltas), points
 
-    ``system`` has shape ``(3, n)``: R, then the two columns of the n x 2
-    Jacobian J.  One product gives the Gram ``J^T J`` and ``J^T R``, and
-    Cramer's rule solves the 2 x 2 normal equations.  That form is invariant
-    under scaling either column, so it keeps its accuracy where J is
-    ill-conditioned through one column shrinking, as at the fold; its error
-    grows as 1/sin^2 of the columns' angle, and the root solve's columns lie
-    about 45 degrees apart or more.  Where the columns are parallel to rounding or
-    one is zero, s is the minimum-norm solution ``J^T R / ||J||_F^2`` (zero
-    for J = 0), as ``lstsq(rcond=None)`` gives.
+
+def _root_round(deltas: float | list[float], centres: list) -> list[list[float]]:
+    """One Gauss-Newton round: each centre's row ``[||R||^2, J^T R[0], (J^T J)[0], J^T R[1], (J^T J)[1]]``.
+
+    Seven Python floats, with R at the centre and J's columns ``(R(x + h e_k)
+    - R) / h``: one ``np.vecdot`` of the R rows and one stacked product
+    ``J^T [R, J]`` give them for all centres.
     """
-    (p, a, b), (q, _, c) = (system[1:] @ system.T).tolist()
+    reply = _residuals(*_stencils(deltas, centres, _ROOT_STENCIL)).reshape(-1, 3, 32)
+    system = reply - reply[:, :1]  # the rows R(x + h e_k) - R become J's columns
+    system[:, 0] = reply[:, 0]
+    system[:, 1:] /= _ROOT_STEP
+    gram = system[:, 1:] @ system.transpose(0, 2, 1)
+    return np.concatenate([np.vecdot(reply[:, :1], reply[:, :1]), gram.reshape(-1, 6)], axis=1).tolist()
+
+
+def _distance_round(deltas: float | list[float], centres: list) -> list[list[float]]:
+    """One Newton round: the 9 d^2 of the 3 x 3 stencil around each centre, at flat index ``3 i + j``."""
+    return _distances(*_stencils(deltas, centres, _NEWTON_STENCIL)).reshape(-1, 9).tolist()
+
+
+def _least_squares_step(p: float, q: float, a: float, b: float, c: float) -> tuple[float, float]:
+    """Least-squares solution s of ``J s = R``, from ``J^T R = (p, q)`` and ``J^T J = [[a, b], [b, c]]``.
+
+    Cramer's rule solves the 2 x 2 normal equations.  That form is
+    invariant under scaling either column, so it keeps its accuracy where J
+    is ill-conditioned through one column shrinking, as at the fold; its
+    error grows as 1/sin^2 of the columns' angle, and the root solve's
+    columns lie about 45 degrees apart or more.  Where the columns are
+    parallel to rounding or one is zero, s is the minimum-norm solution
+    ``J^T R / ||J||_F^2`` (zero for J = 0), as ``lstsq(rcond=None)`` gives.
+    """
     det = a * c - b * b
     if det > _PARALLEL * a * c:
         return (c * p - b * q) / det, (a * q - b * p) / det
@@ -201,52 +229,45 @@ def _newton_step(h00: float, cross: float, h11: float, g0: float, g1: float) -> 
     return (cross * g1 - h11 * g0) / det, (cross * g0 - h00 * g1) / det
 
 
-#: A solver run by ``_lockstep``: it yields points of shape ``(..., 2)``, is
-#: sent their residuals R or d^2, and returns the point it found, its
+#: A solver run by ``_lockstep``: it yields a list of centres, is sent one
+#: row of Python floats per centre, and returns the point it found, its
 #: iteration count and its converged flag.
-_Solver = Generator[np.ndarray, object, tuple[np.ndarray, int, bool]]
+_Solver = Generator[list, list, tuple[np.ndarray, int, bool]]
 
 
 def _solve_single_step() -> _Solver:
     """Gauss-Newton root of the single-step residual from ``SINGLE_STEP_START``.
 
-    A generator run by ``_lockstep``: each step yields x and its two
-    forward-difference neighbours as one stencil, takes back their
-    residuals, and solves the 32 x 2 linearization in the least-squares
-    sense for the step Delta.  The next request is the stencil at x - Delta,
-    unless Delta is about half the previous step (its size ratio inside
-    ``_ROOT_DOUBLING``), the linear regime of a double root: then it holds
-    the stencils at x - Delta and at x - 2 Delta, and the solver goes on from
-    whichever centre has the smaller ``||R||_F``, x - Delta on a tie.  Kept
-    without that comparison, a doubled step can land between the two roots
-    that lie close together just below the fold.  Returns the root (the centre of the last
-    stencil kept), the iteration count and whether ``||R||_F <= _ROOT_TOL``
-    was reached.
+    A generator run by ``_lockstep`` with ``_root_round``: each step yields
+    x, the centre of a forward-difference stencil, takes back the stencil's
+    reduced residuals, and solves the 32 x 2 linearization in the
+    least-squares sense for the step Delta.  The next request is the centre
+    x - Delta, unless Delta is about half the previous step (its size ratio
+    inside ``_ROOT_DOUBLING``), the linear regime of a double root: then it
+    holds the centres x - Delta and x - 2 Delta, and the solver goes on from
+    whichever has the smaller ``||R||_F``, x - Delta on a tie.  Kept without
+    that comparison, a doubled step can land between the two roots that lie
+    close together just below the fold.  Returns the root (the last centre
+    kept), the iteration count and whether ``||R||_F <= _ROOT_TOL`` was
+    reached.
 
-    The step arithmetic runs on Python floats, and the step is
-    ``_least_squares_step``'s closed form; ``||R||_F`` is
-    ``math.sqrt(r.dot(r))``, the bits of ``np.linalg.norm``.
+    The step arithmetic runs on the rows' Python floats, and the step is
+    ``_least_squares_step``'s closed form; ``||R||_F`` is the square root of
+    the row's ``||R||^2``, the bits of ``np.linalg.norm``.
     """
     low, high = _ROOT_DOUBLING
     trials = [SINGLE_STEP_START]
     previous = math.inf
     iterations = 0
     while True:
-        request = np.array([
-            ((x0 + 0.0, x1 + 0.0), (x0 + _ROOT_STEP, x1 + 0.0), (x0 + 0.0, x1 + _ROOT_STEP))
-            for x0, x1 in trials
-        ])
-        replies = (yield request).reshape(len(trials), 3, -1)
-        norms = [math.sqrt(reply[0].dot(reply[0])) for reply in replies]
+        rows = yield trials
+        norms = [math.sqrt(row[0]) for row in rows]
         best = norms.index(min(norms))
-        (x0, x1), reply = trials[best], replies[best]
+        (x0, x1), (_, p, a, b, q, _, c) = trials[best], rows[best]
         converged = not norms[best] > _ROOT_TOL
         if converged or iterations == _ROOT_MAX_ITERATIONS:
             return np.array((x0, x1)), iterations, converged
-        system = reply - reply[0]  # the rows R(x + h e_k) - R become J's columns
-        system[0] = reply[0]
-        system[1:] /= _ROOT_STEP
-        s0, s1 = _least_squares_step(system)
+        s0, s1 = _least_squares_step(p, q, a, b, c)
         size = math.sqrt(s0 * s0 + s1 * s1)
         trials = [(x0 - s0, x1 - s1)]
         # After a zero step numpy's ratio is inf or nan, which never doubles;
@@ -260,11 +281,11 @@ def _solve_single_step() -> _Solver:
 def _minimize_single_step() -> _Solver:
     """Closest class: damped Newton on d^2 from ``SINGLE_STEP_START``.
 
-    A generator run by ``_lockstep``: the start and each step-halving trial
-    inside the search box yield the 3 x 3 stencil around the point (``x +
-    stencil``) as one request and take back its 9 d^2; a trial is judged by
-    the centre.  An accepted trial's stencil is the next Newton step's
-    model, so a step makes no request of its own.  The step reads the
+    A generator run by ``_lockstep`` with ``_distance_round``: the start and
+    each step-halving trial inside the search box yield the point, the
+    centre of a 3 x 3 stencil, and take back the stencil's 9 d^2; a trial is
+    judged by the centre.  An accepted trial's stencil is the next Newton
+    step's model, so a step makes no request of its own.  The step reads the
     gradient and Hessian off the central differences of the stencil.  A
     Hessian that is not positive definite has its spectrum shifted so that
     its smallest eigenvalue becomes ``_HESSIAN_FLOOR * max(1, |larger
@@ -275,7 +296,7 @@ def _minimize_single_step() -> _Solver:
     ends it.
     Returns the point, the number of Newton steps and whether it converged.
 
-    The 9 d^2 of a reply are Python floats, at flat index ``3 i + j``, and so
+    The 9 d^2 of a row are Python floats, at flat index ``3 i + j``, and so
     are the gradient, Hessian entries, eigenvalues and step.  The
     eigenvalues are ``_spectrum``'s closed form, on every step, and the step
     is ``_newton_step``'s explicit inverse.  The shift adds to the diagonal
@@ -284,9 +305,8 @@ def _minimize_single_step() -> _Solver:
     """
     h = _NEWTON_STEP
     (lo0, hi0), (lo1, hi1) = SINGLE_STEP_BOUNDS
-    stencil = h * _NEWTON_STENCIL
     x0, x1 = SINGLE_STEP_START
-    f = (yield np.array((x0, x1)) + stencil).tolist()  # d^2 at x + h * (i - 1, j - 1)
+    (f,) = yield [(x0, x1)]  # d^2 at x + h * (i - 1, j - 1)
     for iterations in range(_NEWTON_MAX_ITERATIONS):
         fx = f[4]
         g0, g1 = (f[7] - f[1]) / (2.0 * h), (f[5] - f[3]) / (2.0 * h)
@@ -301,7 +321,7 @@ def _minimize_single_step() -> _Solver:
         while max(abs(s0), abs(s1)) > _NEWTON_TOL:
             t0, t1 = x0 + s0, x1 + s1
             if lo0 <= t0 <= hi0 and lo1 <= t1 <= hi1:
-                f_trial = (yield np.array((t0, t1)) + stencil).tolist()
+                (f_trial,) = yield [(t0, t1)]
                 if f_trial[4] < fx:
                     break
             s0, s1 = s0 / 2.0, s1 / 2.0
@@ -311,32 +331,25 @@ def _minimize_single_step() -> _Solver:
     return np.array((x0, x1)), _NEWTON_MAX_ITERATIONS, False
 
 
-def _lockstep(steps: list[_Solver], evaluate: Callable, deltas: list[float]) -> list[tuple]:
+def _lockstep(steps: list[_Solver], round_: Callable, deltas: list[float]) -> list[tuple]:
     """Run one solver generator per detuning together; return their results in order.
 
-    A request is a stack of points of shape ``(..., 2)``, of any size.  Each
-    round gathers the pending request of every unfinished solver, flattens
-    each to rows of points, concatenates them with each row's detuning
-    repeated over its points, and evaluates them in one ``evaluate(deltas,
-    points)`` call; each solver is sent its own slice of the values.  A lone
-    request is evaluated as it is, as a solver run alone evaluates it.  The
-    kernels give each stack member the bits it gets alone, so every solver
+    Plumbing that knows no method.  Each round gathers the pending centres
+    of every unfinished solver and their detunings, one per centre (a lone
+    solver's as one number), makes one ``round_(detunings, centres)`` call,
+    which evaluates and reduces them all and returns one row per centre, and
+    sends each solver the rows of its own centres.  The kernels and the
+    reduction give each stack member the bits it gets alone, so every solver
     takes the same path and returns the same bits as it would alone.
     """
     results = [None] * len(steps)
     pending = {k: next(step) for k, step in enumerate(steps)}
     while pending:
         rows = list(pending)
-        if len(rows) == 1:
-            replies = [evaluate(deltas[rows[0]], pending[rows[0]])]
-        else:
-            points = [pending[k].reshape(-1, 2) for k in rows]
-            sizes = [len(p) for p in points]
-            # One detuning per row, repeated over the points of its request.
-            values = evaluate(np.repeat([deltas[k] for k in rows], sizes), np.concatenate(points))
-            starts = list(itertools.accumulate(sizes, initial=0))
-            replies = [values[a:b] for a, b in zip(starts, starts[1:])]
-        for k, reply in zip(rows, replies):
+        detunings = deltas[rows[0]] if len(rows) == 1 else [deltas[k] for k in rows for _ in pending[k]]
+        replies = iter(round_(detunings, [centre for k in rows for centre in pending[k]]))
+        for k in rows:
+            reply = [next(replies) for _ in pending[k]]
             try:
                 pending[k] = steps[k].send(reply)
             except StopIteration as done:
@@ -380,13 +393,13 @@ def calibrate_single_step(
     for delta in deltas:
         SystemParams(delta=delta)  # rejects a non-finite detuning before the search
     found = [None] * len(deltas)
-    for method, solver, evaluate, rows in (
-        ("root solve", _solve_single_step, _residuals,
+    for method, solver, round_, rows in (
+        ("root solve", _solve_single_step, _root_round,
          [k for k, d in enumerate(deltas) if abs(d) <= SINGLE_STEP_BOUND]),
-        ("d^2 minimisation", _minimize_single_step, _distances,
+        ("d^2 minimisation", _minimize_single_step, _distance_round,
          [k for k, d in enumerate(deltas) if not abs(d) <= SINGLE_STEP_BOUND]),
     ):
-        solved = _lockstep([solver() for _ in rows], evaluate, [deltas[k] for k in rows])
+        solved = _lockstep([solver() for _ in rows], round_, [deltas[k] for k in rows])
         for k, (x, iterations, converged) in zip(rows, solved):
             found[k] = (x, iterations, converged, method)
     # Every row's gate at its point in one call, a one-row stack for one

@@ -10,13 +10,17 @@ minimum must reach it too, on the same branch.  Its objective,
 ``numpy_solve_single_step`` and ``numpy_minimize_single_step`` are the one
 numpy reference of each package solver: ``optimize._solve_single_step``
 (the in-bound Gauss-Newton root solve) and ``optimize._minimize_single_step``
-(damped Newton on d^2 beyond the bound), as generators with the same
-protocol, written with numpy elementwise arithmetic where the package uses
-Python floats.  They take the steps and the Hessian's spectrum from the
-package's closed forms (``_least_squares_step``, ``_newton_step`` and
-``_spectrum``), which ``test_solver_steps.py`` holds to ``numpy.linalg``,
-and read ``optimize``'s constants when they run, so that a patched cap
-holds for both.  ``test_solver_steps.py`` drives them with drawn replies.
+(damped Newton on d^2 beyond the bound), each together with its round
+function (``optimize._root_round`` or ``optimize._distance_round``).  They
+are generators that yield each request as the stencil points it holds and
+take back the kernel's values there, and they reduce each stencil on its
+own with numpy elementwise arithmetic, where the package reduces a whole
+round at once and steps on Python floats.  They take the steps and the
+Hessian's spectrum from the package's closed forms (``_least_squares_step``
+through ``least_squares_step``, ``_newton_step`` and ``_spectrum``), which
+``test_solver_steps.py`` holds to ``numpy.linalg``, and read ``optimize``'s
+constants when they run, so that a patched cap holds for both.
+``test_solver_steps.py`` drives them with drawn replies.
 ``solve_single_step`` and ``newton_single_step`` drive them with one
 evaluation per point, through ``single_step_residual`` and
 ``single_step_d2``; the stacked calibration must return the same point, bit
@@ -54,10 +58,6 @@ from cnotsteer.sequences import SystemParams, single_step_u
 from nelder_mead import NMOptions, nelder_mead
 
 _SEARCH = NMOptions(bounds=SINGLE_STEP_BOUNDS)
-
-#: Offsets of the points at which each Gauss-Newton step evaluates the
-#: residual: x itself, then x + h e0 and x + h e1.
-ROOT_STENCIL = np.array([[0.0, 0.0], [optimize._ROOT_STEP, 0.0], [0.0, optimize._ROOT_STEP]])
 
 #: Initial-simplex edges for the polish passes that resolve flat basins.
 _POLISH_EDGES = (0.002, 0.0001)
@@ -99,6 +99,15 @@ def single_step_residual(delta_over_g: float, x: np.ndarray) -> np.ndarray:
     return np.concatenate([r.real.ravel(), r.imag.ravel()])
 
 
+def least_squares_step(system: np.ndarray) -> tuple[float, float]:
+    """``optimize._least_squares_step`` of a ``(3, n)`` system, R then J's two columns.
+
+    The Gram comes from one numpy product of this one stencil's rows.
+    """
+    (p, a, b), (q, _, c) = (system[1:] @ system.T).tolist()
+    return optimize._least_squares_step(p, q, a, b, c)
+
+
 def numpy_solve_single_step(start=SINGLE_STEP_START, doubling=True):
     """``optimize._solve_single_step`` with numpy elementwise arithmetic, from ``start``.
 
@@ -109,7 +118,7 @@ def numpy_solve_single_step(start=SINGLE_STEP_START, doubling=True):
     previous = math.inf
     iterations = 0
     while True:
-        replies = np.reshape((yield trials[:, None] + ROOT_STENCIL), (len(trials), 3, -1))
+        replies = np.reshape((yield trials[:, None] + optimize._ROOT_STENCIL), (len(trials), 3, -1))
         norms = [np.linalg.norm(reply[0]) for reply in replies]
         best = int(np.argmin(norms))
         x, (r, *shifted) = trials[best], replies[best]
@@ -117,7 +126,7 @@ def numpy_solve_single_step(start=SINGLE_STEP_START, doubling=True):
         if converged or iterations == optimize._ROOT_MAX_ITERATIONS:
             return x, iterations, converged
         jac = [(r_k - r) / optimize._ROOT_STEP for r_k in shifted]
-        step = np.array(optimize._least_squares_step(np.stack([r, *jac])))
+        step = np.array(least_squares_step(np.stack([r, *jac])))
         size = np.sqrt(np.sum(step * step))
         doubled = doubling and low < size / previous < high
         trials = np.array([x - step, x - 2.0 * step] if doubled else [x - step])
@@ -141,7 +150,7 @@ def numpy_minimize_single_step():
     """``optimize._minimize_single_step`` with numpy elementwise arithmetic."""
     h = optimize._NEWTON_STEP
     lo, hi = np.array(SINGLE_STEP_BOUNDS).T
-    stencil = h * optimize._NEWTON_STENCIL
+    stencil = optimize._NEWTON_STENCIL
     x = np.array(SINGLE_STEP_START)
     f = np.reshape((yield x + stencil), (3, 3))
     for iterations in range(optimize._NEWTON_MAX_ITERATIONS):
@@ -217,9 +226,13 @@ def fold_point(sign: float = 1.0, eps: float = FOLD_EPS) -> np.ndarray:
     return (lower + upper) / 2.0
 
 
+#: The 3 x 3 stencil (i - 1, j - 1) in row order.
+_UNIT_STENCIL = np.array([(i - 1.0, j - 1.0) for i in range(3) for j in range(3)])
+
+
 def _d2_stencil(delta_over_g: float, x: np.ndarray, h: float) -> np.ndarray:
     """d^2 at ``x + h * (i - 1, j - 1)``, as ``f[i, j]``."""
-    return np.reshape([single_step_d2(delta_over_g, p) for p in x + h * optimize._NEWTON_STENCIL], (3, 3))
+    return np.reshape([single_step_d2(delta_over_g, p) for p in x + h * _UNIT_STENCIL], (3, 3))
 
 
 #: Richardson reference minimum: the smaller central-difference step (the

@@ -1,20 +1,25 @@
 """The calibration solvers' step arithmetic keeps its bits on any reply, and
 their closed forms hold to ``numpy.linalg``.
 
-``optimize._solve_single_step`` and ``optimize._minimize_single_step`` do
-their step arithmetic on Python floats.  Each generator here is driven by
-hand with Hypothesis-drawn replies, side by side with its numpy reference
-in ``calibration_oracle`` (``numpy_solve_single_step`` and
-``numpy_minimize_single_step``, the same solver written with numpy
-arithmetic throughout), and every request it yields, every return value and
-every error must have the reference's bits.  The references take their
-steps and the Hessian's spectrum from the package's closed forms, as the
-solvers do: ``_least_squares_step`` for the Gauss-Newton step,
-``_spectrum`` for the eigenvalues that decide and size the shift, and
-``_newton_step`` for the Newton step.  The per-point oracle tests in
-``test_optimize.py`` drive the same references with real detunings' replies;
-these draws also give rank-deficient Jacobians, zero and overflowing steps,
-flat stencils and Hessians that are not positive definite.
+``optimize._solve_single_step`` and ``optimize._minimize_single_step`` step
+on Python floats, fed by their round functions (``optimize._root_round`` and
+``optimize._distance_round``), which reduce a whole round's kernel reply in
+one pass.  Each solver is run here through ``optimize._lockstep`` and its
+round function with the kernel replaced by Hypothesis-drawn values, side by
+side with its numpy reference in ``calibration_oracle``
+(``numpy_solve_single_step`` and ``numpy_minimize_single_step``, the same
+solver written with numpy arithmetic throughout, reducing each stencil on
+its own), and every request it evaluates, every return value and every error
+must have the reference's bits.  The references take their steps and the
+Hessian's spectrum from the package's closed forms, as the solvers do:
+``_least_squares_step`` for the Gauss-Newton step, ``_spectrum`` for the
+eigenvalues that decide and size the shift, and ``_newton_step`` for the
+Newton step.  The per-point oracle tests in ``test_optimize.py`` drive the
+same references with real detunings' replies; these draws also give
+rank-deficient Jacobians, zero and overflowing steps, flat stencils and
+Hessians that are not positive definite.  The round reduction itself is held
+to the per-stencil numpy form on drawn stacks, and the solvers are driven
+with plain Python lists and no numpy but the call that builds their point.
 
 The closed forms themselves are held to LAPACK, through ``numpy.linalg``'s
 ``lstsq``, ``eigvalsh`` and ``solve``, on drawn systems: the root solve's
@@ -24,6 +29,7 @@ singular, up to entries near the largest float.
 
 import math
 import sys
+import types
 from unittest import mock
 
 import numpy as np
@@ -33,7 +39,7 @@ import cnotsteer.cli as cli
 import cnotsteer.optimize as optimize
 from cnotsteer.optimize import SINGLE_STEP_BOUND, calibrate_single_step
 
-from calibration_oracle import numpy_minimize_single_step, numpy_solve_single_step
+from calibration_oracle import least_squares_step, numpy_minimize_single_step, numpy_solve_single_step
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
@@ -42,8 +48,15 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
-#: Requests driven per example before both generators are closed.
+#: Requests answered per example before a drive ends.
 MAX_REQUESTS = 40
+
+#: Each solver's generator, its round function, the kernel that round
+#: function calls and the shape of the kernel's value at one point.
+METHODS = {
+    "root solve": (optimize._solve_single_step, optimize._root_round, "_residuals", (32,)),
+    "minimisation": (optimize._minimize_single_step, optimize._distance_round, "_distances", ()),
+}
 
 
 def _bits(value):
@@ -65,26 +78,42 @@ def _send(solver, reply):
         return "error", repr(error)
 
 
-def _drive(solver, reference, reply_for):
-    """Send both solvers the same replies; return the outcome of each step.
+class _Enough(Exception):
+    """Ends a drive once MAX_REQUESTS requests have been answered."""
 
-    ``reply_for(request, step)`` draws the reply to the ``step``-th request.
-    numpy's floating-point warnings are off, as the values compared are the
-    ones numpy computes whether it warns or not.
+
+def _drive(method, reference, reply_for):
+    """Run the package's solver and its reference on the same replies; return the reference's outcomes.
+
+    The package's solver runs alone through ``_lockstep`` and its round
+    function, with the kernel replaced: the points of each request it
+    evaluates must have the bytes of the reference's request, and
+    ``reply_for(request, step)`` draws the kernel's values for both.  Its
+    result or error must then be the reference's, bit for bit.  numpy's
+    floating-point warnings are off, as the values compared are the ones
+    numpy computes whether it warns or not.
     """
-    outcomes = []
-    reply = None
-    with np.errstate(all="ignore"):
-        for step in range(MAX_REQUESTS):
-            kind, want = _send(reference, reply)
-            got = _send(solver, reply)
-            assert _bits(got) == _bits((kind, want)), (step, got, want)
-            outcomes.append((kind, want))
-            if kind != "request":
-                return outcomes
-            reply = reply_for(want, step)
-    solver.close()
-    reference.close()
+    solver, round_, kernel, shape = METHODS[method]
+    outcomes = [_send(reference, None)]
+
+    def evaluate(deltas, points):
+        kind, want = outcomes[-1]
+        assert kind == "request" and _bits(points) == _bits(want.reshape(-1, 2)), (len(outcomes), points, want)
+        if len(outcomes) == MAX_REQUESTS:
+            raise _Enough
+        reply = reply_for(want, len(outcomes) - 1)
+        outcomes.append(_send(reference, reply))
+        return np.reshape(reply, (len(points), *shape))
+
+    with mock.patch.object(optimize, kernel, evaluate), np.errstate(all="ignore"):
+        try:
+            got = "return", optimize._lockstep([solver()], round_, [0.0])[0]
+        except ZeroDivisionError as error:
+            got = "error", repr(error)
+        except _Enough:
+            reference.close()
+            return outcomes
+    assert _bits(got) == _bits(outcomes[-1]), (got, outcomes[-1])
     return outcomes
 
 
@@ -118,7 +147,7 @@ def test_root_solve_steps_keep_their_bits(doubled, data, cap):
         return np.stack([data.draw(residual_stencils) for _ in request])
 
     with mock.patch.object(optimize, "_ROOT_MAX_ITERATIONS", cap):
-        outcomes = _drive(optimize._solve_single_step(), numpy_solve_single_step(), reply_for)
+        outcomes = _drive("root solve", numpy_solve_single_step(), reply_for)
     if doubled:
         assert outcomes[2][0] == "request" and outcomes[2][1].shape == (2, 3, 2)
 
@@ -151,7 +180,86 @@ def test_minimisation_steps_keep_their_bits(curvature, data, cap):
         return data.draw(d2_stencils(curvature if step == 0 else "any"))
 
     with mock.patch.object(optimize, "_NEWTON_MAX_ITERATIONS", cap):
-        _drive(optimize._minimize_single_step(), numpy_minimize_single_step(), reply_for)
+        _drive("minimisation", numpy_minimize_single_step(), reply_for)
+
+
+#: Residual entries for the round reduction's draws, signed zeros included.
+reduction_values = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def root_stencils(draw):
+    """A residual stencil R, R + h J0, R + h J1 (3 x 32) whose Jacobian columns are any, zero or parallel."""
+    r, d, e = (draw(arrays(np.float64, 32, elements=reduction_values)) for _ in range(3))
+    c = draw(st.floats(-3.0, 3.0))
+    first, second = {
+        "any": (r + d, r + e),
+        "first zero": (r, r + e),
+        "second zero": (r + d, r),
+        "both zero": (r, r),
+        "parallel": (r + d, r + c * d),
+    }[draw(st.sampled_from(["any", "first zero", "second zero", "both zero", "parallel"]))]
+    return np.stack([r, first, second])
+
+
+def _echo(count):
+    """A solver that requests ``count`` centres once and returns the rows it is sent."""
+    rows = yield [(1.0, 1.0)] * count
+    return rows
+
+
+@PROPERTY
+@given(sizes=st.lists(st.sampled_from([1, 2]), min_size=1, max_size=6), data=st.data())
+def test_root_round_gives_each_stencil_the_bits_of_its_own_reduction(sizes, data):
+    # One round of rows that each request one stencil, or two after a doubled
+    # step.  Every stencil's row must hold the bits of the per-stencil numpy
+    # form, R.R by ndarray.dot and the Gram by one 2-D product, as Python
+    # floats, and each row must be sent the rows of its own stencils.
+    stack = np.array([data.draw(root_stencils()) for _ in range(sum(sizes))])
+    with mock.patch.object(optimize, "_residuals", lambda deltas, points: stack.reshape(len(points), 32)):
+        found = optimize._lockstep([_echo(n) for n in sizes], optimize._root_round, [0.0] * len(sizes))
+    rows = [row for solver_rows in found for row in solver_rows]
+    assert [len(solver_rows) for solver_rows in found] == sizes
+    for row, reply in zip(rows, stack, strict=True):
+        system = reply - reply[0]
+        system[0] = reply[0]
+        system[1:] /= optimize._ROOT_STEP
+        want = [reply[0].dot(reply[0]), *(system[1:] @ system.T).ravel()]
+        assert all(type(v) is float for v in row)
+        assert np.array(row).tobytes() == np.array(want).tobytes(), (row, want)
+
+
+def _rounds(method, delta):
+    """Every round of one detuning calibrated alone, as (centres, rows) pairs, and the solver's result."""
+    solver, round_, _, _ = METHODS[method]
+    rounds = []
+
+    def recording(deltas, centres):
+        rounds.append((centres, round_(deltas, centres)))
+        return rounds[-1][1]
+
+    return rounds, optimize._lockstep([solver()], recording, [delta])[0]
+
+
+@pytest.mark.parametrize("method, delta", [
+    ("root solve", 0.5), ("root solve", 1.0), ("root solve", 1.0 - 1e-10),
+    ("minimisation", 1.5), ("minimisation", 3.0), ("minimisation", 7.4),
+])
+def test_solvers_step_on_plain_python_lists(monkeypatch, method, delta):
+    # The rows of a real calibration are plain lists of Python floats.  Sent
+    # them again with numpy in optimize cut down to np.array, which builds
+    # the returned point, a fresh solver yields the same centres, as tuples
+    # of Python floats, and returns the same point, count and flag.
+    rounds, want = _rounds(method, delta)
+    assert all(type(row) is list and all(type(v) is float for v in row) for _, rows in rounds for row in rows)
+    monkeypatch.setattr(optimize, "np", types.SimpleNamespace(array=np.array))
+    solver = METHODS[method][0]()
+    outcome = "request", next(solver)
+    for k, (centres, rows) in enumerate(rounds):
+        assert outcome == ("request", centres), k
+        assert all(type(c) is tuple and all(type(v) is float for v in c) for c in centres), k
+        outcome = _send(solver, rows)
+    assert _bits(outcome) == _bits(("return", want))
 
 
 def _unit_pair(seed):
@@ -191,7 +299,7 @@ def test_least_squares_step_holds_to_lstsq(data, seed, cosine, scale, ratio, sma
         jt = jt[::-1]
     assume(np.linalg.cond(jt.T) <= 1e6)
     r = data.draw(residuals(jt))
-    s = np.array(optimize._least_squares_step(np.vstack([r, jt])))
+    s = np.array(least_squares_step(np.vstack([r, jt])))
     want = np.linalg.lstsq(jt.T, r, rcond=None)[0]
     assert np.all(np.linalg.norm(jt, axis=1) * np.abs(s - want) <= 1e-12 * np.linalg.norm(r)), (s, want)
 
@@ -209,7 +317,7 @@ def test_least_squares_step_is_full_rank_on_nearly_parallel_columns(seed, sine, 
     kappa = np.linalg.cond(jt.T)
     assume(kappa <= 1e6)
     r = jt.T @ np.array(x)
-    s = np.array(optimize._least_squares_step(np.vstack([r, jt])))
+    s = np.array(least_squares_step(np.vstack([r, jt])))
     want = np.linalg.lstsq(jt.T, r, rcond=None)[0]
     assert np.linalg.norm(s - want) <= 1e-15 * kappa * kappa * np.linalg.norm(want), (s, want, kappa)
 
@@ -230,7 +338,7 @@ def test_least_squares_step_is_lstsqs_minimum_norm_step_on_dependent_columns(dat
         "parallel": np.array([column, factor * column]),
     }[kind]
     r = data.draw(residuals(np.array([column, column])))
-    s = np.array(optimize._least_squares_step(np.vstack([r, jt])))
+    s = np.array(least_squares_step(np.vstack([r, jt])))
     want = np.linalg.lstsq(jt.T, r, rcond=None)[0]
     assert np.all(np.isfinite(s))
     if kind == "both zero":
@@ -242,21 +350,22 @@ def test_least_squares_step_is_lstsqs_minimum_norm_step_on_dependent_columns(dat
 
 def test_root_solve_jacobians_lie_where_the_step_is_held(monkeypatch):
     # The Gram form loses accuracy as the Jacobian's columns turn parallel.
-    # On every step of Table 1's rows, of -g and of the detunings just below
-    # the fold, they stay within the angles drawn above (|cos| <= 0.71 is
-    # measured), and the step is within 1e-12 of lstsq's in the plain
-    # relative norm.
-    systems = []
-    real = optimize._least_squares_step
-    monkeypatch.setattr(optimize, "_least_squares_step", lambda s: systems.append(s) or real(s))
+    # On every stencil that Table 1's rows, -g and the detunings just below
+    # the fold evaluate, the steps taken among them, the columns stay within
+    # the angles drawn above (|cos| <= 0.71 is measured), and the step is
+    # within 1e-12 of lstsq's in the plain relative norm.
+    stencils = []
+    real = optimize._residuals
+    monkeypatch.setattr(optimize, "_residuals", lambda *a: stencils.extend((r := real(*a)).reshape(-1, 3, 32)) or r)
     table1 = [d for d in cli._TABLE_GRID if abs(d) <= SINGLE_STEP_BOUND]
     calibrate_single_step([*table1, -1.0, *(1.0 - 10.0 ** -k for k in (3, 4, 6, 8, 10))])
-    assert len(systems) > 50
-    for system in systems:
-        r, j0, j1 = system
+    assert len(stencils) > 50
+    for r, *shifted in stencils:
+        system = np.stack([r, *((r_k - r) / optimize._ROOT_STEP for r_k in shifted)])
+        _, j0, j1 = system
         assert abs(j0 @ j1) <= COLUMN_COSINE * np.linalg.norm(j0) * np.linalg.norm(j1)
         want = np.linalg.lstsq(system[1:].T, r, rcond=None)[0]
-        assert np.linalg.norm(np.array(real(system)) - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(np.array(least_squares_step(system)) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @st.composite

@@ -50,7 +50,7 @@ from cnotsteer.sequences import (
 )
 
 import propagator_oracle
-from calibration_oracle import ROOT_STENCIL, single_step_gate, single_step_residual
+from calibration_oracle import single_step_gate, single_step_residual
 from propagator_oracle import evolve_stepwise, h_rwa_frame1
 from conftest import random_skew, random_unitary, spec_from_vector
 
@@ -279,7 +279,7 @@ def test_single_step_gates_and_residuals_give_each_point_its_own_bits(delta, x):
 
 @pytest.mark.parametrize("delta", [0.0, -0.0, 1.0, -1.0, 2.0, -2.0])
 def test_single_step_stencil_at_named_detunings(delta):
-    x = np.array(optimize.SINGLE_STEP_START) + ROOT_STENCIL
+    x = np.array(optimize.SINGLE_STEP_START) + optimize._ROOT_STENCIL
     _assert_points_alone(delta, x)
     # Zero time gives exactly I, alone and in a stack.
     _assert_points_alone(delta, np.array([[3.0, 0.0], [0.5, 0.0], [3.0, 1.0]]))

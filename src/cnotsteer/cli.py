@@ -59,6 +59,7 @@ from .sequences import (
     entangling_u,
     fidelity,
     fit_local_rotations,
+    require_samples,
     single_step_u,
     two_step_product,
     two_step_rotations,
@@ -250,8 +251,10 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     """Steering trajectory of the calibrated single-step gate at --delta.
 
     Writes ``t,c1,c2,c3`` (t in units of pi/2g, c in units of pi/2).  The
-    resonant trace is ``--delta 0``.
+    resonant trace is ``--delta 0``.  A sample count below two is refused
+    before the calibration runs.
     """
+    require_samples(args.samples)
     cal = _calibrate_single_step(args.delta)
     p = SystemParams(delta=args.delta, omega1=cal.omega1_over_g)
     t, c = weyl_trajectory(p, cal.t_units * math.pi / 2.0, args.samples)
@@ -309,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("trajectory", help="Weyl-chamber steering trajectory (CSV)")
     pt.add_argument("--delta", type=float, required=True, help="detuning in units of g")
     pt.add_argument("--samples", type=int, default=2048,
-                    help="number of sample times (default 2048); each costs "
-                         "about 0.1 ms, so 10^6 samples take 1.5-2.5 min")
+                    help="number of sample times, at least 2 (default 2048); "
+                         "each costs about 90 us, so 10^6 samples take 1.5-2 min")
     pt.add_argument("--out", default="trajectory.csv")
     pt.set_defaults(func=cmd_trajectory)
 

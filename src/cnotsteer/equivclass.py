@@ -86,6 +86,8 @@ _MAGIC_DAG = MAGIC_BASIS.conj().T
 
 #: Rows pick the pairwise sums (s1 + s2, s1 + s3, s2 + s3) of three phases.
 _COMBINE = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+#: Slot indices of the four sorted phases.
+_SLOTS = np.arange(4)
 
 _WEYL_TOL = 1e-9
 _HALF_PI = math.pi / 2
@@ -195,9 +197,9 @@ def _raw_coordinates(u: Operator4) -> np.ndarray:
     s = np.sort(two_s / 2.0, axis=-1)[..., ::-1]
     # The phases sum to an integer n: take 1 off the n largest, then rotate
     # them to the end.
-    n = np.rint(s.sum(axis=-1)).astype(int)[..., None]
-    k = np.arange(4)
-    s = np.take_along_axis(s - (k < n), (k + n) % 4, axis=-1)
+    n = np.rint(s.sum(axis=-1, keepdims=True)).astype(int)
+    rows = (s - (_SLOTS < n)).reshape(-1, 4)
+    s = rows[np.arange(len(rows))[:, None], ((_SLOTS + n) % 4).reshape(-1, 4)].reshape(s.shape)
     return (s[..., :3] @ _COMBINE.T) * math.pi
 
 

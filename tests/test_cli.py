@@ -1,4 +1,6 @@
+import functools
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -314,6 +316,47 @@ def test_trajectory_too_large_to_allocate_is_a_bad_option(tmp_path, capsys):
     assert rc == EXIT_DOMAIN
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+
+@functools.cache
+def _perfbench_checks():
+    """``perfbench/checks.py``, imported as it stands (it needs scipy)."""
+    pytest.importorskip("scipy")
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_EDGE_DELTAS = ["0.0", "-0.0", "1", "-1", "2", "-2", "5e-324", "1e5", "1e308", "-1e308", "nan", "inf"]
+
+
+@pytest.mark.parametrize("delta", _EDGE_DELTAS)
+def test_trajectory_edge_inputs_exit_cleanly(tmp_path, capsys, delta):
+    # Every run writes a header and n rows, or refuses with one error line;
+    # only a detuning too large for float phases adds its warning, so a bad
+    # sample count at +-1e308 must be refused before the calibration runs.
+    for samples in (0, 1, 2, 3):
+        out = tmp_path / f"traj_{samples}.csv"
+        argv = ["trajectory", "--delta", delta, "--samples", str(samples), "--out", str(out)]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and "Traceback" not in captured.err
+        if rc == EXIT_DOMAIN:
+            assert len(err) == 1 and err[0].startswith("error: "), (samples, err)
+            assert not out.exists()
+            assert samples < 2 or not math.isfinite(float(delta))
+            continue
+        assert rc == EXIT_OK and samples >= 2
+        warned = abs(float(delta)) == 1e308
+        assert len(err) == warned and all(line.startswith("warning: single-step detuning ") for line in err)
+        text = out.read_text()
+        lines = text.splitlines()
+        assert lines[0] == "t,c1,c2,c3" and len(lines) == samples + 1
+        if float(delta) in (0.0, 1.0, 2.0) and not delta.startswith("-"):
+            assert _perfbench_checks().check_trajectory(argv, text) == []
 
 
 def test_one_step_gate_ignores_frame(tmp_path):

@@ -189,6 +189,50 @@ def test_single_step_gate_is_the_frame1_evolution_bit_for_bit(delta):
         assert single_step_u(t, p).tobytes() == expm_skew(-t * h_rwa_frame1(p)).tobytes()
 
 
+_DRIVES = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (1.0, math.sqrt(15.0)),
+           (-1.0, math.sqrt(15.0)), (2.0, 0.5), (-2.0, 0.5)]
+
+
+def _assert_memo_gates(delta, omega1):
+    # The memoised generator, the array path and the oracle give one gate's bits.
+    for t in (0.0, HALF_PI, 2.0):
+        gate = sequences.single_step_gates(delta, omega1, t)
+        array = sequences.single_step_gates(np.array(delta), np.array(omega1), t)
+        ref = expm_skew(-t * h_rwa_frame1(SystemParams(delta=delta, omega1=omega1)))
+        assert gate.tobytes() == array.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("delta, omega1", _DRIVES)
+def test_python_float_drives_take_the_memoised_generator(delta, omega1):
+    memo = sequences._memoised_generator
+    memo.cache_clear()
+    _assert_memo_gates(delta, omega1)
+    assert memo.cache_info().misses == 1 and memo.cache_info().currsize == 1
+    # Each sign of zero is its own key, so -delta (or -0.0 after 0.0) is a
+    # new entry, and the entry before it is gone.
+    _assert_memo_gates(-delta, omega1)
+    _assert_memo_gates(delta, omega1)
+    assert memo.cache_info().misses == 3
+    g = memo(sequences._DRIVE_BITS.pack(delta, omega1))
+    assert not g.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        g[0, 0] = 1.0
+    assert sequences.single_step_gates(delta, omega1, 1.0).flags.writeable
+
+
+@pytest.mark.parametrize("delta, omega1", [
+    (np.float64(1.0), 3.8), (1.0, np.float64(3.8)), (1, 3.8), (1.0, 4), (np.float32(0.5), 3.8),
+    (np.array(-0.0), 0.5),
+], ids=["float64-delta", "float64-omega1", "int-delta", "int-omega1", "float32-delta", "0d-array"])
+def test_numpy_scalars_and_ints_take_the_array_path(delta, omega1):
+    memo = sequences._memoised_generator
+    memo.cache_clear()
+    gate = sequences.single_step_gates(delta, omega1, HALF_PI)
+    assert memo.cache_info().hits == memo.cache_info().misses == 0
+    ref = sequences.single_step_gates(np.array(delta), np.array(omega1), HALF_PI)
+    assert gate.tobytes() == ref.tobytes()
+
+
 def test_single_step_resonant_closed_form():
     p = SystemParams(delta=0.0, omega1=np.sqrt(15.0))
     got = single_step_u(np.pi / 2.0, p)

@@ -173,6 +173,19 @@ def test_stack_axes_are_kept():
     assert c.shape == (2, 3, 3) and c.tobytes() == weyl_coordinates(flat).tobytes()
 
 
+@pytest.mark.parametrize("kernel", [equivclass._raw_coordinates, weyl_coordinates],
+                         ids=["raw_coordinates", "weyl_coordinates"])
+def test_a_stack_with_two_axes_gives_each_member_its_own_point(kernel):
+    # The fold gathers each row of the (N, 4) view of the sorted phases; the
+    # members take 0 (I), 2 (CNOT), 3 (SWAP) and 2, 1, 1 (Haar) off them.
+    rng = np.random.default_rng(11)
+    stack = np.array([*NAMED, *(random_unitary(rng) for _ in range(3))]).reshape(2, 3, 4, 4)
+    points = kernel(stack)
+    assert points.shape == (2, 3, 3)
+    for index in np.ndindex(2, 3):
+        assert points[index].tobytes() == kernel(stack[index]).tobytes()
+
+
 def test_empty_stack_gives_empty_results():
     empty = np.empty((0, 4, 4), dtype=complex)
     assert unitarity_defect(empty).shape == (0,)

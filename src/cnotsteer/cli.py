@@ -59,7 +59,6 @@ from .sequences import (
     entangling_u,
     fidelity,
     fit_local_rotations,
-    require_samples,
     single_step_u,
     two_step_product,
     two_step_rotations,
@@ -254,7 +253,8 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     resonant trace is ``--delta 0``.  A sample count below two is refused
     before the calibration runs.
     """
-    require_samples(args.samples)
+    if args.samples < 2:
+        raise ContractViolationError(f"--samples must be >= 2, got {args.samples}")
     cal = _calibrate_single_step(args.delta)
     p = SystemParams(delta=args.delta, omega1=cal.omega1_over_g)
     t, c = weyl_trajectory(p, cal.t_units * math.pi / 2.0, args.samples)

@@ -26,7 +26,8 @@ Two sequence families generate the controlled-NOT class:
   ``e^{i 5 pi/4} R_post U(t1) R_pre``, with ``(omega1, t1)`` calibrated
   numerically; an exact CNOT requires ``|delta| <= g`` and capacitive
   (``g_tilde = 0``) coupling.  Its one gate map is ``single_step_gates``,
-  with the one-point call ``single_step_u`` and the path ``weyl_trajectory``.
+  with the one-point call ``single_step_u``; the path ``weyl_trajectory``
+  builds the map's generator once and exponentiates it per sample.
 
 With the drive off, the frame-1 generator on the block {|01>, |10>} is a
 static two-level problem, so a two-step segment has a closed form built from
@@ -57,10 +58,8 @@ dresses with its ``realize`` and scores the gate with ``frob_dist`` and
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -361,8 +360,6 @@ def entangling_u(t: float, p: SystemParams, frame: int) -> Operator4:
 
 #: The exchange term XX + YY of the single-step generator, summed once.
 _EXCHANGE = XX + YY
-#: The bits of one (delta, omega1) pair of Python floats, the memo's key.
-_DRIVE_BITS = struct.Struct("<2d")
 
 
 def _require_capacitive(p: SystemParams) -> None:
@@ -380,12 +377,9 @@ def _single_step_generator(delta: float | np.ndarray, omega1: float | np.ndarray
     return -delta * Z2 + omega1 * X1 + _EXCHANGE
 
 
-@functools.lru_cache(maxsize=1)
-def _memoised_generator(bits: bytes) -> np.ndarray:
-    """``_single_step_generator`` of the floats packed in ``bits``, read-only."""
-    g = _single_step_generator(*_DRIVE_BITS.unpack(bits))
-    g.setflags(write=False)
-    return g
+def _evolve(g: np.ndarray, t: float | np.ndarray) -> Operator4:
+    """exp(-t g) for a single-step generator ``g``: the one exponentiation of the map."""
+    return expm_skew(-np.asarray(t)[..., None, None] * g)
 
 
 def single_step_gates(
@@ -397,20 +391,8 @@ def single_step_gates(
     its terms in that order.  One ``(delta, omega1, t)`` gives one gate;
     arrays broadcast to a stack of gates, each member with the bits it gets
     alone.  Units of g.
-
-    A drive setting given as two Python floats (a trajectory's samples, one
-    ``single_step_u``) takes its generator from a one-entry memo keyed by
-    the bits of the pair, so -0.0 and 0.0 stay apart; the memoised
-    generator is read-only and has the bits the sum gives each time.  Any
-    other argument, numpy scalars and ints included, builds the sum anew.
-    One entry serves every sample of a trajectory; more would only add
-    hits across the separate commands of one process.
     """
-    if type(delta) is float and type(omega1) is float:
-        g = _memoised_generator(_DRIVE_BITS.pack(delta, omega1))
-    else:
-        g = _single_step_generator(delta, omega1)
-    return expm_skew(-np.asarray(t)[..., None, None] * g)
+    return _evolve(_single_step_generator(delta, omega1), t)
 
 
 def single_step_u(t: float, p: SystemParams) -> Operator4:
@@ -425,16 +407,6 @@ def single_step_u(t: float, p: SystemParams) -> Operator4:
     return single_step_gates(p.delta, p.omega1, checked_time(t))
 
 
-def require_samples(n_samples: int) -> None:
-    """Refuse a trajectory of fewer than two samples: the one check of a sample count.
-
-    Raises:
-        ContractViolationError: ``n_samples < 2``.
-    """
-    if n_samples < 2:
-        raise ContractViolationError(f"n_samples must be >= 2, got {n_samples}")
-
-
 def weyl_trajectory(p: SystemParams, t_max: float, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Steering trajectory of the single-step evolution through the chamber.
 
@@ -444,24 +416,25 @@ def weyl_trajectory(p: SystemParams, t_max: float, n_samples: int) -> tuple[np.n
     ``single_step_gates`` member at its time into the chamber, so apparent
     kinks come from the fold, where the path meets a chamber boundary, and
     not from the sampling; the CLI's default of 2048 samples is fine enough
-    to render the curves smoothly.  The gates are made one sample at a time,
-    a loop that stays until ROADMAP item 4 stacks them within the
-    benchmark's memory bound.  Every sample shares one drive setting, so
-    when ``p.delta`` and ``p.omega1`` are Python floats the first sample
-    builds the generator and the rest take it from ``single_step_gates``'
-    one-entry memo.
+    to render the curves smoothly.  Every sample shares one drive setting,
+    so the generator is built once and each sample's gate is its
+    exponential at that time, with the bits ``single_step_gates`` gives it.
+    The gates are made one sample at a time, a loop that stays until
+    ROADMAP item 4 stacks them within the benchmark's memory bound.
 
     Raises:
-        ContractViolationError: ``n_samples < 2`` (``require_samples``).
+        ContractViolationError: ``n_samples < 2``.
         UnsupportedCouplingError: ``g_tilde != 0``.
         ValueError: ``t_max`` is not finite or is negative, or a sample lies
             outside the chamber (or has a NaN); the error names the worst
             sample and how far out it lies.
     """
-    require_samples(n_samples)
+    if n_samples < 2:
+        raise ContractViolationError(f"n_samples must be >= 2, got {n_samples}")
     _require_capacitive(p)
     t = np.linspace(0.0, checked_time(t_max), n_samples)
-    c = np.array([_chamber_coordinates(single_step_gates(p.delta, p.omega1, tk)) for tk in t])
+    g = _single_step_generator(p.delta, p.omega1)
+    c = np.array([_chamber_coordinates(_evolve(g, tk)) for tk in t])
     _require_chamber(c)
     return t, c
 

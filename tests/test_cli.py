@@ -303,10 +303,11 @@ def test_trajectory_ends_at_the_one_step_gate(tmp_path, delta):
     want = [gate["recipe"]["t_value"], *point]
     assert [float(cell) for cell in rows[-1]] == [float(f"{x:.6f}") for x in want]
 
-def test_trajectory_rejects_single_sample(tmp_path):
+def test_trajectory_rejects_single_sample(tmp_path, capsys):
     rc = main(["trajectory", "--delta", "0.5", "--samples", "1",
                "--out", str(tmp_path / "x.csv")])
     assert rc == EXIT_DOMAIN
+    assert capsys.readouterr().err == "error: --samples must be >= 2, got 1\n"
 
 
 def test_trajectory_too_large_to_allocate_is_a_bad_option(tmp_path, capsys):

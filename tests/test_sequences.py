@@ -184,40 +184,11 @@ def test_single_step_identity_at_zero_time():
 @pytest.mark.parametrize("delta", [0.0, -0.0, 1.0, -1.0, 2.0, -2.0])
 def test_single_step_gate_is_the_frame1_evolution_bit_for_bit(delta):
     # The drive added to the undriven generator gives the bits of the full one.
-    for omega1, t in [(3.8, 0.0), (math.sqrt(15.0), HALF_PI), (0.5, 2.0), (7.25, 0.3)]:
+    # Each sign of a zero drive is its own setting.
+    for omega1, t in [(3.8, 0.0), (math.sqrt(15.0), HALF_PI), (0.5, 2.0), (7.25, 0.3),
+                      (0.0, HALF_PI), (-0.0, HALF_PI)]:
         p = SystemParams(delta=delta, omega1=omega1)
         assert single_step_u(t, p).tobytes() == expm_skew(-t * h_rwa_frame1(p)).tobytes()
-
-
-_DRIVES = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (1.0, math.sqrt(15.0)),
-           (-1.0, math.sqrt(15.0)), (2.0, 0.5), (-2.0, 0.5)]
-
-
-def _assert_memo_gates(delta, omega1):
-    # The memoised generator, the array path and the oracle give one gate's bits.
-    for t in (0.0, HALF_PI, 2.0):
-        gate = sequences.single_step_gates(delta, omega1, t)
-        array = sequences.single_step_gates(np.array(delta), np.array(omega1), t)
-        ref = expm_skew(-t * h_rwa_frame1(SystemParams(delta=delta, omega1=omega1)))
-        assert gate.tobytes() == array.tobytes() == ref.tobytes()
-
-
-@pytest.mark.parametrize("delta, omega1", _DRIVES)
-def test_python_float_drives_take_the_memoised_generator(delta, omega1):
-    memo = sequences._memoised_generator
-    memo.cache_clear()
-    _assert_memo_gates(delta, omega1)
-    assert memo.cache_info().misses == 1 and memo.cache_info().currsize == 1
-    # Each sign of zero is its own key, so -delta (or -0.0 after 0.0) is a
-    # new entry, and the entry before it is gone.
-    _assert_memo_gates(-delta, omega1)
-    _assert_memo_gates(delta, omega1)
-    assert memo.cache_info().misses == 3
-    g = memo(sequences._DRIVE_BITS.pack(delta, omega1))
-    assert not g.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        g[0, 0] = 1.0
-    assert sequences.single_step_gates(delta, omega1, 1.0).flags.writeable
 
 
 @pytest.mark.parametrize("delta, omega1", [
@@ -225,10 +196,7 @@ def test_python_float_drives_take_the_memoised_generator(delta, omega1):
     (np.array(-0.0), 0.5),
 ], ids=["float64-delta", "float64-omega1", "int-delta", "int-omega1", "float32-delta", "0d-array"])
 def test_numpy_scalars_and_ints_take_the_array_path(delta, omega1):
-    memo = sequences._memoised_generator
-    memo.cache_clear()
     gate = sequences.single_step_gates(delta, omega1, HALF_PI)
-    assert memo.cache_info().hits == memo.cache_info().misses == 0
     ref = sequences.single_step_gates(np.array(delta), np.array(omega1), HALF_PI)
     assert gate.tobytes() == ref.tobytes()
 
@@ -271,8 +239,8 @@ def test_single_step_rejects_zz_coupling():
 
 
 def test_every_single_step_gate_comes_from_the_one_map(monkeypatch, tmp_path):
-    # The trajectory and the one-step gate, calibration included, build
-    # every single-step evolution through single_step_gates.
+    # The trajectory and the one-step gate, calibration included, exponentiate
+    # every single-step generator through the map's one helper, _evolve.
     callers = []
 
     def traced(g):
@@ -290,7 +258,23 @@ def test_every_single_step_gate_comes_from_the_one_map(monkeypatch, tmp_path):
         assert cli.main(argv) == cli.EXIT_OK
         counts.append(len(callers) - before)
     assert counts[0] >= 16 and counts[1] > 0
-    assert set(callers) == {sequences.single_step_gates.__code__}
+    assert set(callers) == {sequences._evolve.__code__}
+
+
+@pytest.mark.parametrize("delta, omega1", [(1.0, 3.7781), (np.float64(1.0), np.float64(3.7781))],
+                         ids=["float", "float64"])
+def test_a_trajectory_builds_one_generator(monkeypatch, delta, omega1):
+    # Every sample shares the drive setting, so its generator is built once.
+    real = sequences._single_step_generator
+    calls = []
+
+    def counted(*drive):
+        calls.append(drive)
+        return real(*drive)
+
+    monkeypatch.setattr(sequences, "_single_step_generator", counted)
+    t, c = weyl_trajectory(SystemParams(delta=delta, omega1=omega1), 2.0, 2048)
+    assert len(calls) == 1 and c.shape == (2048, 3)
 
 
 @pytest.mark.parametrize("k", [0, 2, 4])
